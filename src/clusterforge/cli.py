@@ -153,6 +153,7 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
     gain = gr.expected_length_gain(p, ell)
 
     if mode == "1d":
+        t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length; rejects no growth
         cost = gr.CostModel(p, ell, config.n)
         totals = {"apps": 0, "prep": 0, "growth": 0, "units": 0, "len": 0, "gain_sum": 0.0, "gain_pairs": 0}
         for i in range(config.trials):
@@ -170,7 +171,6 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
         gain_mc = totals["gain_sum"] / totals["gain_pairs"]
         per_len_model_mc = (s_b_mc + 1.0) / gain_mc
         per_len_model = (s_b + 1.0) / gain
-        t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length
         row = {
             **_provenance(config),
             "p": p,
@@ -451,9 +451,10 @@ def main(argv=None) -> int:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    old_max_qubits = sv.MAX_QUBITS
     if args.max_qubits is not None:
-        if args.max_qubits < 1:
-            parser.error("--max-qubits must be positive")
+        if not 1 <= args.max_qubits <= old_max_qubits:
+            parser.error(f"--max-qubits must be in 1..{old_max_qubits}")
         sv.MAX_QUBITS = args.max_qubits
 
     try:
@@ -473,6 +474,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sv.MAX_QUBITS = old_max_qubits
     parser.error("unknown command")
     return 2
 

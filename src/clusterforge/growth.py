@@ -23,14 +23,17 @@ Graph rewrite semantics (verified against the statevector in the tests):
   byproduct.
 
 Cluster length is the node count of the longest simple path whose interior
-vertices are not flagged leaves; on the trees produced by 1D growth this is
-the tree diameter, so the four-qubit growth unit (a degree-3 hub with three
-degree-1 arms) has length 3, not 4.
+vertices are not flagged leaves.  It is defined here on forests only, where
+it is the largest tree diameter, so the four-qubit growth unit (a degree-3
+hub with three degree-1 arms) has length 3, not 4.  1D growth reads it off
+the row: the backbone plus a live spare leaf on either end.  A finished 2D
+build is the verified N x N lattice and reports N * N, its snake path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +71,9 @@ class ClusterGraph:
         return node
 
     @property
-    def nodes(self) -> set[int]:
-        return set(self._adj)
+    def nodes(self) -> KeysView[int]:
+        """Live set-like view of the nodes still in the cluster."""
+        return self._adj.keys()
 
     def neighbors(self, node: int) -> set[int]:
         return set(self._adj[node])
@@ -119,39 +123,27 @@ class ClusterGraph:
         comp = self.component(node)
         return sum(len(self._adj[v]) for v in comp) // 2
 
-    def is_forest(self) -> bool:
+    def longest_segment_length(self) -> int:
+        """Node count of the longest path with non-leaf interior vertices.
+
+        Flagged leaves have degree 1 and therefore only ever sit at path
+        ends, so on a forest this is the largest tree diameter (double BFS).
+        A graph with a cycle raises ValueError: its longest path is a
+        Hamiltonian-path search, exponential in the graph size.
+        """
+        best = 0
         seen: set[int] = set()
         for start in self._adj:
             if start in seen:
                 continue
             comp = self.component(start)
             seen |= comp
-            if sum(len(self._adj[v]) for v in comp) // 2 > len(comp) - 1:
-                return False
-        return True
-
-    def longest_segment_length(self) -> int:
-        """Node count of the longest path with non-leaf interior vertices.
-
-        Flagged leaves have degree 1 and therefore only ever sit at path
-        ends, so on forests this is the largest tree diameter (double BFS).
-        Non-forest graphs fall back to exhaustive search and stay small by
-        construction.
-        """
-        if not self._adj:
-            return 0
-        if self.is_forest():
-            best = 0
-            seen: set[int] = set()
-            for start in self._adj:
-                if start in seen:
-                    continue
-                seen |= self.component(start)
-                far, _ = self._bfs_far(start)
-                _, dist = self._bfs_far(far)
-                best = max(best, dist + 1)
-            return best
-        return self._longest_path_exact()
+            if sum(len(self._adj[v]) for v in comp) // 2 >= len(comp):
+                raise ValueError("segment length is defined on forests only")
+            far, _ = self._bfs_far(start)
+            _, dist = self._bfs_far(far)
+            best = max(best, dist + 1)
+        return best
 
     def _bfs_far(self, start: int) -> tuple[int, int]:
         from collections import deque
@@ -168,26 +160,6 @@ class ClusterGraph:
                         far, fd = nb, dist[nb]
                     queue.append(nb)
         return far, fd
-
-    def _longest_path_exact(self) -> int:
-        best = 1
-
-        def extend(v, visited):
-            nonlocal best
-            best = max(best, len(visited))
-            for nb in self._adj[v]:
-                if nb in visited:
-                    continue
-                if nb in self.leaf_flags:
-                    best = max(best, len(visited) + 1)
-                else:
-                    visited.add(nb)
-                    extend(nb, visited)
-                    visited.remove(nb)
-
-        for start in self._adj:
-            extend(start, {start})
-        return best
 
     def check_invariants(self):
         for node in self.leaf_flags:
@@ -353,8 +325,9 @@ class GrowthStats:
     paired_gain_pairs: int = 0
     restarts: int = 0
 
-    def finalize_from_graph(self, graph: ClusterGraph):
-        self.final_length = graph.longest_segment_length()
+    def finalize_from_graph(self, graph: ClusterGraph, length: int):
+        """Record the caller's cluster length and the graph's link and leaf counts."""
+        self.final_length = length
         self.link_count = graph.edge_count()
         self.leaf_count = len(graph.leaf_flags)
 
@@ -448,16 +421,25 @@ class _RowDamaged(RuntimeError):
 class _Row:
     backbone: list    # node ids in chain order
     spares: dict      # backbone node id -> flagged leaf hanging on it
+    n: int = 3           # middle qubits per protocol chain, sets the site count
     protected: int = 0   # backbone prefix length that must survive
     frontier: int = 0    # high-water mark of lattice sites this row spans
 
 
 def _fresh_unit_row(graph: ClusterGraph, n: int = 3) -> _Row:
     u, c, w, lf = three_node(graph)
-    return _Row(backbone=[u, c, w], spares={c: lf}, frontier=3 * n + 4)
+    return _Row(backbone=[u, c, w], spares={c: lf}, n=n, frontier=3 * n + 4)
 
 
-def _build_three_node_unit(stats: GrowthStats, p: float, n: int, rng) -> None:
+def _row_length(graph: ClusterGraph, row: _Row) -> int:
+    """Cluster length of a 1D row: its backbone plus a live spare on either end."""
+    if not row.backbone:
+        return 0
+    ends = (row.backbone[0], row.backbone[-1])
+    return len(row.backbone) + sum(row.spares.get(v) in graph.nodes for v in ends)
+
+
+def _build_three_node_unit(stats: GrowthStats, p: float, rng) -> None:
     """Account for preparing one growth unit: pair rounds plus pair fusions."""
     while True:
         pending = 2
@@ -476,38 +458,43 @@ def _build_three_node_unit(stats: GrowthStats, p: float, n: int, rng) -> None:
 
 
 def _row_attach(
-    graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, n: int, rng,
-    armor: int = 0,
+    graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng, armor: int = 0
 ) -> bool:
     """Prepare a fresh unit and attempt to fuse it onto the row's end.
 
-    Returns the fusion outcome.  A failure measures out the fusion tip; the
-    end is then re-derived by promoting a spare leaf of the new end node when
-    one exists.  Within ``armor`` positions of protected lattice structure
-    the tip is a spare leaf on the end instead of the end qubit itself
-    (fusing at leaves minimizes entanglement loss), so a failure only costs
-    that spare; an unprotected bare protected end means the row is damaged.
+    Returns the fusion outcome; an emptied row restarts from the fresh unit.
     """
-    _build_three_node_unit(stats, p, n, rng)
+    _build_three_node_unit(stats, p, rng)
     if not row.backbone:
         u, c, w, lf = three_node(graph)
         row.backbone = [u, c, w]
         row.spares = {c: lf}
-        row.frontier = max(row.frontier, 3 * n + 4)
         return True
 
     success = bool(rng.random() < p)
     stats.growth_attempts += 1
     stats.protocol_applications += 1
     stats.time_steps += STEPS_PROTOCOL_ROUND
+    _attach_bernoulli(graph, row, success, armor)
+    return success
 
+
+def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool, armor: int = 0):
+    """Fuse a fresh growth unit onto the row's end with a given outcome.
+
+    No cost is accounted here.  A failure measures out the fusion tip; the
+    end is then re-derived by promoting a spare leaf of the new end node when
+    one exists.  Within ``armor`` positions of protected lattice structure
+    the tip is a spare leaf on the end instead of the end qubit itself
+    (fusing at leaves minimizes entanglement loss), so a failure only costs
+    that spare; a bare protected end means the row is damaged.
+    """
     end = row.backbone[-1]
-    at_wall = len(row.backbone) <= row.protected
     spare_mode = (
         len(row.backbone) <= row.protected + armor
         and row.spares.get(end) in graph.nodes
     )
-    if at_wall and not spare_mode:
+    if len(row.backbone) <= row.protected and not spare_mode:
         raise _RowDamaged("protected end has no spare leaf to risk")
     tip = row.spares[end] if spare_mode else end
 
@@ -523,34 +510,32 @@ def _row_attach(
         row.backbone.extend([c, w])
         # lattice sites spanned by the current backbone; truncated territory
         # is re-used, so the frontier is a high-water mark
-        extent = (3 * n + 4) + ((len(row.backbone) - 3) // 2) * (4 * n + 4)
+        extent = (3 * row.n + 4) + ((len(row.backbone) - 3) // 2) * (4 * row.n + 4)
         row.frontier = max(row.frontier, extent)
-        return True
+        return
 
     fuse(graph, tip, u, False)
     for orphan in (c, w, lf):  # remnant of the unit is not recycled
         graph.detach(orphan)
     if spare_mode:
         row.spares.pop(end, None)
-        return False
+        return
     row.backbone.pop()
     lost_spare = row.spares.pop(end, None)
     if lost_spare is not None and lost_spare in graph.nodes:
         graph.detach(lost_spare)
     if row.backbone:
-        last = row.backbone[-1]
-        promoted = row.spares.pop(last, None)
+        promoted = row.spares.pop(row.backbone[-1], None)
         if promoted is not None:
             graph.leaf_flags.discard(promoted)
             row.backbone.append(promoted)
-    return False
 
 
-def _row_grow_to(graph, row, stats, p, n, rng, length, cap_check=None, armor=0):
+def _row_grow_to(graph, row, stats, p, rng, length, cap_check=None, armor=0):
     while len(row.backbone) < length:
         if cap_check is not None:
             cap_check()
-        _row_attach(graph, row, stats, p, n, rng, armor=armor)
+        _row_attach(graph, row, stats, p, rng, armor)
 
 
 def _row_discard_from(graph: ClusterGraph, row: _Row, index: int):
@@ -564,14 +549,14 @@ def _row_discard_from(graph: ClusterGraph, row: _Row, index: int):
     del row.backbone[index:]
 
 
-def _ensure_spare(graph, row, node, stats, p, n, rng, cap_check=None, armor=0) -> int:
+def _ensure_spare(graph, row, node, stats, p, rng, cap_check=None, armor=0) -> int:
     """Pop and return a flagged leaf on ``node``, shortening the row to make one."""
     if node in row.spares:
         leaf = row.spares.pop(node)
         if leaf in graph.nodes:
             return leaf
     idx = row.backbone.index(node)
-    _row_grow_to(graph, row, stats, p, n, rng, idx + 6, cap_check, armor)
+    _row_grow_to(graph, row, stats, p, rng, idx + 6, cap_check, armor)
     y, z = row.backbone[idx + 1], row.backbone[idx + 2]
     for v in (y, z):
         spare = row.spares.pop(v, None)
@@ -606,15 +591,14 @@ def grow_1d(
     stats = GrowthStats()
     graph = ClusterGraph()
 
-    _build_three_node_unit(stats, p, cost.n, rng)
-    row = _fresh_unit_row(graph)
-    row.frontier = 3 * cost.n + 4
+    _build_three_node_unit(stats, p, rng)
+    row = _fresh_unit_row(graph, cost.n)
     trace: list[tuple[bool, int]] = []
-    length = graph.longest_segment_length()
+    length = _row_length(graph, row)
 
     while length < target_length:
-        success = _row_attach(graph, row, stats, p, cost.n, rng)
-        length = graph.longest_segment_length()
+        success = _row_attach(graph, row, stats, p, rng)
+        length = _row_length(graph, row)
         trace.append((success, length))
 
     # non-overlapping attempt pairs anchored right after a success measure
@@ -631,8 +615,10 @@ def grow_1d(
         else:
             i += 1
 
+    if graph.longest_segment_length() != length:
+        raise AssertionError("row length disagrees with the graph diameter")
     stats.physical_qubits_used = row.frontier
-    stats.finalize_from_graph(graph)
+    stats.finalize_from_graph(graph, length)
     return graph, stats
 
 
@@ -663,42 +649,16 @@ def mc_length_gain(p: float, trials: int, seed: int, n: int = 3) -> float:
     formula.
     """
     rng = np.random.default_rng([seed, 3])
-    stats = GrowthStats()
     total = 0.0
     for _ in range(trials):
         graph = ClusterGraph()
         row = _fresh_unit_row(graph)
-        before = graph.longest_segment_length()
+        before = _row_length(graph, row)
         for _attempt in range(2):
             success = bool(rng.random() < p)
             _attach_bernoulli(graph, row, success)
-        total += 0.5 * (graph.longest_segment_length() - before)
+        total += 0.5 * (_row_length(graph, row) - before)
     return total / trials
-
-
-def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
-    """Growth fusion with a pre-drawn outcome and no cost accounting."""
-    end = row.backbone[-1]
-    u, c, w, lf = three_node(graph)
-    if success:
-        fuse(graph, end, u, True, designate="tail")
-        row.spares[end] = u
-        row.spares[c] = lf
-        row.backbone.extend([c, w])
-        return
-    fuse(graph, end, u, False)
-    for orphan in (c, w, lf):
-        graph.detach(orphan)
-    row.backbone.pop()
-    lost = row.spares.pop(end, None)
-    if lost is not None and lost in graph.nodes:
-        graph.detach(lost)
-    if row.backbone:
-        last = row.backbone[-1]
-        promoted = row.spares.pop(last, None)
-        if promoted is not None:
-            graph.leaf_flags.discard(promoted)
-            row.backbone.append(promoted)
 
 
 def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
@@ -761,11 +721,6 @@ def linear_cluster_target(k: int) -> PureState:
     return graph_state_target(k, [(q, q + 1) for q in range(k - 1)])
 
 
-def _entangle_all(state: PureState, theta: float):
-    for q in range(state.num_qubits - 1):
-        apply_controlled_phase(state, q, q + 1, math.pi + theta, "CSX")
-
-
 def _measure_chain_middles(state, chain, rng):
     bits = []
     for q in chain[1:-1]:
@@ -804,25 +759,6 @@ def _fusion_success_probability(state: PureState, theta: float) -> float:
     return total
 
 
-def _fusion_success_probability_reference(state: PureState, theta: float) -> float:
-    """Slow route: re-initialize middles, re-entangle, enumerate branches."""
-    probe = state.copy()
-    mids = _FUSION_CHAIN[1:-1]
-    sv.reset_qubits(probe, {q: "+" for q in mids})
-    _entangle_all(probe, theta)
-    for q in mids:
-        apply_gate(probe, q, "H")
-    tens = probe.tensor()
-    total = 0.0
-    for seq in pr.enumerate_success_sequences(3):
-        idx = [slice(None)] * 13
-        for q, b in zip(mids, seq):
-            idx[q] = int(b)
-        branch = tens[tuple(idx)]
-        total += float(np.vdot(branch, branch).real)
-    return total
-
-
 def run_thirteen_qubit_pipeline(
     theta: float,
     rng: np.random.Generator,
@@ -853,7 +789,7 @@ def run_thirteen_qubit_pipeline(
         while pending and stats.protocol_applications < retry_cap:
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += len(pending)
-            _entangle_all(state, theta)
+            pr.entangle_chain(state, theta)
             for key, chain in list(pending.items()):
                 seq, state = _measure_chain_middles(state, chain, rng)
                 if seq in pr.enumerate_success_sequences(3):
@@ -881,7 +817,7 @@ def run_thirteen_qubit_pipeline(
             sv.reset_qubits(state, {5: "+", 6: "+", 7: "+"})
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += 1
-            _entangle_all(state, theta)
+            pr.entangle_chain(state, theta)
             seq, state = _measure_chain_middles(state, _FUSION_CHAIN, rng)
             fusion_parity ^= seq.count("1") & 1
             if seq in pr.enumerate_success_sequences(3):
@@ -901,12 +837,8 @@ def run_thirteen_qubit_pipeline(
         apply_gate(state, 8, "H")
 
         graph = ClusterGraph()
-        ids = {q: graph.new_node() for q in (0, 4, 8, 12)}
-        graph.add_edge(ids[0], ids[4])
-        graph.add_edge(ids[4], ids[8])
-        graph.add_edge(ids[4], ids[12])
-        graph.leaf_flags.add(ids[8])
-        stats.finalize_from_graph(graph)
+        three_node(graph)  # arms 0 and 12 on hub 4, leaf 8
+        stats.finalize_from_graph(graph, 3)
         return state, stats
 
 
@@ -951,11 +883,13 @@ def grow_2d(
     while True:
         try:
             graph = ClusterGraph()
-            grid = _grow_2d_once(graph, N, n, p, stats, rng, margin, cap_check, site_high_water)
+            _grow_2d_once(graph, N, n, p, stats, rng, margin, cap_check, site_high_water)
             # every row band owns its chain row plus the n spacer rows used
             # as middles for the vertical fusions below it
             stats.physical_qubits_used = sum(site_high_water) * (n + 1)
-            stats.finalize_from_graph(graph)
+            # the build ends in the verified lattice, whose longest path is
+            # the N * N snake
+            stats.finalize_from_graph(graph, N * N)
             return graph, stats
         except _RowDamaged:
             stats.restarts += 1
@@ -965,13 +899,13 @@ def grow_2d(
 def _grow_2d_once(graph, N, n, p, stats, rng, margin, cap_check, site_high_water) -> dict:
     rows = [_fresh_unit_row(graph, n) for _ in range(N)]
     try:
-        return _grow_2d_build(graph, N, n, p, stats, rng, margin, cap_check, rows)
+        return _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows)
     finally:
         for r in range(N):
             site_high_water[r] = max(site_high_water[r], rows[r].frontier)
 
 
-def _grow_2d_build(graph, N, n, p, stats, rng, margin, cap_check, rows) -> dict:
+def _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows) -> dict:
     for _ in range(N):
         stats.three_nodes_built += 1  # seed units
     grid: dict[tuple[int, int], int] = {}
@@ -984,14 +918,14 @@ def _grow_2d_build(graph, N, n, p, stats, rng, margin, cap_check, rows) -> dict:
 
     def replant(row: _Row, node: int):
         if row.spares.get(node) not in graph.nodes:
-            row.spares[node] = _ensure_spare(graph, row, node, stats, p, n, rng, cap_check, armor)
+            row.spares[node] = _ensure_spare(graph, row, node, stats, p, rng, cap_check, armor)
 
     for j in range(N):
         # column node for row 0, with a spare leaf to seed the column
         idx0 = prev_idx[0] + spacing
-        _row_grow_to(graph, rows[0], stats, p, n, rng, idx0 + 2 + margin, cap_check, armor)
+        _row_grow_to(graph, rows[0], stats, p, rng, idx0 + 2 + margin, cap_check, armor)
         node0 = rows[0].backbone[idx0]
-        carried = _ensure_spare(graph, rows[0], node0, stats, p, n, rng, cap_check, armor)
+        carried = _ensure_spare(graph, rows[0], node0, stats, p, rng, cap_check, armor)
         grid[(0, j)] = node0
         prev_idx[0] = idx0
         rows[0].protected = idx0 + 1
@@ -1002,12 +936,12 @@ def _grow_2d_build(graph, N, n, p, stats, rng, margin, cap_check, rows) -> dict:
                 cap_check()
                 if carried not in graph.nodes:  # consumed by protective growth
                     carried = _ensure_spare(
-                        graph, rows[r], grid[(r, j)], stats, p, n, rng, cap_check
+                        graph, rows[r], grid[(r, j)], stats, p, rng, cap_check
                     )
                 if j > 0:  # keep the wall armored while we hammer on this link
                     replant(lower, lower.backbone[prev_idx[r + 1]])
                 idx = prev_idx[r + 1] + spacing
-                _row_grow_to(graph, lower, stats, p, n, rng, idx + 2 + margin, cap_check)
+                _row_grow_to(graph, lower, stats, p, rng, idx + 2 + margin, cap_check)
                 node = lower.backbone[idx]
                 stats.protocol_applications += 1
                 stats.time_steps += STEPS_PROTOCOL_ROUND

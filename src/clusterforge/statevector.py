@@ -298,12 +298,14 @@ def is_product_across_cut(state: PureState, left_qubits) -> bool:
 
 
 def _definite_bits(state: PureState, qubits) -> dict[int, int]:
+    # relative to the state's own norm, which may drift within _check_norm
+    norm2 = state.norm_squared()
     bits = {}
     for q in qubits:
         p1 = state.probability_of_bit(q, 1)
-        if p1 < 1e-12:
+        if p1 < 1e-12 * norm2:
             bits[q] = 0
-        elif p1 > 1.0 - 1e-12:
+        elif p1 > (1.0 - 1e-12) * norm2:
             bits[q] = 1
         else:
             raise ValueError(f"qubit {q} is not in a definite computational state")

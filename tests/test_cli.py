@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from clusterforge import cli
+from clusterforge import statevector as sv
 
 
 def run_cli(args, tmp_path=None):
@@ -80,6 +81,13 @@ class TestGrowCommand:
             record["protocols_per_length_mc"]
         )
 
+    def test_1d_without_net_growth_exits_2(self):
+        # n = 3 at theta = 1.6 has a negative closed-form length gain, so a
+        # growth run would never reach its target
+        code, out = run_cli(["grow", "--mode", "1d", "--theta", "1.6", "--trials", "1"])
+        assert code == 2
+        assert out == ""
+
     def test_1d_deterministic_limit(self):
         code, out = run_cli(
             ["grow", "--mode", "1d", "--trials", "5", "--target-length", "21",
@@ -105,6 +113,27 @@ class TestPipelineCommand:
         assert code == 0
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
+
+    def test_seed_with_norm_drift(self):
+        # this seed leaves norm^2 - 1 = -3e-12 before the final extraction
+        code, out = run_cli(
+            ["pipeline13", "--theta", "1.0", "--trials", "1", "--seed", "1159426114"]
+        )
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert float(dict(zip(header.split(","), row.split(",")))["fidelity"]) >= 1 - 1e-9
+
+    def test_max_qubits_does_not_leak(self):
+        cap = sv.MAX_QUBITS
+        code, _ = run_cli(["pipeline13", "--trials", "1", "--max-qubits", "5"])
+        assert code == 2  # the 13-qubit register exceeds the cap
+        assert sv.MAX_QUBITS == cap
+        code, _ = run_cli(["pipeline13", "--trials", "1"])
+        assert code == 0
+
+    def test_max_qubits_above_built_in_rejected(self):
+        code, _ = run_cli(["pipeline13", "--trials", "1", "--max-qubits", str(sv.MAX_QUBITS + 1)])
+        assert code == 2
 
 
 class TestVerifyCommand:

@@ -1,16 +1,60 @@
 """Thirteen-qubit selective-entanglement pipeline."""
 
+import contextlib
 import time
 
 import numpy as np
 import pytest
 
 from clusterforge import growth as gr
+from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 
 
 def run(theta, seed, **kw):
     return gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng(seed), **kw)
+
+
+def fusion_success_probability_reference(state, theta):
+    """Slow route: re-initialize middles, re-entangle, enumerate branches."""
+    probe = state.copy()
+    mids = gr._FUSION_CHAIN[1:-1]
+    sv.reset_qubits(probe, {q: "+" for q in mids})
+    pr.entangle_chain(probe, theta)
+    for q in mids:
+        sv.apply_gate(probe, q, "H")
+    tens = probe.tensor()
+    total = 0.0
+    for seq in pr.enumerate_success_sequences(3):
+        idx = [slice(None)] * 13
+        for q, b in zip(mids, seq):
+            idx[q] = int(b)
+        branch = tens[tuple(idx)]
+        total += float(np.vdot(branch, branch).real)
+    return total
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+def test_pipeline_fast_probability(theta, monkeypatch):
+    """The restart decision's fast probability matches re-running the chain.
+
+    The pipeline evaluates it only after a failed fusion attempt, so each
+    state checked here was left behind by such a failure.
+    """
+    fast = gr._fusion_success_probability
+    deviations = []
+
+    def checked(state, th):
+        prob = fast(state, th)
+        deviations.append(abs(prob - fusion_success_probability_reference(state, th)))
+        return prob
+
+    monkeypatch.setattr(gr, "_fusion_success_probability", checked)
+    for seed in range(6):
+        with contextlib.suppress(gr.RetryLimitError):  # the cap keeps theta = 2.5 short
+            run(theta, seed=seed, retry_cap=300)
+    assert len(deviations) >= 20
+    assert max(deviations) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.5])
