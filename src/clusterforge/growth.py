@@ -58,7 +58,6 @@ class ClusterGraph:
     def __init__(self):
         self._adj: dict[int, set[int]] = {}
         self.leaf_flags: set[int] = set()
-        self.detached: set[int] = set()
         self.z_parity: dict[int, int] = {}
         self._next = 0
 
@@ -107,7 +106,6 @@ class ClusterGraph:
             self.remove_edge(node, nb)
         del self._adj[node]
         self.leaf_flags.discard(node)
-        self.detached.add(node)
 
     def component(self, node: int) -> set[int]:
         seen = {node}
@@ -168,8 +166,6 @@ class ClusterGraph:
         for a, nbs in self._adj.items():
             if a in nbs:
                 raise AssertionError("self edge")
-            if a in self.detached:
-                raise AssertionError("detached node still present")
 
 
 def three_node(graph: ClusterGraph) -> tuple[int, int, int, int]:
@@ -729,34 +725,21 @@ def _measure_chain_middles(state, chain, rng):
     return "".join(bits), state
 
 
-_FUSION_SUCCESS_WEIGHTS: dict[float, np.ndarray] = {}
-
-
 def _fusion_success_probability(state: PureState, theta: float) -> float:
     """Exact probability that re-running the fusion chain would succeed.
 
-    Every outcome branch acts diagonally on the chain-end pair, so the
-    success probability is a fixed (theta-dependent) weight contracted with
-    the Born marginals of the end qubits; guard pairs only contribute global
-    phases.  The slow re-entangle-and-enumerate route is kept as a test
-    reference (see test_pipeline_fast_probability).
+    Every outcome branch acts diagonally on the chain-end pair (guard pairs
+    add only global phases), so it is the Born marginals P of the end pair
+    weighted per basis state.  Summed over the success sequences, the weight
+    is 0 on |01> and |10>, where success is impossible, and equal on |00> and
+    |11>; a |+>|+> pair (each marginal 1/4) succeeds with p =
+    success_probability_closed(3, theta), so that weight is 2p and the
+    probability is 2p (P00 + P11).  test_success_weights_closed_form pins the
+    weights; test_pipeline_fast_probability checks the result against the
+    slow re-entangle-and-enumerate route.
     """
-    weights = _FUSION_SUCCESS_WEIGHTS.get(theta)
-    if weights is None:
-        g = pr._retry_branch_maps(3, theta)
-        succ = [int(s, 2) for s in pr.enumerate_success_sequences(3)]
-        weights = (np.abs(g[succ]) ** 2).sum(axis=0) / 64.0
-        _FUSION_SUCCESS_WEIGHTS[theta] = weights
-    tip, tail = _FUSION_CHAIN[0], _FUSION_CHAIN[-1]
-    t = state.tensor()
-    total = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            idx = [slice(None)] * state.num_qubits
-            idx[tip], idx[tail] = a, b
-            sl = t[tuple(idx)]
-            total += float(np.vdot(sl, sl).real) * weights[a, b]
-    return total
+    marg = sv.pair_marginals(state, _FUSION_CHAIN[0], _FUSION_CHAIN[-1])
+    return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
 
 
 def run_thirteen_qubit_pipeline(

@@ -11,9 +11,12 @@ Conventions, fixed here and used by every other module:
   computational state ``|m>`` (a classical record, convenient for later
   extraction).  xi = 0 is the sigma_x basis with m=0 for ``|+>``.
 
-States are small dense complex vectors; controlled-phase gates are diagonal
-and applied in place.  A single state is only ever touched by one thread;
-parallelism belongs to the trial level above this module.
+States are small dense complex vectors.  Every kernel works in place on a
+reshape view of the amplitudes: ``(2^q, 2, 2^(n-q-1))`` for qubit q, whose
+axis 1 is the qubit, or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit
+pair a < b.  None of them moves axes or copies the state.  A single state
+is only ever touched by one thread; parallelism belongs to the trial level
+above this module.
 """
 
 from __future__ import annotations
@@ -73,15 +76,31 @@ class PureState:
 
     def probability_of_bit(self, qubit: int, bit: int) -> float:
         """Z-basis probability of reading ``bit`` on ``qubit``."""
-        _check_qubit(self, qubit)
-        t = self.tensor()
-        sl = np.take(t, bit, axis=qubit)
+        sl = _split(self, qubit)[:, bit].reshape(-1)
         return float(np.vdot(sl, sl).real)
 
 
 def _check_qubit(state: PureState, qubit: int):
     if not 0 <= qubit < state.num_qubits:
         raise IndexError(f"qubit {qubit} out of range for {state.num_qubits}-qubit register")
+
+
+def _split(state: PureState, qubit: int) -> np.ndarray:
+    """View of the amplitudes as ``(2^q, 2, rest)``; axis 1 is ``qubit``."""
+    _check_qubit(state, qubit)
+    return state.amps.reshape(1 << qubit, 2, -1)
+
+
+def _split_pair(state: PureState, a: int, b: int) -> np.ndarray:
+    """View as ``(2^a, 2, 2^(b-a-1), 2, rest)``; axes 1 and 3 are ``a < b``."""
+    if not 0 <= a < b < state.num_qubits:
+        raise ValueError(f"need 0 <= a < b < {state.num_qubits}, got a={a}, b={b}")
+    return state.amps.reshape(1 << a, 2, 1 << (b - a - 1), 2, -1)
+
+
+def pair_marginals(state: PureState, a: int, b: int) -> np.ndarray:
+    """2x2 Z-basis probabilities ``P[bit_a, bit_b]`` of the qubits ``a < b``."""
+    return (np.abs(_split_pair(state, a, b)) ** 2).sum(axis=(0, 2, 4))
 
 
 def _check_norm(state: PureState):
@@ -128,38 +147,23 @@ def init_register(assignments) -> PureState:
     return PureState(len(pairs), amps)
 
 
-def _hadamard_matrix() -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
-    if GATE_TAMPER:
-        h = np.diag([1.0, np.exp(1j * GATE_TAMPER)]) @ h
-    return h
-
-
 def apply_gate(state: PureState, qubit: int, gate: str, angle: float | None = None) -> PureState:
     """Apply one of H, X, Z, RZ(angle) to ``qubit`` in place."""
-    _check_qubit(state, qubit)
-    t = state.tensor()
+    v = _split(state, qubit)
     if gate == "H":
-        moved = np.moveaxis(t, qubit, 0)
+        top = v[:, 0].copy()
+        v[:, 0] = (top + v[:, 1]) * _INV_SQRT2
+        v[:, 1] = (top - v[:, 1]) * _INV_SQRT2
         if GATE_TAMPER:
-            h = _hadamard_matrix()
-            np.copyto(moved, np.tensordot(h, moved, axes=([1], [0])))
-        else:
-            top = moved[0].copy()
-            moved[0] = (top + moved[1]) * _INV_SQRT2
-            moved[1] = (top - moved[1]) * _INV_SQRT2
+            v[:, 1] *= np.exp(1j * GATE_TAMPER)
     elif gate == "X":
-        np.copyto(t, np.flip(t, axis=qubit))
+        np.copyto(v, v[:, ::-1])
     elif gate == "Z":
-        idx = [slice(None)] * state.num_qubits
-        idx[qubit] = 1
-        t[tuple(idx)] *= -1.0
+        v[:, 1] *= -1.0
     elif gate == "RZ":
         if angle is None:
             raise ValueError("RZ requires an angle")
-        idx = [slice(None)] * state.num_qubits
-        idx[qubit] = 1
-        t[tuple(idx)] *= np.exp(1j * angle)
+        v[:, 1] *= np.exp(1j * angle)
     else:
         raise ValueError(f"unknown gate {gate!r}")
     return state
@@ -180,11 +184,9 @@ def apply_controlled_phase(
         raise ValueError("control and target must differ")
     if variant not in ("CS", "CSX"):
         raise ValueError(f"unknown controlled-phase variant {variant!r}")
-    t = state.tensor()
-    idx = [slice(None)] * state.num_qubits
-    idx[control] = 1
-    idx[target] = 1 if variant == "CS" else 0
-    t[tuple(idx)] *= np.exp(1j * phi)
+    bits = {control: 1, target: 1 if variant == "CS" else 0}
+    lo, hi = sorted(bits)
+    _split_pair(state, lo, hi)[:, bits[lo], :, bits[hi]] *= np.exp(1j * phi)
     return state
 
 
@@ -258,10 +260,7 @@ def measure(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
 
-    t = state.tensor()
-    idx = [slice(None)] * state.num_qubits
-    idx[qubit] = 1 - outcome
-    t[tuple(idx)] = 0.0
+    _split(state, qubit)[:, 1 - outcome] = 0.0
     state.amps /= math.sqrt(prob)
     _check_norm(state)
     return MeasurementRecord(qubit, basis, xi, outcome, prob), state
@@ -342,18 +341,16 @@ def reset_qubits(state: PureState, assignments: dict) -> PureState:
     The reset qubits must currently be in definite computational states (they
     were measured out); the rest of the register is untouched.
     """
-    n = state.num_qubits
     targets = sorted(assignments)
     if not targets:
         return state
     bits = _definite_bits(state, targets)
-    t = state.tensor()
     for q in targets:
         pair = _as_pair(assignments[q])
-        moved = np.moveaxis(t, q, 0)
-        core = moved[bits[q]].copy()
-        moved[0] = core * pair[0]
-        moved[1] = core * pair[1]
+        v = _split(state, q)
+        core = v[:, bits[q]].copy()
+        v[:, 0] = core * pair[0]
+        v[:, 1] = core * pair[1]
     _check_norm(state)
     return state
 

@@ -1,5 +1,6 @@
 """Simulator core: initialization, gates, measurements, comparisons."""
 
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +109,77 @@ class TestGates:
                 if t != q:
                     sv.apply_controlled_phase(state, q, t, float(rng.uniform(0, 7)))
         assert abs(state.norm_squared() - 1.0) < 1e-12
+
+
+class TestKernelReference:
+    """Each kernel against an explicit kron matrix or an index-bit diagonal."""
+
+    N = 5
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2
+    GATES = {
+        "H": (None, H),
+        "X": (None, np.array([[0.0, 1.0], [1.0, 0.0]])),
+        "Z": (None, np.diag([1.0, -1.0])),
+        "RZ": (0.7, np.diag([1.0, np.exp(0.7j)])),
+    }
+
+    def on_qubit(self, q, m):
+        return np.kron(np.kron(np.eye(1 << q), m), np.eye(1 << (self.N - q - 1)))
+
+    def bit(self, q):
+        return (np.arange(1 << self.N) >> (self.N - 1 - q)) & 1
+
+    @pytest.mark.parametrize("gate", ["H", "X", "Z", "RZ"])
+    @pytest.mark.parametrize("q", range(N))
+    def test_single_qubit_gates(self, gate, q):
+        angle, m = self.GATES[gate]
+        state = random_state(self.N, 11)
+        expect = self.on_qubit(q, m) @ state.amps
+        sv.apply_gate(state, q, gate, angle)
+        np.testing.assert_allclose(state.amps, expect, atol=1e-14)
+
+    @pytest.mark.parametrize("variant", ["CS", "CSX"])
+    @pytest.mark.parametrize("control, target", list(itertools.permutations(range(N), 2)))
+    def test_controlled_phase(self, variant, control, target):
+        state = random_state(self.N, 12)
+        on = (self.bit(control) == 1) & (self.bit(target) == (1 if variant == "CS" else 0))
+        expect = np.where(on, np.exp(0.9j), 1.0) * state.amps
+        sv.apply_controlled_phase(state, control, target, 0.9, variant)
+        np.testing.assert_allclose(state.amps, expect, atol=1e-14)
+
+    def test_probability_of_bit(self):
+        state = random_state(self.N, 13)
+        probs = np.abs(state.amps) ** 2
+        for q in range(self.N):
+            for b in (0, 1):
+                expect = probs[self.bit(q) == b].sum()
+                assert abs(state.probability_of_bit(q, b) - expect) < 1e-14
+
+    def test_pair_marginals(self):
+        state = random_state(self.N, 14)
+        probs = np.abs(state.amps) ** 2
+        for a in range(self.N):
+            for b in range(a + 1, self.N):
+                got = sv.pair_marginals(state, a, b)
+                expect = [
+                    [probs[(self.bit(a) == i) & (self.bit(b) == j)].sum() for j in (0, 1)]
+                    for i in (0, 1)
+                ]
+                np.testing.assert_allclose(got, expect, atol=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (3, 1), (-1, 2), (0, 5)])
+    def test_pair_marginals_rejects_bad_pair(self, a, b):
+        with pytest.raises(ValueError):
+            sv.pair_marginals(random_state(self.N, 15), a, b)
+
+    @pytest.mark.parametrize("q", range(N))
+    def test_tampered_hadamard(self, q, monkeypatch):
+        tau = 1e-3
+        monkeypatch.setattr(sv, "GATE_TAMPER", tau)
+        state = random_state(self.N, 16)
+        expect = self.on_qubit(q, np.diag([1.0, np.exp(1j * tau)]) @ self.H) @ state.amps
+        sv.apply_gate(state, q, "H")
+        np.testing.assert_allclose(state.amps, expect, atol=1e-14)
 
 
 class TestPhaseFromInteraction:
