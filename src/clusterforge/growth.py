@@ -661,12 +661,12 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
     """Mean link change of a growing cluster when fusing l-link path clusters.
 
     Success merges the small cluster (its l links plus the new bond); failure
-    measures out the growing cluster's end qubit.  Counted on the growing
-    component with the real rewrites.
+    measures out the growing cluster's end qubit.  Each outcome's change is
+    counted once on the growing component with the real rewrite, then
+    weighted by the number of successes among ``attempts`` Bernoulli draws.
     """
-    rng = np.random.default_rng([seed, 4])
-    total = 0
-    for _ in range(attempts):
+    change = {}
+    for success in (False, True):
         graph = ClusterGraph()
         chain = [graph.new_node() for _ in range(4)]
         for a, b in zip(chain, chain[1:]):
@@ -675,9 +675,11 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
         for a, b in zip(small, small[1:]):
             graph.add_edge(a, b)
         before = graph.component_edges(chain[0])
-        fuse(graph, chain[-1], small[0], bool(rng.random() < p), designate="tail")
-        total += graph.component_edges(chain[0]) - before
-    return total / attempts
+        fuse(graph, chain[-1], small[0], success, designate="tail")
+        change[success] = graph.component_edges(chain[0]) - before
+    rng = np.random.default_rng([seed, 4])
+    wins = int(np.count_nonzero(rng.random(attempts) < p))
+    return (wins * change[True] + (attempts - wins) * change[False]) / attempts
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import statevector as sv
 from .statevector import (
-    ForcedOutcomeError,
     PureState,
     apply_controlled_phase,
     apply_gate,
@@ -369,23 +368,6 @@ def one_bit_teleport(
     return rec, extract_qubits(state, [1])
 
 
-def teleport_infidelity_exact(input_state, theta: float) -> float:
-    """Outcome-weighted teleport infidelity of one input, branch by branch.
-
-    Runs both forced branches through the simulator; used as the slow
-    reference the vectorized Monte-Carlo loop is tested against.
-    """
-    infidelity = 1.0
-    for m in (0, 1):
-        try:
-            rec, out = one_bit_teleport(input_state, 0.0, theta, outcome=m)
-        except ForcedOutcomeError:
-            continue
-        target = teleport_target(input_state, 0.0, m)
-        infidelity -= rec.probability * fidelity_up_to_global_phase(out, target)
-    return infidelity
-
-
 def average_teleport_infidelity(theta: float, sample_count: int, seed: int) -> float:
     """Monte-Carlo infidelity of one-bit teleportation over Haar inputs.
 
@@ -515,71 +497,31 @@ def _retry_branch_maps(n: int, theta: float) -> np.ndarray:
     return g
 
 
-def retry_probabilities(
-    n: int,
-    theta: float,
-    max_failures: int,
-    path_cutoff: float = 1e-15,
-) -> tuple[list, float]:
+def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:
     """Exact success probabilities after N = 0..max_failures consecutive failures.
 
-    Starting from a fresh ``|+>|+>`` end pair, every failure history is
-    enumerated (no sampling); histories are merged whenever they land on the
-    same end-pair ray, which keeps the level populations polynomial.  Paths
-    below ``path_cutoff`` probability are dropped.  Returns the list of
-    P_n^N values and their partial sum.
+    Every branch map is diagonal on the end pair (``_retry_branch_maps``), so
+    failures f_1..f_N followed by a success s scale end basis state k in
+    {00, 01, 10, 11} by ``g[f_1, k] ... g[f_N, k] g[s, k]``.  The probability
+    of a history is therefore a sum over k, and the sum over all histories
+    factorises per k:
+
+        P_N = sum_k 1/4 * s_k * f_k**N
+
+    with ``w[m, k] = |g[m, k]|^2 / 4**n``, ``s_k`` and ``f_k`` the sums of w
+    over the oracle's success and failure sequences, and 1/4 the weight of
+    each k in the starting ``|+>|+>`` pair.  As ``s = 2p (1, 0, 0, 1)`` and
+    ``s + f = 1``, this equals ``p (1 - 2p)**N``, which sums to 1/2 for every
+    p > 0.  Returns the list of P_N values and their partial sum.
     """
     if max_failures < 0:
         raise ValueError("max_failures must be >= 0")
-    g = _retry_branch_maps(n, theta).reshape(1 << n, 4)
-    success = sorted(int(s, 2) for s in enumerate_success_sequences(n))
-    failure = [m for m in range(1 << n) if m not in set(success)]
-    g_succ = g[success]  # (S, 4)
-    g_fail = g[failure]  # (F, 4)
-    scale = 1.0 / (1 << (2 * n))
-
-    # level state: unit rays (R, 4) with path-probability weights (R,)
-    rays = np.array([[0.5, 0.5, 0.5, 0.5]], dtype=complex)
-    weights = np.array([1.0])
-
-    probs = []
-    for _ in range(max_failures + 1):
-        if rays.size == 0:
-            probs.append(0.0)
-            continue
-        succ_amp = rays[:, None, :] * g_succ[None, :, :]
-        p_succ = np.einsum("rsk,rsk->r", succ_amp, succ_amp.conj()).real * scale
-        probs.append(float(np.dot(weights, p_succ)))
-
-        children = rays[:, None, :] * g_fail[None, :, :]
-        child_norm2 = np.einsum("rfk,rfk->rf", children, children.conj()).real * scale
-        child_w = (weights[:, None] * child_norm2).reshape(-1)
-        children = children.reshape(-1, 4)
-        keep = child_w > path_cutoff
-        children, child_w = children[keep], child_w[keep]
-        rays, weights = _merge_rays(children, child_w)
+    w = np.abs(_retry_branch_maps(n, theta).reshape(1 << n, 4)) ** 2 / (1 << (2 * n))
+    success = np.zeros(1 << n, dtype=bool)
+    success[[int(seq, 2) for seq in enumerate_success_sequences(n)]] = True
+    s, f = w[success].sum(axis=0), w[~success].sum(axis=0)
+    probs = [float(0.25 * np.dot(s, f**k)) for k in range(max_failures + 1)]
     return probs, float(sum(probs))
-
-
-def _merge_rays(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge states on the same ray; future statistics only depend on the ray."""
-    if states.size == 0:
-        return states.reshape(0, 4), weights
-    norms = np.sqrt(np.einsum("rk,rk->r", states, states.conj()).real)
-    units = states / norms[:, None]
-    lead = np.argmax(np.abs(units), axis=1)
-    phase = units[np.arange(len(units)), lead]
-    units = units * (phase.conj() / np.abs(phase))[:, None]
-    merged: dict = {}
-    for u, w in zip(units, weights):
-        key = tuple(np.round(u.view(float), 9))
-        if key in merged:
-            merged[key][1] += w
-        else:
-            merged[key] = [u, w]
-    out_rays = np.array([v[0] for v in merged.values()])
-    out_w = np.array([v[1] for v in merged.values()])
-    return out_rays, out_w
 
 
 def retry_probability_closed_n1(theta: float, n_failures: int) -> float:

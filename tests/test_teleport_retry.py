@@ -17,6 +17,23 @@ def haar_pairs(count, seed):
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def teleport_infidelity_exact(input_state, theta):
+    """Outcome-weighted teleport infidelity of one input, branch by branch.
+
+    Runs both forced branches through the simulator; the slow reference the
+    vectorized Monte-Carlo loop is tested against.
+    """
+    infidelity = 1.0
+    for m in (0, 1):
+        try:
+            rec, out = pr.one_bit_teleport(input_state, 0.0, theta, outcome=m)
+        except sv.ForcedOutcomeError:
+            continue
+        target = pr.teleport_target(input_state, 0.0, m)
+        infidelity -= rec.probability * sv.fidelity_up_to_global_phase(out, target)
+    return infidelity
+
+
 class TestOneBitTeleport:
     def test_h_of_zero(self):
         rec, out = pr.one_bit_teleport("0", 0.0, 0.0, outcome=0)
@@ -34,7 +51,7 @@ class TestOneBitTeleport:
         # outcome-weighted infidelity equals |beta|^2 sin^2(theta/2) exactly
         theta = 0.8
         for pair in haar_pairs(6, seed=11):
-            got = pr.teleport_infidelity_exact(pair, theta)
+            got = teleport_infidelity_exact(pair, theta)
             assert got == pytest.approx(abs(pair[1]) ** 2 * math.sin(theta / 2) ** 2, abs=1e-12)
 
     def test_average_infidelity_zero_at_theta_zero(self):
@@ -55,7 +72,7 @@ class TestOneBitTeleport:
     def test_vectorized_matches_simulator_path(self):
         theta = 0.62
         pairs = haar_pairs(50, seed=17)
-        slow = np.mean([pr.teleport_infidelity_exact(p, theta) for p in pairs])
+        slow = np.mean([teleport_infidelity_exact(p, theta) for p in pairs])
         fast = np.mean([abs(p[1]) ** 2 for p in pairs]) * math.sin(theta / 2) ** 2
         assert slow == pytest.approx(fast, abs=1e-12)
 
@@ -160,11 +177,10 @@ class TestRetryProbabilities:
             assert slope == pytest.approx(2 * math.log(math.sin(theta / 2)), rel=1e-9)
 
     def test_n3_theta_zero_values(self):
-        # Exact enumeration: the all-plus failure branch (probability 1/8)
-        # leaves a perfect Bell-form pair at theta = 0, so retries stay live
-        # with per-attempt success 3/4 and the N >= 1 tail is geometric.
-        # (The literature's single-row expectation does not survive exact
-        # enumeration; see the decisions ledger.)
+        # The all-plus failure branch (probability 1/8) leaves a perfect
+        # Bell-form pair at theta = 0, so retries stay live with per-attempt
+        # success 3/4 and the N >= 1 tail is geometric.  (The literature's
+        # single-row expectation does not survive the exact probabilities.)
         probs, total = pr.retry_probabilities(3, 0.0, 12)
         assert probs[0] == pytest.approx(0.375, abs=1e-12)
         assert probs[1] == pytest.approx(3.0 / 32.0, abs=1e-12)
@@ -182,10 +198,19 @@ class TestRetryProbabilities:
         assert all(p >= 0 for p in probs)
         assert total <= 1.0
 
-    @pytest.mark.parametrize("theta", [0.6, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0, 2.5, 3.0])
+    def test_matches_closed_form(self, n, theta):
+        # diagonal maps with s = 2p(1, 0, 0, 1) and s + f = 1 give p(1 - 2p)^N
+        p = pr.success_probability_closed(n, theta)
+        probs, _ = pr.retry_probabilities(n, theta, 60)
+        expect = [p * (1 - 2 * p) ** k for k in range(61)]
+        np.testing.assert_allclose(probs, expect, rtol=1e-9, atol=1e-30)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0, 2.5])
     def test_matches_independent_tree_walk(self, theta):
         # brute-force walk over failure histories with the full simulator,
-        # no diagonal-map shortcut and no ray merging
+        # no diagonal-map shortcut
         n = 3
         success = pr.enumerate_success_sequences(n)
         failures = [s for s in pr.branch_probabilities(n, theta) if s not in success]
