@@ -427,12 +427,12 @@ def _fresh_unit_row(graph: ClusterGraph, n: int = 3) -> _Row:
     return _Row(backbone=[u, c, w], spares={c: lf}, n=n, frontier=3 * n + 4)
 
 
-def _row_length(graph: ClusterGraph, row: _Row) -> int:
-    """Cluster length of a 1D row: its backbone plus a live spare on either end."""
+def _row_length(row: _Row) -> int:
+    """Cluster length of a 1D row: its backbone plus a spare on either end."""
     if not row.backbone:
         return 0
     ends = (row.backbone[0], row.backbone[-1])
-    return len(row.backbone) + sum(row.spares.get(v) in graph.nodes for v in ends)
+    return len(row.backbone) + sum(v in row.spares for v in ends)
 
 
 def _build_three_node_unit(stats: GrowthStats, p: float, rng) -> None:
@@ -453,9 +453,7 @@ def _build_three_node_unit(stats: GrowthStats, p: float, rng) -> None:
             return
 
 
-def _row_attach(
-    graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng, armor: int = 0
-) -> bool:
+def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng) -> bool:
     """Prepare a fresh unit and attempt to fuse it onto the row's end.
 
     Returns the fusion outcome; an emptied row restarts from the fresh unit.
@@ -471,37 +469,26 @@ def _row_attach(
     stats.growth_attempts += 1
     stats.protocol_applications += 1
     stats.time_steps += STEPS_PROTOCOL_ROUND
-    _attach_bernoulli(graph, row, success, armor)
+    _attach_bernoulli(graph, row, success)
     return success
 
 
-def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool, armor: int = 0):
+def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     """Fuse a fresh growth unit onto the row's end with a given outcome.
 
-    No cost is accounted here.  A failure measures out the fusion tip; the
-    end is then re-derived by promoting a spare leaf of the new end node when
-    one exists.  Within ``armor`` positions of protected lattice structure
-    the tip is a spare leaf on the end instead of the end qubit itself
-    (fusing at leaves minimizes entanglement loss), so a failure only costs
-    that spare; a bare protected end means the row is damaged.
+    No cost is accounted here.  A failure measures out the end qubit; the
+    end is then re-derived by promoting the spare leaf of the new end node
+    when one exists.  Either way the row ends on a node without a spare.
+    An attach on a protected end means the row is damaged.
     """
+    if len(row.backbone) <= row.protected:
+        raise _RowDamaged("failure run reached protected lattice structure")
     end = row.backbone[-1]
-    spare_mode = (
-        len(row.backbone) <= row.protected + armor
-        and row.spares.get(end) in graph.nodes
-    )
-    if len(row.backbone) <= row.protected and not spare_mode:
-        raise _RowDamaged("protected end has no spare leaf to risk")
-    tip = row.spares[end] if spare_mode else end
 
     u, c, w, lf = three_node(graph)
     if success:
-        fuse(graph, tip, u, True, designate="tail")
-        if spare_mode:
-            graph.leaf_flags.discard(tip)
-            row.spares.pop(end, None)
-            row.backbone.append(tip)
-        row.spares[tip] = u
+        fuse(graph, end, u, True, designate="tail")
+        row.spares[end] = u
         row.spares[c] = lf
         row.backbone.extend([c, w])
         # lattice sites spanned by the current backbone; truncated territory
@@ -510,15 +497,12 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool, armor: int 
         row.frontier = max(row.frontier, extent)
         return
 
-    fuse(graph, tip, u, False)
+    fuse(graph, end, u, False)
     for orphan in (c, w, lf):  # remnant of the unit is not recycled
         graph.detach(orphan)
-    if spare_mode:
-        row.spares.pop(end, None)
-        return
     row.backbone.pop()
     lost_spare = row.spares.pop(end, None)
-    if lost_spare is not None and lost_spare in graph.nodes:
+    if lost_spare is not None:
         graph.detach(lost_spare)
     if row.backbone:
         promoted = row.spares.pop(row.backbone[-1], None)
@@ -527,41 +511,48 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool, armor: int 
             row.backbone.append(promoted)
 
 
-def _row_grow_to(graph, row, stats, p, rng, length, cap_check=None, armor=0):
+def _row_grow_to(graph, row, stats, p, rng, length, cap_check=None):
     while len(row.backbone) < length:
         if cap_check is not None:
             cap_check()
-        _row_attach(graph, row, stats, p, rng, armor)
+        _row_attach(graph, row, stats, p, rng)
 
 
-def _row_discard_from(graph: ClusterGraph, row: _Row, index: int):
-    """Measure out every backbone node at positions >= index (plus spares)."""
-    for node in row.backbone[index:]:
+def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = None):
+    """Measure out the backbone nodes at positions start..stop-1 and their spares."""
+    for node in row.backbone[start:stop]:
         spare = row.spares.pop(node, None)
-        if spare is not None and spare in graph.nodes:
+        if spare is not None:
             graph.detach(spare)
-        if node in graph.nodes:
+        if node in graph.nodes:  # a failed link has already measured it out
             graph.detach(node)
-    del row.backbone[index:]
+    del row.backbone[start:stop]
 
 
-def _ensure_spare(graph, row, node, stats, p, rng, cap_check=None, armor=0) -> int:
-    """Pop and return a flagged leaf on ``node``, shortening the row to make one."""
-    if node in row.spares:
-        leaf = row.spares.pop(node)
-        if leaf in graph.nodes:
-            return leaf
+def _shorten_after(graph: ClusterGraph, row: _Row, node: int) -> int:
+    """Cut the two backbone nodes after ``node``; return the leaf left on it.
+
+    Their spares are measured out, then a sigma_x measurement of the first
+    turns the second into a leaf dangling on ``node``.
+    """
     idx = row.backbone.index(node)
-    _row_grow_to(graph, row, stats, p, rng, idx + 6, cap_check, armor)
     y, z = row.backbone[idx + 1], row.backbone[idx + 2]
     for v in (y, z):
         spare = row.spares.pop(v, None)
-        if spare is not None and spare in graph.nodes:
+        if spare is not None:
             z_remove_leaf(graph, spare)
-    stats.time_steps += STEPS_SHORTEN_ROUND
     x_measure_shorten(graph, y, keep=node)
     del row.backbone[idx + 1 : idx + 3]
     return z
+
+
+def _ensure_spare(graph, row, node, stats, p, rng, cap_check=None) -> int:
+    """Pop and return a flagged leaf on ``node``, shortening the row to make one."""
+    if node in row.spares:
+        return row.spares.pop(node)
+    _row_grow_to(graph, row, stats, p, rng, row.backbone.index(node) + 6, cap_check)
+    stats.time_steps += STEPS_SHORTEN_ROUND
+    return _shorten_after(graph, row, node)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +581,11 @@ def grow_1d(
     _build_three_node_unit(stats, p, rng)
     row = _fresh_unit_row(graph, cost.n)
     trace: list[tuple[bool, int]] = []
-    length = _row_length(graph, row)
+    length = _row_length(row)
 
     while length < target_length:
         success = _row_attach(graph, row, stats, p, rng)
-        length = _row_length(graph, row)
+        length = _row_length(row)
         trace.append((success, length))
 
     # non-overlapping attempt pairs anchored right after a success measure
@@ -649,11 +640,11 @@ def mc_length_gain(p: float, trials: int, seed: int, n: int = 3) -> float:
     for _ in range(trials):
         graph = ClusterGraph()
         row = _fresh_unit_row(graph)
-        before = _row_length(graph, row)
+        before = _row_length(row)
         for _attempt in range(2):
             success = bool(rng.random() < p)
             _attach_bernoulli(graph, row, success)
-        total += 0.5 * (_row_length(graph, row) - before)
+        total += 0.5 * (_row_length(row) - before)
     return total / trials
 
 
@@ -836,7 +827,6 @@ def grow_2d(
     theta: float,
     rng: np.random.Generator,
     attempt_cap: int = 500_000,
-    margin: int = 6,
     success_probability: float | None = None,
 ) -> tuple[ClusterGraph, GrowthStats]:
     """Grow an exact N x N cluster lattice from N horizontal rows.
@@ -848,10 +838,13 @@ def grow_2d(
     failure destroys the lower grid node, so its row is truncated at the
     break, regrown, and the link retried with a fresh leaf manufactured on
     the upper node when needed.  Rows keep a growth margin past protected
-    structure; in the rare event a failure run burrows through it the whole
-    build restarts.  Finally the rows are shortened until consecutive grid
-    nodes are adjacent and every dangling qubit is measured out, leaving
-    exactly the N x N lattice.
+    structure, but a failure run can still burrow through it: once it
+    truncates a row to a grid node, that node's spare is promoted into the
+    backbone, the next failure consumes it, and the following attach on the
+    bare grid node raises ``_RowDamaged``.  The whole build then restarts.
+    Finally the rows are shortened until consecutive grid nodes are adjacent
+    and every dangling qubit is measured out, leaving exactly the N x N
+    lattice.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -859,38 +852,34 @@ def grow_2d(
     if p is None:
         p = pr.success_probability_closed(n, theta)
     stats = GrowthStats()
-    site_high_water = [0] * N  # per row band, persists across restarts
+    frontier = [0] * N  # lattice sites per row band, kept across restarts
 
     def cap_check():
         if stats.protocol_applications > attempt_cap:
             raise RetryLimitError("2D growth attempt cap exhausted")
 
     while True:
+        graph = ClusterGraph()
+        rows = [_fresh_unit_row(graph, n) for _ in range(N)]
+        for row, sites in zip(rows, frontier):
+            row.frontier = max(row.frontier, sites)
         try:
-            graph = ClusterGraph()
-            _grow_2d_once(graph, N, n, p, stats, rng, margin, cap_check, site_high_water)
-            # every row band owns its chain row plus the n spacer rows used
-            # as middles for the vertical fusions below it
-            stats.physical_qubits_used = sum(site_high_water) * (n + 1)
-            # the build ends in the verified lattice, whose longest path is
-            # the N * N snake
-            stats.finalize_from_graph(graph, N * N)
-            return graph, stats
+            _grow_2d_build(graph, N, p, stats, rng, cap_check, rows)
         except _RowDamaged:
+            frontier = [row.frontier for row in rows]
             stats.restarts += 1
             cap_check()
+            continue
+        # every row band owns its chain row plus the n spacer rows used as
+        # middles for the vertical fusions below it
+        stats.physical_qubits_used = sum(row.frontier for row in rows) * (n + 1)
+        # the build ends in the verified lattice, whose longest path is the
+        # N * N snake
+        stats.finalize_from_graph(graph, N * N)
+        return graph, stats
 
 
-def _grow_2d_once(graph, N, n, p, stats, rng, margin, cap_check, site_high_water) -> dict:
-    rows = [_fresh_unit_row(graph, n) for _ in range(N)]
-    try:
-        return _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows)
-    finally:
-        for r in range(N):
-            site_high_water[r] = max(site_high_water[r], rows[r].frontier)
-
-
-def _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows) -> dict:
+def _grow_2d_build(graph, N, p, stats, rng, cap_check, rows):
     for _ in range(N):
         stats.three_nodes_built += 1  # seed units
     grid: dict[tuple[int, int], int] = {}
@@ -898,19 +887,19 @@ def _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows) -> dict:
     # between them can be closed by sigma_x shortening (pairs of qubits); the
     # spacing also buffers the previous column against failure burrows
     spacing = 7
-    armor = 1_000_000  # always fuse at a spare leaf when one exists
+    margin = 6  # growth margin past each new grid node
     prev_idx = [-spacing + 1] * N
 
     def replant(row: _Row, node: int):
-        if row.spares.get(node) not in graph.nodes:
-            row.spares[node] = _ensure_spare(graph, row, node, stats, p, rng, cap_check, armor)
+        if node not in row.spares:
+            row.spares[node] = _ensure_spare(graph, row, node, stats, p, rng, cap_check)
 
     for j in range(N):
         # column node for row 0, with a spare leaf to seed the column
         idx0 = prev_idx[0] + spacing
-        _row_grow_to(graph, rows[0], stats, p, rng, idx0 + 2 + margin, cap_check, armor)
+        _row_grow_to(graph, rows[0], stats, p, rng, idx0 + 2 + margin, cap_check)
         node0 = rows[0].backbone[idx0]
-        carried = _ensure_spare(graph, rows[0], node0, stats, p, rng, cap_check, armor)
+        carried = _ensure_spare(graph, rows[0], node0, stats, p, rng, cap_check)
         grid[(0, j)] = node0
         prev_idx[0] = idx0
         rows[0].protected = idx0 + 1
@@ -919,11 +908,11 @@ def _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows) -> dict:
             lower = rows[r + 1]
             while True:
                 cap_check()
-                if carried not in graph.nodes:  # consumed by protective growth
+                if carried not in graph.nodes:  # measured out by a failed link
                     carried = _ensure_spare(
                         graph, rows[r], grid[(r, j)], stats, p, rng, cap_check
                     )
-                if j > 0:  # keep the wall armored while we hammer on this link
+                if j > 0:  # a failure run may have promoted the wall's spare
                     replant(lower, lower.backbone[prev_idx[r + 1]])
                 idx = prev_idx[r + 1] + spacing
                 _row_grow_to(graph, lower, stats, p, rng, idx + 2 + margin, cap_check)
@@ -937,53 +926,33 @@ def _grow_2d_build(graph, N, p, stats, rng, margin, cap_check, rows) -> dict:
                     lower.protected = idx + 1
                     break
                 fuse(graph, node, carried, False)
-                _row_discard_from(graph, lower, lower.backbone.index(node))
+                _row_discard(graph, lower, idx)
             # the fused tail now dangles on the lower node and seeds the next link
             if r + 1 == N - 1:
                 lower.spares[grid[(r + 1, j)]] = carried
 
-        # plant a spare on every grid node of this column: protective growth
-        # near the lattice then risks a leaf instead of the grid node itself
+        # plant a spare on every grid node of this column: a failure run
+        # that truncates a row to its grid node then costs the spare first
         for r in range(N):
             replant(rows[r], grid[(r, j)])
 
     _trim_to_grid(graph, rows, grid, N, stats)
     _verify_grid(graph, grid, N)
-    return grid
 
 
 def _trim_to_grid(graph, rows, grid, N, stats):
     shorten_waves = 0
     for r in range(N):
         row = rows[r]
-        waves = 0
         for j in range(N - 1):
             left, right = grid[(r, j)], grid[(r, j + 1)]
-            w = 0
+            waves = 0
             while right not in graph.neighbors(left):
-                li = row.backbone.index(left)
-                gap_node, nxt = row.backbone[li + 1], row.backbone[li + 2]
-                for v in (gap_node, nxt):
-                    spare = row.spares.pop(v, None)
-                    if spare is not None and spare in graph.nodes:
-                        z_remove_leaf(graph, spare)
-                x_measure_shorten(graph, gap_node, keep=left)
-                del row.backbone[li + 1 : li + 3]
-                graph.leaf_flags.discard(nxt)
-                z_remove_leaf(graph, nxt)
-                w += 1
-            waves = max(waves, w)
-        shorten_waves = max(shorten_waves, waves)
-        first = row.backbone.index(grid[(r, 0)])
-        last = row.backbone.index(grid[(r, N - 1)])
-        _row_discard_from(graph, row, last + 1)
-        for node in row.backbone[:first]:
-            spare = row.spares.pop(node, None)
-            if spare is not None and spare in graph.nodes:
-                graph.detach(spare)
-            if node in graph.nodes:
-                graph.detach(node)
-        del row.backbone[:first]
+                z_remove_leaf(graph, _shorten_after(graph, row, left))
+                waves += 1
+            shorten_waves = max(shorten_waves, waves)
+        _row_discard(graph, row, row.backbone.index(grid[(r, N - 1)]) + 1)
+        _row_discard(graph, row, 0, row.backbone.index(grid[(r, 0)]))
     stats.time_steps += STEPS_SHORTEN_ROUND * max(1, shorten_waves)
 
     grid_nodes = set(grid.values())
