@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--max-qubits", type=int, default=None, help="dense register cap")
+        p.add_argument("--max-qubits", type=int, default=None, help="dense register cap, checked up front")
 
     p = sub.add_parser("sequences", help="heralded success sequences: oracle vs rules")
     common(p)
@@ -451,11 +451,11 @@ def main(argv=None) -> int:
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
-    old_max_qubits = sv.MAX_QUBITS
     if args.max_qubits is not None:
-        if not 1 <= args.max_qubits <= old_max_qubits:
-            parser.error(f"--max-qubits must be in 1..{old_max_qubits}")
-        sv.MAX_QUBITS = args.max_qubits
+        # largest dense register the command builds; growth builds none
+        need = max(1, {"pipeline13": 13, "verify": 13, "grow": 0}.get(args.command, args.n + 2))
+        if not need <= args.max_qubits <= sv.MAX_QUBITS:
+            parser.error(f"--max-qubits must be in {need}..{sv.MAX_QUBITS} for {args.command}")
 
     try:
         if args.command == "sequences":
@@ -474,8 +474,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sv.MAX_QUBITS = old_max_qubits
     parser.error("unknown command")
     return 2
 

@@ -342,10 +342,6 @@ class CostModel:
         if self.ell < 2:
             raise ValueError("small-cluster length must be >= 2")
 
-    @classmethod
-    def from_protocol(cls, n: int, theta: float, ell: int = 3) -> "CostModel":
-        return cls(pr.success_probability_closed(n, theta), ell, n)
-
 
 class NoGrowthError(ValueError):
     """The cost model predicts no net growth for these parameters."""
@@ -436,21 +432,21 @@ def _row_length(row: _Row) -> int:
 
 
 def _build_three_node_unit(stats: GrowthStats, p: float, rng) -> None:
-    """Account for preparing one growth unit: pair rounds plus pair fusions."""
-    while True:
-        pending = 2
-        while pending:  # simultaneous preparation rounds
-            stats.prep_rounds += 1
-            stats.time_steps += STEPS_PROTOCOL_ROUND
-            stats.protocol_applications += pending
-            done = int(rng.random() < p) + (int(rng.random() < p) if pending == 2 else 0)
-            pending -= done
-        stats.pair_fusion_attempts += 1
-        stats.protocol_applications += 1
-        stats.time_steps += STEPS_PROTOCOL_ROUND
-        if rng.random() < p:
-            stats.three_nodes_built += 1
-            return
+    """Account for preparing one growth unit: pair rounds plus pair fusions.
+
+    Each fusion cycle prepares two pairs in simultaneous rounds; a pair takes
+    a Geometric(p) number of protocol applications, so the cycle takes the
+    larger of two draws in rounds and their sum in applications, plus one
+    fusion attempt.  The unit takes a Geometric(p) number of cycles.
+    """
+    cycles = int(rng.geometric(p))
+    chains = rng.geometric(p, size=(cycles, 2))
+    rounds = int(chains.max(axis=1).sum())
+    stats.prep_rounds += rounds
+    stats.pair_fusion_attempts += cycles
+    stats.protocol_applications += int(chains.sum()) + cycles
+    stats.time_steps += STEPS_PROTOCOL_ROUND * (rounds + cycles)
+    stats.three_nodes_built += 1
 
 
 def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng) -> bool:

@@ -96,10 +96,6 @@ class OutcomeSequence:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0/1")
 
-    @classmethod
-    def from_string(cls, s: str) -> "OutcomeSequence":
-        return cls(tuple(int(c) for c in s))
-
     @property
     def hamming_weight(self) -> int:
         return sum(self.bits)

@@ -135,6 +135,16 @@ class TestPipelineCommand:
         code, _ = run_cli(["pipeline13", "--trials", "1", "--max-qubits", str(sv.MAX_QUBITS + 1)])
         assert code == 2
 
+    def test_max_qubits_checked_against_command_register(self):
+        # sequences at n = 5 simulates (n + 2)-qubit chains
+        code, _ = run_cli(["sequences", "--n", "5", "--max-qubits", "6"])
+        assert code == 2
+        code, _ = run_cli(["sequences", "--n", "5", "--max-qubits", "7"])
+        assert code == 0
+        # growth builds no dense register
+        code, _ = run_cli(["grow", "--mode", "1d", "--trials", "2", "--max-qubits", "1"])
+        assert code == 0
+
 
 class TestVerifyCommand:
     def test_passes_clean(self, tmp_path):

@@ -445,6 +445,37 @@ class TestGrow1D:
             assert graph.longest_segment_length() == expected
 
 
+class TestRowInvariant:
+    """What every attach leaves behind, in 1D and in 2D growth.
+
+    The row end holds no spare (only the discard after a failed vertical
+    link leaves one there), and every recorded spare is a live flagged leaf
+    on its backbone node, so spares need no liveness check.
+    """
+
+    def test_after_every_attach(self, monkeypatch):
+        attach = gr._attach_bernoulli
+        checked = []
+
+        def checking_attach(graph, row, success):
+            attach(graph, row, success)
+            if row.backbone:
+                assert row.backbone[-1] not in row.spares
+            for node, spare in row.spares.items():
+                assert spare in graph.nodes and spare in graph.leaf_flags
+                assert graph.neighbors(spare) == {node}
+            checked.append(success)
+
+        monkeypatch.setattr(gr, "_attach_bernoulli", checking_attach)
+        for i in range(20):
+            gr.grow_1d(200, gr.CostModel(P3), np.random.default_rng([21, i]))
+        grown_1d = len(checked)
+        for i in range(20):
+            gr.grow_2d(3, 3, 0.3, np.random.default_rng([22, i]))
+        assert grown_1d > 0 and len(checked) > grown_1d
+        assert not all(checked) and any(checked)
+
+
 class TestCostModel:
     def test_pair_prep_values(self):
         assert gr.expected_pair_prep_attempts(1.0) == pytest.approx(1.0)
@@ -511,6 +542,28 @@ class TestMonteCarloCrossChecks:
         mean = gr.mc_link_balance(p, l, 60_000, seed=4)
         # per-attempt spread is l+2 = 4; allow 3 standard errors
         assert abs(mean) < 3 * (l + 2) * math.sqrt(p * (1 - p)) / math.sqrt(60_000)
+
+    def test_unit_accounting_means(self):
+        # per unit: Geometric(p) fusion cycles, each the max of two
+        # Geometric(p) pair preparations in rounds and their sum plus the
+        # fusion in applications
+        units = 50_000
+        for p in (0.2, 0.5):
+            stats = gr.GrowthStats()
+            rng = np.random.default_rng([31, round(10 * p)])
+            for _ in range(units):
+                gr._build_three_node_unit(stats, p, rng)
+            assert stats.three_nodes_built == units
+            assert stats.prep_rounds / units == pytest.approx(
+                gr.expected_three_node_protocols(p), rel=0.02
+            )
+            assert stats.pair_fusion_attempts / units == pytest.approx(1 / p, rel=0.02)
+            assert stats.protocol_applications / units == pytest.approx(
+                (2 / p + 1) / p, rel=0.02
+            )
+            assert stats.time_steps == gr.STEPS_PROTOCOL_ROUND * (
+                stats.prep_rounds + stats.pair_fusion_attempts
+            )
 
 
 class TestGrow2D:
