@@ -141,8 +141,7 @@ def build_imperfect_chain(input_state, n: int, theta: float, entangler: str = "C
 
 def entangle_chain(state: PureState, theta: float, entangler: str = "CSX") -> PureState:
     """Apply the imperfect entangler to every consecutive pair of the register."""
-    for q in range(state.num_qubits - 1):
-        apply_controlled_phase(state, q, q + 1, math.pi + theta, entangler)
+    state.amps *= sv.chain_phases(state.num_qubits, math.pi + theta, entangler)
     return state
 
 

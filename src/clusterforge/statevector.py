@@ -13,14 +13,19 @@ Conventions, fixed here and used by every other module:
 
 States are small dense complex vectors.  Every kernel works in place on a
 reshape view of the amplitudes: ``(2^q, 2, 2^(n-q-1))`` for qubit q, whose
-axis 1 is the qubit, or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit
-pair a < b.  None of them moves axes or copies the state.  A single state
-is only ever touched by one thread; parallelism belongs to the trial level
-above this module.
+axis 1 is the qubit (reversed when the last factor is short, see ``_split``),
+or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
+them moves data or copies the state.  The global entangler is diagonal: one
+multiply by a cached ``exp(i phi c)`` (:func:`chain_phases`).  A rotated
+:func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it writes
+``(v0 -/+ r)/sqrt(2)``, rescaled, into the kept half.  One thread touches a
+state; parallelism belongs to the trial level above this module.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,9 +91,11 @@ def _check_qubit(state: PureState, qubit: int):
 
 
 def _split(state: PureState, qubit: int) -> np.ndarray:
-    """View of the amplitudes as ``(2^q, 2, rest)``; axis 1 is ``qubit``."""
+    """View ``(2^q, 2, rest)``, axis 1 the qubit; ``(rest, 2, 2^q)`` if rest < 8,
+    so that ufuncs called with ``order="C"`` loop along the long axis."""
     _check_qubit(state, qubit)
-    return state.amps.reshape(1 << qubit, 2, -1)
+    v = state.amps.reshape(1 << qubit, 2, -1)
+    return v.transpose(2, 1, 0) if v.shape[2] < 8 else v
 
 
 def _split_pair(state: PureState, a: int, b: int) -> np.ndarray:
@@ -141,10 +148,7 @@ def init_register(assignments) -> PureState:
         raise ValueError("empty register")
     if len(pairs) > MAX_QUBITS:
         raise ValueError(f"register size {len(pairs)} exceeds MAX_QUBITS={MAX_QUBITS}")
-    amps = pairs[0]
-    for p in pairs[1:]:
-        amps = np.kron(amps, p)
-    return PureState(len(pairs), amps)
+    return PureState(len(pairs), functools.reduce(np.multiply.outer, pairs).reshape(-1))
 
 
 def apply_gate(state: PureState, qubit: int, gate: str, angle: float | None = None) -> PureState:
@@ -190,6 +194,20 @@ def apply_controlled_phase(
     return state
 
 
+@functools.lru_cache(maxsize=2)  # at most two register-sized vectors
+def chain_phases(num_qubits: int, phi: float, variant: str = "CSX") -> np.ndarray:
+    """Read-only ``exp(i phi c)``: :func:`apply_controlled_phase` on every pair
+    (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
+    if variant not in ("CS", "CSX"):
+        raise ValueError(f"unknown controlled-phase variant {variant!r}")
+    hits = np.zeros(1 << num_qubits, dtype=np.uint8)
+    for q in range(num_qubits - 1):
+        hits.reshape(1 << q, 2, 2, -1)[:, 1, int(variant == "CS")] += 1
+    phases = np.exp(1j * phi * np.arange(num_qubits))[hits]
+    phases.flags.writeable = False
+    return phases
+
+
 def phase_from_interaction(g: float, t: float, hbar: float) -> float:
     """Accumulated phase g*t/hbar of an always-on pairwise interaction."""
     if hbar <= 0:
@@ -210,16 +228,20 @@ def measurement_probabilities(
     state: PureState, qubit: int, basis: str = "z", xi: float = 0.0
 ) -> tuple[float, float]:
     """Outcome probabilities (p0, p1) without collapsing the state."""
-    if basis == "z":
-        p1 = state.probability_of_bit(qubit, 1)
-    elif basis == "xi":
-        probe = state.copy()
-        apply_gate(probe, qubit, "RZ", xi)
-        apply_gate(probe, qubit, "H")
-        p1 = probe.probability_of_bit(qubit, 1)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    p1 = _probability_of_one(state, qubit, basis, xi)[0]
     return 1.0 - p1, p1
+
+
+def _probability_of_one(state: PureState, qubit: int, basis: str, xi: float):
+    """p1; in the rotated basis also ``r = exp(i xi) v1`` and ``low = v0 - r``."""
+    if basis == "z":
+        return state.probability_of_bit(qubit, 1), None, None
+    if basis != "xi":
+        raise ValueError(f"unknown basis {basis!r}")
+    v = _split(state, qubit)
+    rot = np.multiply(v[:, 1], np.exp(1j * xi), order="C") if xi else v[:, 1]
+    low = np.subtract(v[:, 0], rot, order="C")
+    return 0.5 * float(np.vdot(low, low).real), rot, low
 
 
 def measure(
@@ -237,14 +259,7 @@ def measure(
     sliced away with :func:`extract_qubits`.  Forcing an outcome whose
     probability is below ``PROB_TOL`` raises :class:`ForcedOutcomeError`.
     """
-    _check_qubit(state, qubit)
-    if basis == "xi":
-        apply_gate(state, qubit, "RZ", xi)
-        apply_gate(state, qubit, "H")
-    elif basis != "z":
-        raise ValueError(f"unknown basis {basis!r}")
-
-    p1 = state.probability_of_bit(qubit, 1)
+    p1, rot, low = _probability_of_one(state, qubit, basis, xi)
     p0 = 1.0 - p1
     if outcome is None:
         if rng is None:
@@ -260,8 +275,15 @@ def measure(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
 
-    _split(state, qubit)[:, 1 - outcome] = 0.0
-    state.amps /= math.sqrt(prob)
+    v = _split(state, qubit)
+    kept = v[:, outcome]
+    if basis == "z":
+        np.divide(kept, math.sqrt(prob), out=kept, order="C")
+    else:  # a tampered H only rephases the m=1 branch
+        tamper = np.exp(1j * GATE_TAMPER) if outcome and GATE_TAMPER else 1.0
+        num = low if outcome else np.add(v[:, 0], rot, order="C")
+        np.multiply(num, tamper / math.sqrt(2.0 * prob), out=kept, order="C")
+    v[:, 1 - outcome] = 0.0
     _check_norm(state)
     return MeasurementRecord(qubit, basis, xi, outcome, prob), state
 
@@ -345,12 +367,19 @@ def reset_qubits(state: PureState, assignments: dict) -> PureState:
     if not targets:
         return state
     bits = _definite_bits(state, targets)
-    for q in targets:
-        pair = _as_pair(assignments[q])
-        v = _split(state, q)
-        core = v[:, bits[q]].copy()
-        v[:, 0] = core * pair[0]
-        v[:, 1] = core * pair[1]
+    fresh = functools.reduce(np.multiply.outer, [_as_pair(assignments[q]) for q in targets])
+    # one axis per run of adjacent reset or kept qubits; a reset run keeps its
+    # definite index as a length-1 slice, which broadcasts against ``fresh``
+    shape, core_index = [], []
+    for is_reset, run in itertools.groupby(range(state.num_qubits), key=bits.__contains__):
+        run = list(run)
+        b = sum(bits.get(q, 0) << (run[-1] - q) for q in run)
+        shape.append(1 << len(run))
+        core_index.append(slice(b, b + 1) if is_reset else slice(None))
+    view = state.amps.reshape(shape)
+    core = view[tuple(core_index)].copy()
+    fresh = fresh.reshape([s if i.stop else 1 for s, i in zip(shape, core_index)])
+    np.multiply(core, fresh, out=view)
     _check_norm(state)
     return state
 

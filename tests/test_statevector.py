@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -180,6 +181,106 @@ class TestKernelReference:
         expect = self.on_qubit(q, np.diag([1.0, np.exp(1j * tau)]) @ self.H) @ state.amps
         sv.apply_gate(state, q, "H")
         np.testing.assert_allclose(state.amps, expect, atol=1e-14)
+
+
+def per_pair_entangle(state, phi, variant):
+    for q in range(state.num_qubits - 1):
+        sv.apply_controlled_phase(state, q, q + 1, phi, variant)
+
+
+def gate_route_measure(state, q, basis, xi, outcome):
+    """Rz(xi), H, then a Z readout that renormalizes the whole register."""
+    if basis == "xi":
+        sv.apply_gate(state, q, "RZ", xi)
+        sv.apply_gate(state, q, "H")
+    prob = state.probability_of_bit(q, outcome)
+    state.amps.reshape(1 << q, 2, -1)[:, 1 - outcome] = 0.0
+    state.amps /= math.sqrt(prob)
+    return prob
+
+
+def per_qubit_reset(state, assignments):
+    bits = sv._definite_bits(state, sorted(assignments))
+    for q in sorted(assignments):
+        pair = sv._as_pair(assignments[q])
+        v = state.amps.reshape(1 << q, 2, -1)
+        core = v[:, bits[q]].copy()
+        v[:, 0] = core * pair[0]
+        v[:, 1] = core * pair[1]
+
+
+class TestFusedKernels:
+    """The one-pass kernels against the per-gate routes they replace."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 2.8])
+    @pytest.mark.parametrize("variant", ["CS", "CSX"])
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_entangle_chain_equals_per_pair_gates(self, n, variant, theta):
+        state = random_state(n, 20 + n)
+        expect = state.copy()
+        per_pair_entangle(expect, math.pi + theta, variant)
+        pr.entangle_chain(state, theta, variant)
+        np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
+
+    def test_chain_phases_rejects_unknown_variant(self):
+        with pytest.raises(ValueError):
+            pr.entangle_chain(random_state(3, 1), 1.0, "CX")
+
+    def test_chain_phases_cache_is_bounded_and_read_only(self):
+        for n in (3, 5, 13):
+            for theta in np.linspace(0.0, 3.0, 7):
+                pr.entangle_chain(random_state(n, 2), theta)
+                info = sv.chain_phases.cache_info()
+                assert info.maxsize == 2 and info.currsize <= info.maxsize
+        with pytest.raises(ValueError):
+            sv.chain_phases(3, 1.0, "CS")[0] = 0.0
+
+    @pytest.mark.parametrize("tamper", [0.0, 1e-3])
+    @pytest.mark.parametrize("basis, xi", [("z", 0.0), ("xi", 0.0), ("xi", 0.31)])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    @pytest.mark.parametrize("q", range(13))
+    def test_measure_equals_gate_route(self, q, outcome, basis, xi, tamper, monkeypatch):
+        monkeypatch.setattr(sv, "GATE_TAMPER", tamper)
+        state = random_state(13, 30)
+        expect = state.copy()
+        expect_prob = gate_route_measure(expect, q, basis, xi, outcome)
+        p0, p1 = sv.measurement_probabilities(state, q, basis, xi)
+        assert abs((p0, p1)[outcome] - expect_prob) < 1e-12
+        rec, _ = sv.measure(state, q, basis, xi, outcome=outcome)
+        assert abs(rec.probability - expect_prob) < 1e-12
+        # equal outright, not only up to global phase: a tampered Hadamard
+        # rephases the m=1 branch on both routes
+        np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "targets", [(6,), (0, 5, 12), (1, 2, 3), (2, 3, 9, 10, 12), (8, 9, 10, 11, 12)]
+    )
+    def test_reset_equals_per_qubit_reset(self, targets):
+        state = random_state(13, 40)
+        for q in targets:
+            sv.measure(state, q, outcome=q % 2)
+        tokens = ["+", "-", "0", "1", (0.6, 0.8j)]
+        assignments = {q: tokens[i % len(tokens)] for i, q in enumerate(targets)}
+        expect = state.copy()
+        per_qubit_reset(expect, assignments)
+        sv.reset_qubits(state, assignments)
+        np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
+
+    def test_reset_rejects_non_definite_target(self):
+        state = random_state(13, 41)
+        sv.measure(state, 4, outcome=0)
+        with pytest.raises(ValueError):
+            sv.reset_qubits(state, {4: "+", 7: "+"})
+
+    def test_init_register_equals_kron_fold(self):
+        rng = np.random.default_rng(50)
+        entries = ["+", "-", "0", "1"] + [
+            tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        ]
+        expect = sv._as_pair(entries[0])
+        for e in entries[1:]:
+            expect = np.kron(expect, sv._as_pair(e))
+        assert np.array_equal(sv.init_register(entries).amps, expect)
 
 
 class TestPhaseFromInteraction:
