@@ -472,10 +472,11 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rn
 def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     """Fuse a fresh growth unit onto the row's end with a given outcome.
 
-    No cost is accounted here.  A failure measures out the end qubit; the
-    end is then re-derived by promoting the spare leaf of the new end node
-    when one exists.  Either way the row ends on a node without a spare.
-    An attach on a protected end means the row is damaged.
+    No cost is accounted here.  A success first measures out any spare a
+    discard left on the end.  A failure measures out the end qubit; the end
+    is then re-derived by promoting the spare leaf of the new end node when
+    one exists.  Either way the row ends on a node without a spare.  An
+    attach on a protected end means the row is damaged.
     """
     if len(row.backbone) <= row.protected:
         raise _RowDamaged("failure run reached protected lattice structure")
@@ -484,6 +485,8 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     u, c, w, lf = three_node(graph)
     if success:
         fuse(graph, end, u, True, designate="tail")
+        if end in row.spares:
+            z_remove_leaf(graph, row.spares[end])
         row.spares[end] = u
         row.spares[c] = lf
         row.backbone.extend([c, w])

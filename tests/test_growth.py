@@ -449,16 +449,22 @@ class TestRowInvariant:
     """What every attach leaves behind, in 1D and in 2D growth.
 
     The row end holds no spare (only the discard after a failed vertical
-    link leaves one there), and every recorded spare is a live flagged leaf
-    on its backbone node, so spares need no liveness check.
+    link leaves one there, and a successful attach onto that end measures
+    it out), and every recorded spare is a live flagged leaf on its backbone
+    node, so spares need no liveness check.
     """
 
     def test_after_every_attach(self, monkeypatch):
         attach = gr._attach_bernoulli
         checked = []
+        displaced = []
 
         def checking_attach(graph, row, success):
+            spare_on_end = row.spares.get(row.backbone[-1]) if row.backbone else None
             attach(graph, row, success)
+            if success and spare_on_end is not None:
+                assert spare_on_end not in graph.nodes
+                displaced.append(spare_on_end)
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
             for node, spare in row.spares.items():
@@ -474,6 +480,7 @@ class TestRowInvariant:
             gr.grow_2d(3, 3, 0.3, np.random.default_rng([22, i]))
         assert grown_1d > 0 and len(checked) > grown_1d
         assert not all(checked) and any(checked)
+        assert displaced
 
 
 class TestCostModel:
