@@ -879,8 +879,8 @@ def grow_2d(
 
 
 def _grow_2d_build(graph, N, p, stats, rng, cap_check, rows):
-    for _ in range(N):
-        stats.three_nodes_built += 1  # seed units
+    for _ in range(N):  # the seed unit of every row
+        _build_three_node_unit(stats, p, rng)
     grid: dict[tuple[int, int], int] = {}
     # grid nodes sit an odd number of backbone slots apart, so the even gap
     # between them can be closed by sigma_x shortening (pairs of qubits); the

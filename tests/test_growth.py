@@ -581,6 +581,11 @@ class TestGrow2D:
         assert degrees == [2, 2, 2, 2]
         assert stats.restarts == 0
 
+    def test_seed_units_are_charged(self):
+        # at p = 1 every unit takes one preparation round and one pair fusion
+        _, stats = gr.grow_2d(3, 3, 0.0, np.random.default_rng(1), success_probability=1.0)
+        assert stats.three_nodes_built == stats.prep_rounds == stats.pair_fusion_attempts
+
     def test_minimal_grid_theta_zero(self):
         graph, stats = gr.grow_2d(2, 3, 0.0, np.random.default_rng(1))
         assert len(graph.nodes) == 4 and graph.edge_count() == 4
