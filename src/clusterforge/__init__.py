@@ -25,7 +25,6 @@ from .statevector import (
 )
 from .protocol import (
     ProtocolSpec,
-    OutcomeSequence,
     ProtocolRun,
     build_imperfect_chain,
     run_protocol,
@@ -70,7 +69,6 @@ __all__ = [
     "fidelity_up_to_global_phase",
     "is_product_across_cut",
     "ProtocolSpec",
-    "OutcomeSequence",
     "ProtocolRun",
     "build_imperfect_chain",
     "run_protocol",

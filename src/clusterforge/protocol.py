@@ -86,33 +86,12 @@ class ProtocolSpec:
             )
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """Ordered middle-qubit outcomes; bit 1 means the |-> result."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0/1")
-
-    @property
-    def hamming_weight(self) -> int:
-        return sum(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
 @dataclass
 class ProtocolRun:
     """Result of one stochastic protocol execution."""
 
     spec: ProtocolSpec
-    outcomes: OutcomeSequence
+    outcomes: str  # middle-qubit outcomes in order; "1" is the |-> result
     success: bool
     end_pair: PureState
     path_probability: float
@@ -297,7 +276,7 @@ def run_protocol(
 ) -> ProtocolRun:
     """Execute one protocol instance, measuring the middles left to right.
 
-    ``outcomes`` forces the full sequence (string or OutcomeSequence);
+    ``outcomes`` forces the full sequence as a bit string;
     otherwise outcomes are sampled from ``rng``.  Success is decided by
     membership in the oracle's success set, never by a hardcoded list.
     """
@@ -323,10 +302,10 @@ def _measure_middles(spec, chain, outcomes, rng) -> ProtocolRun:
             outcome=None if forced is None else int(forced[i]),
             rng=rng,
         )
-        bits.append(rec.outcome)
+        bits.append(str(rec.outcome))
         path_probability *= rec.probability
-    seq = OutcomeSequence(tuple(bits))
-    success = str(seq) in enumerate_success_sequences(n)
+    seq = "".join(bits)
+    success = seq in enumerate_success_sequences(n)
     end_pair = extract_qubits(chain, [0, n + 1])
     return ProtocolRun(spec, seq, success, end_pair, path_probability)
 
@@ -428,8 +407,8 @@ def stochastic_teleport(
     spec = ProtocolSpec(1, theta)
     chain = build_imperfect_chain(input_state, 1, theta)
     rec2, chain = measure(chain, 1, basis="xi", xi=0.0, outcome=forced_m2, rng=rng)
-    seq = OutcomeSequence((rec2.outcome,))
-    success = str(seq) in enumerate_success_sequences(1)
+    seq = str(rec2.outcome)
+    success = seq in enumerate_success_sequences(1)
     if not success:
         run = ProtocolRun(spec, seq, False, extract_qubits(chain, [0, 2]), rec2.probability)
         return StochasticTeleportRun(False, None, None, run)

@@ -18,8 +18,11 @@ or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
 them moves data or copies the state.  The global entangler is diagonal: one
 multiply by a cached ``exp(i phi c)`` (:func:`chain_phases`).  A rotated
 :func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it writes
-``(v0 -/+ r)/sqrt(2)``, rescaled, into the kept half.  One thread touches a
-state; parallelism belongs to the trial level above this module.
+``(v0 -/+ r)/sqrt(2)``, rescaled, into the kept half.  :func:`reset_qubits`
+and :func:`extract_qubits` read the bits of measured-out qubits off the
+largest amplitude component, copy that one definite core and check that it
+holds the state.  One thread touches a state; parallelism belongs to the
+trial level above this module.
 """
 
 from __future__ import annotations
@@ -38,11 +41,6 @@ STATE_TOL = 1e-10
 PROB_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Verification hook: when nonzero every Hadamard picks up a spurious extra
-# diag(1, exp(i * GATE_TAMPER)) factor.  The self-check suite uses this as a
-# negative control; it must stay 0.0 in normal operation.
-GATE_TAMPER = 0.0
 
 
 class NormalizationError(ValueError):
@@ -158,8 +156,6 @@ def apply_gate(state: PureState, qubit: int, gate: str, angle: float | None = No
         top = v[:, 0].copy()
         v[:, 0] = (top + v[:, 1]) * _INV_SQRT2
         v[:, 1] = (top - v[:, 1]) * _INV_SQRT2
-        if GATE_TAMPER:
-            v[:, 1] *= np.exp(1j * GATE_TAMPER)
     elif gate == "X":
         np.copyto(v, v[:, ::-1])
     elif gate == "Z":
@@ -279,10 +275,9 @@ def measure(
     kept = v[:, outcome]
     if basis == "z":
         np.divide(kept, math.sqrt(prob), out=kept, order="C")
-    else:  # a tampered H only rephases the m=1 branch
-        tamper = np.exp(1j * GATE_TAMPER) if outcome and GATE_TAMPER else 1.0
+    else:
         num = low if outcome else np.add(v[:, 0], rot, order="C")
-        np.multiply(num, tamper / math.sqrt(2.0 * prob), out=kept, order="C")
+        np.multiply(num, 1.0 / math.sqrt(2.0 * prob), out=kept, order="C")
     v[:, 1 - outcome] = 0.0
     _check_norm(state)
     return MeasurementRecord(qubit, basis, xi, outcome, prob), state
@@ -318,19 +313,33 @@ def is_product_across_cut(state: PureState, left_qubits) -> bool:
     return bool(s[0] ** 2 > 1.0 - 1e-10)
 
 
-def _definite_bits(state: PureState, qubits) -> dict[int, int]:
-    # relative to the state's own norm, which may drift within _check_norm
-    norm2 = state.norm_squared()
-    bits = {}
-    for q in qubits:
-        p1 = state.probability_of_bit(q, 1)
-        if p1 < 1e-12 * norm2:
-            bits[q] = 0
-        elif p1 > (1.0 - 1e-12) * norm2:
-            bits[q] = 1
-        else:
-            raise ValueError(f"qubit {q} is not in a definite computational state")
-    return bits
+def _definite_core(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """Run-grouped view of the amplitudes and a copy of its definite core.
+
+    The view has one axis per run of adjacent listed or unlisted qubits.  The
+    core keeps each unlisted run whole and each listed run at the bits of the
+    amplitude with the largest real or imaginary part, as a length-1 axis.  It
+    must hold all but 1e-12 of the state's own norm^2 (which may drift within
+    ``_check_norm``); the mass off the core bounds every listed qubit's, and
+    an off-core amplitude that small can never hold the largest part.
+    """
+    listed = set(qubits)
+    n = state.num_qubits
+    if any(not 0 <= q < n for q in listed):
+        raise IndexError(f"qubits {sorted(listed)} out of range for {n}-qubit register")
+    top = int(np.abs(state.amps.view(float)).argmax()) >> 1
+    shape, index = [], []
+    for is_listed, run in itertools.groupby(range(n), key=listed.__contains__):
+        run = list(run)
+        shape.append(1 << len(run))
+        b = (top >> (n - 1 - run[-1])) & (shape[-1] - 1)
+        index.append(slice(b, b + 1) if is_listed else slice(None))
+    view = state.amps.reshape(shape)
+    core = view[tuple(index)].copy()
+    held = float(np.vdot(core, core).real)
+    if held < (1.0 - 1e-12) * state.norm_squared():
+        raise ValueError(f"qubits {sorted(listed)} are not in a definite computational state")
+    return view, core
 
 
 def extract_qubits(state: PureState, keep) -> PureState:
@@ -345,12 +354,7 @@ def extract_qubits(state: PureState, keep) -> PureState:
         raise IndexError("keep contains an out-of-range qubit")
     if not keep:
         raise ValueError("must keep at least one qubit")
-    others = [q for q in range(n) if q not in keep]
-    bits = _definite_bits(state, others)
-    idx = [slice(None)] * n
-    for q, b in bits.items():
-        idx[q] = b
-    sub = state.tensor()[tuple(idx)].reshape(-1)
+    sub = _definite_core(state, [q for q in range(n) if q not in keep])[1].reshape(-1)
     norm = math.sqrt(float(np.vdot(sub, sub).real))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("extraction lost amplitude; discarded qubits not definite")
@@ -366,19 +370,11 @@ def reset_qubits(state: PureState, assignments: dict) -> PureState:
     targets = sorted(assignments)
     if not targets:
         return state
-    bits = _definite_bits(state, targets)
+    view, core = _definite_core(state, targets)
     fresh = functools.reduce(np.multiply.outer, [_as_pair(assignments[q]) for q in targets])
-    # one axis per run of adjacent reset or kept qubits; a reset run keeps its
-    # definite index as a length-1 slice, which broadcasts against ``fresh``
-    shape, core_index = [], []
-    for is_reset, run in itertools.groupby(range(state.num_qubits), key=bits.__contains__):
-        run = list(run)
-        b = sum(bits.get(q, 0) << (run[-1] - q) for q in run)
-        shape.append(1 << len(run))
-        core_index.append(slice(b, b + 1) if is_reset else slice(None))
-    view = state.amps.reshape(shape)
-    core = view[tuple(core_index)].copy()
-    fresh = fresh.reshape([s if i.stop else 1 for s, i in zip(shape, core_index)])
+    # a reset run is a length-1 axis of the core, which broadcasts against
+    # ``fresh`` laid out on the reset runs (a kept run is as long as the view's)
+    fresh = fresh.reshape([v // c for v, c in zip(view.shape, core.shape)])
     np.multiply(core, fresh, out=view)
     _check_norm(state)
     return state

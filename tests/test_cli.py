@@ -1,12 +1,16 @@
 """Command-line interface: formats, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from clusterforge import cli
+from clusterforge import growth as gr
+from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 
 
@@ -153,9 +157,23 @@ class TestVerifyCommand:
         assert "PASS overall" in out
 
     def test_corrupted_gate_detected(self):
-        code, out = run_cli(["verify", "--seed", "7", "--corrupt-gate"])
+        # the negative control fails exactly the fidelity checks, reproducibly,
+        # and leaves every other line as the clean run prints it
+        _, clean = run_cli(["verify", "--seed", "7"])
+        runs = [run_cli(["verify", "--seed", "7", "--corrupt-gate"]) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out = runs[0]
         assert code == 1
-        assert "FAIL" in out
+
+        def by_check(text):
+            return {line.split(":")[0].split()[1]: line for line in text.splitlines()}
+
+        clean, corrupt = by_check(clean), by_check(out)
+        failing = {name for name, line in corrupt.items() if line.startswith("FAIL")}
+        pipeline = {f"pipeline_theta_{t}" for t in (0.0, 0.3, 1.0, 2.5)}
+        assert failing == {"teleportation", "ghz_concatenation", "overall"} | pipeline
+        assert corrupt.keys() == clean.keys()
+        assert all(corrupt[k] == clean[k] for k in clean.keys() - failing)
 
 
 class TestFormatsAndCodes:
@@ -188,10 +206,36 @@ class TestFormatsAndCodes:
         assert files[0] == files[1]
 
 
+class TestModuleState:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sequences", "--max-qubits", "5"],
+            ["protocol-stats", "--max-qubits", "5"],
+            ["retry", "--max-failures", "3", "--max-qubits", "5"],
+            ["grow", "--mode", "1d", "--trials", "2", "--target-length", "20", "--max-qubits", "1"],
+            ["pipeline13", "--trials", "1", "--max-qubits", "13"],
+            ["verify", "--max-qubits", "13"],
+            ["verify", "--corrupt-gate", "--max-qubits", "13"],
+        ],
+        ids=["sequences", "protocol-stats", "retry", "grow-1d", "pipeline13", "verify", "verify-corrupt-gate"],
+    )
+    def test_flags_leave_module_globals_alone(self, args):
+        modules = (sv, pr, gr, cli)
+        before = [dict(vars(m)) for m in modules]
+        run_cli(args)
+        after = [dict(vars(m)) for m in modules]
+        for old, new in zip(before, after):
+            assert old.keys() == new.keys()
+            assert [k for k in old if old[k] is not new[k]] == []
+
+
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "clusterforge.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
-    # module is importable and prints usage
-    assert "clusterforge" in (result.stdout + result.stderr)
+    assert result.returncode == 0, result.stderr
+    assert "usage: clusterforge" in result.stdout

@@ -173,15 +173,6 @@ class TestKernelReference:
         with pytest.raises(ValueError):
             sv.pair_marginals(random_state(self.N, 15), a, b)
 
-    @pytest.mark.parametrize("q", range(N))
-    def test_tampered_hadamard(self, q, monkeypatch):
-        tau = 1e-3
-        monkeypatch.setattr(sv, "GATE_TAMPER", tau)
-        state = random_state(self.N, 16)
-        expect = self.on_qubit(q, np.diag([1.0, np.exp(1j * tau)]) @ self.H) @ state.amps
-        sv.apply_gate(state, q, "H")
-        np.testing.assert_allclose(state.amps, expect, atol=1e-14)
-
 
 def per_pair_entangle(state, phi, variant):
     for q in range(state.num_qubits - 1):
@@ -200,11 +191,10 @@ def gate_route_measure(state, q, basis, xi, outcome):
 
 
 def per_qubit_reset(state, assignments):
-    bits = sv._definite_bits(state, sorted(assignments))
     for q in sorted(assignments):
         pair = sv._as_pair(assignments[q])
         v = state.amps.reshape(1 << q, 2, -1)
-        core = v[:, bits[q]].copy()
+        core = v[:, int(state.probability_of_bit(q, 1) > 0.5)].copy()
         v[:, 0] = core * pair[0]
         v[:, 1] = core * pair[1]
 
@@ -235,12 +225,10 @@ class TestFusedKernels:
         with pytest.raises(ValueError):
             sv.chain_phases(3, 1.0, "CS")[0] = 0.0
 
-    @pytest.mark.parametrize("tamper", [0.0, 1e-3])
     @pytest.mark.parametrize("basis, xi", [("z", 0.0), ("xi", 0.0), ("xi", 0.31)])
     @pytest.mark.parametrize("outcome", [0, 1])
     @pytest.mark.parametrize("q", range(13))
-    def test_measure_equals_gate_route(self, q, outcome, basis, xi, tamper, monkeypatch):
-        monkeypatch.setattr(sv, "GATE_TAMPER", tamper)
+    def test_measure_equals_gate_route(self, q, outcome, basis, xi):
         state = random_state(13, 30)
         expect = state.copy()
         expect_prob = gate_route_measure(expect, q, basis, xi, outcome)
@@ -248,8 +236,7 @@ class TestFusedKernels:
         assert abs((p0, p1)[outcome] - expect_prob) < 1e-12
         rec, _ = sv.measure(state, q, basis, xi, outcome=outcome)
         assert abs(rec.probability - expect_prob) < 1e-12
-        # equal outright, not only up to global phase: a tampered Hadamard
-        # rephases the m=1 branch on both routes
+        # equal outright, not only up to global phase
         np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -271,6 +258,15 @@ class TestFusedKernels:
         sv.measure(state, 4, outcome=0)
         with pytest.raises(ValueError):
             sv.reset_qubits(state, {4: "+", 7: "+"})
+
+    @pytest.mark.parametrize("target", [13, 20, -1, -13])
+    def test_reset_rejects_out_of_range_target(self, target):
+        state = random_state(13, 42)
+        sv.measure(state, 4, outcome=0)
+        before = state.amps.copy()
+        with pytest.raises(IndexError):
+            sv.reset_qubits(state, {4: "+", target: "+"})
+        assert np.array_equal(state.amps, before)
 
     def test_init_register_equals_kron_fold(self):
         rng = np.random.default_rng(50)
