@@ -225,11 +225,16 @@ class TestFusedKernels:
         with pytest.raises(ValueError):
             sv.chain_phases(3, 1.0, "CS")[0] = 0.0
 
+    # tilt: an RZ on the measured qubit first, the rotation that
+    # `verify --corrupt-gate` applies to the states it checks
+    @pytest.mark.parametrize("tilt", [0.0, 1e-3])
     @pytest.mark.parametrize("basis, xi", [("z", 0.0), ("xi", 0.0), ("xi", 0.31)])
     @pytest.mark.parametrize("outcome", [0, 1])
     @pytest.mark.parametrize("q", range(13))
-    def test_measure_equals_gate_route(self, q, outcome, basis, xi):
+    def test_measure_equals_gate_route(self, q, outcome, basis, xi, tilt):
         state = random_state(13, 30)
+        if tilt:
+            sv.apply_gate(state, q, "RZ", tilt)
         expect = state.copy()
         expect_prob = gate_route_measure(expect, q, basis, xi, outcome)
         p0, p1 = sv.measurement_probabilities(state, q, basis, xi)
