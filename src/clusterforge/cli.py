@@ -6,12 +6,14 @@ reproduce byte-identical output files under any execution order.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
 CSV output is comma-separated with a header row, LF line endings, and floats
-printed at 12 significant digits.
+printed at 12 significant digits.  The argument parser is built once per
+process, on the first ``main`` call, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -378,6 +380,7 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusterforge",

@@ -230,6 +230,37 @@ class TestModuleState:
             assert [k for k in old if old[k] is not new[k]] == []
 
 
+class TestParserReuse:
+    """The parser is built once per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_defaults_return_after_an_override(self):
+        run_cli(["retry", "--max-failures", "3"])
+        code, out = run_cli(["retry"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 26
+        run_cli(["grow", "--mode", "2d", "--size", "2", "--trials", "1"])
+        code, out = run_cli(["grow", "--trials", "1", "--target-length", "20"])
+        assert code == 0
+        header, row = out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["target_length"] == "20"
+
+    def test_exit_2_leaves_no_trace(self, capsys):
+        valid = ["retry", "--n", "3", "--max-failures", "4"]
+        cli._build_parser.cache_clear()
+        first = run_cli(valid)
+        assert run_cli(["retry", "--n", "2"])[0] == 2
+        assert run_cli(valid) == first
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_help_twice(self):
+        first = run_cli(["--help"])
+        assert first[0] == 0 and "usage: clusterforge" in first[1]
+        assert run_cli(["--help"]) == first
+
+
 def test_console_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

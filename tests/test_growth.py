@@ -572,6 +572,28 @@ class TestMonteCarloCrossChecks:
                 stats.prep_rounds + stats.pair_fusion_attempts
             )
 
+    def test_unit_accounting_matches_numpy_reductions(self):
+        # reference: the per-cycle max and the total taken as numpy reductions
+        def reference_unit(stats, p, rng):
+            cycles = int(rng.geometric(p))
+            chains = rng.geometric(p, size=(cycles, 2))
+            rounds = int(chains.max(axis=1).sum())
+            stats.prep_rounds += rounds
+            stats.pair_fusion_attempts += cycles
+            stats.protocol_applications += int(chains.sum()) + cycles
+            stats.time_steps += gr.STEPS_PROTOCOL_ROUND * (rounds + cycles)
+            stats.three_nodes_built += 1
+
+        for p in (0.2, 0.358, 0.9):
+            got, want = gr.GrowthStats(), gr.GrowthStats()
+            rng = np.random.default_rng([37, round(1000 * p)])
+            rng_ref = np.random.default_rng([37, round(1000 * p)])
+            for _ in range(5_000):
+                gr._build_three_node_unit(got, p, rng)
+                reference_unit(want, p, rng_ref)
+                assert got == want
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
 
 class TestGrow2D:
     def test_minimal_grid_deterministic_limit(self):
