@@ -8,19 +8,32 @@ Two levels of description are used and cross-validated:
   Monte-Carlo growth runs, where p is the closed-form protocol success
   probability.
 
-Graph rewrite semantics (verified against the statevector in the tests):
+Graph rewrite semantics (verified against the statevector in the tests).
+Every rewrite is built from two ``ClusterGraph`` primitives: ``measure_out``
+(a Z measurement: the node and its edges go, and outcome 1 leaves a Z
+byproduct on each former neighbor) and ``hand_over`` (the inheritor takes
+every edge of the dangler, which stays behind as a flagged leaf on it).
 
-* fuse success: one of the two involved qubits is designated the new leaf;
-  the other inherits all of its edges plus the new bond, and the leaf dangles
-  from the inheritor.  A Z byproduct of parity q (the outcome weight summed
-  over every attempt of the link) lands on the inheritor.
-* fuse failure: both involved qubits are measured out in the Z basis and
-  detached; their neighbors pick up Z byproducts.
-* sigma_x shortening: measuring an interior chain qubit removes it, moves
-  the far edges of one chosen neighbor onto the other, and leaves the chosen
-  neighbor dangling as a fresh leaf (a Hadamard is applied to it).
-* Z removal: a degree-1 qubit is measured out; its neighbor picks up a Z
-  byproduct.
+* fuse success: the tail always dangles; it hands its edges over to the tip.
+  A Z byproduct of parity q (the outcome weight summed over every attempt of
+  the link) lands on the tip.
+* fuse failure: tip and tail are both measured out.
+* sigma_x shortening: the measured interior qubit goes; its non-kept
+  neighbor hands its far edges over to the kept one and dangles from it.
+  Outcome 1 leaves a Z on the new leaf and on its former far neighbors.
+* Z removal: a degree-1 qubit is measured out.
+
+``z_parity`` is the Pauli frame: applied as Z corrections, it turns the
+physical state into the graph state of the graph.  A pending Z moves with
+the rewrites as follows (Hein, Eisert & Briegel, quant-ph/0307130):
+
+* it commutes with Z measurements and with the diagonal entangling gates of
+  a fusion, so it stays put, and one on a measured-out node goes with it;
+* on an X-measured qubit it flips the outcome, so sigma_x shortening charges
+  ``outcome ^ parity(node)``;
+* a dangler takes a Hadamard, which turns its Z into an X, and on a leaf X
+  equals a Z on the one neighbor (the leaf's stabilizer is X_leaf Z_nb), so
+  ``hand_over`` moves the dangler's parity onto the inheritor.
 
 Cluster length is the node count of the longest simple path whose interior
 vertices are not flagged leaves.  It is defined here on forests only, where
@@ -92,20 +105,38 @@ class ClusterGraph:
         self._adj[a].add(b)
         self._adj[b].add(a)
 
-    def remove_edge(self, a: int, b: int):
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
-
     def flip_parity(self, node: int, bit: int = 1):
         if bit % 2:
             self.z_parity[node] = self.z_parity.get(node, 0) ^ 1
 
-    def detach(self, node: int):
-        """Remove a node and its edges (measured out of the cluster)."""
-        for nb in list(self._adj[node]):
-            self.remove_edge(node, nb)
-        del self._adj[node]
+    def measure_out(self, node: int, outcome: int = 0):
+        """Measure ``node`` in the Z basis: drop it and its edges.
+
+        Outcome 1 leaves a Z byproduct on every former neighbor.  A pending Z
+        on the node itself commutes with the measurement and leaves with it.
+        """
+        for nb in self._adj.pop(node):
+            self._adj[nb].discard(node)
+            self.flip_parity(nb, outcome)
         self.leaf_flags.discard(node)
+        self.z_parity.pop(node, None)
+
+    def hand_over(self, dangler: int, inheritor: int):
+        """Give ``inheritor`` every edge of ``dangler``, which stays as its leaf.
+
+        The dangler takes a Hadamard, turning its pending Z into an X; on a
+        leaf that X equals a Z on its one neighbor, so the inheritor takes
+        the dangler's parity.
+        """
+        for nb in self._adj[dangler]:
+            self._adj[nb].discard(dangler)
+            if nb != inheritor:
+                self.add_edge(inheritor, nb)
+        self._adj[dangler] = set()
+        self.add_edge(inheritor, dangler)
+        self.leaf_flags.add(dangler)
+        self.leaf_flags.discard(inheritor)
+        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))
 
     def component(self, node: int) -> set[int]:
         seen = {node}
@@ -188,72 +219,50 @@ def fuse(
     tip: int,
     tail: int,
     success: bool,
-    designate: str = "tail",
     parity: int = 0,
     z_outcomes: tuple[int, int] = (0, 0),
 ) -> ClusterGraph:
     """Apply the fusion rewrite for one protocol attempt between tip and tail.
 
     The tail must be a leaf (degree 1); the tip may have any degree.  On
-    success the qubit named by ``designate`` becomes the new dangling leaf
-    and the other inherits its edges; ``parity`` is the accumulated outcome
-    weight, recorded as a Z byproduct on the inheritor.  On failure both
-    qubits are measured out with the given Z outcomes, charging byproducts
-    to their former neighbors.
+    success the tail hands its edges over to the tip and dangles from it;
+    ``parity`` is the accumulated outcome weight, recorded as a Z byproduct
+    on the tip.  On failure both qubits are measured out with the given Z
+    outcomes, charging byproducts to their former neighbors.
     """
     if graph.degree(tail) != 1:
         raise ValueError("tail is not a leaf")
     if tip == tail:
         raise ValueError("tip and tail must differ")
-    if designate not in ("tip", "tail"):
-        raise ValueError("designate must be 'tip' or 'tail'")
     if not success:
         for node, out in zip((tip, tail), z_outcomes):
-            for nb in graph.neighbors(node):
-                graph.flip_parity(nb, out)
-            graph.detach(node)
+            graph.measure_out(node, out)
         return graph
-
-    dangler = tail if designate == "tail" else tip
-    inheritor = tip if designate == "tail" else tail
-    for nb in graph.neighbors(dangler):
-        graph.remove_edge(dangler, nb)
-        if nb != inheritor:
-            graph.add_edge(inheritor, nb)
-    graph.add_edge(inheritor, dangler)
-    graph.leaf_flags.add(dangler)
-    graph.leaf_flags.discard(inheritor)
-    graph.flip_parity(inheritor, parity)
+    graph.hand_over(tail, tip)
+    graph.flip_parity(tip, parity)
     return graph
 
 
-def x_measure_shorten(
-    graph: ClusterGraph, node: int, keep: int | None = None, outcome: int = 0
-) -> ClusterGraph:
+def x_measure_shorten(graph: ClusterGraph, node: int, keep: int, outcome: int = 0) -> ClusterGraph:
     """Measure an interior chain qubit in the sigma_x basis.
 
     Removes two qubits of horizontal length: ``node`` disappears and the
     non-kept neighbor turns into a fresh leaf dangling from the kept one,
     handing its far edges over.  ``outcome`` charges Z byproducts to the new
-    leaf and its former far neighbors.
+    leaf and its former far neighbors; a pending Z on ``node`` flips it.
     """
-    nbs = sorted(graph.neighbors(node))
+    nbs = graph.neighbors(node)
     if len(nbs) != 2:
         raise ValueError("node is not interior to a linear segment")
-    if keep is None:
-        keep = nbs[0]
     if keep not in nbs:
         raise ValueError("keep must be one of the node's neighbors")
-    special = nbs[0] if nbs[1] == keep else nbs[1]
-    graph.detach(node)
-    for far in graph.neighbors(special):
-        graph.remove_edge(special, far)
-        graph.add_edge(keep, far)
-        graph.flip_parity(far, outcome)
-    graph.add_edge(keep, special)
-    graph.leaf_flags.add(special)
-    graph.flip_parity(special, outcome)
-    graph.leaf_flags.discard(keep)
+    (special,) = nbs - {keep}
+    outcome ^= graph.z_parity.get(node, 0)
+    graph.measure_out(node)
+    far = graph.neighbors(special)
+    graph.hand_over(special, keep)
+    for v in far | {special}:
+        graph.flip_parity(v, outcome)
     return graph
 
 
@@ -261,9 +270,7 @@ def z_remove_leaf(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGr
     """Disentangle a degree-1 qubit with a sigma_z measurement."""
     if graph.degree(node) != 1:
         raise ValueError("node is not a leaf")
-    (nb,) = graph.neighbors(node)
-    graph.flip_parity(nb, outcome)
-    graph.detach(node)
+    graph.measure_out(node, outcome)
     return graph
 
 
@@ -309,8 +316,6 @@ class GrowthStats:
     protocol_applications: int = 0
     time_steps: int = 0
     final_length: int = 0
-    link_count: int = 0
-    leaf_count: int = 0
     physical_qubits_used: int = 0
     # trace extras used by the cost-model comparisons
     prep_rounds: int = 0
@@ -320,12 +325,6 @@ class GrowthStats:
     paired_gain_sum: float = 0.0
     paired_gain_pairs: int = 0
     restarts: int = 0
-
-    def finalize_from_graph(self, graph: ClusterGraph, length: int):
-        """Record the caller's cluster length and the graph's link and leaf counts."""
-        self.final_length = length
-        self.link_count = graph.edge_count()
-        self.leaf_count = len(graph.leaf_flags)
 
 
 @dataclass(frozen=True)
@@ -474,18 +473,19 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     """Fuse a fresh growth unit onto the row's end with a given outcome.
 
     No cost is accounted here.  A success first measures out any spare a
-    discard left on the end.  A failure measures out the end qubit; the end
-    is then re-derived by promoting the spare leaf of the new end node when
-    one exists.  Either way the row ends on a node without a spare.  An
-    attach on a protected end means the row is damaged.
+    discard left on the end.  A failure builds no unit (its remnant would not
+    be recycled) and measures out the end qubit; the end is then re-derived
+    by promoting the spare leaf of the new end node when one exists.  Either
+    way the row ends on a node without a spare.  An attach on a protected
+    end means the row is damaged.
     """
     if len(row.backbone) <= row.protected:
         raise _RowDamaged("failure run reached protected lattice structure")
     end = row.backbone[-1]
 
-    u, c, w, lf = three_node(graph)
     if success:
-        fuse(graph, end, u, True, designate="tail")
+        u, c, w, lf = three_node(graph)
+        fuse(graph, end, u, True)
         if end in row.spares:
             z_remove_leaf(graph, row.spares[end])
         row.spares[end] = u
@@ -497,13 +497,11 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
         row.frontier = max(row.frontier, extent)
         return
 
-    fuse(graph, end, u, False)
-    for orphan in (c, w, lf):  # remnant of the unit is not recycled
-        graph.detach(orphan)
+    graph.measure_out(end)
     row.backbone.pop()
     lost_spare = row.spares.pop(end, None)
     if lost_spare is not None:
-        graph.detach(lost_spare)
+        graph.measure_out(lost_spare)
     if row.backbone:
         promoted = row.spares.pop(row.backbone[-1], None)
         if promoted is not None:
@@ -523,9 +521,9 @@ def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = 
     for node in row.backbone[start:stop]:
         spare = row.spares.pop(node, None)
         if spare is not None:
-            graph.detach(spare)
+            graph.measure_out(spare)
         if node in graph.nodes:  # a failed link has already measured it out
-            graph.detach(node)
+            graph.measure_out(node)
     del row.backbone[start:stop]
 
 
@@ -605,7 +603,7 @@ def grow_1d(
     if graph.longest_segment_length() != length:
         raise AssertionError("row length disagrees with the graph diameter")
     stats.physical_qubits_used = row.frontier
-    stats.finalize_from_graph(graph, length)
+    stats.final_length = length
     return graph, stats
 
 
@@ -666,7 +664,7 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
         for a, b in zip(small, small[1:]):
             graph.add_edge(a, b)
         before = graph.component_edges(chain[0])
-        fuse(graph, chain[-1], small[0], success, designate="tail")
+        fuse(graph, chain[-1], small[0], success)
         change[success] = graph.component_edges(chain[0]) - before
     rng = np.random.default_rng([seed, 4])
     wins = int(np.count_nonzero(rng.random(attempts) < p))
@@ -811,10 +809,7 @@ def run_thirteen_qubit_pipeline(
         if fusion_parity:
             apply_gate(state, 4, "Z")
         apply_gate(state, 8, "H")
-
-        graph = ClusterGraph()
-        three_node(graph)  # arms 0 and 12 on hub 4, leaf 8
-        stats.finalize_from_graph(graph, 3)
+        stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
         return state, stats
 
 
@@ -875,7 +870,7 @@ def grow_2d(
         stats.physical_qubits_used = sum(row.frontier for row in rows) * (n + 1)
         # the build ends in the verified lattice, whose longest path is the
         # N * N snake
-        stats.finalize_from_graph(graph, N * N)
+        stats.final_length = N * N
         return graph, stats
 
 
@@ -920,7 +915,7 @@ def _grow_2d_build(graph, N, p, stats, rng, cap_check, rows):
                 stats.protocol_applications += 1
                 stats.time_steps += STEPS_PROTOCOL_ROUND
                 if rng.random() < p:
-                    fuse(graph, node, carried, True, designate="tail")
+                    fuse(graph, node, carried, True)
                     grid[(r + 1, j)] = node
                     prev_idx[r + 1] = idx
                     lower.protected = idx + 1
@@ -960,11 +955,8 @@ def _trim_to_grid(graph, rows, grid, N, stats):
     while changed:
         changed = False
         for node in sorted(graph.nodes - grid_nodes):
-            if graph.degree(node) == 1:
-                z_remove_leaf(graph, node)
-                changed = True
-            elif graph.degree(node) == 0:
-                graph.detach(node)
+            if graph.degree(node) <= 1:
+                graph.measure_out(node)
                 changed = True
     stats.time_steps += STEPS_REMOVE_ROUND
 

@@ -159,7 +159,7 @@ def _sequence_strings(n: int):
 
 
 @lru_cache(maxsize=None)
-def enumerate_success_sequences(n: int, probe_theta: float = PROBE_THETA) -> frozenset:
+def enumerate_success_sequences(n: int) -> frozenset:
     """Brute-force oracle over all 2**n outcome sequences.
 
     A sequence is successful iff for every probe input its branch has nonzero
@@ -171,7 +171,7 @@ def enumerate_success_sequences(n: int, probe_theta: float = PROBE_THETA) -> fro
         raise ValueError("n must be an odd integer >= 1")
     alive = set(_sequence_strings(n))
     for probe in PROBE_INPUTS:
-        tens = branch_tensor(build_imperfect_chain(probe, n, probe_theta))
+        tens = branch_tensor(build_imperfect_chain(probe, n, PROBE_THETA))
         for seq in list(alive):
             m = int(seq, 2)
             branch = tens[:, m, :].reshape(-1)

@@ -60,20 +60,11 @@ class TestFuseRewrite:
         graph, nodes = path_graph(2)
         other = [graph.new_node() for _ in range(2)]
         graph.add_edge(*other)
-        gr.fuse(graph, nodes[1], other[0], success=True, designate="tail")
+        gr.fuse(graph, nodes[1], other[0], success=True)
         # tail's old edge moved onto the tip; tail dangles
         assert graph.neighbors(other[0]) == {nodes[1]}
         assert other[1] in graph.neighbors(nodes[1])
         assert other[0] in graph.leaf_flags
-        graph.check_invariants()
-
-    def test_success_designates_tip_leaf(self):
-        graph, nodes = path_graph(2)
-        other = [graph.new_node() for _ in range(2)]
-        graph.add_edge(*other)
-        gr.fuse(graph, nodes[1], other[0], success=True, designate="tip")
-        assert graph.neighbors(nodes[1]) == {other[0]}
-        assert nodes[0] in graph.neighbors(other[0])
         graph.check_invariants()
 
     def test_vertical_link_between_leaves(self):
@@ -84,7 +75,7 @@ class TestFuseRewrite:
             graph.add_edge(a, b)
         leaf = graph.new_node(leaf=True)
         graph.add_edge(row_b_graph[1], leaf)
-        gr.fuse(graph, row_a[1], leaf, success=True, designate="tail")
+        gr.fuse(graph, row_a[1], leaf, success=True)
         assert row_b_graph[1] in graph.neighbors(row_a[1])  # direct link
         assert graph.neighbors(leaf) == {row_a[1]}
         graph.check_invariants()
@@ -122,7 +113,7 @@ class TestShortenRewrite:
     def test_non_interior_rejected(self):
         graph, nodes = path_graph(3)
         with pytest.raises(ValueError):
-            gr.x_measure_shorten(graph, nodes[0])
+            gr.x_measure_shorten(graph, nodes[0], keep=nodes[1])
 
 
 class TestZRemoval:
@@ -150,7 +141,7 @@ class TestZRemoval:
 
 
 def fuse_physical(graph_edges_a, graph_edges_b, qubits_a, qubits_b, tip, tail,
-                  outcomes, designate, theta=0.3):
+                  outcomes, theta=0.3):
     """Run a fusion protocol between two explicit graph states.
 
     Register layout: qubits_a, one middle, qubits_b.  Returns the corrected
@@ -176,26 +167,95 @@ def fuse_physical(graph_edges_a, graph_edges_b, qubits_a, qubits_b, tip, tail,
     return state, rec.outcome, tip_q, tail_q
 
 
+# rewrite -> (edges of the graph it acts on, its outcomes); fuse failure
+# measures tip and tail, so its outcome is the pair of their Z outcomes
+FRAME_REWRITES = {
+    "fuse_success": ([(0, 1), (2, 3), (3, 4)], (0, 1)),
+    "fuse_failure": ([(0, 1), (2, 3), (3, 4)], ((0, 0), (0, 1), (1, 0), (1, 1))),
+    "x_shorten": ([(0, 1), (1, 2), (2, 3), (3, 4)], (0, 1)),
+    "z_remove": ([(0, 1), (1, 2), (1, 3)], (0, 1)),
+}
+FRAME_CASES = [
+    (rewrite, pending, outcome)
+    for rewrite, (edges, outcomes) in FRAME_REWRITES.items()
+    for pending in (None, *range(1 + max(map(max, edges))))
+    for outcome in outcomes
+]
+
+
+def frame_case(rewrite, pending, outcome, theta=0.3):
+    """Run one rewrite physically and on the graph, with a pending Z byproduct.
+
+    A Z on node ``pending`` (if any) is applied to the register and recorded
+    in ``z_parity`` before the rewrite.  Fusions run the real three-middle
+    protocol between tip 1 and tail 2 (success sequences 101 and 010 give
+    parity 0 and 1; 000 fails); x_shorten measures node 2 keeping node 1;
+    z_remove measures leaf 3.  The recorded ``z_parity`` is then applied as
+    the Z corrections.  Returns the corrected state of the live nodes and the
+    rewritten graph.
+    """
+    edges, _ = FRAME_REWRITES[rewrite]
+    size = 1 + max(map(max, edges))
+    fusion = rewrite.startswith("fuse")
+    qubit = [0, 1, 5, 6, 7] if fusion else list(range(size))  # middles 2..4
+    graph = gr.ClusterGraph()
+    for _ in range(size):
+        graph.new_node()
+    for a, b in edges:
+        graph.add_edge(a, b)
+    state = gr.graph_state_target(qubit[-1] + 1, [(qubit[a], qubit[b]) for a, b in edges])
+    if pending is not None:
+        sv.apply_gate(state, qubit[pending], "Z")
+        graph.flip_parity(pending)
+
+    if fusion:
+        tip, tail = 1, 2
+        success = rewrite == "fuse_success"
+        seq = ("101", "010")[outcome] if success else "000"
+        chain = [qubit[tip], 2, 3, 4, qubit[tail]]
+        for a, b in zip(chain, chain[1:]):
+            sv.apply_controlled_phase(state, a, b, math.pi + theta, "CSX")
+        for q, bit in zip(chain[1:-1], seq):
+            _, state = sv.measure(state, q, basis="xi", xi=0.0, outcome=int(bit))
+        if success:
+            sv.apply_gate(state, qubit[tail], "H")  # the tail dangles
+            gr.fuse(graph, tip, tail, True, parity=seq.count("1"))
+        else:
+            for node, bit in zip((tip, tail), outcome):
+                _, state = sv.measure(state, qubit[node], basis="z", outcome=bit)
+            gr.fuse(graph, tip, tail, False, z_outcomes=outcome)
+    elif rewrite == "x_shorten":
+        _, state = sv.measure(state, 2, basis="xi", xi=0.0, outcome=outcome)
+        sv.apply_gate(state, 3, "H")  # the special neighbor dangles
+        gr.x_measure_shorten(graph, 2, keep=1, outcome=outcome)
+    else:
+        _, state = sv.measure(state, 3, basis="z", outcome=outcome)
+        gr.z_remove_leaf(graph, 3, outcome=outcome)
+
+    for node, bit in graph.z_parity.items():
+        if bit:
+            sv.apply_gate(state, qubit[node], "Z")
+    live = sorted(graph.nodes)
+    return sv.extract_qubits(state, [qubit[v] for v in live]), graph
+
+
 class TestRewriteConsistency:
     """Each abstract rewrite matches the corrected physical sequence."""
 
-    @pytest.mark.parametrize("designate", ["tail", "tip"])
-    def test_fuse_success(self, designate):
+    def test_fuse_success(self):
         # two 2-qubit cluster states, n = 1 fusion, forced success (weight 1)
         state, q, tip_q, tail_q = fuse_physical(
             [(0, 1)], [(2, 3)], [0, 1], [2, 3], tip=1, tail=2, outcomes=1,
-            designate=designate,
         )
         sv.apply_gate(state, tip_q, "Z")  # weight-1 byproduct
-        dangler_q = tail_q if designate == "tail" else tip_q
-        sv.apply_gate(state, dangler_q, "H")
+        sv.apply_gate(state, tail_q, "H")
         got = sv.extract_qubits(state, [0, 1, 3, 4])
 
         graph = gr.ClusterGraph()
         ids = [graph.new_node() for _ in range(4)]
         graph.add_edge(ids[0], ids[1])
         graph.add_edge(ids[2], ids[3])
-        gr.fuse(graph, ids[1], ids[2], success=True, designate=designate, parity=1)
+        gr.fuse(graph, ids[1], ids[2], success=True, parity=1)
         # rebuild the canonical state of the rewritten graph on (0,1,2,3)
         edges = [(ids.index(a), ids.index(b)) for a, b in map(tuple, graph.edges())]
         target = gr.graph_state_target(4, edges)
@@ -205,7 +265,7 @@ class TestRewriteConsistency:
         # 3-chain fused to a 2-chain, forced failure, both ends measured out
         state, q, tip_q, tail_q = fuse_physical(
             [(0, 1), (1, 2)], [(3, 4)], [0, 1, 2], [3, 4], tip=2, tail=3,
-            outcomes=0, designate="tail",
+            outcomes=0,
         )
         rng = np.random.default_rng(7)
         rec_tip, state = sv.measure(state, tip_q, basis="z", rng=rng)
@@ -252,14 +312,32 @@ class TestRewriteConsistency:
         got = sv.extract_qubits(state, [0, 1, 2])
         assert sv.fidelity_up_to_global_phase(got, gr.linear_cluster_target(3)) > 1 - 1e-9
 
+    @pytest.mark.parametrize(
+        "rewrite, pending, outcome", FRAME_CASES,
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_pauli_frame(self, rewrite, pending, outcome):
+        """The recorded z_parity is the whole Pauli frame after a rewrite.
+
+        With a pending Z anywhere (or none) and either outcome, applying the
+        recorded parities as Z corrections gives the graph state of the
+        rewritten graph, and no parity is left on a measured node.
+        """
+        got, graph = frame_case(rewrite, pending, outcome)
+        live = sorted(graph.nodes)
+        edges = [(live.index(a), live.index(b)) for a, b in map(tuple, graph.edges())]
+        target = gr.graph_state_target(len(live), edges)
+        assert sv.fidelity_up_to_global_phase(got, target) > 1 - 1e-9
+        assert set(graph.z_parity) <= set(live)
+
 
 class TestRandomizedFuseConsistency:
     @pytest.mark.parametrize("trial", range(8))
     def test_random_trees_and_sequences(self, trial):
         """Fusion rewrite vs physical protocol on random tree pairs.
 
-        Random shapes, a random heralded sequence (weights 1..3), random
-        designation; the corrected physical state must match the canonical
+        Random shapes and a random heralded sequence (weights 1..3); the
+        corrected physical state must match the canonical
         state of the rewritten graph.
         """
         rng = np.random.default_rng([55, trial])
@@ -277,7 +355,6 @@ class TestRandomizedFuseConsistency:
         leaves_b = [v for v in range(size_b) if sum(v in e for e in edges_b) == 1]
         tail = leaves_b[int(rng.integers(len(leaves_b)))]
         seq = sorted(pr.enumerate_success_sequences(3))[int(rng.integers(3))]
-        designate = ("tip", "tail")[int(rng.integers(2))]
 
         # physical run: register = A qubits, three middles, B qubits
         mids = [size_a, size_a + 1, size_a + 2]
@@ -295,8 +372,7 @@ class TestRandomizedFuseConsistency:
         q_weight = seq.count("1")
         for _ in range(q_weight):
             sv.apply_gate(state, tip, "Z")
-        dangler_q = (off + tail) if designate == "tail" else tip
-        sv.apply_gate(state, dangler_q, "H")
+        sv.apply_gate(state, off + tail, "H")
         keep = list(range(size_a)) + [off + a for a in range(size_b)]
         got = sv.extract_qubits(state, keep)
 
@@ -307,8 +383,7 @@ class TestRandomizedFuseConsistency:
             graph.add_edge(ids[a], ids[b])
         for a, b in edges_b:
             graph.add_edge(ids[size_a + a], ids[size_a + b])
-        gr.fuse(graph, ids[tip], ids[size_a + tail], True, designate=designate,
-                parity=q_weight)
+        gr.fuse(graph, ids[tip], ids[size_a + tail], True, parity=q_weight)
         target_edges = [
             (ids.index(a), ids.index(b)) for a, b in map(tuple, graph.edges())
         ]
@@ -344,7 +419,7 @@ class TestSquareClusterEndToEnd:
 
         # the same moves on the abstract graph end in the same 4-cycle
         graph, nodes = path_graph(5)
-        gr.fuse(graph, nodes[0], nodes[4], success=True, designate="tail", parity=1)
+        gr.fuse(graph, nodes[0], nodes[4], success=True, parity=1)
         gr.z_remove_leaf(graph, nodes[4])
         assert graph.edges() == {
             frozenset((nodes[0], nodes[1])),
@@ -451,13 +526,15 @@ class TestRowInvariant:
     The row end holds no spare (only the discard after a failed vertical
     link leaves one there, and a successful attach onto that end measures
     it out), and every recorded spare is a live flagged leaf on its backbone
-    node, so spares need no liveness check.
+    node, so spares need no liveness check.  A 1D graph holds nothing else:
+    its nodes are the backbone and the spares.
     """
 
     def test_after_every_attach(self, monkeypatch):
         attach = gr._attach_bernoulli
         checked = []
         displaced = []
+        one_row = True
 
         def checking_attach(graph, row, success):
             spare_on_end = row.spares.get(row.backbone[-1]) if row.backbone else None
@@ -470,12 +547,15 @@ class TestRowInvariant:
             for node, spare in row.spares.items():
                 assert spare in graph.nodes and spare in graph.leaf_flags
                 assert graph.neighbors(spare) == {node}
+            if one_row:
+                assert set(graph.nodes) == {*row.backbone, *row.spares.values()}
             checked.append(success)
 
         monkeypatch.setattr(gr, "_attach_bernoulli", checking_attach)
         for i in range(20):
             gr.grow_1d(200, gr.CostModel(P3), np.random.default_rng([21, i]))
         grown_1d = len(checked)
+        one_row = False
         for i in range(20):
             gr.grow_2d(3, 3, 0.3, np.random.default_rng([22, i]))
         assert grown_1d > 0 and len(checked) > grown_1d

@@ -75,8 +75,6 @@ def test_pipeline_reaches_growth_unit(theta):
     reduced = sv.extract_qubits(state, [0, 4, 8, 12])
     assert sv.fidelity_up_to_global_phase(reduced, gr.three_node_target()) >= 1 - 1e-9
     assert stats.final_length == 3
-    assert stats.link_count == 3
-    assert stats.leaf_count == 1
 
     # removing the leaf yields the perfect three-qubit linear cluster
     rec, state = sv.measure(state, 8, basis="z", rng=np.random.default_rng(1))
