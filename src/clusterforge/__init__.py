@@ -46,7 +46,6 @@ from .growth import (
     fuse,
     x_measure_shorten,
     z_remove_leaf,
-    selective_layout,
     run_thirteen_qubit_pipeline,
     grow_1d,
     grow_2d,
@@ -88,7 +87,6 @@ __all__ = [
     "fuse",
     "x_measure_shorten",
     "z_remove_leaf",
-    "selective_layout",
     "run_thirteen_qubit_pipeline",
     "grow_1d",
     "grow_2d",

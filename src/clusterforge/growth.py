@@ -275,40 +275,6 @@ def z_remove_leaf(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGr
 
 
 # ---------------------------------------------------------------------------
-# Selective entanglement layouts
-
-def selective_layout(total_qubits: int, chain_starts, n: int, first_input=None) -> list:
-    """Initializer tokens that isolate (n+2)-qubit chains from the rest.
-
-    Gap qubits take |1> directly right of a chain and |0> elsewhere, so every
-    pair bridging a gap is inert under the global entangler: the phase only
-    acts on the |1>|0> component, which for definite-bit pairs is a global
-    phase.  ``first_input`` optionally replaces the first qubit of the first
-    chain with an arbitrary state.
-    """
-    starts = sorted(chain_starts)
-    if not starts:
-        raise ValueError("need at least one chain")
-    span = n + 2
-    prev_end = None
-    for s in starts:
-        if s < 0 or s + span > total_qubits:
-            raise ValueError("chain does not fit in the register")
-        if prev_end is not None and s < prev_end + n:
-            raise ValueError("chains overlap or leave fewer than n separator qubits")
-        prev_end = s + span
-    tokens = ["0"] * total_qubits
-    for s in starts:
-        for q in range(s, s + span):
-            tokens[q] = "+"
-        if s + span < total_qubits:
-            tokens[s + span] = "1"
-    if first_input is not None:
-        tokens[starts[0]] = first_input
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Growth statistics and the closed-form cost model
 
 @dataclass
@@ -674,11 +640,11 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
 # ---------------------------------------------------------------------------
 # Thirteen-qubit demonstration pipeline
 
-_CHAIN_A = list(range(0, 5))
-_CHAIN_B = list(range(8, 13))
-_FUSION_CHAIN = list(range(4, 9))
-_GUARD_A = {1: "1", 2: "0", 3: "0"}     # protects the (0, 4) pair
-_GUARD_B = {9: "1", 10: "0", 11: "0"}   # protects the (8, 12) pair
+# Chain A sits on qubits 0-4 and chain B on 8-12.  The fusion middles 5-7
+# hold the guard bits |100> until stage 3, and a distilled chain's middles
+# hold them from then on.  Stage 3 runs on the block of register qubits
+# (0, 4, 5, 6, 7, 8, 12); tip 4 and tail 8 are its positions 1 and 5.
+_FUSION_CHAIN = range(1, 6)
 
 
 def graph_state_target(num_qubits: int, edges) -> PureState:
@@ -716,18 +682,31 @@ def _measure_chain_middles(state, chain, rng):
     return "".join(bits), state
 
 
+def _entangle_fusion_block(block: PureState, theta: float) -> PureState:
+    """The register-wide entangler on the 7-qubit fusion block, in place.
+
+    Only the register pairs (4, 5) ... (7, 8), block positions (1, 2) ...
+    (4, 5), are neighbours; the block's (0, 4) and (8, 12) pairs are not and
+    get no phase.  It is one multiply by the 5-qubit chain phases that
+    stage 1 also uses.
+    """
+    view = block.amps.reshape(2, 32, 2)
+    view *= sv.chain_phases(5, math.pi + theta, "CSX")[:, None]
+    return block
+
+
 def _fusion_success_probability(state: PureState, theta: float) -> float:
     """Exact probability that re-running the fusion chain would succeed.
 
-    Every outcome branch acts diagonally on the chain-end pair (guard pairs
-    add only global phases), so it is the Born marginals P of the end pair
-    weighted per basis state.  Summed over the success sequences, the weight
-    is 0 on |01> and |10>, where success is impossible, and equal on |00> and
-    |11>; a |+>|+> pair (each marginal 1/4) succeeds with p =
-    success_probability_closed(3, theta), so that weight is 2p and the
-    probability is 2p (P00 + P11).  test_success_weights_closed_form pins the
-    weights; test_pipeline_fast_probability checks the result against the
-    slow re-entangle-and-enumerate route.
+    Every outcome branch acts diagonally on the chain-end pair, so it is the
+    Born marginals P of the end pair weighted per basis state.  Summed over
+    the success sequences, the weight is 0 on |01> and |10>, where success
+    is impossible, and equal on |00> and |11>; a |+>|+> pair (each marginal
+    1/4) succeeds with p = success_probability_closed(3, theta), so that
+    weight is 2p and the probability is 2p (P00 + P11).
+    test_success_weights_closed_form pins the weights;
+    test_pipeline_fast_probability checks the result against the slow
+    re-entangle-and-enumerate route.
     """
     marg = sv.pair_marginals(state, _FUSION_CHAIN[0], _FUSION_CHAIN[-1])
     return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
@@ -748,6 +727,17 @@ def run_thirteen_qubit_pipeline(
     and restart the whole register otherwise.  Each simultaneous protocol
     round costs five time steps.  Returns the final 13-qubit state with all
     local corrections applied (leaf 8 still attached) and the run statistics.
+
+    Each stage runs on the qubits live in it: stage 1 on the 5-qubit chains
+    0-4 and 8-12, stage 3 on the 7-qubit block (0, 4, 5, 6, 7, 8, 12).  The
+    13-qubit state is assembled once, at the end.  This is exact because
+    whenever the register-wide entangler runs, guard triples holding |100>
+    (5-7 in stage 1, a distilled chain's middles 1-3 or 9-11) separate the
+    live qubits, and a CSX pair picks up its phase only on |10>: a pair whose
+    right qubit is a |1> guard never does, the guard pair (|1>, |0>) always
+    does, which is only a global phase, and a pair whose left qubit is a |0>
+    guard never does.  So each round acts on the live qubits alone, and the
+    register stays their product with the guards.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
@@ -755,51 +745,55 @@ def run_thirteen_qubit_pipeline(
     while True:
         if stats.protocol_applications >= retry_cap:
             raise RetryLimitError("pipeline retry cap exhausted")
-        state = sv.init_register(selective_layout(13, [0, 8], 3))
 
-        # stage 1: distill both chains into Bell-form pairs, simultaneously
-        pending = {0: _CHAIN_A, 1: _CHAIN_B}
-        parities = {}
+        # stage 1: distill chains A and B into Bell-form end pairs, simultaneously
+        pending = {key: sv.init_register(["+"] * 5) for key in (0, 1)}
+        pairs, parities = {}, {}
         while pending and stats.protocol_applications < retry_cap:
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += len(pending)
-            pr.entangle_chain(state, theta)
             for key, chain in list(pending.items()):
-                seq, state = _measure_chain_middles(state, chain, rng)
+                pr.entangle_chain(chain, theta)
+                seq, chain = _measure_chain_middles(chain, range(5), rng)
                 if seq in pr.enumerate_success_sequences(3):
                     parities[key] = seq.count("1") & 1
-                    sv.reset_qubits(state, _GUARD_A if key == 0 else _GUARD_B)
+                    pairs[key] = sv.extract_qubits(chain, [0, 4])
                     del pending[key]
                 else:
-                    # isolated chain: measure the ends out, rebuild it fresh
-                    for q in (chain[0], chain[-1]):
-                        _, state = measure(state, q, basis="z", rng=rng)
-                    sv.reset_qubits(state, {q: "+" for q in chain})
+                    # measure the ends out, rebuild the chain fresh
+                    for q in (0, 4):
+                        measure(chain, q, basis="z", rng=rng)
+                    pending[key] = sv.init_register(["+"] * 5)
         if pending:
             raise RetryLimitError("pipeline retry cap exhausted")
 
-        # stage 2: Bell pairs -> two-qubit cluster states (corrections on tips)
-        for key, tip in ((0, 4), (1, 12)):
+        # stage 2: Bell pairs -> two-qubit cluster states (corrections on tips 4, 12)
+        for key, pair in pairs.items():
             if parities[key]:
-                apply_gate(state, tip, "Z")
-            apply_gate(state, tip, "H")
+                apply_gate(pair, 1, "Z")
+            apply_gate(pair, 1, "H")
 
-        # stage 3: fuse tip 4 to tail 8 through re-initialized middles
+        # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7
+        plus = sv.init_register(["+"] * 3).amps
+        block = PureState(7, np.kron(np.kron(pairs[0].amps, plus), pairs[1].amps))
         fusion_parity = 0
         fused = False
         while stats.protocol_applications < retry_cap:
-            sv.reset_qubits(state, {5: "+", 6: "+", 7: "+"})
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += 1
-            pr.entangle_chain(state, theta)
-            seq, state = _measure_chain_middles(state, _FUSION_CHAIN, rng)
+            _entangle_fusion_block(block, theta)
+            seq, block = _measure_chain_middles(block, _FUSION_CHAIN, rng)
             fusion_parity ^= seq.count("1") & 1
             if seq in pr.enumerate_success_sequences(3):
                 fused = True
                 break
-            if _fusion_success_probability(state, theta) < 1e-9:
+            if _fusion_success_probability(block, theta) < 1e-9:
                 stats.restarts += 1
                 break  # dead end: rebuild everything
+            sv.reset_qubits(block, {2: "+", 3: "+", 4: "+"})
+            # measure() scales a norm error by 1/p on an outcome of probability p;
+            # over a long retry run it would outgrow the 7-qubit norm tolerance
+            block.amps /= math.sqrt(block.norm_squared())
         if not fused:
             if stats.protocol_applications >= retry_cap:
                 raise RetryLimitError("pipeline retry cap exhausted")
@@ -807,10 +801,14 @@ def run_thirteen_qubit_pipeline(
 
         # stage 4: local corrections; tail 8 becomes the growth-unit leaf
         if fusion_parity:
-            apply_gate(state, 4, "Z")
-        apply_gate(state, 8, "H")
+            apply_gate(block, 1, "Z")
+        apply_gate(block, 5, "H")
         stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
-        return state, stats
+
+        # axes: qubit 0, guards 1-3, qubits 4-8, guards 9-11, qubit 12
+        register = np.zeros((2, 8, 32, 8, 2), dtype=complex)
+        register[:, 0b100, :, 0b100, :] = block.amps.reshape(2, 32, 2)
+        return PureState(13, register), stats
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from test_pipeline import selective_layout
 
 P3 = pr.success_probability_closed(3, 0.3)
 
@@ -718,31 +719,31 @@ class TestGrow2D:
 
 class TestSelectiveLayout:
     def test_thirteen_qubit_layout(self):
-        tokens = gr.selective_layout(13, [0, 8], 3)
+        tokens = selective_layout(13, [0, 8], 3)
         assert tokens == ["+"] * 5 + ["1", "0", "0"] + ["+"] * 5
 
     def test_cuts_stay_product_after_global_entangler(self):
-        state = sv.init_register(gr.selective_layout(13, [0, 8], 3))
+        state = sv.init_register(selective_layout(13, [0, 8], 3))
         pr.entangle_chain(state, 0.4)
         assert sv.is_product_across_cut(state, list(range(5)))
         assert sv.is_product_across_cut(state, list(range(8)))
 
     def test_single_chain_in_five(self):
         # one three-qubit chain in five qubits: the gap pattern isolates it
-        tokens = gr.selective_layout(5, [0], 1)
+        tokens = selective_layout(5, [0], 1)
         assert tokens == ["+", "+", "+", "1", "0"]
         state = sv.init_register(tokens)
         pr.entangle_chain(state, 0.7)
         assert sv.is_product_across_cut(state, [0, 1, 2])
 
     def test_full_span_is_all_plus(self):
-        assert gr.selective_layout(5, [0], 3) == ["+"] * 5
+        assert selective_layout(5, [0], 3) == ["+"] * 5
 
     def test_arbitrary_first_input(self):
-        tokens = gr.selective_layout(5, [0], 3, first_input=(0.6, 0.8j))
+        tokens = selective_layout(5, [0], 3, first_input=(0.6, 0.8j))
         assert tokens[0] == (0.6, 0.8j)
         assert tokens[1:] == ["+"] * 4
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            gr.selective_layout(13, [0, 5], 3)
+            selective_layout(13, [0, 5], 3)

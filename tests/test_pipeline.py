@@ -15,18 +15,136 @@ def run(theta, seed, **kw):
     return gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng(seed), **kw)
 
 
-def fusion_success_probability_reference(state, theta):
-    """Slow route: re-initialize middles, re-entangle, enumerate branches."""
-    probe = state.copy()
-    mids = gr._FUSION_CHAIN[1:-1]
+# ---------------------------------------------------------------------------
+# Dense reference: the pipeline on the whole 13-qubit register, every guard in
+# place and the entangler on every neighbour pair
+
+_CHAIN_A = list(range(0, 5))
+_CHAIN_B = list(range(8, 13))
+_FUSION_CHAIN = list(range(4, 9))
+_GUARD_A = {1: "1", 2: "0", 3: "0"}     # protects the (0, 4) pair
+_GUARD_B = {9: "1", 10: "0", 11: "0"}   # protects the (8, 12) pair
+
+
+def selective_layout(total_qubits: int, chain_starts, n: int, first_input=None) -> list:
+    """Initializer tokens that isolate (n+2)-qubit chains from the rest.
+
+    Gap qubits take |1> directly right of a chain and |0> elsewhere, so every
+    pair bridging a gap is inert under the global entangler: the phase only
+    acts on the |1>|0> component, which for definite-bit pairs is a global
+    phase.  ``first_input`` optionally replaces the first qubit of the first
+    chain with an arbitrary state.
+    """
+    starts = sorted(chain_starts)
+    if not starts:
+        raise ValueError("need at least one chain")
+    span = n + 2
+    prev_end = None
+    for s in starts:
+        if s < 0 or s + span > total_qubits:
+            raise ValueError("chain does not fit in the register")
+        if prev_end is not None and s < prev_end + n:
+            raise ValueError("chains overlap or leave fewer than n separator qubits")
+        prev_end = s + span
+    tokens = ["0"] * total_qubits
+    for s in starts:
+        for q in range(s, s + span):
+            tokens[q] = "+"
+        if s + span < total_qubits:
+            tokens[s + span] = "1"
+    if first_input is not None:
+        tokens[starts[0]] = first_input
+    return tokens
+
+
+def _dense_fusion_success_probability(state, theta):
+    marg = sv.pair_marginals(state, _FUSION_CHAIN[0], _FUSION_CHAIN[-1])
+    return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
+
+
+def dense_pipeline_reference(theta, rng, retry_cap=10_000):
+    """``run_thirteen_qubit_pipeline`` on the dense 13-qubit register."""
+    stats = gr.GrowthStats()
+    stats.physical_qubits_used = 13
+
+    while True:
+        if stats.protocol_applications >= retry_cap:
+            raise gr.RetryLimitError("pipeline retry cap exhausted")
+        state = sv.init_register(selective_layout(13, [0, 8], 3))
+
+        # stage 1: distill both chains into Bell-form pairs, simultaneously
+        pending = {0: _CHAIN_A, 1: _CHAIN_B}
+        parities = {}
+        while pending and stats.protocol_applications < retry_cap:
+            stats.time_steps += gr.STEPS_PROTOCOL_ROUND
+            stats.protocol_applications += len(pending)
+            pr.entangle_chain(state, theta)
+            for key, chain in list(pending.items()):
+                seq, state = gr._measure_chain_middles(state, chain, rng)
+                if seq in pr.enumerate_success_sequences(3):
+                    parities[key] = seq.count("1") & 1
+                    sv.reset_qubits(state, _GUARD_A if key == 0 else _GUARD_B)
+                    del pending[key]
+                else:
+                    # isolated chain: measure the ends out, rebuild it fresh
+                    for q in (chain[0], chain[-1]):
+                        _, state = sv.measure(state, q, basis="z", rng=rng)
+                    sv.reset_qubits(state, {q: "+" for q in chain})
+        if pending:
+            raise gr.RetryLimitError("pipeline retry cap exhausted")
+
+        # stage 2: Bell pairs -> two-qubit cluster states (corrections on tips)
+        for key, tip in ((0, 4), (1, 12)):
+            if parities[key]:
+                sv.apply_gate(state, tip, "Z")
+            sv.apply_gate(state, tip, "H")
+
+        # stage 3: fuse tip 4 to tail 8 through re-initialized middles
+        fusion_parity = 0
+        fused = False
+        while stats.protocol_applications < retry_cap:
+            sv.reset_qubits(state, {5: "+", 6: "+", 7: "+"})
+            stats.time_steps += gr.STEPS_PROTOCOL_ROUND
+            stats.protocol_applications += 1
+            pr.entangle_chain(state, theta)
+            seq, state = gr._measure_chain_middles(state, _FUSION_CHAIN, rng)
+            fusion_parity ^= seq.count("1") & 1
+            if seq in pr.enumerate_success_sequences(3):
+                fused = True
+                break
+            if _dense_fusion_success_probability(state, theta) < 1e-9:
+                stats.restarts += 1
+                break  # dead end: rebuild everything
+        if not fused:
+            if stats.protocol_applications >= retry_cap:
+                raise gr.RetryLimitError("pipeline retry cap exhausted")
+            continue
+
+        # stage 4: local corrections; tail 8 becomes the growth-unit leaf
+        if fusion_parity:
+            sv.apply_gate(state, 4, "Z")
+        sv.apply_gate(state, 8, "H")
+        stats.final_length = 3
+        return state, stats
+
+
+def fusion_success_probability_reference(block, theta):
+    """Slow route: re-initialize middles, re-entangle, enumerate branches.
+
+    ``block`` is the 7-qubit fusion block (register qubits 0, 4, 5, 6, 7, 8,
+    12); the fusion chain is its positions 1-5, with middles 2-4.
+    """
+    probe = block.copy()
+    mids = [2, 3, 4]
     sv.reset_qubits(probe, {q: "+" for q in mids})
-    pr.entangle_chain(probe, theta)
+    for q in range(1, 5):
+        sv.apply_controlled_phase(probe, q, q + 1, np.pi + theta, "CSX")
     for q in mids:
         sv.apply_gate(probe, q, "H")
     tens = probe.tensor()
     total = 0.0
     for seq in pr.enumerate_success_sequences(3):
-        idx = [slice(None)] * 13
+        idx = [slice(None)] * 7
         for q, b in zip(mids, seq):
             idx[q] = int(b)
         branch = tens[tuple(idx)]
@@ -108,3 +226,47 @@ def test_deterministic_given_seed():
 def test_retry_cap_enforced():
     with pytest.raises(gr.RetryLimitError):
         run(3.1, seed=2, retry_cap=5)
+
+
+def _run_route(route, theta, seed, retry_cap):
+    rng = np.random.default_rng([seed, 5])
+    try:
+        result = route(theta, rng, retry_cap=retry_cap)
+    except gr.RetryLimitError:
+        result = None
+    return result, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("theta, seeds, retry_cap", [(0.3, 40, 20), (1.0, 40, 40), (2.5, 4, 300)])
+def test_sub_registers_match_dense_reference(theta, seeds, retry_cap):
+    """The 5-qubit chains and the 7-qubit block replay the dense 13-qubit run.
+
+    Same cap outcome, stats and random draws, and the same final state up to
+    global phase, so the guards really do isolate the live qubits.
+    """
+    outcomes = set()
+    for seed in range(seeds):
+        fast, fast_rng = _run_route(gr.run_thirteen_qubit_pipeline, theta, seed, retry_cap)
+        dense, dense_rng = _run_route(dense_pipeline_reference, theta, seed, retry_cap)
+        assert (fast is None) == (dense is None), seed
+        assert fast_rng == dense_rng, seed
+        outcomes.add(fast is None)
+        if fast is not None:
+            assert fast[1] == dense[1], seed
+            assert sv.fidelity_up_to_global_phase(fast[0], dense[0]) >= 1 - 1e-12, seed
+    assert outcomes == {False, True}  # both completed runs and capped ones
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 2.8])
+def test_fusion_block_entangler(theta):
+    """CSX on the block pairs (1, 2) ... (4, 5), none on (0, 1) or (5, 6)."""
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=128) + 1j * rng.normal(size=128)
+    state = sv.PureState(7, amps / np.linalg.norm(amps))
+    expected = state.copy()
+    for q in range(1, 5):
+        sv.apply_controlled_phase(expected, q, q + 1, np.pi + theta, "CSX")
+    every_pair = pr.entangle_chain(state.copy(), theta)
+    gr._entangle_fusion_block(state, theta)
+    np.testing.assert_allclose(state.amps, expected.amps, rtol=0, atol=1e-12)
+    assert not np.allclose(every_pair.amps, expected.amps, rtol=0, atol=1e-6)
