@@ -791,8 +791,8 @@ def run_thirteen_qubit_pipeline(
                 stats.restarts += 1
                 break  # dead end: rebuild everything
             sv.reset_qubits(block, {2: "+", 3: "+", 4: "+"})
-            # measure() scales a norm error by 1/p on an outcome of probability p;
-            # over a long retry run it would outgrow the 7-qubit norm tolerance
+            # measure() turns a norm error e into e / p0 on outcome 0; over a long
+            # retry run that would outgrow the 7-qubit norm tolerance
             block.amps /= math.sqrt(block.norm_squared())
         if not fused:
             if stats.protocol_applications >= retry_cap:
