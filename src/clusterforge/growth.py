@@ -45,6 +45,7 @@ build is the verified N x N lattice and reports N * N, its snake path.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -642,9 +643,10 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
 
 # Chain A sits on qubits 0-4 and chain B on 8-12.  The fusion middles 5-7
 # hold the guard bits |100> until stage 3, and a distilled chain's middles
-# hold them from then on.  Stage 3 runs on the block of register qubits
-# (0, 4, 5, 6, 7, 8, 12); tip 4 and tail 8 are its positions 1 and 5.
-_FUSION_CHAIN = range(1, 6)
+# hold them from then on.  Stage 3 keeps the ends (0, 4, 8, 12) between
+# attempts; an attempt runs on the block of register qubits (0, 4, 5, 6, 7,
+# 8, 12), whose middles 5-7 are its positions 2-4.
+_PLUS_MIDDLES = np.full((1, 8, 1), 8.0 ** -0.5)
 
 
 def graph_state_target(num_qubits: int, edges) -> PureState:
@@ -674,12 +676,13 @@ def linear_cluster_target(k: int) -> PureState:
     return graph_state_target(k, [(q, q + 1) for q in range(k - 1)])
 
 
-def _measure_chain_middles(state, chain, rng):
-    bits = []
-    for q in chain[1:-1]:
-        rec, state = measure(state, q, basis="xi", xi=0.0, rng=rng)
-        bits.append(str(rec.outcome))
-    return "".join(bits), state
+@functools.lru_cache(maxsize=2)  # like sv.chain_phases: one entry per theta in use
+def _fresh_chain_branches(theta: float) -> np.ndarray:
+    """Read-only sigma_x branches of the middles of a fresh entangled |+>^5 chain."""
+    chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
+    branches = sv.x_branches(chain, 1, 3)
+    branches.flags.writeable = False
+    return branches
 
 
 def _entangle_fusion_block(block: PureState, theta: float) -> PureState:
@@ -695,20 +698,27 @@ def _entangle_fusion_block(block: PureState, theta: float) -> PureState:
     return block
 
 
-def _fusion_success_probability(state: PureState, theta: float) -> float:
+def _fusion_block(ends: PureState, theta: float) -> PureState:
+    """The entangled 7-qubit fusion block: ends (0, 4, 8, 12) with fresh |+++> middles."""
+    amps = ends.amps.reshape(4, 1, 4) * _PLUS_MIDDLES
+    return _entangle_fusion_block(PureState(7, amps), theta)
+
+
+def _fusion_success_probability(ends: PureState, theta: float) -> float:
     """Exact probability that re-running the fusion chain would succeed.
 
-    Every outcome branch acts diagonally on the chain-end pair, so it is the
-    Born marginals P of the end pair weighted per basis state.  Summed over
-    the success sequences, the weight is 0 on |01> and |10>, where success
-    is impossible, and equal on |00> and |11>; a |+>|+> pair (each marginal
-    1/4) succeeds with p = success_probability_closed(3, theta), so that
-    weight is 2p and the probability is 2p (P00 + P11).
+    ``ends`` holds register qubits (0, 4, 8, 12); the chain ends are tip 4
+    and tail 8.  Every outcome branch acts diagonally on the chain-end pair,
+    so it is the Born marginals P of the end pair weighted per basis state.
+    Summed over the success sequences, the weight is 0 on |01> and |10>,
+    where success is impossible, and equal on |00> and |11>; a |+>|+> pair
+    (each marginal 1/4) succeeds with p = success_probability_closed(3,
+    theta), so that weight is 2p and the probability is 2p (P00 + P11).
     test_success_weights_closed_form pins the weights;
     test_pipeline_fast_probability checks the result against the slow
     re-entangle-and-enumerate route.
     """
-    marg = sv.pair_marginals(state, _FUSION_CHAIN[0], _FUSION_CHAIN[-1])
+    marg = sv.pair_marginals(ends, 1, 2)
     return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
 
 
@@ -729,41 +739,50 @@ def run_thirteen_qubit_pipeline(
     local corrections applied (leaf 8 still attached) and the run statistics.
 
     Each stage runs on the qubits live in it: stage 1 on the 5-qubit chains
-    0-4 and 8-12, stage 3 on the 7-qubit block (0, 4, 5, 6, 7, 8, 12).  The
-    13-qubit state is assembled once, at the end.  This is exact because
-    whenever the register-wide entangler runs, guard triples holding |100>
-    (5-7 in stage 1, a distilled chain's middles 1-3 or 9-11) separate the
-    live qubits, and a CSX pair picks up its phase only on |10>: a pair whose
-    right qubit is a |1> guard never does, the guard pair (|1>, |0>) always
-    does, which is only a global phase, and a pair whose left qubit is a |0>
-    guard never does.  So each round acts on the live qubits alone, and the
-    register stays their product with the guards.
+    0-4 and 8-12, stage 3 on the 7-qubit block (0, 4, 5, 6, 7, 8, 12), whose
+    three middles one ``sv.measure_x_run`` call measures and whose ends (0,
+    4, 8, 12) are all that is kept between attempts.  The 13-qubit state is
+    assembled once, at the end, with the last fusion record on 5-7.  This is
+    exact because whenever the register-wide entangler runs, guard triples
+    holding |100> (5-7 in stage 1, a distilled chain's middles 1-3 or 9-11)
+    separate the live qubits, and a CSX pair picks up its phase only on |10>:
+    a pair whose right qubit is a |1> guard never does, the guard pair (|1>,
+    |0>) always does, which is only a global phase, and a pair whose left
+    qubit is a |0> guard never does.  So each round acts on the live qubits
+    alone, and the register stays their product with the guards.
+
+    Stage 1 computes the sigma_x branches of a chain's middles once per
+    theta (``_fresh_chain_branches``) and reuses them for every attempt.
+    This is exact because every attempt starts from the same state: ``|+>^5``
+    entangled at the same theta, a failed chain keeping nothing (its ends are
+    measured out and it is rebuilt fresh).  An attempt is ``sv.draw_x_run``'s
+    draws on those branches, with the kept column as the end pair, in the
+    same chain-by-chain order of draws.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
+    fresh = _fresh_chain_branches(theta)
 
     while True:
         if stats.protocol_applications >= retry_cap:
             raise RetryLimitError("pipeline retry cap exhausted")
 
         # stage 1: distill chains A and B into Bell-form end pairs, simultaneously
-        pending = {key: sv.init_register(["+"] * 5) for key in (0, 1)}
+        pending = [0, 1]
         pairs, parities = {}, {}
         while pending and stats.protocol_applications < retry_cap:
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += len(pending)
-            for key, chain in list(pending.items()):
-                pr.entangle_chain(chain, theta)
-                seq, chain = _measure_chain_middles(chain, range(5), rng)
+            for key in list(pending):
+                seq, _, pair = sv.draw_x_run(fresh, rng=rng)
                 if seq in pr.enumerate_success_sequences(3):
                     parities[key] = seq.count("1") & 1
-                    pairs[key] = sv.extract_qubits(chain, [0, 4])
-                    del pending[key]
+                    pairs[key] = pair
+                    pending.remove(key)
                 else:
-                    # measure the ends out, rebuild the chain fresh
-                    for q in (0, 4):
-                        measure(chain, q, basis="z", rng=rng)
-                    pending[key] = sv.init_register(["+"] * 5)
+                    # measure the ends out; the next attempt starts from a fresh chain
+                    for q in (0, 1):
+                        measure(pair, q, basis="z", rng=rng)
         if pending:
             raise RetryLimitError("pipeline retry cap exhausted")
 
@@ -774,26 +793,20 @@ def run_thirteen_qubit_pipeline(
             apply_gate(pair, 1, "H")
 
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7
-        plus = sv.init_register(["+"] * 3).amps
-        block = PureState(7, np.kron(np.kron(pairs[0].amps, plus), pairs[1].amps))
+        ends = PureState(4, np.multiply.outer(pairs[0].amps, pairs[1].amps))
         fusion_parity = 0
         fused = False
         while stats.protocol_applications < retry_cap:
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += 1
-            _entangle_fusion_block(block, theta)
-            seq, block = _measure_chain_middles(block, _FUSION_CHAIN, rng)
+            seq, _, ends = sv.measure_x_run(_fusion_block(ends, theta), 2, 3, rng=rng)
             fusion_parity ^= seq.count("1") & 1
             if seq in pr.enumerate_success_sequences(3):
                 fused = True
                 break
-            if _fusion_success_probability(block, theta) < 1e-9:
+            if _fusion_success_probability(ends, theta) < 1e-9:
                 stats.restarts += 1
                 break  # dead end: rebuild everything
-            sv.reset_qubits(block, {2: "+", 3: "+", 4: "+"})
-            # measure() turns a norm error e into e / p0 on outcome 0; over a long
-            # retry run that would outgrow the 7-qubit norm tolerance
-            block.amps /= math.sqrt(block.norm_squared())
         if not fused:
             if stats.protocol_applications >= retry_cap:
                 raise RetryLimitError("pipeline retry cap exhausted")
@@ -801,13 +814,14 @@ def run_thirteen_qubit_pipeline(
 
         # stage 4: local corrections; tail 8 becomes the growth-unit leaf
         if fusion_parity:
-            apply_gate(block, 1, "Z")
-        apply_gate(block, 5, "H")
+            apply_gate(ends, 1, "Z")
+        apply_gate(ends, 2, "H")
         stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
 
-        # axes: qubit 0, guards 1-3, qubits 4-8, guards 9-11, qubit 12
-        register = np.zeros((2, 8, 32, 8, 2), dtype=complex)
-        register[:, 0b100, :, 0b100, :] = block.amps.reshape(2, 32, 2)
+        # axes: qubit 0, guards 1-3, qubit 4, fusion record 5-7, qubit 8,
+        # guards 9-11, qubit 12
+        register = np.zeros((2, 8, 2, 8, 2, 8, 2), dtype=complex)
+        register[:, 0b100, :, int(seq, 2), :, 0b100, :] = ends.tensor()
         return PureState(13, register), stats
 
 

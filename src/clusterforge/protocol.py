@@ -131,15 +131,11 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     into the sigma_x outcome bit, so entry ``[b0, m, bE]`` of the returned
     ``(2, 2**n, 2)`` tensor is the joint amplitude of ends ``(b0, bE)`` with
     the forced outcome sequence ``m`` (qubit 1 is the most significant bit of
-    m).  Column norms are branch probabilities.  This is algebraically
-    identical to forcing the outcomes one measurement at a time, which the
-    tests verify.
+    m).  Column norms are branch probabilities.  It is the rotation that
+    :func:`statevector.draw_x_run` samples from when the protocol runs; the
+    tests check both against forcing the outcomes one measurement at a time.
     """
-    probe = chain.copy()
-    n = probe.num_qubits - 2
-    for q in range(1, n + 1):
-        apply_gate(probe, q, "H")
-    return probe.tensor().reshape(2, 1 << n, 2)
+    return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
 
 def heralded_pair(input_state, q: int) -> PureState:
@@ -285,28 +281,8 @@ def run_protocol(
 
 
 def _measure_middles(spec, chain, outcomes, rng) -> ProtocolRun:
-    n = spec.n
-    forced = None
-    if outcomes is not None:
-        forced = str(outcomes)
-        if len(forced) != n or set(forced) - {"0", "1"}:
-            raise ValueError(f"forced outcome sequence must be {n} bits")
-    bits = []
-    path_probability = 1.0
-    for i in range(n):
-        rec, chain = measure(
-            chain,
-            i + 1,
-            basis="xi",
-            xi=0.0,
-            outcome=None if forced is None else int(forced[i]),
-            rng=rng,
-        )
-        bits.append(str(rec.outcome))
-        path_probability *= rec.probability
-    seq = "".join(bits)
-    success = seq in enumerate_success_sequences(n)
-    end_pair = extract_qubits(chain, [0, n + 1])
+    seq, path_probability, end_pair = sv.measure_x_run(chain, 1, spec.n, outcomes, rng)
+    success = seq in enumerate_success_sequences(spec.n)
     return ProtocolRun(spec, seq, success, end_pair, path_probability)
 
 

@@ -18,11 +18,21 @@ or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
 them moves data or copies the state.  The global entangler is diagonal: one
 multiply by a cached ``exp(i phi c)`` (:func:`chain_phases`).  A rotated
 :func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it writes
-``(v0 -/+ r)/sqrt(2)``, rescaled, into the kept half.  :func:`reset_qubits`
-and :func:`extract_qubits` read the bits of measured-out qubits off the
-largest amplitude component, copy that one definite core and check that it
-holds the state.  One thread touches a state; parallelism belongs to the
-trial level above this module.
+``(v0 -/+ r)/sqrt(2)``, rescaled by the kept half's own norm, into the kept
+half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
+measured-out qubits off the largest amplitude component, copy that one
+definite core and check that it holds the state.
+
+A run of adjacent qubits is measured in sigma_x by one kernel.
+:func:`x_branches` rotates the run into the sigma_x basis with cached
+Walsh-Hadamard matrices (one matmul per four qubits), giving every outcome
+branch at once as a ``(2^first, 2^count, rest)`` array; :func:`draw_x_run`
+reads the joint outcome probabilities off its columns, draws the outcomes
+left to right against the conditional p0 of each prefix (one
+``rng.random()`` each, the rule of :func:`measure`) and returns the kept
+column, the unmeasured qubits, rescaled by its own norm.  Its draws and
+outcomes are those of a per-qubit :func:`measure` loop.  One thread touches
+a state; parallelism belongs to the trial level above this module.
 """
 
 from __future__ import annotations
@@ -108,9 +118,14 @@ def pair_marginals(state: PureState, a: int, b: int) -> np.ndarray:
     return (np.abs(_split_pair(state, a, b)) ** 2).sum(axis=(0, 2, 4))
 
 
-def _check_norm(state: PureState):
-    if abs(state.norm_squared() - 1.0) > max(NORM_TOL, 1e-12 * state.amps.size):
+def _check_norm_squared(norm_squared: float, size: int):
+    """Raise unless a register of ``size`` amplitudes has norm^2 within tolerance of 1."""
+    if abs(norm_squared - 1.0) > max(NORM_TOL, 1e-12 * size):
         raise NormalizationError("state norm drifted beyond tolerance")
+
+
+def _check_norm(state: PureState):
+    _check_norm_squared(state.norm_squared(), state.amps.size)
 
 
 def _as_pair(entry) -> np.ndarray:
@@ -224,20 +239,29 @@ def measurement_probabilities(
     state: PureState, qubit: int, basis: str = "z", xi: float = 0.0
 ) -> tuple[float, float]:
     """Outcome probabilities (p0, p1) without collapsing the state."""
-    p1 = _probability_of_one(state, qubit, basis, xi)[0]
+    p1 = _halves(_split(state, qubit), basis, xi)[1][1]
     return 1.0 - p1, p1
 
 
-def _probability_of_one(state: PureState, qubit: int, basis: str, xi: float):
-    """p1; in the rotated basis also ``r = exp(i xi) v1`` and ``low = v0 - r``."""
+def _halves(v: np.ndarray, basis: str, xi: float):
+    """The two outcome halves of a qubit's :func:`_split` view and their weights.
+
+    A Z readout's halves are the views ``v[:, m]``; in the rotated basis they
+    are ``v0 + r`` and ``v0 - r`` with ``r = exp(i xi) v1``, missing the
+    1/sqrt(2) that the weights (w0, w1) include.  w0 + w1 is the state's
+    norm^2.
+    """
     if basis == "z":
-        return state.probability_of_bit(qubit, 1), None, None
-    if basis != "xi":
+        halves = (v[:, 0], v[:, 1])
+        scale = 1.0
+    elif basis == "xi":
+        rot = np.multiply(v[:, 1], np.exp(1j * xi), order="C") if xi else v[:, 1]
+        halves = (np.add(v[:, 0], rot, order="C"), np.subtract(v[:, 0], rot, order="C"))
+        scale = 0.5
+    else:
         raise ValueError(f"unknown basis {basis!r}")
-    v = _split(state, qubit)
-    rot = np.multiply(v[:, 1], np.exp(1j * xi), order="C") if xi else v[:, 1]
-    low = np.subtract(v[:, 0], rot, order="C")
-    return 0.5 * float(np.vdot(low, low).real), rot, low
+    weights = tuple(scale * float(np.vdot(h, h).real) for h in halves)
+    return halves, weights
 
 
 def measure(
@@ -252,10 +276,16 @@ def measure(
 
     The measured qubit is left in the computational state ``|m>`` (for the
     rotated basis this is the post-rotation frame), so it can later be
-    sliced away with :func:`extract_qubits`.  Forcing an outcome whose
+    sliced away with :func:`extract_qubits`.  The draw is against
+    ``p0 = 1 - p1``; the kept half is rescaled by its own norm, so a norm
+    error in the input is not carried over (let alone amplified by 1/p0),
+    and the input norm itself is checked first.  Forcing an outcome whose
     probability is below ``PROB_TOL`` raises :class:`ForcedOutcomeError`.
     """
-    p1, rot, low = _probability_of_one(state, qubit, basis, xi)
+    v = _split(state, qubit)
+    halves, weights = _halves(v, basis, xi)
+    _check_norm_squared(weights[0] + weights[1], state.amps.size)
+    p1 = weights[1]
     p0 = 1.0 - p1
     if outcome is None:
         if rng is None:
@@ -266,21 +296,113 @@ def measure(
         if outcome not in (0, 1):
             raise ValueError("outcome must be a bit")
     prob = (p0, p1)[outcome]
-    if prob <= PROB_TOL:
+    if min(prob, weights[outcome]) <= PROB_TOL:
         raise ForcedOutcomeError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
 
-    v = _split(state, qubit)
-    kept = v[:, outcome]
-    if basis == "z":
-        np.divide(kept, math.sqrt(prob), out=kept, order="C")
-    else:
-        num = low if outcome else np.add(v[:, 0], rot, order="C")
-        np.multiply(num, 1.0 / math.sqrt(2.0 * prob), out=kept, order="C")
+    scale = 1.0 if basis == "z" else 2.0
+    np.multiply(
+        halves[outcome], 1.0 / math.sqrt(scale * weights[outcome]), out=v[:, outcome], order="C"
+    )
     v[:, 1 - outcome] = 0.0
-    _check_norm(state)
     return MeasurementRecord(qubit, basis, xi, outcome, prob), state
+
+
+# Walsh-Hadamard blocks: x_branches rotates at most this many qubits per matmul
+_X_BLOCK = 4
+
+
+@functools.lru_cache(maxsize=_X_BLOCK)
+def _walsh_hadamard(k: int) -> np.ndarray:
+    """Read-only ``H^(⊗k)``: entry [m, j] is ``(-1)^popcount(m & j) / 2^(k/2)``."""
+    signs = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * k)
+    mat = (signs * 2.0 ** (-k / 2)).astype(complex)
+    mat.flags.writeable = False
+    return mat
+
+
+def x_branches(state: PureState, first: int, count: int) -> np.ndarray:
+    """Every sigma_x outcome branch of the qubits ``first .. first+count-1`` at once.
+
+    Returns a new ``(2^first, 2^count, rest)`` array: the amplitudes with the
+    run rotated by Hadamards, so entry ``[i, m, j]`` is the joint amplitude
+    of outcome sequence m (qubit ``first`` the most significant bit; 1 is
+    the ``|->`` result) with the unmeasured qubits at ``(i, j)``.  Column
+    norms^2 are the outcome probabilities.  The state is not touched.
+    """
+    stop = first + count
+    if not 0 <= first < stop <= state.num_qubits:
+        raise IndexError(
+            f"run of {count} from qubit {first} out of range for {state.num_qubits}-qubit register"
+        )
+    out = state.amps
+    for lo in range(first, stop, _X_BLOCK):
+        k = min(_X_BLOCK, stop - lo)
+        out = np.matmul(_walsh_hadamard(k), out.reshape(1 << lo, 1 << k, -1))
+    return out.reshape(1 << first, 1 << count, -1)
+
+
+def draw_x_run(
+    branches: np.ndarray,
+    outcomes=None,
+    rng: np.random.Generator | None = None,
+) -> tuple[str, float, PureState]:
+    """Measure a run of qubits in sigma_x, given its :func:`x_branches`.
+
+    The outcomes are drawn left to right, one ``rng.random()`` each, against
+    the conditional p0 of the prefix drawn so far, with :func:`measure`'s
+    rule ``outcome = int(u >= p0)``; ``outcomes`` forces them instead (a bit
+    string or a sequence of bits).  An outcome of probability at most
+    ``PROB_TOL`` raises :class:`ForcedOutcomeError`.  The probabilities sum
+    to the input's norm^2, which must lie within the tolerance of
+    :func:`measure`'s norm check.  Returns the outcome bits, the path
+    probability (the product of the conditional probabilities) and the kept
+    column: the unmeasured qubits, rescaled by their own norm.
+    """
+    width = branches.shape[1]
+    count = width.bit_length() - 1
+    if outcomes is not None:
+        outcomes = [int(b) for b in outcomes]
+        if len(outcomes) != count or set(outcomes) - {0, 1}:
+            raise ValueError(f"forced outcomes must be {count} bits")
+    elif rng is None:
+        raise ValueError("draw_x_run needs either forced outcomes or an rng")
+    flat = branches.view(float)
+    weights = np.einsum("imj,imj->m", flat, flat).tolist()
+    _check_norm_squared(sum(weights), branches.size)
+    lo, hi = 0, width
+    path = 1.0
+    for i in range(count):
+        mid = (lo + hi) >> 1
+        w0, w1 = sum(weights[lo:mid]), sum(weights[mid:hi])
+        p1 = w1 / (w0 + w1)
+        p0 = 1.0 - p1
+        bit = int(rng.random() >= p0) if outcomes is None else outcomes[i]
+        prob = (p0, p1)[bit]
+        if prob <= PROB_TOL:
+            raise ForcedOutcomeError(
+                f"outcome {bit} at position {i} of the run has probability {prob:.3e}"
+            )
+        path *= prob
+        lo, hi = (mid, hi) if bit else (lo, mid)
+    kept = branches[:, lo, :] / math.sqrt(weights[lo])
+    seq = format(lo, f"0{count}b")
+    return seq, path, PureState(kept.size.bit_length() - 1, kept)
+
+
+def measure_x_run(
+    state: PureState,
+    first: int,
+    count: int,
+    outcomes=None,
+    rng: np.random.Generator | None = None,
+) -> tuple[str, float, PureState]:
+    """:func:`draw_x_run` on :func:`x_branches`: the run's outcome bits, path
+    probability and the normalized state of the qubits outside the run."""
+    if count >= state.num_qubits:
+        raise ValueError("the run must leave at least one qubit unmeasured")
+    return draw_x_run(x_branches(state, first, count), outcomes, rng)
 
 
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:

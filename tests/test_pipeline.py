@@ -57,6 +57,15 @@ def selective_layout(total_qubits: int, chain_starts, n: int, first_input=None) 
     return tokens
 
 
+def measure_chain_middles(state, chain, rng):
+    """Per-qubit route: measure a chain's middles in sigma_x one at a time."""
+    bits = []
+    for q in chain[1:-1]:
+        rec, state = sv.measure(state, q, basis="xi", xi=0.0, rng=rng)
+        bits.append(str(rec.outcome))
+    return "".join(bits), state
+
+
 def _dense_fusion_success_probability(state, theta):
     marg = sv.pair_marginals(state, _FUSION_CHAIN[0], _FUSION_CHAIN[-1])
     return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
@@ -80,7 +89,7 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
             stats.protocol_applications += len(pending)
             pr.entangle_chain(state, theta)
             for key, chain in list(pending.items()):
-                seq, state = gr._measure_chain_middles(state, chain, rng)
+                seq, state = measure_chain_middles(state, chain, rng)
                 if seq in pr.enumerate_success_sequences(3):
                     parities[key] = seq.count("1") & 1
                     sv.reset_qubits(state, _GUARD_A if key == 0 else _GUARD_B)
@@ -107,7 +116,7 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
             stats.time_steps += gr.STEPS_PROTOCOL_ROUND
             stats.protocol_applications += 1
             pr.entangle_chain(state, theta)
-            seq, state = gr._measure_chain_middles(state, _FUSION_CHAIN, rng)
+            seq, state = measure_chain_middles(state, _FUSION_CHAIN, rng)
             fusion_parity ^= seq.count("1") & 1
             if seq in pr.enumerate_success_sequences(3):
                 fused = True
@@ -128,15 +137,17 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
         return state, stats
 
 
-def fusion_success_probability_reference(block, theta):
-    """Slow route: re-initialize middles, re-entangle, enumerate branches.
+def fusion_success_probability_reference(ends, theta):
+    """Slow route: embed fresh middles, re-entangle, enumerate branches.
 
-    ``block`` is the 7-qubit fusion block (register qubits 0, 4, 5, 6, 7, 8,
-    12); the fusion chain is its positions 1-5, with middles 2-4.
+    ``ends`` holds register qubits (0, 4, 8, 12); they are re-embedded as
+    the 7-qubit fusion block (0, 4, 5, 6, 7, 8, 12), whose fusion chain is
+    positions 1-5, with middles 2-4.
     """
-    probe = block.copy()
+    probe = sv.PureState(
+        7, np.einsum("abcd,m->abmcd", ends.tensor(), sv.init_register(["+"] * 3).amps)
+    )
     mids = [2, 3, 4]
-    sv.reset_qubits(probe, {q: "+" for q in mids})
     for q in range(1, 5):
         sv.apply_controlled_phase(probe, q, q + 1, np.pi + theta, "CSX")
     for q in mids:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 
@@ -331,6 +332,147 @@ class TestMeasure:
             state = random_state(3, seed=5)
             outs.append([sv.measure(state, q, rng=rng)[0].outcome for q in range(3)])
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("basis", ["z", "xi"])
+    def test_unlikely_outcomes_keep_the_norm(self, basis):
+        # the kept half is rescaled by its own norm: a rare outcome must not
+        # amplify round-off, however many measure/reset rounds follow
+        state = random_state(5, seed=7)
+        sv.measure(state, 2, outcome=0)
+        pair = (math.sqrt(0.05), math.sqrt(0.95))
+        if basis == "xi":  # the same p0 in the sigma_x basis
+            pair = ((pair[0] + pair[1]) * INV_SQRT2, (pair[0] - pair[1]) * INV_SQRT2)
+        for _ in range(50):
+            sv.reset_qubits(state, {2: pair})
+            rec, _ = sv.measure(state, 2, basis, outcome=0)
+            assert rec.probability == pytest.approx(0.05, abs=1e-12)
+            assert abs(state.norm_squared() - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("basis", ["z", "xi"])
+    def test_drifted_input_rejected(self, basis):
+        state = random_state(5, seed=8)
+        state.amps *= 1.0 + 1e-6
+        with pytest.raises(sv.NormalizationError):
+            sv.measure(state, 1, basis, outcome=0)
+
+
+def per_qubit_x_run(state, first, count, outcomes=None, rng=None):
+    """Reference: measure the run in sigma_x one qubit at a time, then slice it away."""
+    bits, path = [], 1.0
+    for i, q in enumerate(range(first, first + count)):
+        forced = None if outcomes is None else outcomes[i]
+        rec, state = sv.measure(state, q, "xi", 0.0, outcome=forced, rng=rng)
+        bits.append(str(rec.outcome))
+        path *= rec.probability
+    rest = [q for q in range(state.num_qubits) if not first <= q < first + count]
+    return "".join(bits), path, sv.extract_qubits(state, rest)
+
+
+def every_run(num_qubits):
+    """Every (first, count) with count 1-4 that leaves a qubit unmeasured."""
+    return [
+        (first, count)
+        for count in range(1, 5)
+        for first in range(num_qubits - count + 1)
+        if count < num_qubits
+    ]
+
+
+class TestXRunKernel:
+    """One kernel call against the per-qubit measure loop it replaces."""
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_sampled_draws_match_per_qubit_loop(self, n):
+        for first, count in every_run(n):
+            for seed in range(4):
+                state = random_state(n, 100 * n + 10 * first + count + seed)
+                before = state.amps.copy()
+                rng = np.random.default_rng([n, first, count, seed])
+                seq, path, kept = sv.measure_x_run(state, first, count, rng=rng)
+                assert np.array_equal(state.amps, before)  # the input is not touched
+                ref_rng = np.random.default_rng([n, first, count, seed])
+                ref_seq, ref_path, ref_kept = per_qubit_x_run(state, first, count, rng=ref_rng)
+                assert seq == ref_seq, (first, count, seed)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
+                np.testing.assert_allclose(kept.amps, ref_kept.amps, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_every_forced_sequence_matches(self, n):
+        for first, count in every_run(n):
+            state = random_state(n, 10 * first + count)
+            total = 0.0
+            for m in range(1 << count):
+                seq = format(m, f"0{count}b")
+                got, path, kept = sv.measure_x_run(state, first, count, outcomes=seq)
+                ref_seq, ref_path, ref_kept = per_qubit_x_run(state.copy(), first, count, seq)
+                assert got == ref_seq == seq
+                assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
+                np.testing.assert_allclose(kept.amps, ref_kept.amps, rtol=0, atol=1e-12)
+                total += path
+            assert total == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_forced_outcomes_as_bits(self):
+        state = random_state(5, 3)
+        as_str = sv.measure_x_run(state, 1, 3, outcomes="101")
+        as_bits = sv.measure_x_run(state, 1, 3, outcomes=(1, 0, 1))
+        assert as_str[:2] == as_bits[:2]
+        assert np.array_equal(as_str[2].amps, as_bits[2].amps)
+
+    @pytest.mark.parametrize("seq", ["010", "110", "111"])
+    def test_zero_probability_forced_outcome_raises(self, seq):
+        # qubit 2 holds |+>, so its sigma_x outcome 1 is impossible
+        state = sv.init_register([(0.6, 0.8j), "-", "+", "0", "+"])
+        with pytest.raises(sv.ForcedOutcomeError):
+            sv.measure_x_run(state, 1, 3, outcomes=seq)
+        with pytest.raises(sv.ForcedOutcomeError):
+            per_qubit_x_run(state.copy(), 1, 3, seq)
+
+    @pytest.mark.parametrize("outcomes", ["01", "0101", "012", [0, 1, 2]])
+    def test_malformed_forced_outcomes_rejected(self, outcomes):
+        with pytest.raises(ValueError):
+            sv.measure_x_run(random_state(5, 4), 1, 3, outcomes=outcomes)
+
+    def test_needs_rng_or_outcomes(self):
+        with pytest.raises(ValueError):
+            sv.measure_x_run(random_state(5, 4), 1, 3)
+
+    @pytest.mark.parametrize("first, count", [(-1, 2), (4, 2), (0, 0), (3, 3)])
+    def test_run_out_of_range_rejected(self, first, count):
+        with pytest.raises(IndexError):
+            sv.x_branches(random_state(5, 5), first, count)
+
+    def test_whole_register_run_rejected(self):
+        with pytest.raises(ValueError):
+            sv.measure_x_run(random_state(5, 5), 0, 5, outcomes="00000")
+
+    @pytest.mark.parametrize("outcomes", [None, "011"])
+    def test_drifted_input_rejected(self, outcomes):
+        state = random_state(5, 6)
+        state.amps *= 1.0 + 1e-6
+        with pytest.raises(sv.NormalizationError):
+            sv.measure_x_run(state, 1, 3, outcomes, rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("count", [5, 9])
+    def test_long_runs_rotate_in_blocks(self, count):
+        # runs longer than one Walsh-Hadamard block equal per-qubit Hadamards
+        state = random_state(count + 2, 9)
+        expect = state.copy()
+        for q in range(1, count + 1):
+            sv.apply_gate(expect, q, "H")
+        np.testing.assert_allclose(
+            sv.x_branches(state, 1, count).reshape(-1), expect.amps, rtol=0, atol=1e-12
+        )
+
+    def test_fresh_chain_cache_is_bounded_and_read_only(self):
+        for theta in np.linspace(0.0, 3.0, 7):
+            branches = gr._fresh_chain_branches(theta)
+            info = gr._fresh_chain_branches.cache_info()
+            assert info.maxsize == 2 and info.currsize <= info.maxsize
+            chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
+            assert np.array_equal(branches, sv.x_branches(chain, 1, 3))
+        with pytest.raises(ValueError):
+            gr._fresh_chain_branches(1.0)[0, 0, 0] = 0.0
 
 
 class TestComparisons:
