@@ -139,26 +139,16 @@ class ClusterGraph:
         self.leaf_flags.discard(inheritor)
         self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))
 
-    def component(self, node: int) -> set[int]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            for nb in self._adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return seen
-
     def component_edges(self, node: int) -> int:
-        comp = self.component(node)
-        return sum(len(self._adj[v]) for v in comp) // 2
+        return self._sweep(node)[3] // 2
 
     def longest_segment_length(self) -> int:
         """Node count of the longest path with non-leaf interior vertices.
 
         Flagged leaves have degree 1 and therefore only ever sit at path
-        ends, so on a forest this is the largest tree diameter (double BFS).
-        A graph with a cycle raises ValueError: its longest path is a
+        ends, so on a forest this is the largest tree diameter (double BFS;
+        the first sweep also finds the component and counts its edges).  A
+        graph with a cycle raises ValueError: its longest path is a
         Hamiltonian-path search, exponential in the graph size.
         """
         best = 0
@@ -166,30 +156,35 @@ class ClusterGraph:
         for start in self._adj:
             if start in seen:
                 continue
-            comp = self.component(start)
+            far, _, comp, degrees = self._sweep(start)
             seen |= comp
-            if sum(len(self._adj[v]) for v in comp) // 2 >= len(comp):
+            if degrees // 2 >= len(comp):
                 raise ValueError("segment length is defined on forests only")
-            far, _ = self._bfs_far(start)
-            _, dist = self._bfs_far(far)
-            best = max(best, dist + 1)
+            best = max(best, self._sweep(far)[1] + 1)
         return best
 
-    def _bfs_far(self, start: int) -> tuple[int, int]:
-        from collections import deque
+    def _sweep(self, start: int) -> tuple[int, int, set[int], int]:
+        """Breadth-first sweep from ``start``, layer by layer.
 
-        dist = {start: 0}
-        queue = deque([start])
-        far, fd = start, 0
-        while queue:
-            v = queue.popleft()
-            for nb in self._adj[v]:
-                if nb not in dist:
-                    dist[nb] = dist[v] + 1
-                    if dist[nb] > fd:
-                        far, fd = nb, dist[nb]
-                    queue.append(nb)
-        return far, fd
+        Returns a farthest node (the last one reached), its distance, the
+        component of ``start`` and the component's degree sum.
+        """
+        seen = {start}
+        layer = [start]
+        depth = degrees = 0
+        while True:
+            nxt = []
+            for v in layer:
+                nbs = self._adj[v]
+                degrees += len(nbs)
+                for nb in nbs:
+                    if nb not in seen:
+                        seen.add(nb)
+                        nxt.append(nb)
+            if not nxt:
+                return layer[-1], depth, seen, degrees
+            layer = nxt
+            depth += 1
 
     def check_invariants(self):
         for node in self.leaf_flags:
@@ -397,31 +392,36 @@ def _row_length(row: _Row) -> int:
     return len(row.backbone) + sum(v in row.spares for v in ends)
 
 
-def _build_three_node_unit(stats: GrowthStats, p: float, rng) -> None:
-    """Account for preparing one growth unit: pair rounds plus pair fusions.
+def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) -> None:
+    """Account for preparing ``units`` growth units: pair rounds plus pair fusions.
 
     Each fusion cycle prepares two pairs in simultaneous rounds; a pair takes
     a Geometric(p) number of protocol applications, so the cycle takes the
     larger of two draws in rounds and their sum in applications, plus one
-    fusion attempt.  The unit takes a Geometric(p) number of cycles.
+    fusion attempt.  A unit takes a Geometric(p) number of cycles.  All
+    cycle counts are drawn in one call, then all pair draws in another; for
+    one unit that consumes the stream as a scalar cycle draw would.
     """
-    cycles = int(rng.geometric(p))
-    # a handful of draws: Python ints reduce faster than numpy calls
-    chains = rng.geometric(p, size=(cycles, 2)).tolist()
-    rounds = sum(map(max, chains))
+    cycles = sum(rng.geometric(p, size=units).tolist())
+    chains = rng.geometric(p, size=(cycles, 2))
+    if units == 1:  # a handful of draws: Python ints reduce faster than numpy calls
+        chains = chains.tolist()
+        rounds, draws = sum(map(max, chains)), sum(map(sum, chains))
+    else:
+        rounds, draws = int(chains.max(axis=1).sum()), int(chains.sum())
     stats.prep_rounds += rounds
     stats.pair_fusion_attempts += cycles
-    stats.protocol_applications += sum(map(sum, chains)) + cycles
+    stats.protocol_applications += draws + cycles
     stats.time_steps += STEPS_PROTOCOL_ROUND * (rounds + cycles)
-    stats.three_nodes_built += 1
+    stats.three_nodes_built += units
 
 
 def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng) -> bool:
-    """Prepare a fresh unit and attempt to fuse it onto the row's end.
+    """Attempt to fuse a fresh unit onto the row's end.
 
     Returns the fusion outcome; an emptied row restarts from the fresh unit.
+    The unit's preparation is charged by the caller.
     """
-    _build_three_node_unit(stats, p, rng)
     if not row.backbone:
         u, c, w, lf = three_node(graph)
         row.backbone = [u, c, w]
@@ -480,6 +480,7 @@ def _row_grow_to(graph, row, stats, p, rng, length, cap_check=None):
     while len(row.backbone) < length:
         if cap_check is not None:
             cap_check()
+        _build_three_node_unit(stats, p, rng)
         _row_attach(graph, row, stats, p, rng)
 
 
@@ -536,6 +537,11 @@ def grow_1d(
     which costs length only when the previous attempt also failed.  Stats
     carry both the raw application count and the accounting used by the
     closed-form model (preparation rounds and growth attempts).
+
+    The seed unit and one unit per attach are charged in one batched draw
+    after the loop.  This is exact: a unit's cost is independent of the
+    fusion outcomes and never changes the row, so drawing it later changes
+    the order in which the stream is consumed, not the stats' distribution.
     """
     if target_length < 3:
         raise ValueError("target_length must be >= 3")
@@ -543,7 +549,6 @@ def grow_1d(
     stats = GrowthStats()
     graph = ClusterGraph()
 
-    _build_three_node_unit(stats, p, rng)
     row = _fresh_unit_row(graph, cost.n)
     trace: list[tuple[bool, int]] = []
     length = _row_length(row)
@@ -552,6 +557,7 @@ def grow_1d(
         success = _row_attach(graph, row, stats, p, rng)
         length = _row_length(row)
         trace.append((success, length))
+    _build_three_node_unit(stats, p, rng, units=1 + len(trace))
 
     # non-overlapping attempt pairs anchored right after a success measure
     # exactly the quantity the closed-form length gain averages over; pairs
@@ -593,7 +599,7 @@ def mc_three_node_protocols(p: float, trials: int, seed: int) -> float:
     return float(np.mean(np.add.reduceat(rounds, bounds)))
 
 
-def mc_length_gain(p: float, trials: int, seed: int, n: int = 3) -> float:
+def mc_length_gain(p: float, trials: int, seed: int) -> float:
     """Two fusion attempts from a freshly buffered chain end, per trial.
 
     This is the experiment the closed-form gain averages over: a fresh unit

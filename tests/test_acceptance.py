@@ -102,8 +102,9 @@ def test_criterion_05_retry_dynamics():
     branch leaves a live Bell-form end pair, so retries keep succeeding), not
     to the published binomial expression, and for n = 3 the decay is set by
     that live channel rather than by sin^(2N)(theta/2).  The published values
-    are exact for n = 1 only.  Analysis in notes/decisions.md; the true n = 3
-    behavior is pinned green in test_teleport_retry.py.
+    are exact for n = 1 only.  Analysis in the docstring of
+    clusterforge.protocol.retry_probabilities; the true n = 3 behavior is
+    pinned green in test_teleport_retry.py.
     """
     failures = []
     for n in (1, 3):

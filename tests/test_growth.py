@@ -42,6 +42,37 @@ class TestClusterGraph:
         with pytest.raises(ValueError):
             graph.longest_segment_length()
 
+    def test_segment_length_on_random_forests(self):
+        # reference: the largest eccentricity over all nodes, one BFS each
+        def diameter_nodes(graph):
+            best = 0
+            for start in graph.nodes:
+                dist, layer = 0, {start}
+                seen = set(layer)
+                while layer:
+                    layer = {nb for v in layer for nb in graph.neighbors(v)} - seen
+                    seen |= layer
+                    dist += bool(layer)
+                best = max(best, dist + 1)
+            return best
+
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            graph = gr.ClusterGraph()
+            nodes = [graph.new_node() for _ in range(int(rng.integers(1, 30)))]
+            for i in range(1, len(nodes)):
+                if rng.random() < 0.8:  # else node i starts a new tree
+                    graph.add_edge(nodes[i], nodes[int(rng.integers(i))])
+            assert graph.longest_segment_length() == diameter_nodes(graph)
+            if graph.edge_count() < len(nodes) - 1:
+                continue
+            # a cycle in a later component still raises
+            extra = [graph.new_node() for _ in range(3)]
+            for a, b in zip(extra, extra[1:] + extra[:1]):
+                graph.add_edge(a, b)
+            with pytest.raises(ValueError):
+                graph.longest_segment_length()
+
     def test_self_edge_rejected(self):
         graph, nodes = path_graph(2)
         with pytest.raises(ValueError):
@@ -521,6 +552,27 @@ class TestGrow1D:
             assert graph.longest_segment_length() == expected
 
 
+    def test_one_unit_charged_per_attach(self, monkeypatch):
+        # the batched charge after the loop covers the seed unit and every
+        # attach; each unit cycle and growth attempt is one five-step round
+        attach = gr._row_attach
+        calls = []
+
+        def counting_attach(*args):
+            calls.append(1)
+            return attach(*args)
+
+        monkeypatch.setattr(gr, "_row_attach", counting_attach)
+        for i in range(20):
+            calls.clear()
+            _, stats = gr.grow_1d(200, gr.CostModel(P3), np.random.default_rng([23, i]))
+            assert stats.three_nodes_built == 1 + len(calls)
+            assert stats.time_steps == gr.STEPS_PROTOCOL_ROUND * (
+                stats.prep_rounds + stats.pair_fusion_attempts + stats.growth_attempts
+            )
+            assert stats.final_length >= 200
+
+
 class TestRowInvariant:
     """What every attach leaves behind, in 1D and in 2D growth.
 
@@ -676,6 +728,48 @@ class TestMonteCarloCrossChecks:
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+    def test_batched_unit_accounting_means(self):
+        # one call for every unit meets the per-unit means above
+        units = 50_000
+        for p in (0.2, 0.5):
+            stats = gr.GrowthStats()
+            gr._build_three_node_unit(stats, p, np.random.default_rng([31, round(10 * p)]), units)
+            assert stats.three_nodes_built == units
+            assert stats.prep_rounds / units == pytest.approx(
+                gr.expected_three_node_protocols(p), rel=0.02
+            )
+            assert stats.pair_fusion_attempts / units == pytest.approx(1 / p, rel=0.02)
+            assert stats.protocol_applications / units == pytest.approx(
+                (2 / p + 1) / p, rel=0.02
+            )
+            assert stats.time_steps == gr.STEPS_PROTOCOL_ROUND * (
+                stats.prep_rounds + stats.pair_fusion_attempts
+            )
+
+    def test_batched_unit_accounting_matches_python_reference(self):
+        # reference: every unit's cycle count first, then every cycle's two
+        # pair draws, one scalar draw at a time
+        def reference_units(stats, p, rng, units):
+            cycles = [int(rng.geometric(p)) for _ in range(units)]
+            for _ in range(sum(cycles)):
+                a, b = int(rng.geometric(p)), int(rng.geometric(p))
+                stats.prep_rounds += max(a, b)
+                stats.protocol_applications += a + b + 1
+                stats.time_steps += gr.STEPS_PROTOCOL_ROUND * (max(a, b) + 1)
+            stats.pair_fusion_attempts += sum(cycles)
+            stats.three_nodes_built += units
+
+        for p in (0.2, 0.358, 1.0):
+            for units in (1, 2, 7, 500):
+                got, want = gr.GrowthStats(), gr.GrowthStats()
+                rng = np.random.default_rng([41, round(1000 * p), units])
+                rng_ref = np.random.default_rng([41, round(1000 * p), units])
+                gr._build_three_node_unit(got, p, rng, units)
+                reference_units(want, p, rng_ref, units)
+                assert got == want
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestGrow2D:
     def test_minimal_grid_deterministic_limit(self):
         graph, stats = gr.grow_2d(2, 3, 0.0, np.random.default_rng(1), success_probability=1.0)
@@ -706,6 +800,22 @@ class TestGrow2D:
         for i in range(25):
             graph, _ = gr.grow_2d(3, 3, 0.3, np.random.default_rng([11, i]))
             assert len(graph.nodes) == 9 and graph.edge_count() == 12
+
+    def test_seeded_stream_pinned(self):
+        # 2D charges each unit just before its attach; these counts pin the
+        # order in which a seeded build consumes its stream
+        _, stats = gr.grow_2d(3, 3, 0.3, np.random.default_rng(2))
+        assert stats == gr.GrowthStats(
+            protocol_applications=4000, time_steps=15079, final_length=9,
+            physical_qubits_used=2076, prep_rounds=2231, pair_fusion_attempts=566,
+            growth_attempts=198, three_nodes_built=202, restarts=0,
+        )
+        _, stats = gr.grow_2d(4, 3, 0.3, np.random.default_rng([22, 0]))
+        assert stats == gr.GrowthStats(
+            protocol_applications=28203, time_steps=106879, final_length=16,
+            physical_qubits_used=3664, prep_rounds=15816, pair_fusion_attempts=4035,
+            growth_attempts=1420, three_nodes_built=1458, restarts=3,
+        )
 
     def test_deterministic_given_seed(self):
         runs = [gr.grow_2d(3, 3, 0.3, np.random.default_rng(77)) for _ in range(2)]
