@@ -398,16 +398,18 @@ def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) ->
     Each fusion cycle prepares two pairs in simultaneous rounds; a pair takes
     a Geometric(p) number of protocol applications, so the cycle takes the
     larger of two draws in rounds and their sum in applications, plus one
-    fusion attempt.  A unit takes a Geometric(p) number of cycles.  All
-    cycle counts are drawn in one call, then all pair draws in another; for
-    one unit that consumes the stream as a scalar cycle draw would.
+    fusion attempt.  A unit takes a Geometric(p) number of cycles.  A batch
+    draws all its units' cycle counts in one call, then all their pairs in
+    another: the distribution of one call per unit, drawn from the stream
+    in another order.
     """
-    cycles = sum(rng.geometric(p, size=units).tolist())
-    chains = rng.geometric(p, size=(cycles, 2))
     if units == 1:  # a handful of draws: Python ints reduce faster than numpy calls
-        chains = chains.tolist()
+        cycles = int(rng.geometric(p))
+        chains = rng.geometric(p, size=(cycles, 2)).tolist()
         rounds, draws = sum(map(max, chains)), sum(map(sum, chains))
     else:
+        cycles = int(rng.geometric(p, size=units).sum())
+        chains = rng.geometric(p, size=(cycles, 2))
         rounds, draws = int(chains.max(axis=1).sum()), int(chains.sum())
     stats.prep_rounds += rounds
     stats.pair_fusion_attempts += cycles
