@@ -157,18 +157,21 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
     if mode == "1d":
         t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length; rejects no growth
         cost = gr.CostModel(p, ell, config.n)
-        totals = {"apps": 0, "prep": 0, "growth": 0, "units": 0, "len": 0, "gain_sum": 0.0, "gain_pairs": 0}
+        totals = {"apps": 0, "prep": 0, "cycles": 0, "growth": 0, "units": 0, "len": 0,
+                  "gain_sum": 0.0, "gain_pairs": 0}
         for i in range(config.trials):
             rng = np.random.default_rng([config.seed, 10, i])
             _, st = gr.grow_1d(target_length, cost, rng)
             totals["apps"] += st.protocol_applications
             totals["prep"] += st.prep_rounds
+            totals["cycles"] += st.pair_fusion_attempts
             totals["growth"] += st.growth_attempts
             totals["units"] += st.three_nodes_built
             totals["len"] += st.final_length
             totals["gain_sum"] += st.paired_gain_sum
             totals["gain_pairs"] += st.paired_gain_pairs
-        s_a_mc = gr.mc_pair_prep_attempts(p, config.trials, config.seed)
+        # a fusion cycle's rounds are the larger of its two pairs' Geometric(p) draws
+        s_a_mc = totals["prep"] / totals["cycles"]
         s_b_mc = totals["prep"] / totals["units"]
         gain_mc = totals["gain_sum"] / totals["gain_pairs"]
         per_len_model_mc = (s_b_mc + 1.0) / gain_mc
@@ -232,11 +235,12 @@ def cmd_pipeline13(config: RunConfig, retry_cap: int) -> int:
     """Run the 13-qubit demonstration pipeline and report fidelities."""
     rows = []
     worst = 1.0
+    target = gr.three_node_target()
     for i in range(config.trials):
         rng = np.random.default_rng([config.seed, 30, i])
         state, st = gr.run_thirteen_qubit_pipeline(config.theta, rng, retry_cap=retry_cap)
         reduced = sv.extract_qubits(state, [0, 4, 8, 12])
-        fid = sv.fidelity_up_to_global_phase(reduced, gr.three_node_target())
+        fid = sv.fidelity_up_to_global_phase(reduced, target)
         worst = min(worst, fid)
         rows.append(
             {

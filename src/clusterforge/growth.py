@@ -49,6 +49,7 @@ import functools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -651,10 +652,8 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
 
 # Chain A sits on qubits 0-4 and chain B on 8-12.  The fusion middles 5-7
 # hold the guard bits |100> until stage 3, and a distilled chain's middles
-# hold them from then on.  Stage 3 keeps the ends (0, 4, 8, 12) between
-# attempts; an attempt runs on the block of register qubits (0, 4, 5, 6, 7,
-# 8, 12), whose middles 5-7 are its positions 2-4.
-_PLUS_MIDDLES = np.full((1, 8, 1), 8.0 ** -0.5)
+# hold them from then on.  Stage 3 keeps only the ends (0, 4, 8, 12), whose
+# positions 1 and 2 are the fusion chain's tip and tail.
 
 
 def graph_state_target(num_qubits: int, edges) -> PureState:
@@ -693,23 +692,102 @@ def _fresh_chain_branches(theta: float) -> np.ndarray:
     return branches
 
 
-def _entangle_fusion_block(block: PureState, theta: float) -> PureState:
-    """The register-wide entangler on the 7-qubit fusion block, in place.
+class _ChainTable(NamedTuple):
+    """What a stage-1 attempt on a fresh chain draws from, at one theta."""
 
-    Only the register pairs (4, 5) ... (7, 8), block positions (1, 2) ...
-    (4, 5), are neighbours; the block's (0, 4) and (8, 12) pairs are not and
-    get no phase.  It is one multiply by the 5-qubit chain phases that
-    stage 1 also uses.
+    weights: tuple   # sigma_x outcome weights of the middles, norm-checked once
+    pairs: tuple     # per outcome: the kept end pair, read-only; None at weight 0
+    z_draws: tuple   # per failing outcome: the Z draws of both ends (_z_draw_tree)
+
+
+def _z_draw_tree(pair: PureState, qubits) -> tuple:
+    """``measure``'s Z draws on ``qubits`` of ``pair``, in order, as a tree.
+
+    A node is ``(p0, children)``: the p0 that measure draws the next qubit
+    against and, per outcome, the node of the remaining qubits, ``()`` after
+    the last one, or None where measure raises ForcedOutcomeError.
     """
-    view = block.amps.reshape(2, 32, 2)
-    view *= sv.chain_phases(5, math.pi + theta, "CSX")[:, None]
-    return block
+    if not qubits:
+        return ()
+    p0, children = None, []
+    for bit in (0, 1):
+        try:
+            rec, post = measure(pair.copy(), qubits[0], basis="z", outcome=bit)
+        except sv.ForcedOutcomeError:
+            children.append(None)
+            continue
+        p0 = 1.0 - rec.probability if bit else rec.probability
+        children.append(_z_draw_tree(post, qubits[1:]))
+    return p0, tuple(children)
 
 
-def _fusion_block(ends: PureState, theta: float) -> PureState:
-    """The entangled 7-qubit fusion block: ends (0, 4, 8, 12) with fresh |+++> middles."""
-    amps = ends.amps.reshape(4, 1, 4) * _PLUS_MIDDLES
-    return _entangle_fusion_block(PureState(7, amps), theta)
+def _draw_z_tree(tree: tuple, rng: np.random.Generator) -> tuple:
+    """Draw the measurements of a ``_z_draw_tree`` with measure's rule
+    ``int(u >= p0)``; returns their outcome bits."""
+    bits = []
+    while tree:
+        p0, children = tree
+        bits.append(int(rng.random() >= p0))
+        tree = children[bits[-1]]
+        if tree is None:
+            raise sv.ForcedOutcomeError(
+                f"Z outcome {bits[-1]} on a failed chain's end has probability at most {sv.PROB_TOL}"
+            )
+    return tuple(bits)
+
+
+@functools.lru_cache(maxsize=2)  # like _fresh_chain_branches: one entry per theta in use
+def _chain_table(theta: float) -> _ChainTable:
+    """Stage 1's draw table: ``sv.draw_x_run``'s weights and kept pairs on
+    ``_fresh_chain_branches``, with each failing pair's ``_z_draw_tree``."""
+    branches = _fresh_chain_branches(theta)
+    weights = sv.x_weights(branches)
+    sv._check_norm_squared(sum(weights), branches.size)
+    success = pr.enumerate_success_sequences(3)
+    pairs, z_draws = [], []
+    for m, w in enumerate(weights):
+        pair = tree = None
+        if w > 0.0:  # a weight-0 outcome is never drawn: draw_outcome raises first
+            pair = branches[:, m, :].reshape(-1) / math.sqrt(w)
+            pair.flags.writeable = False
+            if format(m, "03b") not in success:
+                tree = _z_draw_tree(PureState(2, pair.copy()), (0, 1))
+        pairs.append(pair)
+        z_draws.append(tree)
+    return _ChainTable(tuple(weights), tuple(pairs), tuple(z_draws))
+
+
+@functools.lru_cache(maxsize=2)  # like _fresh_chain_branches: one entry per theta in use
+def _fusion_maps(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only diagonal maps of the fusion outcomes on the chain-end pair.
+
+    Row m of the first is ``g[m] / 8`` from ``pr._retry_branch_maps(3,
+    theta)``, over the pair's basis states ``2 b + c``: outcome m scales the
+    ends' amplitudes with tip b and tail c by it.  Row m of the second is its
+    ``|.|^2`` (``|g[m]|^2 / 64``), so the outcome weights are that matrix
+    times the pair's Born marginals.
+    """
+    maps = pr._retry_branch_maps(3, theta).reshape(8, 4) / 8.0
+    weights = np.abs(maps) ** 2
+    for table in (maps, weights):
+        table.flags.writeable = False
+    return maps, weights
+
+
+def _fusion_attempt(ends: PureState, theta: float, outcomes=None, rng=None) -> str:
+    """One stage-3 attempt on the ends (0, 4, 8, 12), in place.
+
+    Draws (or forces) the outcome bits of the fusion middles 5-7 with
+    ``sv.draw_outcome`` on the weights of ``_fusion_maps`` and leaves the
+    ends as the kept branch, rescaled by its own norm.  Returns the bits.
+    """
+    maps, map_weights = _fusion_maps(theta)
+    weights = (map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)).tolist()
+    sv._check_norm_squared(sum(weights), ends.amps.size)
+    m, _ = sv.draw_outcome(weights, outcomes, rng)
+    tip_tail = ends.amps.reshape(2, 4, 2)  # axis 1: tip 4 and tail 8, as 2 b + c
+    tip_tail *= (maps[m] / math.sqrt(weights[m]))[:, None]
+    return format(m, "03b")
 
 
 def _fusion_success_probability(ends: PureState, theta: float) -> float:
@@ -721,13 +799,14 @@ def _fusion_success_probability(ends: PureState, theta: float) -> float:
     Summed over the success sequences, the weight is 0 on |01> and |10>,
     where success is impossible, and equal on |00> and |11>; a |+>|+> pair
     (each marginal 1/4) succeeds with p = success_probability_closed(3,
-    theta), so that weight is 2p and the probability is 2p (P00 + P11).
+    theta), so that weight is 2p and the probability is 2p (P00 + P11),
+    P00 + P11 being the norm^2 of the ends' |00> and |11> tip-tail part.
     test_success_weights_closed_form pins the weights;
     test_pipeline_fast_probability checks the result against the slow
     re-entangle-and-enumerate route.
     """
-    marg = sv.pair_marginals(ends, 1, 2)
-    return 2.0 * pr.success_probability_closed(3, theta) * float(marg[0, 0] + marg[1, 1])
+    equal = ends.amps.reshape(2, 4, 2)[:, ::3].ravel()  # tip-tail |00> and |11>
+    return 2.0 * pr.success_probability_closed(3, theta) * float(np.vdot(equal, equal).real)
 
 
 def run_thirteen_qubit_pipeline(
@@ -747,29 +826,39 @@ def run_thirteen_qubit_pipeline(
     local corrections applied (leaf 8 still attached) and the run statistics.
 
     Each stage runs on the qubits live in it: stage 1 on the 5-qubit chains
-    0-4 and 8-12, stage 3 on the 7-qubit block (0, 4, 5, 6, 7, 8, 12), whose
-    three middles one ``sv.measure_x_run`` call measures and whose ends (0,
-    4, 8, 12) are all that is kept between attempts.  The 13-qubit state is
-    assembled once, at the end, with the last fusion record on 5-7.  This is
-    exact because whenever the register-wide entangler runs, guard triples
-    holding |100> (5-7 in stage 1, a distilled chain's middles 1-3 or 9-11)
-    separate the live qubits, and a CSX pair picks up its phase only on |10>:
-    a pair whose right qubit is a |1> guard never does, the guard pair (|1>,
-    |0>) always does, which is only a global phase, and a pair whose left
-    qubit is a |0> guard never does.  So each round acts on the live qubits
-    alone, and the register stays their product with the guards.
+    0-4 and 8-12, stage 3 on the ends (0, 4, 8, 12) alone.  The 13-qubit
+    state is assembled once, at the end, with the last fusion record on 5-7.
+    This is exact because whenever the register-wide entangler runs, guard
+    triples holding |100> (5-7 in stage 1, a distilled chain's middles 1-3 or
+    9-11) separate the live qubits, and a CSX pair picks up its phase only on
+    |10>: a pair whose right qubit is a |1> guard never does, the guard pair
+    (|1>, |0>) always does, which is only a global phase, and a pair whose
+    left qubit is a |0> guard never does.  So each round acts on the live
+    qubits alone, and the register stays their product with the guards.
 
-    Stage 1 computes the sigma_x branches of a chain's middles once per
-    theta (``_fresh_chain_branches``) and reuses them for every attempt.
-    This is exact because every attempt starts from the same state: ``|+>^5``
-    entangled at the same theta, a failed chain keeping nothing (its ends are
-    measured out and it is rebuilt fresh).  An attempt is ``sv.draw_x_run``'s
-    draws on those branches, with the kept column as the end pair, in the
-    same chain-by-chain order of draws.
+    Both stages draw from per-theta tables, with the draws of measuring the
+    middles one at a time (``sv.draw_outcome``: one ``rng.random()`` per
+    outcome bit, left to right).
+
+    * Stage 1: every attempt starts from the same state, ``|+>^5`` entangled
+      at the same theta, since a failed chain keeps nothing (its ends are
+      measured out and it is rebuilt fresh).  ``_chain_table`` holds the
+      outcome weights of the middles, the end pair each outcome keeps and,
+      for a failing outcome, ``measure``'s Z draws of the two ends.  An
+      attempt is three draws, plus two on a failure, in the same
+      chain-by-chain order.
+    * Stage 3: on a graph state, X-measured middles leave the chain ends
+      (tip 4, tail 8) with a diagonal map per outcome (Hein, Eisert &
+      Briegel, quant-ph/0307130), which ``_fusion_maps`` reads off
+      ``pr._retry_branch_maps``.  An attempt's outcome weights are those
+      maps' ``|.|^2`` against the Born marginals of the tip-tail pair; the
+      drawn map, rescaled by its weight, updates the ends in place.  No
+      middle qubit is built.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    fresh = _fresh_chain_branches(theta)
+    success = pr.enumerate_success_sequences(3)
+    chains = _chain_table(theta)
 
     while True:
         if stats.protocol_applications >= retry_cap:
@@ -782,15 +871,15 @@ def run_thirteen_qubit_pipeline(
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += len(pending)
             for key in list(pending):
-                seq, _, pair = sv.draw_x_run(fresh, rng=rng)
-                if seq in pr.enumerate_success_sequences(3):
+                m, _ = sv.draw_outcome(chains.weights, rng=rng)
+                seq = format(m, "03b")
+                if seq in success:
                     parities[key] = seq.count("1") & 1
-                    pairs[key] = pair
+                    pairs[key] = PureState(2, chains.pairs[m].copy())  # stage 2 edits it
                     pending.remove(key)
                 else:
                     # measure the ends out; the next attempt starts from a fresh chain
-                    for q in (0, 1):
-                        measure(pair, q, basis="z", rng=rng)
+                    _draw_z_tree(chains.z_draws[m], rng)
         if pending:
             raise RetryLimitError("pipeline retry cap exhausted")
 
@@ -807,9 +896,9 @@ def run_thirteen_qubit_pipeline(
         while stats.protocol_applications < retry_cap:
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += 1
-            seq, _, ends = sv.measure_x_run(_fusion_block(ends, theta), 2, 3, rng=rng)
+            seq = _fusion_attempt(ends, theta, rng=rng)
             fusion_parity ^= seq.count("1") & 1
-            if seq in pr.enumerate_success_sequences(3):
+            if seq in success:
                 fused = True
                 break
             if _fusion_success_probability(ends, theta) < 1e-9:

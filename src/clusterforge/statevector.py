@@ -27,12 +27,15 @@ A run of adjacent qubits is measured in sigma_x by one kernel.
 :func:`x_branches` rotates the run into the sigma_x basis with cached
 Walsh-Hadamard matrices (one matmul per four qubits), giving every outcome
 branch at once as a ``(2^first, 2^count, rest)`` array; :func:`draw_x_run`
-reads the joint outcome probabilities off its columns, draws the outcomes
-left to right against the conditional p0 of each prefix (one
-``rng.random()`` each, the rule of :func:`measure`) and returns the kept
-column, the unmeasured qubits, rescaled by its own norm.  Its draws and
-outcomes are those of a per-qubit :func:`measure` loop.  One thread touches
-a state; parallelism belongs to the trial level above this module.
+reads the joint outcome weights off its columns (:func:`x_weights`) and
+returns the kept column, the unmeasured qubits, rescaled by its own norm.
+The draw itself is :func:`draw_outcome`, on any list of joint outcome
+weights: it draws the outcome bits left to right against the conditional
+p0 of each prefix (one ``rng.random()`` each, the rule of :func:`measure`),
+so its draws and outcomes are those of a per-qubit :func:`measure` loop.
+Callers that know the weights another way (the pipeline's per-theta tables
+in ``growth``) draw with it too.  One thread touches a state; parallelism
+belongs to the trial level above this module.
 """
 
 from __future__ import annotations
@@ -343,6 +346,54 @@ def x_branches(state: PureState, first: int, count: int) -> np.ndarray:
     return out.reshape(1 << first, 1 << count, -1)
 
 
+def x_weights(branches: np.ndarray) -> list:
+    """The outcome weights of :func:`x_branches`: its column norms^2, as floats."""
+    flat = branches.view(float)
+    return np.einsum("imj,imj->m", flat, flat).tolist()
+
+
+def draw_outcome(
+    weights: list, outcomes=None, rng: np.random.Generator | None = None
+) -> tuple[int, float]:
+    """Draw one of ``2^count`` joint outcomes bit by bit from their weights.
+
+    ``weights[m]`` is the weight of outcome sequence m, its first bit the most
+    significant.  The bits are drawn left to right, one ``rng.random()`` each,
+    against the conditional p0 of the prefix drawn so far, with
+    :func:`measure`'s rule ``bit = int(u >= p0)``; ``outcomes`` forces them
+    instead (a bit string or a sequence of bits).  A bit of probability at
+    most ``PROB_TOL`` raises :class:`ForcedOutcomeError`.  The caller checks
+    the weights' norm.  Returns the outcome index m and the path probability
+    (the product of the conditional probabilities).
+    """
+    width = len(weights)
+    count = width.bit_length() - 1
+    if outcomes is not None:
+        outcomes = [int(b) for b in outcomes]
+        if len(outcomes) != count or set(outcomes) - {0, 1}:
+            raise ValueError(f"forced outcomes must be {count} bits")
+    elif rng is None:
+        raise ValueError("drawing outcomes needs either forced outcomes or an rng")
+    lo, hi = 0, width
+    path = 1.0
+    for i in range(count):
+        mid = (lo + hi) >> 1
+        w1 = sum(weights[mid:hi])
+        p1 = w1 / (sum(weights[lo:mid]) + w1)
+        p0 = 1.0 - p1
+        bit = rng.random() >= p0 if outcomes is None else outcomes[i]
+        if bit:
+            lo, prob = mid, p1
+        else:
+            hi, prob = mid, p0
+        if prob <= PROB_TOL:
+            raise ForcedOutcomeError(
+                f"outcome {int(bit)} at position {i} of the run has probability {prob:.3e}"
+            )
+        path *= prob
+    return lo, path
+
+
 def draw_x_run(
     branches: np.ndarray,
     outcomes=None,
@@ -350,44 +401,17 @@ def draw_x_run(
 ) -> tuple[str, float, PureState]:
     """Measure a run of qubits in sigma_x, given its :func:`x_branches`.
 
-    The outcomes are drawn left to right, one ``rng.random()`` each, against
-    the conditional p0 of the prefix drawn so far, with :func:`measure`'s
-    rule ``outcome = int(u >= p0)``; ``outcomes`` forces them instead (a bit
-    string or a sequence of bits).  An outcome of probability at most
-    ``PROB_TOL`` raises :class:`ForcedOutcomeError`.  The probabilities sum
-    to the input's norm^2, which must lie within the tolerance of
-    :func:`measure`'s norm check.  Returns the outcome bits, the path
-    probability (the product of the conditional probabilities) and the kept
-    column: the unmeasured qubits, rescaled by their own norm.
+    The outcomes are drawn, or forced by ``outcomes``, by :func:`draw_outcome`
+    on the branches' column norms^2.  Those sum to the input's norm^2, which
+    must lie within the tolerance of :func:`measure`'s norm check.  Returns
+    the outcome bits, the path probability and the kept column: the
+    unmeasured qubits, rescaled by their own norm.
     """
-    width = branches.shape[1]
-    count = width.bit_length() - 1
-    if outcomes is not None:
-        outcomes = [int(b) for b in outcomes]
-        if len(outcomes) != count or set(outcomes) - {0, 1}:
-            raise ValueError(f"forced outcomes must be {count} bits")
-    elif rng is None:
-        raise ValueError("draw_x_run needs either forced outcomes or an rng")
-    flat = branches.view(float)
-    weights = np.einsum("imj,imj->m", flat, flat).tolist()
+    weights = x_weights(branches)
     _check_norm_squared(sum(weights), branches.size)
-    lo, hi = 0, width
-    path = 1.0
-    for i in range(count):
-        mid = (lo + hi) >> 1
-        w0, w1 = sum(weights[lo:mid]), sum(weights[mid:hi])
-        p1 = w1 / (w0 + w1)
-        p0 = 1.0 - p1
-        bit = int(rng.random() >= p0) if outcomes is None else outcomes[i]
-        prob = (p0, p1)[bit]
-        if prob <= PROB_TOL:
-            raise ForcedOutcomeError(
-                f"outcome {bit} at position {i} of the run has probability {prob:.3e}"
-            )
-        path *= prob
-        lo, hi = (mid, hi) if bit else (lo, mid)
-    kept = branches[:, lo, :] / math.sqrt(weights[lo])
-    seq = format(lo, f"0{count}b")
+    index, path = draw_outcome(weights, outcomes, rng)
+    kept = branches[:, index, :] / math.sqrt(weights[index])
+    seq = format(index, f"0{len(weights).bit_length() - 1}b")
     return seq, path, PureState(kept.size.bit_length() - 1, kept)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clusterforge import cli
@@ -85,6 +86,25 @@ class TestGrowCommand:
             record["protocols_per_length_mc"]
         )
 
+    def test_1d_s_a_from_the_runs_rounds(self):
+        # s_a_mc is the growth runs' own mean rounds per fusion cycle: tens of
+        # thousands of cycles here, against the formula's 3.88
+        args = ["grow", "--mode", "1d", "--target-length", "200", "--trials", "20", "--seed", "2"]
+        code, out = run_cli(args)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        record = dict(zip(header.split(","), row.split(",")))
+        p = float(record["p"])
+        stats = [
+            gr.grow_1d(200, gr.CostModel(p, 3, 3), np.random.default_rng([2, 10, i]))[1]
+            for i in range(20)
+        ]
+        rounds = sum(st.prep_rounds for st in stats)
+        cycles = sum(st.pair_fusion_attempts for st in stats)
+        assert cycles > 10_000
+        assert record["s_a_mc"] == cli._fmt(rounds / cycles)
+        assert float(record["s_a_mc"]) == pytest.approx(float(record["s_a_formula"]), abs=0.05)
+
     def test_1d_without_net_growth_exits_2(self):
         # n = 3 at theta = 1.6 has a negative closed-form length gain, so a
         # growth run would never reach its target
@@ -126,6 +146,29 @@ class TestPipelineCommand:
         assert code == 0
         header, row = out.strip().split("\n")
         assert float(dict(zip(header.split(","), row.split(",")))["fidelity"]) >= 1 - 1e-9
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["--theta", "1.0", "--trials", "4", "--seed", "1"],
+                "3,1,1,4,0,1,51,225,1\n3,1,1,4,1,1,23,80,0\n"
+                "3,1,1,4,2,1,29,85,0\n3,1,1,4,3,1,8,35,0\n",
+            ),
+            (
+                ["--theta", "2.5", "--trials", "4", "--seed", "1"],
+                "3,2.5,1,4,0,1,404,1400,0\n3,2.5,1,4,1,1,2263,10785,1\n"
+                "3,2.5,1,4,2,1,770,2655,0\n3,2.5,1,4,3,1,918,3975,0\n",
+            ),
+        ],
+    )
+    def test_seeded_stdout_pinned(self, args, expected):
+        # the exact bytes of seeded runs: a change to how the pipeline draws
+        # from the generator shows here and must be declared as a stream change
+        code, out = run_cli(["pipeline13", *args])
+        assert code == 0
+        header = "n,theta,seed,trials,trial,fidelity,protocol_applications,time_steps,restarts\n"
+        assert out == header + expected
 
     def test_max_qubits_does_not_leak(self):
         cap = sv.MAX_QUBITS

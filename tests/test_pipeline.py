@@ -1,6 +1,7 @@
 """Thirteen-qubit selective-entanglement pipeline."""
 
 import contextlib
+import math
 import time
 
 import numpy as np
@@ -135,6 +136,37 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
         sv.apply_gate(state, 8, "H")
         stats.final_length = 3
         return state, stats
+
+
+# ---------------------------------------------------------------------------
+# Block route: one stage-3 attempt on the 7-qubit fusion block (0, 4, 5, 6, 7,
+# 8, 12), whose middles 5-7 are its positions 2-4
+
+_PLUS_MIDDLES = np.full((1, 8, 1), 8.0 ** -0.5)
+
+
+def entangle_fusion_block(block, theta):
+    """The register-wide entangler on the 7-qubit fusion block, in place.
+
+    Only the register pairs (4, 5) ... (7, 8), block positions (1, 2) ...
+    (4, 5), are neighbours; the block's (0, 4) and (8, 12) pairs are not and
+    get no phase.  It is one multiply by the 5-qubit chain phases that
+    stage 1 also uses.
+    """
+    view = block.amps.reshape(2, 32, 2)
+    view *= sv.chain_phases(5, math.pi + theta, "CSX")[:, None]
+    return block
+
+
+def fusion_block(ends, theta):
+    """The entangled 7-qubit fusion block: ends (0, 4, 8, 12) with fresh |+++> middles."""
+    amps = ends.amps.reshape(4, 1, 4) * _PLUS_MIDDLES
+    return entangle_fusion_block(sv.PureState(7, amps), theta)
+
+
+def random_ends(rng):
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    return sv.PureState(4, amps / np.linalg.norm(amps))
 
 
 def fusion_success_probability_reference(ends, theta):
@@ -278,6 +310,103 @@ def test_fusion_block_entangler(theta):
     for q in range(1, 5):
         sv.apply_controlled_phase(expected, q, q + 1, np.pi + theta, "CSX")
     every_pair = pr.entangle_chain(state.copy(), theta)
-    gr._entangle_fusion_block(state, theta)
+    entangle_fusion_block(state, theta)
     np.testing.assert_allclose(state.amps, expected.amps, rtol=0, atol=1e-12)
     assert not np.allclose(every_pair.amps, expected.amps, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.8])
+def test_fusion_maps_match_block_route(theta):
+    """The cached diagonal maps give the block's outcome weights and kept ends.
+
+    For every outcome sequence of the middles, forced, and for drawn ones,
+    which must also consume the same draws.
+    """
+    rng = np.random.default_rng(11)
+    maps, map_weights = gr._fusion_maps(theta)
+    for _ in range(8):
+        ends = random_ends(rng)
+        branches = sv.x_branches(fusion_block(ends, theta), 2, 3)
+        weights = map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)
+        np.testing.assert_allclose(weights, sv.x_weights(branches), rtol=0, atol=1e-12)
+        for m in range(8):
+            seq = format(m, "03b")
+            kept = ends.copy()
+            assert gr._fusion_attempt(kept, theta, outcomes=seq) == seq
+            _, _, expected = sv.draw_x_run(branches, seq)
+            np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
+        for seed in range(8):
+            fast_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            kept = ends.copy()
+            seq = gr._fusion_attempt(kept, theta, rng=fast_rng)
+            expected_seq, _, expected = sv.draw_x_run(branches, rng=block_rng)
+            assert seq == expected_seq
+            assert fast_rng.bit_generator.state == block_rng.bit_generator.state
+            np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
+
+
+def test_fusion_attempt_checks_the_norm():
+    ends = random_ends(np.random.default_rng(3))
+    ends.amps *= 1.0 + 1e-6
+    with pytest.raises(sv.NormalizationError):
+        gr._fusion_attempt(ends, 1.0, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.8])
+def test_chain_table_replays_draw_x_run(theta):
+    """A stage-1 attempt from the table draws as ``sv.draw_x_run`` on the fresh
+    chain's branches, plus ``sv.measure`` Z draws of a failed pair's ends."""
+    table = gr._chain_table(theta)
+    fresh = gr._fresh_chain_branches(theta)
+    success = pr.enumerate_success_sequences(3)
+    failures = 0
+    for seed in range(200):
+        fast_rng, ref_rng = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
+        for _ in range(4):
+            m, _ = sv.draw_outcome(table.weights, rng=fast_rng)
+            seq, _, pair = sv.draw_x_run(fresh, rng=ref_rng)
+            assert format(m, "03b") == seq
+            if seq in success:
+                assert table.z_draws[m] is None
+                assert np.array_equal(table.pairs[m], pair.amps)
+            else:
+                failures += 1
+                bits = gr._draw_z_tree(table.z_draws[m], fast_rng)
+                assert bits == tuple(sv.measure(pair, q, "z", rng=ref_rng)[0].outcome for q in (0, 1))
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert failures > 100
+
+
+class _FixedDraw:
+    """Stand-in generator whose every ``random()`` is the largest double below 1."""
+
+    def random(self):
+        return math.nextafter(1.0, 0.0)
+
+
+def test_z_draw_tree_raises_where_measure_does():
+    # |10> holds 1e-13 of the weight: drawing it is a forced-outcome error
+    amps = np.array([math.sqrt(1.0 - 1e-13), 0.0, math.sqrt(1e-13), 0.0], dtype=complex)
+    pair = sv.PureState(2, amps)
+    tree = gr._z_draw_tree(pair, (0, 1))
+    assert tree[1][1] is None and tree[1][0] is not None
+    with pytest.raises(sv.ForcedOutcomeError):
+        sv.measure(pair.copy(), 0, "z", rng=_FixedDraw())
+    with pytest.raises(sv.ForcedOutcomeError):
+        gr._draw_z_tree(tree, _FixedDraw())
+    assert gr._draw_z_tree(tree, np.random.default_rng(0)) == (0, 0)
+
+
+def test_stage_caches_are_bounded_and_read_only():
+    for theta in np.linspace(0.0, 3.0, 7):
+        table = gr._chain_table(theta)
+        maps, map_weights = gr._fusion_maps(theta)
+        for cache in (gr._chain_table, gr._fusion_maps):
+            info = cache.cache_info()
+            assert info.maxsize == 2 and info.currsize <= info.maxsize
+        np.testing.assert_allclose(sum(table.weights), 1.0, rtol=0, atol=1e-12)
+        for array in (maps, map_weights, *(p for p in table.pairs if p is not None)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    with pytest.raises(TypeError):
+        gr._chain_table(1.0).weights[0] = 0.0
