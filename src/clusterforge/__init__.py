@@ -18,10 +18,8 @@ from .statevector import (
     init_register,
     apply_gate,
     apply_controlled_phase,
-    phase_from_interaction,
     measure,
     fidelity_up_to_global_phase,
-    is_product_across_cut,
 )
 from .protocol import (
     ProtocolSpec,
@@ -49,7 +47,6 @@ from .growth import (
     run_thirteen_qubit_pipeline,
     grow_1d,
     grow_2d,
-    net_growth_condition,
     expected_pair_prep_attempts,
     expected_three_node_protocols,
     expected_length_gain,
@@ -63,10 +60,8 @@ __all__ = [
     "init_register",
     "apply_gate",
     "apply_controlled_phase",
-    "phase_from_interaction",
     "measure",
     "fidelity_up_to_global_phase",
-    "is_product_across_cut",
     "ProtocolSpec",
     "ProtocolRun",
     "build_imperfect_chain",
@@ -90,7 +85,6 @@ __all__ = [
     "run_thirteen_qubit_pipeline",
     "grow_1d",
     "grow_2d",
-    "net_growth_condition",
     "expected_pair_prep_attempts",
     "expected_three_node_protocols",
     "expected_length_gain",

@@ -140,9 +140,6 @@ class ClusterGraph:
         self.leaf_flags.discard(inheritor)
         self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))
 
-    def component_edges(self, node: int) -> int:
-        return self._sweep(node)[3] // 2
-
     def longest_segment_length(self) -> int:
         """Node count of the longest path with non-leaf interior vertices.
 
@@ -186,14 +183,6 @@ class ClusterGraph:
                 return layer[-1], depth, seen, degrees
             layer = nxt
             depth += 1
-
-    def check_invariants(self):
-        for node in self.leaf_flags:
-            if self.degree(node) != 1:
-                raise AssertionError(f"flagged leaf {node} has degree {self.degree(node)}")
-        for a, nbs in self._adj.items():
-            if a in nbs:
-                raise AssertionError("self edge")
 
 
 def three_node(graph: ClusterGraph) -> tuple[int, int, int, int]:
@@ -335,15 +324,6 @@ def expected_length_gain(p: float, ell: int) -> float:
     if ell < 2:
         raise ValueError("ell must be >= 2")
     return p * ell - 0.5 * (1.0 + p * p)
-
-
-def net_growth_condition(l: int, p: float) -> bool:
-    """True when fusing l-link clusters grows the link count on average."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
-    return l > 1.0 / p - 2.0
 
 
 def time_steps_1d(target_length: float, p: float, ell: int) -> float:
@@ -584,70 +564,6 @@ def grow_1d(
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo cross-checks of the cost model
-
-def mc_pair_prep_attempts(p: float, trials: int, seed: int) -> float:
-    """Simultaneous rounds until both of two chains have succeeded."""
-    rng = np.random.default_rng([seed, 1])
-    return float(np.mean(np.maximum(rng.geometric(p, trials), rng.geometric(p, trials))))
-
-
-def mc_three_node_protocols(p: float, trials: int, seed: int) -> float:
-    """Pair-prep rounds summed over fusion cycles until one unit forms."""
-    rng = np.random.default_rng([seed, 2])
-    cycles = rng.geometric(p, trials)
-    total = int(np.sum(cycles))
-    rounds = np.maximum(rng.geometric(p, total), rng.geometric(p, total))
-    bounds = np.concatenate(([0], np.cumsum(cycles)[:-1]))
-    return float(np.mean(np.add.reduceat(rounds, bounds)))
-
-
-def mc_length_gain(p: float, trials: int, seed: int) -> float:
-    """Two fusion attempts from a freshly buffered chain end, per trial.
-
-    This is the experiment the closed-form gain averages over: a fresh unit
-    end buffers exactly one failure.  Uses the real graph rewrites, not the
-    formula.
-    """
-    rng = np.random.default_rng([seed, 3])
-    total = 0.0
-    for _ in range(trials):
-        graph = ClusterGraph()
-        row = _fresh_unit_row(graph)
-        before = _row_length(row)
-        for _attempt in range(2):
-            success = bool(rng.random() < p)
-            _attach_bernoulli(graph, row, success)
-        total += 0.5 * (_row_length(row) - before)
-    return total / trials
-
-
-def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
-    """Mean link change of a growing cluster when fusing l-link path clusters.
-
-    Success merges the small cluster (its l links plus the new bond); failure
-    measures out the growing cluster's end qubit.  Each outcome's change is
-    counted once on the growing component with the real rewrite, then
-    weighted by the number of successes among ``attempts`` Bernoulli draws.
-    """
-    change = {}
-    for success in (False, True):
-        graph = ClusterGraph()
-        chain = [graph.new_node() for _ in range(4)]
-        for a, b in zip(chain, chain[1:]):
-            graph.add_edge(a, b)
-        small = [graph.new_node() for _ in range(l + 1)]
-        for a, b in zip(small, small[1:]):
-            graph.add_edge(a, b)
-        before = graph.component_edges(chain[0])
-        fuse(graph, chain[-1], small[0], success)
-        change[success] = graph.component_edges(chain[0]) - before
-    rng = np.random.default_rng([seed, 4])
-    wins = int(np.count_nonzero(rng.random(attempts) < p))
-    return (wins * change[True] + (attempts - wins) * change[False]) / attempts
-
-
-# ---------------------------------------------------------------------------
 # Thirteen-qubit demonstration pipeline
 
 # Chain A sits on qubits 0-4 and chain B on 8-12.  The fusion middles 5-7
@@ -664,23 +580,9 @@ def graph_state_target(num_qubits: int, edges) -> PureState:
     return state
 
 
-def thirteen_qubit_target() -> PureState:
-    """Fused four-qubit state on (0, 4, 8, 12) before the final corrections."""
-    state = sv.init_register(["+"] * 4)
-    apply_controlled_phase(state, 0, 1, math.pi, "CS")   # CZ(0,4)
-    apply_controlled_phase(state, 1, 2, math.pi, "CS")   # CZ(4,8)
-    apply_gate(state, 2, "H")                            # trapped Hadamard on 8
-    apply_controlled_phase(state, 2, 3, math.pi, "CS")   # CZ(8,12)
-    return state
-
-
 def three_node_target() -> PureState:
     """Graph state of the growth unit on (0, 4, 8, 12): hub at qubit 4."""
     return graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
-
-
-def linear_cluster_target(k: int) -> PureState:
-    return graph_state_target(k, [(q, q + 1) for q in range(k - 1)])
 
 
 @functools.lru_cache(maxsize=2)  # like sv.chain_phases: one entry per theta in use
@@ -822,19 +724,22 @@ def run_thirteen_qubit_pipeline(
     failures rebuild that chain from scratch; fusion failures retry with
     fresh middles while the exact retry success probability stays above 1e-9
     and restart the whole register otherwise.  Each simultaneous protocol
-    round costs five time steps.  Returns the final 13-qubit state with all
-    local corrections applied (leaf 8 still attached) and the run statistics.
+    round costs five time steps.  Returns ``(ends, stats)``: ``ends`` is the
+    4-qubit state of register qubits (0, 4, 8, 12) with all local
+    corrections applied, hub 4 at position 1 and leaf 8, still attached, at
+    position 2; ``stats`` are the run statistics.
 
     Each stage runs on the qubits live in it: stage 1 on the 5-qubit chains
-    0-4 and 8-12, stage 3 on the ends (0, 4, 8, 12) alone.  The 13-qubit
-    state is assembled once, at the end, with the last fusion record on 5-7.
-    This is exact because whenever the register-wide entangler runs, guard
-    triples holding |100> (5-7 in stage 1, a distilled chain's middles 1-3 or
-    9-11) separate the live qubits, and a CSX pair picks up its phase only on
-    |10>: a pair whose right qubit is a |1> guard never does, the guard pair
-    (|1>, |0>) always does, which is only a global phase, and a pair whose
-    left qubit is a |0> guard never does.  So each round acts on the live
-    qubits alone, and the register stays their product with the guards.
+    0-4 and 8-12, stage 3 on the ends (0, 4, 8, 12) alone.  This is exact
+    because whenever the register-wide entangler runs, guard triples holding
+    |100> (5-7 in stage 1, a distilled chain's middles 1-3 or 9-11) separate
+    the live qubits, and a CSX pair picks up its phase only on |10>: a pair
+    whose right qubit is a |1> guard never does, the guard pair (|1>, |0>)
+    always does, which is only a global phase, and a pair whose left qubit
+    is a |0> guard never does.  So each round acts on the live qubits alone,
+    and the register stays their product with the guards; the ends are
+    therefore the whole result, and the guards and the fusion record on 5-7
+    are never built.
 
     Both stages draw from per-theta tables, with the draws of measuring the
     middles one at a time (``sv.draw_outcome``: one ``rng.random()`` per
@@ -914,12 +819,7 @@ def run_thirteen_qubit_pipeline(
             apply_gate(ends, 1, "Z")
         apply_gate(ends, 2, "H")
         stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
-
-        # axes: qubit 0, guards 1-3, qubit 4, fusion record 5-7, qubit 8,
-        # guards 9-11, qubit 12
-        register = np.zeros((2, 8, 2, 8, 2, 8, 2), dtype=complex)
-        register[:, 0b100, :, int(seq, 2), :, 0b100, :] = ends.tensor()
-        return PureState(13, register), stats
+        return ends, stats
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,6 @@ class PureState:
     def copy(self) -> "PureState":
         return PureState(self.num_qubits, self.amps.copy())
 
-    def probability_of_bit(self, qubit: int, bit: int) -> float:
-        """Z-basis probability of reading ``bit`` on ``qubit``."""
-        sl = _split(self, qubit)[:, bit].reshape(-1)
-        return float(np.vdot(sl, sl).real)
-
 
 def _check_qubit(state: PureState, qubit: int):
     if not 0 <= qubit < state.num_qubits:
@@ -220,13 +215,6 @@ def chain_phases(num_qubits: int, phi: float, variant: str = "CSX") -> np.ndarra
     phases = np.exp(1j * phi * np.arange(num_qubits))[hits]
     phases.flags.writeable = False
     return phases
-
-
-def phase_from_interaction(g: float, t: float, hbar: float) -> float:
-    """Accumulated phase g*t/hbar of an always-on pairwise interaction."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    return g * t / hbar
 
 
 @dataclass(frozen=True)
@@ -438,25 +426,6 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
     if na < 1e-15 or nb < 1e-15:
         raise ValueError("cannot compare a zero vector")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2 / (na * nb) ** 2)
-
-
-def schmidt_coefficients(state: PureState, left_qubits) -> np.ndarray:
-    """Descending Schmidt coefficients across the given bipartition."""
-    left = sorted(set(left_qubits))
-    n = state.num_qubits
-    if any(not 0 <= q < n for q in left):
-        raise IndexError("left cut contains an out-of-range qubit")
-    if not left or len(left) == n:
-        raise ValueError("cut must be a nontrivial bipartition")
-    right = [q for q in range(n) if q not in left]
-    mat = state.tensor().transpose(left + right).reshape(1 << len(left), 1 << len(right))
-    return np.linalg.svd(mat, compute_uv=False)
-
-
-def is_product_across_cut(state: PureState, left_qubits) -> bool:
-    """True when the Schmidt rank across the cut is 1 (to tolerance 1e-10)."""
-    s = schmidt_coefficients(state, left_qubits)
-    return bool(s[0] ** 2 > 1.0 - 1e-10)
 
 
 def _definite_core(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:

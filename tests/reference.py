@@ -1,0 +1,162 @@
+"""Reference routes that only the tests call.
+
+The program never runs these: Monte-Carlo cross-checks of the closed-form
+cost model, target states of the pipeline's intermediate and reduced
+stages, the net-growth threshold, a Schmidt-rank product test and two
+probes of a graph or a state.  Import them as ``from reference import ...``,
+like the other test-side helpers.
+"""
+
+import math
+
+import numpy as np
+
+from clusterforge import statevector as sv
+from clusterforge.growth import (
+    ClusterGraph,
+    _attach_bernoulli,
+    _fresh_unit_row,
+    _row_length,
+    fuse,
+    graph_state_target,
+)
+from clusterforge.statevector import PureState, apply_controlled_phase, apply_gate
+
+
+# ---------------------------------------------------------------------------
+# Statevector probes
+
+def probability_of_bit(state: PureState, qubit: int, bit: int) -> float:
+    """Z-basis probability of reading ``bit`` on ``qubit``."""
+    sl = sv._split(state, qubit)[:, bit].reshape(-1)
+    return float(np.vdot(sl, sl).real)
+
+
+def phase_from_interaction(g: float, t: float, hbar: float) -> float:
+    """Accumulated phase g*t/hbar of an always-on pairwise interaction."""
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    return g * t / hbar
+
+
+def schmidt_coefficients(state: PureState, left_qubits) -> np.ndarray:
+    """Descending Schmidt coefficients across the given bipartition."""
+    left = sorted(set(left_qubits))
+    n = state.num_qubits
+    if any(not 0 <= q < n for q in left):
+        raise IndexError("left cut contains an out-of-range qubit")
+    if not left or len(left) == n:
+        raise ValueError("cut must be a nontrivial bipartition")
+    right = [q for q in range(n) if q not in left]
+    mat = state.tensor().transpose(left + right).reshape(1 << len(left), 1 << len(right))
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def is_product_across_cut(state: PureState, left_qubits) -> bool:
+    """True when the Schmidt rank across the cut is 1 (to tolerance 1e-10)."""
+    s = schmidt_coefficients(state, left_qubits)
+    return bool(s[0] ** 2 > 1.0 - 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Graph probes and targets
+
+def check_invariants(graph: ClusterGraph):
+    for node in graph.leaf_flags:
+        if graph.degree(node) != 1:
+            raise AssertionError(f"flagged leaf {node} has degree {graph.degree(node)}")
+    for a, nbs in graph._adj.items():
+        if a in nbs:
+            raise AssertionError("self edge")
+
+
+def thirteen_qubit_target() -> PureState:
+    """Fused four-qubit state on (0, 4, 8, 12) before the final corrections."""
+    state = sv.init_register(["+"] * 4)
+    apply_controlled_phase(state, 0, 1, math.pi, "CS")   # CZ(0,4)
+    apply_controlled_phase(state, 1, 2, math.pi, "CS")   # CZ(4,8)
+    apply_gate(state, 2, "H")                            # trapped Hadamard on 8
+    apply_controlled_phase(state, 2, 3, math.pi, "CS")   # CZ(8,12)
+    return state
+
+
+def linear_cluster_target(k: int) -> PureState:
+    return graph_state_target(k, [(q, q + 1) for q in range(k - 1)])
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo cross-checks of the cost model
+
+def net_growth_condition(l: int, p: float) -> bool:
+    """True when fusing l-link clusters grows the link count on average."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
+    return l > 1.0 / p - 2.0
+
+
+def mc_pair_prep_attempts(p: float, trials: int, seed: int) -> float:
+    """Simultaneous rounds until both of two chains have succeeded."""
+    rng = np.random.default_rng([seed, 1])
+    return float(np.mean(np.maximum(rng.geometric(p, trials), rng.geometric(p, trials))))
+
+
+def mc_three_node_protocols(p: float, trials: int, seed: int) -> float:
+    """Pair-prep rounds summed over fusion cycles until one unit forms."""
+    rng = np.random.default_rng([seed, 2])
+    cycles = rng.geometric(p, trials)
+    total = int(np.sum(cycles))
+    rounds = np.maximum(rng.geometric(p, total), rng.geometric(p, total))
+    bounds = np.concatenate(([0], np.cumsum(cycles)[:-1]))
+    return float(np.mean(np.add.reduceat(rounds, bounds)))
+
+
+def mc_length_gain(p: float, trials: int, seed: int) -> float:
+    """Two fusion attempts from a freshly buffered chain end, per trial.
+
+    This is the experiment the closed-form gain averages over: a fresh unit
+    end buffers exactly one failure.  Uses the real graph rewrites, not the
+    formula.
+    """
+    rng = np.random.default_rng([seed, 3])
+    total = 0.0
+    for _ in range(trials):
+        graph = ClusterGraph()
+        row = _fresh_unit_row(graph)
+        before = _row_length(row)
+        for _attempt in range(2):
+            success = bool(rng.random() < p)
+            _attach_bernoulli(graph, row, success)
+        total += 0.5 * (_row_length(row) - before)
+    return total / trials
+
+
+def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
+    """Mean link change of a growing cluster when fusing l-link path clusters.
+
+    Success merges the small cluster (its l links plus the new bond); failure
+    measures out the growing cluster's end qubit.  Each outcome's change is
+    counted once on the growing component with the real rewrite, then
+    weighted by the number of successes among ``attempts`` Bernoulli draws.
+    """
+    change = {}
+    for success in (False, True):
+        graph = ClusterGraph()
+        chain = [graph.new_node() for _ in range(4)]
+        for a, b in zip(chain, chain[1:]):
+            graph.add_edge(a, b)
+        small = [graph.new_node() for _ in range(l + 1)]
+        for a, b in zip(small, small[1:]):
+            graph.add_edge(a, b)
+        before = _component_edges(graph, chain[0])
+        fuse(graph, chain[-1], small[0], success)
+        change[success] = _component_edges(graph, chain[0]) - before
+    rng = np.random.default_rng([seed, 4])
+    wins = int(np.count_nonzero(rng.random(attempts) < p))
+    return (wins * change[True] + (attempts - wins) * change[False]) / attempts
+
+
+def _component_edges(graph: ClusterGraph, node: int) -> int:
+    """Edge count of the component of ``node``: half its degree sum."""
+    return graph._sweep(node)[3] // 2

@@ -139,7 +139,9 @@ class TestPipelineCommand:
         assert len(rows) == 2
 
     def test_seed_with_norm_drift(self):
-        # this seed leaves norm^2 - 1 = -3e-12 before the final extraction
+        # this seed's ends come back with norm^2 - 1 = 2.2e-16, no drift to
+        # speak of; test_pipeline.py::test_fusion_attempt_absorbs_norm_drift
+        # feeds a stage-3 attempt ends that drifted by -3e-12
         code, out = run_cli(
             ["pipeline13", "--theta", "1.0", "--trials", "1", "--seed", "1159426114"]
         )

@@ -8,6 +8,16 @@ import pytest
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from reference import (
+    check_invariants,
+    is_product_across_cut,
+    linear_cluster_target,
+    mc_length_gain,
+    mc_link_balance,
+    mc_pair_prep_attempts,
+    mc_three_node_protocols,
+    net_growth_condition,
+)
 from test_pipeline import selective_layout
 
 P3 = pr.success_probability_closed(3, 0.3)
@@ -32,7 +42,7 @@ class TestClusterGraph:
         graph, nodes = path_graph(3)
         graph.leaf_flags.add(nodes[1])  # interior node wrongly flagged
         with pytest.raises(AssertionError):
-            graph.check_invariants()
+            check_invariants(graph)
 
     def test_cycle_rejected(self):
         # longest paths are only searched on forests; a cycle would need an
@@ -97,7 +107,7 @@ class TestFuseRewrite:
         assert graph.neighbors(other[0]) == {nodes[1]}
         assert other[1] in graph.neighbors(nodes[1])
         assert other[0] in graph.leaf_flags
-        graph.check_invariants()
+        check_invariants(graph)
 
     def test_vertical_link_between_leaves(self):
         # fusing a chain node (tip) to a leaf of another chain leaves one leaf
@@ -110,7 +120,7 @@ class TestFuseRewrite:
         gr.fuse(graph, row_a[1], leaf, success=True)
         assert row_b_graph[1] in graph.neighbors(row_a[1])  # direct link
         assert graph.neighbors(leaf) == {row_a[1]}
-        graph.check_invariants()
+        check_invariants(graph)
 
     def test_tail_must_be_leaf(self):
         graph, nodes = path_graph(3)
@@ -125,7 +135,7 @@ class TestShortenRewrite:
         gr.x_measure_shorten(graph, nodes[2], keep=nodes[1])
         assert graph.longest_segment_length() == 3
         assert nodes[3] in graph.leaf_flags
-        graph.check_invariants()
+        check_invariants(graph)
 
     def test_twice_shortens_by_four(self):
         graph, nodes = path_graph(7)
@@ -311,12 +321,12 @@ class TestRewriteConsistency:
         # left remnant: perfect 2-qubit cluster; right remnant: bare |+>
         target = gr.graph_state_target(3, [(0, 1)])
         assert sv.fidelity_up_to_global_phase(remnants, target) > 1 - 1e-9
-        assert sv.is_product_across_cut(remnants, [0, 1])
+        assert is_product_across_cut(remnants, [0, 1])
 
     @pytest.mark.parametrize("outcome", [0, 1])
     def test_shorten_interior(self, outcome):
         # path of 5, measure qubit 2 (neighbors 1 and 3; 3 is the special one)
-        state = gr.linear_cluster_target(5)
+        state = linear_cluster_target(5)
         rec, state = sv.measure(state, 2, basis="xi", xi=0.0, outcome=outcome)
         sv.apply_gate(state, 3, "H")
         if outcome:
@@ -342,7 +352,7 @@ class TestRewriteConsistency:
         if outcome:
             sv.apply_gate(state, 1, "Z")
         got = sv.extract_qubits(state, [0, 1, 2])
-        assert sv.fidelity_up_to_global_phase(got, gr.linear_cluster_target(3)) > 1 - 1e-9
+        assert sv.fidelity_up_to_global_phase(got, linear_cluster_target(3)) > 1 - 1e-9
 
     @pytest.mark.parametrize(
         "rewrite, pending, outcome", FRAME_CASES,
@@ -636,9 +646,9 @@ class TestCostModel:
         assert gr.expected_length_gain(1e-9, 3) == pytest.approx(-0.5, abs=1e-6)
 
     def test_net_growth_condition(self):
-        assert gr.net_growth_condition(3, 0.375)
-        assert not gr.net_growth_condition(1, 0.25)
-        assert gr.net_growth_condition(1, 1.0)
+        assert net_growth_condition(3, 0.375)
+        assert not net_growth_condition(1, 0.25)
+        assert net_growth_condition(1, 1.0)
 
     def test_time_steps_1d(self):
         assert gr.time_steps_1d(10.0, 1.0, 3) == pytest.approx(50.0)
@@ -656,30 +666,30 @@ class TestCostModel:
 
 class TestMonteCarloCrossChecks:
     def test_pair_prep(self):
-        est = gr.mc_pair_prep_attempts(P3, 100_000, seed=101)
+        est = mc_pair_prep_attempts(P3, 100_000, seed=101)
         assert abs(est / gr.expected_pair_prep_attempts(P3) - 1) < 0.01
 
     def test_unit_protocols(self):
-        est = gr.mc_three_node_protocols(P3, 100_000, seed=101)
+        est = mc_three_node_protocols(P3, 100_000, seed=101)
         assert abs(est / gr.expected_three_node_protocols(P3) - 1) < 0.01
 
     def test_length_gain(self):
-        est = gr.mc_length_gain(P3, 40_000, seed=101)
+        est = mc_length_gain(P3, 40_000, seed=101)
         assert abs(est / gr.expected_length_gain(P3, 3) - 1) < 0.02
 
     def test_link_balance_signs(self):
         # mean link change positive above the threshold, negative below
         for p, l_lo, l_hi in ((0.2, 2, 4), (0.25, 1, 3), (0.4, None, 1)):
             if l_lo is not None:
-                assert gr.net_growth_condition(l_lo, p) is False
-                assert gr.mc_link_balance(p, l_lo, 20_000, seed=3) < 0
-            assert gr.net_growth_condition(l_hi, p) is True
-            assert gr.mc_link_balance(p, l_hi, 20_000, seed=3) > 0
+                assert net_growth_condition(l_lo, p) is False
+                assert mc_link_balance(p, l_lo, 20_000, seed=3) < 0
+            assert net_growth_condition(l_hi, p) is True
+            assert mc_link_balance(p, l_hi, 20_000, seed=3) > 0
 
     def test_link_balance_near_boundary(self):
         # exactly at l = 1/p - 2 the mean link change vanishes
         p, l = 0.25, 2  # boundary: 1/0.25 - 2 = 2
-        mean = gr.mc_link_balance(p, l, 60_000, seed=4)
+        mean = mc_link_balance(p, l, 60_000, seed=4)
         # per-attempt spread is l+2 = 4; allow 3 standard errors
         assert abs(mean) < 3 * (l + 2) * math.sqrt(p * (1 - p)) / math.sqrt(60_000)
 
@@ -794,7 +804,7 @@ class TestGrow2D:
         assert degrees == [2, 2, 2, 2, 3, 3, 3, 3, 4]
         assert stats.physical_qubits_used > 0
         assert stats.final_length == 9  # snake path through the verified lattice
-        graph.check_invariants()
+        check_invariants(graph)
 
     def test_seeded_batch(self):
         for i in range(25):
@@ -835,8 +845,8 @@ class TestSelectiveLayout:
     def test_cuts_stay_product_after_global_entangler(self):
         state = sv.init_register(selective_layout(13, [0, 8], 3))
         pr.entangle_chain(state, 0.4)
-        assert sv.is_product_across_cut(state, list(range(5)))
-        assert sv.is_product_across_cut(state, list(range(8)))
+        assert is_product_across_cut(state, list(range(5)))
+        assert is_product_across_cut(state, list(range(8)))
 
     def test_single_chain_in_five(self):
         # one three-qubit chain in five qubits: the gap pattern isolates it
@@ -844,7 +854,7 @@ class TestSelectiveLayout:
         assert tokens == ["+", "+", "+", "1", "0"]
         state = sv.init_register(tokens)
         pr.entangle_chain(state, 0.7)
-        assert sv.is_product_across_cut(state, [0, 1, 2])
+        assert is_product_across_cut(state, [0, 1, 2])
 
     def test_full_span_is_all_plus(self):
         assert selective_layout(5, [0], 3) == ["+"] * 5

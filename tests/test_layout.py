@@ -1,0 +1,62 @@
+"""``src/`` holds only what the program runs.
+
+A top-level function or class must be named by ``src/`` code outside
+``__init__.py`` or be exported in ``clusterforge.__all__``, and a public
+method must be called somewhere in ``src/``.  Routes that only tests call
+live in ``tests/reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import clusterforge
+
+SRC = Path(clusterforge.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree) -> set:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _definitions():
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield module, node
+
+
+def test_every_definition_is_used_or_exported():
+    unused = []
+    for module, node in _definitions():
+        if node.name in clusterforge.__all__:
+            continue
+        # a recursive call or a class naming itself does not count as a use
+        used = any(
+            node.name in _referenced(other)
+            for other_module, tree in MODULES.items()
+            if other_module != "__init__"
+            for other in tree.body
+            if other is not node
+        )
+        if not used:
+            unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_is_called():
+    called = set().union(*(_referenced(tree) for tree in MODULES.values()))
+    uncalled = [
+        f"{module}.{cls.name}.{method.name}"
+        for module, cls in _definitions()
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in called
+    ]
+    assert uncalled == []

