@@ -45,17 +45,15 @@ build is the verified N x N lattice and reports N * N, its snake path.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import statevector as sv
 from . import protocol as pr
-from .statevector import PureState, apply_controlled_phase, apply_gate, measure
+from .statevector import PureState, apply_controlled_phase, apply_gate
 from .protocol import RetryLimitError
 
 # time-step accounting per round of simultaneous operations
@@ -585,105 +583,15 @@ def three_node_target() -> PureState:
     return graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
 
 
-@functools.lru_cache(maxsize=2)  # like sv.chain_phases: one entry per theta in use
-def _fresh_chain_branches(theta: float) -> np.ndarray:
-    """Read-only sigma_x branches of the middles of a fresh entangled |+>^5 chain."""
-    chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
-    branches = sv.x_branches(chain, 1, 3)
-    branches.flags.writeable = False
-    return branches
-
-
-class _ChainTable(NamedTuple):
-    """What a stage-1 attempt on a fresh chain draws from, at one theta."""
-
-    weights: tuple   # sigma_x outcome weights of the middles, norm-checked once
-    pairs: tuple     # per outcome: the kept end pair, read-only; None at weight 0
-    z_draws: tuple   # per failing outcome: the Z draws of both ends (_z_draw_tree)
-
-
-def _z_draw_tree(pair: PureState, qubits) -> tuple:
-    """``measure``'s Z draws on ``qubits`` of ``pair``, in order, as a tree.
-
-    A node is ``(p0, children)``: the p0 that measure draws the next qubit
-    against and, per outcome, the node of the remaining qubits, ``()`` after
-    the last one, or None where measure raises ForcedOutcomeError.
-    """
-    if not qubits:
-        return ()
-    p0, children = None, []
-    for bit in (0, 1):
-        try:
-            rec, post = measure(pair.copy(), qubits[0], basis="z", outcome=bit)
-        except sv.ForcedOutcomeError:
-            children.append(None)
-            continue
-        p0 = 1.0 - rec.probability if bit else rec.probability
-        children.append(_z_draw_tree(post, qubits[1:]))
-    return p0, tuple(children)
-
-
-def _draw_z_tree(tree: tuple, rng: np.random.Generator) -> tuple:
-    """Draw the measurements of a ``_z_draw_tree`` with measure's rule
-    ``int(u >= p0)``; returns their outcome bits."""
-    bits = []
-    while tree:
-        p0, children = tree
-        bits.append(int(rng.random() >= p0))
-        tree = children[bits[-1]]
-        if tree is None:
-            raise sv.ForcedOutcomeError(
-                f"Z outcome {bits[-1]} on a failed chain's end has probability at most {sv.PROB_TOL}"
-            )
-    return tuple(bits)
-
-
-@functools.lru_cache(maxsize=2)  # like _fresh_chain_branches: one entry per theta in use
-def _chain_table(theta: float) -> _ChainTable:
-    """Stage 1's draw table: ``sv.draw_x_run``'s weights and kept pairs on
-    ``_fresh_chain_branches``, with each failing pair's ``_z_draw_tree``."""
-    branches = _fresh_chain_branches(theta)
-    weights = sv.x_weights(branches)
-    sv._check_norm_squared(sum(weights), branches.size)
-    success = pr.enumerate_success_sequences(3)
-    pairs, z_draws = [], []
-    for m, w in enumerate(weights):
-        pair = tree = None
-        if w > 0.0:  # a weight-0 outcome is never drawn: draw_outcome raises first
-            pair = branches[:, m, :].reshape(-1) / math.sqrt(w)
-            pair.flags.writeable = False
-            if format(m, "03b") not in success:
-                tree = _z_draw_tree(PureState(2, pair.copy()), (0, 1))
-        pairs.append(pair)
-        z_draws.append(tree)
-    return _ChainTable(tuple(weights), tuple(pairs), tuple(z_draws))
-
-
-@functools.lru_cache(maxsize=2)  # like _fresh_chain_branches: one entry per theta in use
-def _fusion_maps(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only diagonal maps of the fusion outcomes on the chain-end pair.
-
-    Row m of the first is ``g[m] / 8`` from ``pr._retry_branch_maps(3,
-    theta)``, over the pair's basis states ``2 b + c``: outcome m scales the
-    ends' amplitudes with tip b and tail c by it.  Row m of the second is its
-    ``|.|^2`` (``|g[m]|^2 / 64``), so the outcome weights are that matrix
-    times the pair's Born marginals.
-    """
-    maps = pr._retry_branch_maps(3, theta).reshape(8, 4) / 8.0
-    weights = np.abs(maps) ** 2
-    for table in (maps, weights):
-        table.flags.writeable = False
-    return maps, weights
-
-
 def _fusion_attempt(ends: PureState, theta: float, outcomes=None, rng=None) -> str:
     """One stage-3 attempt on the ends (0, 4, 8, 12), in place.
 
     Draws (or forces) the outcome bits of the fusion middles 5-7 with
-    ``sv.draw_outcome`` on the weights of ``_fusion_maps`` and leaves the
-    ends as the kept branch, rescaled by its own norm.  Returns the bits.
+    ``sv.draw_outcome`` on the weights of ``pr.held_pair_maps(3, theta)`` and
+    leaves the ends as the kept branch, rescaled by its own norm.  Returns
+    the bits.
     """
-    maps, map_weights = _fusion_maps(theta)
+    maps, map_weights = pr.held_pair_maps(3, theta)
     weights = (map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)).tolist()
     sv._check_norm_squared(sum(weights), ends.amps.size)
     m, _ = sv.draw_outcome(weights, outcomes, rng)
@@ -697,13 +605,12 @@ def _fusion_success_probability(ends: PureState, theta: float) -> float:
 
     ``ends`` holds register qubits (0, 4, 8, 12); the chain ends are tip 4
     and tail 8.  Every outcome branch acts diagonally on the chain-end pair,
-    so it is the Born marginals P of the end pair weighted per basis state.
-    Summed over the success sequences, the weight is 0 on |01> and |10>,
-    where success is impossible, and equal on |00> and |11>; a |+>|+> pair
-    (each marginal 1/4) succeeds with p = success_probability_closed(3,
-    theta), so that weight is 2p and the probability is 2p (P00 + P11),
-    P00 + P11 being the norm^2 of the ends' |00> and |11> tip-tail part.
-    test_success_weights_closed_form pins the weights;
+    so it is the Born marginals P of the end pair against the success rows
+    of ``pr.held_pair_maps(3, theta)``'s weights, summed.  That sum is 0 on
+    |01> and |10>, where success is impossible, and 2p on |00> and |11>, p
+    being success_probability_closed(3, theta), so the probability is
+    2p (P00 + P11), P00 + P11 being the norm^2 of the ends' |00> and |11>
+    tip-tail part.  test_success_weights_closed_form pins the summed rows;
     test_pipeline_fast_probability checks the result against the slow
     re-entangle-and-enumerate route.
     """
@@ -741,29 +648,32 @@ def run_thirteen_qubit_pipeline(
     therefore the whole result, and the guards and the fusion record on 5-7
     are never built.
 
-    Both stages draw from per-theta tables, with the draws of measuring the
-    middles one at a time (``sv.draw_outcome``: one ``rng.random()`` per
-    outcome bit, left to right).
+    Both stages draw from one per-theta table, ``pr.held_pair_maps(3,
+    theta)``, with the draws of measuring the middles one at a time
+    (``sv.draw_outcome``: one ``rng.random()`` per outcome bit, left to
+    right).  On a graph state, X-measured middles leave the chain ends with a
+    diagonal map per outcome (Hein, Eisert & Briegel, quant-ph/0307130); the
+    table holds those maps and their ``|.|^2``.
 
     * Stage 1: every attempt starts from the same state, ``|+>^5`` entangled
       at the same theta, since a failed chain keeps nothing (its ends are
-      measured out and it is rebuilt fresh).  ``_chain_table`` holds the
-      outcome weights of the middles, the end pair each outcome keeps and,
-      for a failing outcome, ``measure``'s Z draws of the two ends.  An
-      attempt is three draws, plus two on a failure, in the same
-      chain-by-chain order.
-    * Stage 3: on a graph state, X-measured middles leave the chain ends
-      (tip 4, tail 8) with a diagonal map per outcome (Hein, Eisert &
-      Briegel, quant-ph/0307130), which ``_fusion_maps`` reads off
-      ``pr._retry_branch_maps``.  An attempt's outcome weights are those
-      maps' ``|.|^2`` against the Born marginals of the tip-tail pair; the
-      drawn map, rescaled by its weight, updates the ends in place.  No
-      middle qubit is built.
+      measured out and it is rebuilt fresh).  That is the held pair
+      ``|+>|+>`` with fresh middles, so the outcome weights are the table's
+      ``|.|^2`` rows summed over the pair's four marginals of 1/4, computed
+      once per run, and a success keeps its map times the pair's amplitude
+      1/2, rescaled by its weight.  An attempt is three draws, in the same
+      chain-by-chain order; nothing reads a failed chain's end bits, so they
+      are never drawn.
+    * Stage 3: an attempt's outcome weights are the table's ``|.|^2`` against
+      the Born marginals of the tip-tail pair (tip 4, tail 8); the drawn map,
+      rescaled by its weight, updates the ends in place.  No middle qubit is
+      built.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
     success = pr.enumerate_success_sequences(3)
-    chains = _chain_table(theta)
+    maps, map_weights = pr.held_pair_maps(3, theta)
+    fresh = (map_weights.sum(axis=1) / 4.0).tolist()  # stage 1's outcome weights
 
     while True:
         if stats.protocol_applications >= retry_cap:
@@ -776,15 +686,12 @@ def run_thirteen_qubit_pipeline(
             stats.time_steps += STEPS_PROTOCOL_ROUND
             stats.protocol_applications += len(pending)
             for key in list(pending):
-                m, _ = sv.draw_outcome(chains.weights, rng=rng)
+                m, _ = sv.draw_outcome(fresh, rng=rng)
                 seq = format(m, "03b")
                 if seq in success:
                     parities[key] = seq.count("1") & 1
-                    pairs[key] = PureState(2, chains.pairs[m].copy())  # stage 2 edits it
+                    pairs[key] = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
                     pending.remove(key)
-                else:
-                    # measure the ends out; the next attempt starts from a fresh chain
-                    _draw_z_tree(chains.z_draws[m], rng)
         if pending:
             raise RetryLimitError("pipeline retry cap exhausted")
 

@@ -423,34 +423,38 @@ def retry_protocol(
     return _measure_middles(spec, chain, outcomes, rng)
 
 
-def _retry_branch_maps(n: int, theta: float) -> np.ndarray:
-    """Diagonal action of each outcome sequence on the end-pair amplitudes.
+@lru_cache(maxsize=2)  # one entry per (n, theta) in use, like sv.chain_phases
+def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only diagonal maps of the outcome sequences on a held end pair.
 
-    Measuring the middles maps the joint end amplitudes elementwise:
-    ``psi'[a, b] = psi[a, b] * g[m, a, b] / 2**n`` for outcome sequence m,
-    because basis ends stay basis ends under the diagonal entanglers.  The
-    factors are read off by running the chain on the four basis end pairs.
+    Re-running the protocol between two held qubits maps their joint
+    amplitudes elementwise: outcome sequence m scales basis state ``2a + b``
+    by ``maps[m, 2a + b]``, unnormalized, because basis ends stay basis ends
+    under the diagonal entanglers.  The factors are read off by running the
+    chain on the four basis end pairs.  The second table is ``|maps|^2``, so
+    the outcome weights of a pair are that matrix times its Born marginals.
     """
-    g = np.empty((1 << n, 2, 2), dtype=complex)
-    for a in (0, 1):
-        for b in (0, 1):
-            pair = PureState(2, np.eye(4, dtype=complex)[2 * a + b])
-            chain = sv.embed_pair_with_plus_middles(pair, n)
-            entangle_chain(chain, theta, "CSX")
-            tens = branch_tensor(chain)
-            # sanity: the off-diagonal end components must vanish
-            other = tens.copy()
-            other[a, :, b] = 0.0
-            if np.max(np.abs(other)) > 1e-12:
-                raise AssertionError("retry branch map is not diagonal")
-            g[:, a, b] = tens[a, :, b] * (1 << n)
-    return g
+    maps = np.empty((1 << n, 4), dtype=complex)
+    for k in range(4):
+        a, b = divmod(k, 2)
+        chain = sv.embed_pair_with_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), n)
+        tens = branch_tensor(entangle_chain(chain, theta, "CSX"))
+        # sanity: the off-diagonal end components must vanish
+        other = tens.copy()
+        other[a, :, b] = 0.0
+        if np.max(np.abs(other)) > 1e-12:
+            raise AssertionError("held-pair map is not diagonal")
+        maps[:, k] = tens[a, :, b]
+    weights = np.abs(maps) ** 2
+    for table in (maps, weights):
+        table.flags.writeable = False
+    return maps, weights
 
 
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:
     """Exact success probabilities after N = 0..max_failures consecutive failures.
 
-    Every branch map is diagonal on the end pair (``_retry_branch_maps``), so
+    Every branch map g is diagonal on the end pair (``held_pair_maps``), so
     failures f_1..f_N followed by a success s scale end basis state k in
     {00, 01, 10, 11} by ``g[f_1, k] ... g[f_N, k] g[s, k]``.  The probability
     of a history is therefore a sum over k, and the sum over all histories
@@ -458,7 +462,7 @@ def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, 
 
         P_N = sum_k 1/4 * s_k * f_k**N
 
-    with ``w[m, k] = |g[m, k]|^2 / 4**n``, ``s_k`` and ``f_k`` the sums of w
+    with ``w = |g|^2`` the second table, ``s_k`` and ``f_k`` the sums of w
     over the oracle's success and failure sequences, and 1/4 the weight of
     each k in the starting ``|+>|+>`` pair.  As ``s = 2p (1, 0, 0, 1)`` and
     ``s + f = 1``, this equals ``p (1 - 2p)**N``, which sums to 1/2 for every
@@ -466,7 +470,7 @@ def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, 
     """
     if max_failures < 0:
         raise ValueError("max_failures must be >= 0")
-    w = np.abs(_retry_branch_maps(n, theta).reshape(1 << n, 4)) ** 2 / (1 << (2 * n))
+    w = held_pair_maps(n, theta)[1]
     success = np.zeros(1 << n, dtype=bool)
     success[[int(seq, 2) for seq in enumerate_success_sequences(n)]] = True
     s, f = w[success].sum(axis=0), w[~success].sum(axis=0)

@@ -139,7 +139,7 @@ class TestPipelineCommand:
         assert len(rows) == 2
 
     def test_seed_with_norm_drift(self):
-        # this seed's ends come back with norm^2 - 1 = 2.2e-16, no drift to
+        # this seed's ends come back with norm^2 - 1 = -2.2e-16, no drift to
         # speak of; test_pipeline.py::test_fusion_attempt_absorbs_norm_drift
         # feeds a stage-3 attempt ends that drifted by -3e-12
         code, out = run_cli(
@@ -154,13 +154,13 @@ class TestPipelineCommand:
         [
             (
                 ["--theta", "1.0", "--trials", "4", "--seed", "1"],
-                "3,1,1,4,0,1,51,225,1\n3,1,1,4,1,1,23,80,0\n"
-                "3,1,1,4,2,1,29,85,0\n3,1,1,4,3,1,8,35,0\n",
+                "3,1,1,4,0,1,105,465,3\n3,1,1,4,1,1,9,40,0\n"
+                "3,1,1,4,2,1,14,60,0\n3,1,1,4,3,1,102,455,3\n",
             ),
             (
                 ["--theta", "2.5", "--trials", "4", "--seed", "1"],
-                "3,2.5,1,4,0,1,404,1400,0\n3,2.5,1,4,1,1,2263,10785,1\n"
-                "3,2.5,1,4,2,1,770,2655,0\n3,2.5,1,4,3,1,918,3975,0\n",
+                "3,2.5,1,4,0,1,681,3275,0\n3,2.5,1,4,1,1,2495,12045,1\n"
+                "3,2.5,1,4,2,1,1350,4760,0\n3,2.5,1,4,3,1,1166,3730,0\n",
             ),
         ],
     )

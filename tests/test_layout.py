@@ -3,7 +3,8 @@
 A top-level function or class must be named by ``src/`` code outside
 ``__init__.py`` or be exported in ``clusterforge.__all__``, and a public
 method must be called somewhere in ``src/``.  Routes that only tests call
-live in ``tests/reference.py``.
+live in ``tests/reference.py``.  Every name a module outside ``__init__.py``
+imports must be used in that module.
 """
 
 import ast
@@ -60,3 +61,20 @@ def test_every_public_method_is_called():
         and method.name not in called
     ]
     assert uncalled == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in MODULES.items():
+        if module == "__init__":
+            continue  # its imports are the package's re-exports
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    assert unused == []

@@ -6,6 +6,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
@@ -97,9 +100,11 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
                     sv.reset_qubits(state, _GUARD_A if key == 0 else _GUARD_B)
                     del pending[key]
                 else:
-                    # isolated chain: measure the ends out, rebuild it fresh
+                    # isolated chain: collapse the ends onto an outcome they can
+                    # take, which draws nothing, and rebuild the chain fresh
                     for q in (chain[0], chain[-1]):
-                        _, state = sv.measure(state, q, basis="z", rng=rng)
+                        p0, _ = sv.measurement_probabilities(state, q)
+                        _, state = sv.measure(state, q, basis="z", outcome=int(p0 <= sv.PROB_TOL))
                     sv.reset_qubits(state, {q: "+" for q in chain})
         if pending:
             raise gr.RetryLimitError("pipeline retry cap exhausted")
@@ -212,7 +217,7 @@ def test_pipeline_fast_probability(theta, monkeypatch):
         return prob
 
     monkeypatch.setattr(gr, "_fusion_success_probability", checked)
-    for seed in range(6):
+    for seed in range(12):
         with contextlib.suppress(gr.RetryLimitError):  # the cap keeps theta = 2.5 short
             run(theta, seed=seed, retry_cap=300)
     assert len(deviations) >= 20
@@ -314,34 +319,60 @@ def test_fusion_block_entangler(theta):
     assert not np.allclose(every_pair.amps, expected.amps, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.8])
-def test_fusion_maps_match_block_route(theta):
-    """The cached diagonal maps give the block's outcome weights and kept ends.
+_EXAMPLE_ENDS = random_ends(np.random.default_rng(11))
+
+
+@st.composite
+def normalized_ends(draw):
+    """A random 4-qubit state: 16 complex amplitudes, normalized."""
+    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
+    amps = parts[:16] + 1j * parts[16:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.1)
+    return sv.PureState(4, amps / norm)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=30,
+    deadline=None,
+)
+@given(
+    theta=st.floats(0.0, math.pi),
+    ends=normalized_ends(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(theta=0.0, ends=_EXAMPLE_ENDS, seed=0)
+@example(theta=0.3, ends=_EXAMPLE_ENDS, seed=1)
+@example(theta=1.0, ends=_EXAMPLE_ENDS, seed=2)
+@example(theta=2.8, ends=_EXAMPLE_ENDS, seed=3)
+def test_fusion_maps_match_block_route(theta, ends, seed):
+    """The held-pair maps give the block's outcome weights and kept ends.
 
     For every outcome sequence of the middles, forced, and for drawn ones,
     which must also consume the same draws.
     """
-    rng = np.random.default_rng(11)
-    maps, map_weights = gr._fusion_maps(theta)
-    for _ in range(8):
-        ends = random_ends(rng)
-        branches = sv.x_branches(fusion_block(ends, theta), 2, 3)
-        weights = map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)
-        np.testing.assert_allclose(weights, sv.x_weights(branches), rtol=0, atol=1e-12)
-        for m in range(8):
-            seq = format(m, "03b")
-            kept = ends.copy()
-            assert gr._fusion_attempt(kept, theta, outcomes=seq) == seq
-            _, _, expected = sv.draw_x_run(branches, seq)
-            np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
-        for seed in range(8):
-            fast_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            kept = ends.copy()
-            seq = gr._fusion_attempt(kept, theta, rng=fast_rng)
-            expected_seq, _, expected = sv.draw_x_run(branches, rng=block_rng)
-            assert seq == expected_seq
-            assert fast_rng.bit_generator.state == block_rng.bit_generator.state
-            np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
+    _, map_weights = pr.held_pair_maps(3, theta)
+    branches = sv.x_branches(fusion_block(ends, theta), 2, 3)
+    weights = map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)
+    np.testing.assert_allclose(weights, sv.x_weights(branches), rtol=0, atol=1e-12)
+    for m, w in enumerate(weights):
+        if w <= 1e-6:  # the kept ends are rescaled by 1/sqrt(w), magnifying rounding
+            continue
+        seq = format(m, "03b")
+        kept = ends.copy()
+        assert gr._fusion_attempt(kept, theta, outcomes=seq) == seq
+        _, _, expected = sv.draw_x_run(branches, seq)
+        np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
+    fast_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        kept = ends.copy()
+        seq = gr._fusion_attempt(kept, theta, rng=fast_rng)
+        expected_seq, _, expected = sv.draw_x_run(branches, rng=block_rng)
+        assert seq == expected_seq
+        assert fast_rng.bit_generator.state == block_rng.bit_generator.state
+        np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
 
 
 def test_fusion_attempt_checks_the_norm():
@@ -363,59 +394,29 @@ def test_fusion_attempt_absorbs_norm_drift():
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.8])
 def test_chain_table_replays_draw_x_run(theta):
-    """A stage-1 attempt from the table draws as ``sv.draw_x_run`` on the fresh
-    chain's branches, plus ``sv.measure`` Z draws of a failed pair's ends."""
-    table = gr._chain_table(theta)
-    fresh = gr._fresh_chain_branches(theta)
-    success = pr.enumerate_success_sequences(3)
-    failures = 0
+    """Stage 1's weights and kept pairs from the held-pair table replay
+    ``sv.draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain."""
+    maps, map_weights = pr.held_pair_maps(3, theta)
+    fresh = (map_weights.sum(axis=1) / 4.0).tolist()
+    chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
+    branches = sv.x_branches(chain, 1, 3)
     for seed in range(200):
         fast_rng, ref_rng = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
         for _ in range(4):
-            m, _ = sv.draw_outcome(table.weights, rng=fast_rng)
-            seq, _, pair = sv.draw_x_run(fresh, rng=ref_rng)
+            m, _ = sv.draw_outcome(fresh, rng=fast_rng)
+            seq, _, pair = sv.draw_x_run(branches, rng=ref_rng)
             assert format(m, "03b") == seq
-            if seq in success:
-                assert table.z_draws[m] is None
-                assert np.array_equal(table.pairs[m], pair.amps)
-            else:
-                failures += 1
-                bits = gr._draw_z_tree(table.z_draws[m], fast_rng)
-                assert bits == tuple(sv.measure(pair, q, "z", rng=ref_rng)[0].outcome for q in (0, 1))
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-    assert failures > 100
-
-
-class _FixedDraw:
-    """Stand-in generator whose every ``random()`` is the largest double below 1."""
-
-    def random(self):
-        return math.nextafter(1.0, 0.0)
-
-
-def test_z_draw_tree_raises_where_measure_does():
-    # |10> holds 1e-13 of the weight: drawing it is a forced-outcome error
-    amps = np.array([math.sqrt(1.0 - 1e-13), 0.0, math.sqrt(1e-13), 0.0], dtype=complex)
-    pair = sv.PureState(2, amps)
-    tree = gr._z_draw_tree(pair, (0, 1))
-    assert tree[1][1] is None and tree[1][0] is not None
-    with pytest.raises(sv.ForcedOutcomeError):
-        sv.measure(pair.copy(), 0, "z", rng=_FixedDraw())
-    with pytest.raises(sv.ForcedOutcomeError):
-        gr._draw_z_tree(tree, _FixedDraw())
-    assert gr._draw_z_tree(tree, np.random.default_rng(0)) == (0, 0)
+            kept = maps[m] * (0.5 / math.sqrt(fresh[m]))
+            np.testing.assert_allclose(kept, pair.amps, rtol=0, atol=1e-12)
 
 
 def test_stage_caches_are_bounded_and_read_only():
     for theta in np.linspace(0.0, 3.0, 7):
-        table = gr._chain_table(theta)
-        maps, map_weights = gr._fusion_maps(theta)
-        for cache in (gr._chain_table, gr._fusion_maps):
-            info = cache.cache_info()
-            assert info.maxsize == 2 and info.currsize <= info.maxsize
-        np.testing.assert_allclose(sum(table.weights), 1.0, rtol=0, atol=1e-12)
-        for array in (maps, map_weights, *(p for p in table.pairs if p is not None)):
+        maps, map_weights = pr.held_pair_maps(3, theta)
+        info = pr.held_pair_maps.cache_info()
+        assert info.maxsize == 2 and info.currsize <= info.maxsize
+        np.testing.assert_allclose(map_weights.sum() / 4.0, 1.0, rtol=0, atol=1e-12)
+        for array in (maps, map_weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-    with pytest.raises(TypeError):
-        gr._chain_table(1.0).weights[0] = 0.0

@@ -148,10 +148,10 @@ class TestProbabilities:
     @pytest.mark.parametrize("n", [1, 3, 5])
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5, 3.0])
     def test_success_weights_closed_form(self, n, theta):
-        """Summed over success sequences, |g|^2 / 4^n is 2 p diag(1, 1)."""
-        g = pr._retry_branch_maps(n, theta)
+        """Summed over success sequences, the map weights are 2 p diag(1, 1)."""
+        _, w = pr.held_pair_maps(n, theta)
         success = [int(s, 2) for s in pr.enumerate_success_sequences(n)]
-        weights = (np.abs(g[success]) ** 2).sum(axis=0) / 4**n
+        weights = w[success].sum(axis=0).reshape(2, 2)
         expect = 2 * pr.success_probability_closed(n, theta) * np.eye(2)
         np.testing.assert_allclose(weights, expect, rtol=0, atol=1e-12)
 

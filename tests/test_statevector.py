@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import is_product_across_cut, phase_from_interaction, probability_of_bit
@@ -466,14 +465,17 @@ class TestXRunKernel:
         )
 
     def test_fresh_chain_cache_is_bounded_and_read_only(self):
+        # on the fresh |+>|+> pair, whose amplitudes are all 1/2, the maps
+        # are the x_branches of a fresh chain
         for theta in np.linspace(0.0, 3.0, 7):
-            branches = gr._fresh_chain_branches(theta)
-            info = gr._fresh_chain_branches.cache_info()
+            maps, _ = pr.held_pair_maps(3, theta)
+            info = pr.held_pair_maps.cache_info()
             assert info.maxsize == 2 and info.currsize <= info.maxsize
             chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
-            assert np.array_equal(branches, sv.x_branches(chain, 1, 3))
+            branches = sv.x_branches(chain, 1, 3).transpose(1, 0, 2).reshape(8, 4)
+            np.testing.assert_allclose(0.5 * maps, branches, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
-            gr._fresh_chain_branches(1.0)[0, 0, 0] = 0.0
+            pr.held_pair_maps(3, 1.0)[0][0, 0] = 0.0
 
 
 class TestComparisons:
