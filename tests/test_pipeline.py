@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -319,35 +319,7 @@ def test_fusion_block_entangler(theta):
     assert not np.allclose(every_pair.amps, expected.amps, rtol=0, atol=1e-6)
 
 
-_EXAMPLE_ENDS = random_ends(np.random.default_rng(11))
-
-
-@st.composite
-def normalized_ends(draw):
-    """A random 4-qubit state: 16 complex amplitudes, normalized."""
-    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
-    amps = parts[:16] + 1j * parts[16:]
-    norm = np.linalg.norm(amps)
-    assume(norm > 0.1)
-    return sv.PureState(4, amps / norm)
-
-
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=30,
-    deadline=None,
-)
-@given(
-    theta=st.floats(0.0, math.pi),
-    ends=normalized_ends(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(theta=0.0, ends=_EXAMPLE_ENDS, seed=0)
-@example(theta=0.3, ends=_EXAMPLE_ENDS, seed=1)
-@example(theta=1.0, ends=_EXAMPLE_ENDS, seed=2)
-@example(theta=2.8, ends=_EXAMPLE_ENDS, seed=3)
-def test_fusion_maps_match_block_route(theta, ends, seed):
+def check_fusion_maps(theta, ends, seed):
     """The held-pair maps give the block's outcome weights and kept ends.
 
     For every outcome sequence of the middles, forced, and for drawn ones,
@@ -373,6 +345,38 @@ def test_fusion_maps_match_block_route(theta, ends, seed):
         assert seq == expected_seq
         assert fast_rng.bit_generator.state == block_rng.bit_generator.state
         np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.8])
+def test_fusion_maps_match_block_route(theta):
+    rng = np.random.default_rng(11)
+    for seed in range(8):
+        check_fusion_maps(theta, random_ends(rng), seed)
+
+
+@st.composite
+def normalized_ends(draw):
+    """A random 4-qubit state: 16 complex amplitudes, normalized."""
+    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
+    amps = parts[:16] + 1j * parts[16:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.1)
+    return sv.PureState(4, amps / norm)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=30,
+    deadline=None,
+)
+@given(
+    theta=st.floats(0.0, math.pi),
+    ends=normalized_ends(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fusion_maps_match_block_route_property(theta, ends, seed):
+    check_fusion_maps(theta, ends, seed)
 
 
 def test_fusion_attempt_checks_the_norm():
