@@ -44,6 +44,7 @@ from .growth import (
     fuse,
     x_measure_shorten,
     z_remove_leaf,
+    y_join,
     run_thirteen_qubit_pipeline,
     grow_1d,
     grow_2d,
@@ -82,6 +83,7 @@ __all__ = [
     "fuse",
     "x_measure_shorten",
     "z_remove_leaf",
+    "y_join",
     "run_thirteen_qubit_pipeline",
     "grow_1d",
     "grow_2d",

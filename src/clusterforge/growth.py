@@ -22,6 +22,9 @@ every edge of the dangler, which stays behind as a flagged leaf on it).
   neighbor hands its far edges over to the kept one and dangles from it.
   Outcome 1 leaves a Z on the new leaf and on its former far neighbors.
 * Z removal: a degree-1 qubit is measured out.
+* Y join: a degree-2 qubit is measured in the Y basis.  Its two neighbors
+  become adjacent (local complementation, then deletion) and each takes an
+  S^dagger correction; outcome 1 also leaves a Z on both.
 
 ``z_parity`` is the Pauli frame: applied as Z corrections, it turns the
 physical state into the graph state of the graph.  A pending Z moves with
@@ -29,8 +32,8 @@ the rewrites as follows (Hein, Eisert & Briegel, quant-ph/0307130):
 
 * it commutes with Z measurements and with the diagonal entangling gates of
   a fusion, so it stays put, and one on a measured-out node goes with it;
-* on an X-measured qubit it flips the outcome, so sigma_x shortening charges
-  ``outcome ^ parity(node)``;
+* on an X- or Y-measured qubit it flips the outcome, so sigma_x shortening
+  and the Y join charge ``outcome ^ parity(node)``;
 * a dangler takes a Hadamard, which turns its Z into an X, and on a leaf X
   equals a Z on the one neighbor (the leaf's stabilizer is X_leaf Z_nb), so
   ``hand_over`` moves the dangler's parity onto the inheritor.
@@ -60,6 +63,13 @@ from .protocol import RetryLimitError
 STEPS_PROTOCOL_ROUND = 5   # initialize, entangle, rotate, measure, correct
 STEPS_SHORTEN_ROUND = 3    # rotate, measure, correct
 STEPS_REMOVE_ROUND = 2     # measure, correct
+
+# A 2D row grows MARGIN / gain backbone nodes past the node it works on, gain
+# being the mean length gain per attempt.  The row end walks with drift gain,
+# so the depth a failure run reaches scales as 1 / gain, and this keeps the
+# chance that one eats back to lattice structure about the same at every p:
+# 24 nodes at n = 3, theta = 0.3 and 85 at theta = 1.0.
+MARGIN = 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +268,23 @@ def z_remove_leaf(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGr
     return graph
 
 
+def y_join(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGraph:
+    """Measure a degree-2 qubit in the Y basis, joining its two neighbors.
+
+    The S^dagger each neighbor takes is applied at once; ``outcome``, flipped
+    by a pending Z on ``node``, charges a Z byproduct to both neighbors.
+    """
+    nbs = graph.neighbors(node)
+    if len(nbs) != 2:
+        raise ValueError("node does not have degree 2")
+    a, b = nbs
+    if b in graph.neighbors(a):
+        raise ValueError("the node's neighbors are already adjacent")
+    graph.measure_out(node, outcome ^ graph.z_parity.get(node, 0))
+    graph.add_edge(a, b)
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # Growth statistics and the closed-form cost model
 
@@ -345,10 +372,6 @@ def time_steps_2d(N: int, p: float, ell: int) -> float:
 # ---------------------------------------------------------------------------
 # Row machinery shared by 1D and 2D growth
 
-class _RowDamaged(RuntimeError):
-    """A growth failure burrowed into protected lattice structure."""
-
-
 @dataclass
 class _Row:
     backbone: list    # node ids in chain order
@@ -420,22 +443,20 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rn
 def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     """Fuse a fresh growth unit onto the row's end with a given outcome.
 
-    No cost is accounted here.  A success first measures out any spare a
-    discard left on the end.  A failure builds no unit (its remnant would not
-    be recycled) and measures out the end qubit; the end is then re-derived
-    by promoting the spare leaf of the new end node when one exists.  Either
-    way the row ends on a node without a spare.  An attach on a protected
-    end means the row is damaged.
+    No cost is accounted here.  The row end never holds a spare.  A failure
+    builds no unit (its remnant would not be recycled) and measures out the
+    end qubit; the end is then re-derived by promoting the spare leaf of the
+    new end node when one exists.  Either way the row ends on a node without
+    a spare.  An attach on a protected end raises ``RetryLimitError``: a
+    failure run has eaten the row back to lattice structure it must keep.
     """
     if len(row.backbone) <= row.protected:
-        raise _RowDamaged("failure run reached protected lattice structure")
+        raise RetryLimitError("growth failure run reached protected lattice structure")
     end = row.backbone[-1]
 
     if success:
         u, c, w, lf = three_node(graph)
         fuse(graph, end, u, True)
-        if end in row.spares:
-            z_remove_leaf(graph, row.spares[end])
         row.spares[end] = u
         row.spares[c] = lf
         row.backbone.extend([c, w])
@@ -447,9 +468,6 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
 
     graph.measure_out(end)
     row.backbone.pop()
-    lost_spare = row.spares.pop(end, None)
-    if lost_spare is not None:
-        graph.measure_out(lost_spare)
     if row.backbone:
         promoted = row.spares.pop(row.backbone[-1], None)
         if promoted is not None:
@@ -457,10 +475,9 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
             row.backbone.append(promoted)
 
 
-def _row_grow_to(graph, row, stats, p, rng, length, cap_check=None):
+def _row_grow_to(graph, row, stats, p, rng, length, cap_check):
     while len(row.backbone) < length:
-        if cap_check is not None:
-            cap_check()
+        cap_check()
         _build_three_node_unit(stats, p, rng)
         _row_attach(graph, row, stats, p, rng)
 
@@ -471,8 +488,7 @@ def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = 
         spare = row.spares.pop(node, None)
         if spare is not None:
             graph.measure_out(spare)
-        if node in graph.nodes:  # a failed link has already measured it out
-            graph.measure_out(node)
+        graph.measure_out(node)
     del row.backbone[start:stop]
 
 
@@ -493,11 +509,14 @@ def _shorten_after(graph: ClusterGraph, row: _Row, node: int) -> int:
     return z
 
 
-def _ensure_spare(graph, row, node, stats, p, rng, cap_check=None) -> int:
-    """Pop and return a flagged leaf on ``node``, shortening the row to make one."""
+def _ensure_spare(graph, row, node, margin, stats, p, rng, cap_check) -> int:
+    """Pop and return a flagged leaf on ``node``, shortening the row to make one.
+
+    The row first grows ``margin`` nodes past the node that follows the cut.
+    """
     if node in row.spares:
         return row.spares.pop(node)
-    _row_grow_to(graph, row, stats, p, rng, row.backbone.index(node) + 6, cap_check)
+    _row_grow_to(graph, row, stats, p, rng, row.backbone.index(node) + 3 + margin, cap_check)
     stats.time_steps += STEPS_SHORTEN_ROUND
     return _shorten_after(graph, row, node)
 
@@ -742,113 +761,81 @@ def grow_2d(
 ) -> tuple[ClusterGraph, GrowthStats]:
     """Grow an exact N x N cluster lattice from N horizontal rows.
 
-    Rows grow by growth-unit fusion; vertical links are made column by
-    column, fusing the lower row's grid node (tip, any degree) to a leaf
-    dangling on the upper grid node (tail).  A link success leaves that leaf
-    dangling on the lower node, seeding the next link down the column.  A
-    failure destroys the lower grid node, so its row is truncated at the
-    break, regrown, and the link retried with a fresh leaf manufactured on
-    the upper node when needed.  Rows keep a growth margin past protected
-    structure, but a failure run can still burrow through it: once it
-    truncates a row to a grid node, that node's spare is promoted into the
-    backbone, the next failure consumes it, and the following attach on the
-    bare grid node raises ``_RowDamaged``.  The whole build then restarts.
-    Finally the rows are shortened until consecutive grid nodes are adjacent
-    and every dangling qubit is measured out, leaving exactly the N x N
-    lattice.
+    Rows grow by growth-unit fusion, and the lattice is linked column by
+    column, top to bottom.  A row's next grid node is the first backbone
+    node an odd distance past its newest one that carries a spare leaf, so
+    that the even gap between them can later be closed by sigma_x shortening.
+    Below row 0, that spare (tip) is fused to a spare of the grid node above
+    (tail), which is shortened out of the upper row when it has none.  A link
+    success leaves the tail dangling on the tip and the tip between the two
+    grid nodes; the tail is Z-removed and the tip Y-joined, which makes the
+    grid nodes adjacent.  A failure measures out only the two leaves, so no
+    row is cut, and the next candidate is tried.  Every growth call grows the
+    row ``MARGIN / gain`` backbone nodes past the node it works on, gain being
+    the mean length gain per attempt; a failure run that still eats back to a
+    grid node raises ``RetryLimitError``, as the attempt cap does, and
+    parameters with no net growth raise ``NoGrowthError``.  Finally the rows
+    are shortened until consecutive grid nodes are adjacent and every
+    dangling qubit is measured out, leaving exactly the N x N lattice.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     p = success_probability
     if p is None:
         p = pr.success_probability_closed(n, theta)
+    gain = expected_length_gain(p, 3)
+    if gain <= 0:
+        raise NoGrowthError("expected length gain is not positive")
+    margin = math.ceil(MARGIN / gain)
     stats = GrowthStats()
-    frontier = [0] * N  # lattice sites per row band, kept across restarts
 
     def cap_check():
         if stats.protocol_applications > attempt_cap:
             raise RetryLimitError("2D growth attempt cap exhausted")
 
-    while True:
-        graph = ClusterGraph()
-        rows = [_fresh_unit_row(graph, n) for _ in range(N)]
-        for row, sites in zip(rows, frontier):
-            row.frontier = max(row.frontier, sites)
-        try:
-            _grow_2d_build(graph, N, p, stats, rng, cap_check, rows)
-        except _RowDamaged:
-            frontier = [row.frontier for row in rows]
-            stats.restarts += 1
-            cap_check()
-            continue
-        # every row band owns its chain row plus the n spacer rows used as
-        # middles for the vertical fusions below it
-        stats.physical_qubits_used = sum(row.frontier for row in rows) * (n + 1)
-        # the build ends in the verified lattice, whose longest path is the
-        # N * N snake
-        stats.final_length = N * N
-        return graph, stats
-
-
-def _grow_2d_build(graph, N, p, stats, rng, cap_check, rows):
+    graph = ClusterGraph()
+    rows = [_fresh_unit_row(graph, n) for _ in range(N)]
     for _ in range(N):  # the seed unit of every row
         _build_three_node_unit(stats, p, rng)
     grid: dict[tuple[int, int], int] = {}
-    # grid nodes sit an odd number of backbone slots apart, so the even gap
-    # between them can be closed by sigma_x shortening (pairs of qubits); the
-    # spacing also buffers the previous column against failure burrows
-    spacing = 7
-    margin = 6  # growth margin past each new grid node
-    prev_idx = [-spacing + 1] * N
-
-    def replant(row: _Row, node: int):
-        if node not in row.spares:
-            row.spares[node] = _ensure_spare(graph, row, node, stats, p, rng, cap_check)
-
     for j in range(N):
-        # column node for row 0, with a spare leaf to seed the column
-        idx0 = prev_idx[0] + spacing
-        _row_grow_to(graph, rows[0], stats, p, rng, idx0 + 2 + margin, cap_check)
-        node0 = rows[0].backbone[idx0]
-        carried = _ensure_spare(graph, rows[0], node0, stats, p, rng, cap_check)
-        grid[(0, j)] = node0
-        prev_idx[0] = idx0
-        rows[0].protected = idx0 + 1
-
-        for r in range(N - 1):
-            lower = rows[r + 1]
+        for r, row in enumerate(rows):
+            idx = row.protected  # one past the row's newest grid node
             while True:
+                _row_grow_to(graph, row, stats, p, rng, idx + margin, cap_check)
+                node = row.backbone[idx]
+                if node not in row.spares:
+                    idx += 2
+                    continue
+                if r == 0:
+                    break
+                upper = grid[(r - 1, j)]
+                tail = _ensure_spare(graph, rows[r - 1], upper, margin, stats, p, rng, cap_check)
+                tip = row.spares.pop(node)
                 cap_check()
-                if carried not in graph.nodes:  # measured out by a failed link
-                    carried = _ensure_spare(
-                        graph, rows[r], grid[(r, j)], stats, p, rng, cap_check
-                    )
-                if j > 0:  # a failure run may have promoted the wall's spare
-                    replant(lower, lower.backbone[prev_idx[r + 1]])
-                idx = prev_idx[r + 1] + spacing
-                _row_grow_to(graph, lower, stats, p, rng, idx + 2 + margin, cap_check)
-                node = lower.backbone[idx]
                 stats.protocol_applications += 1
                 stats.time_steps += STEPS_PROTOCOL_ROUND
-                if rng.random() < p:
-                    fuse(graph, node, carried, True)
-                    grid[(r + 1, j)] = node
-                    prev_idx[r + 1] = idx
-                    lower.protected = idx + 1
+                success = bool(rng.random() < p)
+                fuse(graph, tip, tail, success)
+                if success:
+                    # both measurements commute with the rest of the build, so
+                    # they run in the final rounds that _trim_to_grid charges
+                    z_remove_leaf(graph, tail)
+                    y_join(graph, tip)
                     break
-                fuse(graph, node, carried, False)
-                _row_discard(graph, lower, idx)
-            # the fused tail now dangles on the lower node and seeds the next link
-            if r + 1 == N - 1:
-                lower.spares[grid[(r + 1, j)]] = carried
-
-        # plant a spare on every grid node of this column: a failure run
-        # that truncates a row to its grid node then costs the spare first
-        for r in range(N):
-            replant(rows[r], grid[(r, j)])
+                idx += 2
+            grid[(r, j)] = node
+            row.protected = idx + 1
 
     _trim_to_grid(graph, rows, grid, N, stats)
     _verify_grid(graph, grid, N)
+    # every row band owns its chain row plus the n spacer rows used as
+    # middles for the vertical fusions below it
+    stats.physical_qubits_used = sum(row.frontier for row in rows) * (n + 1)
+    # the build ends in the verified lattice, whose longest path is the N * N
+    # snake
+    stats.final_length = N * N
+    return graph, stats
 
 
 def _trim_to_grid(graph, rows, grid, N, stats):

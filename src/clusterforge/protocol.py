@@ -64,7 +64,8 @@ class DegenerateInputError(ValueError):
 
 
 class RetryLimitError(RuntimeError):
-    """A retry cap was exhausted before the run completed."""
+    """A run stopped before it completed: a retry cap was exhausted, or a 2D
+    growth failure run ate a row back to lattice structure it must keep."""
 
 
 @dataclass(frozen=True)

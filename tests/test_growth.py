@@ -216,6 +216,7 @@ FRAME_REWRITES = {
     "fuse_failure": ([(0, 1), (2, 3), (3, 4)], ((0, 0), (0, 1), (1, 0), (1, 1))),
     "x_shorten": ([(0, 1), (1, 2), (2, 3), (3, 4)], (0, 1)),
     "z_remove": ([(0, 1), (1, 2), (1, 3)], (0, 1)),
+    "y_join": ([(0, 1), (1, 2), (2, 3), (3, 4)], (0, 1)),
 }
 FRAME_CASES = [
     (rewrite, pending, outcome)
@@ -232,9 +233,10 @@ def frame_case(rewrite, pending, outcome, theta=0.3):
     in ``z_parity`` before the rewrite.  Fusions run the real three-middle
     protocol between tip 1 and tail 2 (success sequences 101 and 010 give
     parity 0 and 1; 000 fails); x_shorten measures node 2 keeping node 1;
-    z_remove measures leaf 3.  The recorded ``z_parity`` is then applied as
-    the Z corrections.  Returns the corrected state of the live nodes and the
-    rewritten graph.
+    z_remove measures leaf 3; y_join measures node 2 in the Y basis and
+    applies S^dagger, RZ(-pi/2), to nodes 1 and 3.  The recorded ``z_parity``
+    is then applied as the Z corrections.  Returns the corrected state of the
+    live nodes and the rewritten graph.
     """
     edges, _ = FRAME_REWRITES[rewrite]
     size = 1 + max(map(max, edges))
@@ -270,6 +272,11 @@ def frame_case(rewrite, pending, outcome, theta=0.3):
         _, state = sv.measure(state, 2, basis="xi", xi=0.0, outcome=outcome)
         sv.apply_gate(state, 3, "H")  # the special neighbor dangles
         gr.x_measure_shorten(graph, 2, keep=1, outcome=outcome)
+    elif rewrite == "y_join":
+        _, state = sv.measure(state, 2, basis="xi", xi=-math.pi / 2, outcome=outcome)
+        for q in (1, 3):
+            sv.apply_gate(state, q, "RZ", -math.pi / 2)
+        gr.y_join(graph, 2, outcome=outcome)
     else:
         _, state = sv.measure(state, 3, basis="z", outcome=outcome)
         gr.z_remove_leaf(graph, 3, outcome=outcome)
@@ -353,6 +360,42 @@ class TestRewriteConsistency:
             sv.apply_gate(state, 1, "Z")
         got = sv.extract_qubits(state, [0, 1, 2])
         assert sv.fidelity_up_to_global_phase(got, linear_cluster_target(3)) > 1 - 1e-9
+
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_y_join(self, outcome):
+        # path of 5, measure qubit 2 in the Y basis: its neighbors 1 and 3
+        # become adjacent after S^dagger on both, and Z on both for outcome 1
+        state = linear_cluster_target(5)
+        rec, state = sv.measure(state, 2, basis="xi", xi=-math.pi / 2, outcome=outcome)
+        assert rec.probability == pytest.approx(0.5)
+        for q in (1, 3):
+            sv.apply_gate(state, q, "RZ", -math.pi / 2)
+            if outcome:
+                sv.apply_gate(state, q, "Z")
+        got = sv.extract_qubits(state, [0, 1, 3, 4])
+
+        graph, nodes = path_graph(5)
+        gr.y_join(graph, nodes[2], outcome=outcome)
+        edges = sorted(tuple(sorted(e)) for e in graph.edges())
+        assert edges == [(0, 1), (1, 3), (3, 4)]
+        assert graph.z_parity == ({1: 1, 3: 1} if outcome else {})
+        assert sv.fidelity_up_to_global_phase(got, linear_cluster_target(4)) > 1 - 1e-9
+
+    def test_y_join_needs_two_unjoined_neighbors(self):
+        graph, nodes = path_graph(4)
+        for node in (nodes[0], nodes[3]):  # degree 1
+            with pytest.raises(ValueError):
+                gr.y_join(graph, node)
+        hub = graph.new_node()
+        for node in nodes[:3]:
+            graph.add_edge(hub, node)
+        with pytest.raises(ValueError):  # degree 3
+            gr.y_join(graph, hub)
+        triangle, corners = path_graph(3)
+        triangle.add_edge(corners[0], corners[2])
+        with pytest.raises(ValueError):  # neighbors already adjacent
+            gr.y_join(triangle, corners[1])
+        assert triangle.edge_count() == 3
 
     @pytest.mark.parametrize(
         "rewrite, pending, outcome", FRAME_CASES,
@@ -586,25 +629,22 @@ class TestGrow1D:
 class TestRowInvariant:
     """What every attach leaves behind, in 1D and in 2D growth.
 
-    The row end holds no spare (only the discard after a failed vertical
-    link leaves one there, and a successful attach onto that end measures
-    it out), and every recorded spare is a live flagged leaf on its backbone
-    node, so spares need no liveness check.  A 1D graph holds nothing else:
-    its nodes are the backbone and the spares.
+    The row end holds no spare, before an attach as well as after it (a 2D
+    link measures out only leaves, so it never cuts a row back to a node
+    that carries one), and every recorded spare is a live flagged leaf on
+    its backbone node, so spares need no liveness check.  A 1D graph holds
+    nothing else: its nodes are the backbone and the spares.
     """
 
     def test_after_every_attach(self, monkeypatch):
         attach = gr._attach_bernoulli
         checked = []
-        displaced = []
         one_row = True
 
         def checking_attach(graph, row, success):
-            spare_on_end = row.spares.get(row.backbone[-1]) if row.backbone else None
+            if row.backbone:
+                assert row.backbone[-1] not in row.spares
             attach(graph, row, success)
-            if success and spare_on_end is not None:
-                assert spare_on_end not in graph.nodes
-                displaced.append(spare_on_end)
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
             for node, spare in row.spares.items():
@@ -623,7 +663,16 @@ class TestRowInvariant:
             gr.grow_2d(3, 3, 0.3, np.random.default_rng([22, i]))
         assert grown_1d > 0 and len(checked) > grown_1d
         assert not all(checked) and any(checked)
-        assert displaced
+
+    @pytest.mark.parametrize("success", [True, False])
+    def test_attach_on_protected_end_raises(self, success):
+        # a failure run that eats a row back to its newest grid node stops
+        # the build, as the attempt cap does
+        graph = gr.ClusterGraph()
+        row = gr._fresh_unit_row(graph)
+        row.protected = len(row.backbone)
+        with pytest.raises(pr.RetryLimitError):
+            gr._attach_bernoulli(graph, row, success)
 
 
 class TestCostModel:
@@ -816,16 +865,33 @@ class TestGrow2D:
         # order in which a seeded build consumes its stream
         _, stats = gr.grow_2d(3, 3, 0.3, np.random.default_rng(2))
         assert stats == gr.GrowthStats(
-            protocol_applications=4000, time_steps=15079, final_length=9,
-            physical_qubits_used=2076, prep_rounds=2231, pair_fusion_attempts=566,
-            growth_attempts=198, three_nodes_built=202, restarts=0,
+            protocol_applications=5658, time_steps=21465, final_length=9,
+            physical_qubits_used=3868, prep_rounds=3158, pair_fusion_attempts=819,
+            growth_attempts=284, three_nodes_built=287, restarts=0,
         )
         _, stats = gr.grow_2d(4, 3, 0.3, np.random.default_rng([22, 0]))
         assert stats == gr.GrowthStats(
-            protocol_applications=28203, time_steps=106879, final_length=16,
-            physical_qubits_used=3664, prep_rounds=15816, pair_fusion_attempts=4035,
-            growth_attempts=1420, three_nodes_built=1458, restarts=3,
+            protocol_applications=10512, time_steps=39820, final_length=16,
+            physical_qubits_used=6032, prep_rounds=5869, pair_fusion_attempts=1522,
+            growth_attempts=512, three_nodes_built=518, restarts=0,
         )
+
+    def test_cost_per_site_flat_in_size(self):
+        # with no whole-lattice restart a build costs the same per site at
+        # every size; every build here completes under the default cap
+        per_site = {}
+        for N, seeds in ((3, range(5)), (10, range(5)), (16, range(1))):
+            per_site[N] = []
+            for s in seeds:
+                graph, stats = gr.grow_2d(N, 3, 0.3, np.random.default_rng([s, 20, 0]))
+                assert len(graph.nodes) == N * N and graph.edge_count() == 2 * N * (N - 1)
+                per_site[N].append(stats.protocol_applications / (N * N))
+        ratio = np.median(per_site[10]) / np.median(per_site[3])
+        assert 0.75 < ratio < 1.25
+
+    def test_no_net_growth_rejected(self):
+        with pytest.raises(gr.NoGrowthError):
+            gr.grow_2d(2, 3, 1.6, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         runs = [gr.grow_2d(3, 3, 0.3, np.random.default_rng(77)) for _ in range(2)]
