@@ -157,7 +157,7 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
     if mode == "1d":
         t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length; rejects no growth
         cost = gr.CostModel(p, ell, config.n)
-        totals = {"apps": 0, "prep": 0, "cycles": 0, "growth": 0, "units": 0, "len": 0,
+        totals = {"apps": 0, "prep": 0, "cycles": 0, "units": 0, "len": 0,
                   "gain_sum": 0.0, "gain_pairs": 0}
         for i in range(config.trials):
             rng = np.random.default_rng([config.seed, 10, i])
@@ -165,7 +165,6 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
             totals["apps"] += st.protocol_applications
             totals["prep"] += st.prep_rounds
             totals["cycles"] += st.pair_fusion_attempts
-            totals["growth"] += st.growth_attempts
             totals["units"] += st.three_nodes_built
             totals["len"] += st.final_length
             totals["gain_sum"] += st.paired_gain_sum

@@ -602,23 +602,6 @@ def three_node_target() -> PureState:
     return graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
 
 
-def _fusion_attempt(ends: PureState, theta: float, outcomes=None, rng=None) -> str:
-    """One stage-3 attempt on the ends (0, 4, 8, 12), in place.
-
-    Draws (or forces) the outcome bits of the fusion middles 5-7 with
-    ``sv.draw_outcome`` on the weights of ``pr.held_pair_maps(3, theta)`` and
-    leaves the ends as the kept branch, rescaled by its own norm.  Returns
-    the bits.
-    """
-    maps, map_weights = pr.held_pair_maps(3, theta)
-    weights = (map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)).tolist()
-    sv._check_norm_squared(sum(weights), ends.amps.size)
-    m, _ = sv.draw_outcome(weights, outcomes, rng)
-    tip_tail = ends.amps.reshape(2, 4, 2)  # axis 1: tip 4 and tail 8, as 2 b + c
-    tip_tail *= (maps[m] / math.sqrt(weights[m]))[:, None]
-    return format(m, "03b")
-
-
 def _fusion_success_probability(ends: PureState, theta: float) -> float:
     """Exact probability that re-running the fusion chain would succeed.
 
@@ -683,10 +666,10 @@ def run_thirteen_qubit_pipeline(
       1/2, rescaled by its weight.  An attempt is three draws, in the same
       chain-by-chain order; nothing reads a failed chain's end bits, so they
       are never drawn.
-    * Stage 3: an attempt's outcome weights are the table's ``|.|^2`` against
-      the Born marginals of the tip-tail pair (tip 4, tail 8); the drawn map,
-      rescaled by its weight, updates the ends in place.  No middle qubit is
-      built.
+    * Stage 3: an attempt is ``pr.held_pair_attempt`` on the tip-tail pair
+      (tip 4, tail 8) of the ends, in place.  No middle qubit is built.
+
+    The retry cap is checked before every protocol round.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
@@ -694,16 +677,18 @@ def run_thirteen_qubit_pipeline(
     maps, map_weights = pr.held_pair_maps(3, theta)
     fresh = (map_weights.sum(axis=1) / 4.0).tolist()  # stage 1's outcome weights
 
-    while True:
+    def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
             raise RetryLimitError("pipeline retry cap exhausted")
+        stats.time_steps += STEPS_PROTOCOL_ROUND
+        stats.protocol_applications += attempts
 
+    while True:
         # stage 1: distill chains A and B into Bell-form end pairs, simultaneously
         pending = [0, 1]
         pairs, parities = {}, {}
-        while pending and stats.protocol_applications < retry_cap:
-            stats.time_steps += STEPS_PROTOCOL_ROUND
-            stats.protocol_applications += len(pending)
+        while pending:
+            protocol_round(len(pending))
             for key in list(pending):
                 m, _ = sv.draw_outcome(fresh, rng=rng)
                 seq = format(m, "03b")
@@ -711,8 +696,6 @@ def run_thirteen_qubit_pipeline(
                     parities[key] = seq.count("1") & 1
                     pairs[key] = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
                     pending.remove(key)
-        if pending:
-            raise RetryLimitError("pipeline retry cap exhausted")
 
         # stage 2: Bell pairs -> two-qubit cluster states (corrections on tips 4, 12)
         for key, pair in pairs.items():
@@ -723,29 +706,20 @@ def run_thirteen_qubit_pipeline(
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7
         ends = PureState(4, np.multiply.outer(pairs[0].amps, pairs[1].amps))
         fusion_parity = 0
-        fused = False
-        while stats.protocol_applications < retry_cap:
-            stats.time_steps += STEPS_PROTOCOL_ROUND
-            stats.protocol_applications += 1
-            seq = _fusion_attempt(ends, theta, rng=rng)
+        while True:
+            protocol_round(1)
+            seq, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=rng)
             fusion_parity ^= seq.count("1") & 1
             if seq in success:
-                fused = True
-                break
+                # stage 4: local corrections; tail 8 becomes the growth-unit leaf
+                if fusion_parity:
+                    apply_gate(ends, 1, "Z")
+                apply_gate(ends, 2, "H")
+                stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
+                return ends, stats
             if _fusion_success_probability(ends, theta) < 1e-9:
                 stats.restarts += 1
                 break  # dead end: rebuild everything
-        if not fused:
-            if stats.protocol_applications >= retry_cap:
-                raise RetryLimitError("pipeline retry cap exhausted")
-            continue
-
-        # stage 4: local corrections; tail 8 becomes the growth-unit leaf
-        if fusion_parity:
-            apply_gate(ends, 1, "Z")
-        apply_gate(ends, 2, "H")
-        stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
-        return ends, stats
 
 
 # ---------------------------------------------------------------------------
@@ -853,14 +827,10 @@ def _trim_to_grid(graph, rows, grid, N, stats):
         _row_discard(graph, row, 0, row.backbone.index(grid[(r, 0)]))
     stats.time_steps += STEPS_SHORTEN_ROUND * max(1, shorten_waves)
 
-    grid_nodes = set(grid.values())
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(graph.nodes - grid_nodes):
-            if graph.degree(node) <= 1:
-                graph.measure_out(node)
-                changed = True
+    # the rows are now their grid nodes; measure out the spares they still hold
+    for row in rows:
+        for spare in row.spares.values():
+            graph.measure_out(spare)
     stats.time_steps += STEPS_REMOVE_ROUND
 
 

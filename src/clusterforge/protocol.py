@@ -14,13 +14,17 @@ phase, where q is the Hamming weight of the sequence.  A combinatorial
 generator reproduces the same sets and is tested against the oracle; the
 oracle is canonical.
 
+Dense chains only define things: the oracle, ``branch_probabilities`` and
+the held-pair table, each reading every outcome branch at once off the
+middles rotated by Hadamards (``branch_tensor``).  Runs read the table: each
+outcome sequence maps the two held qubits diagonally (``held_pair_maps``),
+and ``held_pair_attempt`` draws one attempt from it in place.  The protocol
+run, the retry, the teleport link and the pipeline's fusion all use it;
+``concatenated_ghz`` still retries on its dense register.
+
 All randomness flows through numpy Generators supplied by the caller, so
-runs are pure functions of their outcome sources.  Branch enumeration never
-samples: forcing every middle outcome is exact, and the whole outcome tree
-can be read off at once by rotating the middle qubits with Hadamards (see
-``branch_tensor``).  Enumerations could be partitioned across disjoint
-outcome prefixes and merged in sequence order; nothing here shares mutable
-state between runs.
+runs are pure functions of their outcome sources; nothing here shares
+mutable state between runs.
 """
 
 from __future__ import annotations
@@ -70,17 +74,14 @@ class RetryLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Parameters of one protocol instance: middle-qubit count, error, gate."""
+    """Parameters of one protocol instance: middle-qubit count and error."""
 
     n: int
     theta: float
-    entangler: str = "CSX"
 
     def __post_init__(self):
         if self.n < 1 or self.n % 2 == 0:
             raise ValueError("n must be an odd integer >= 1")
-        if self.entangler not in ("CS", "CSX"):
-            raise ValueError(f"unknown entangler {self.entangler!r}")
         if abs(math.cos(self.theta / 2.0)) < 1e-12:
             warnings.warn(
                 "theta = pi gives zero success probability", stacklevel=2
@@ -106,7 +107,7 @@ def _input_pair(input_state) -> np.ndarray:
     return sv._as_pair(input_state)
 
 
-def build_imperfect_chain(input_state, n: int, theta: float, entangler: str = "CSX") -> PureState:
+def build_imperfect_chain(input_state, n: int, theta: float) -> PureState:
     """(n+2)-qubit chain: psi on qubit 0, |+> elsewhere, entangled left to right.
 
     All the controlled-phase factors commute, so the application order is
@@ -116,12 +117,12 @@ def build_imperfect_chain(input_state, n: int, theta: float, entangler: str = "C
         raise ValueError("n must be an odd integer >= 1")
     pair = _input_pair(input_state)
     state = init_register([pair] + ["+"] * (n + 1))
-    return entangle_chain(state, theta, entangler)
+    return entangle_chain(state, theta)
 
 
-def entangle_chain(state: PureState, theta: float, entangler: str = "CSX") -> PureState:
-    """Apply the imperfect entangler to every consecutive pair of the register."""
-    state.amps *= sv.chain_phases(state.num_qubits, math.pi + theta, entangler)
+def entangle_chain(state: PureState, theta: float) -> PureState:
+    """Apply the imperfect CSX entangler to every consecutive pair of the register."""
+    state.amps *= sv.chain_phases(state.num_qubits, math.pi + theta)
     return state
 
 
@@ -132,9 +133,9 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     into the sigma_x outcome bit, so entry ``[b0, m, bE]`` of the returned
     ``(2, 2**n, 2)`` tensor is the joint amplitude of ends ``(b0, bE)`` with
     the forced outcome sequence ``m`` (qubit 1 is the most significant bit of
-    m).  Column norms are branch probabilities.  It is the rotation that
-    :func:`statevector.draw_x_run` samples from when the protocol runs; the
-    tests check both against forcing the outcomes one measurement at a time.
+    m).  Column norms are branch probabilities.  The oracle and
+    :func:`held_pair_maps` read it; the tests check it against forcing the
+    outcomes one measurement at a time.
     """
     return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
@@ -273,18 +274,15 @@ def run_protocol(
 ) -> ProtocolRun:
     """Execute one protocol instance, measuring the middles left to right.
 
-    ``outcomes`` forces the full sequence as a bit string;
-    otherwise outcomes are sampled from ``rng``.  Success is decided by
-    membership in the oracle's success set, never by a hardcoded list.
+    It is :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``.  ``outcomes``
+    forces the full sequence as a bit string; otherwise outcomes are sampled
+    from ``rng``.  Success is decided by membership in the oracle's success
+    set, never by a hardcoded list.
     """
-    chain = build_imperfect_chain(input_state, spec.n, spec.theta, spec.entangler)
-    return _measure_middles(spec, chain, outcomes, rng)
-
-
-def _measure_middles(spec, chain, outcomes, rng) -> ProtocolRun:
-    seq, path_probability, end_pair = sv.measure_x_run(chain, 1, spec.n, outcomes, rng)
+    pair = init_register([_input_pair(input_state), "+"])
+    seq, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
     success = seq in enumerate_success_sequences(spec.n)
-    return ProtocolRun(spec, seq, success, end_pair, path_probability)
+    return ProtocolRun(spec, seq, success, pair, path_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +380,15 @@ def stochastic_teleport(
     if outcomes is not None:
         forced_m2, forced_m1 = outcomes
     spec = ProtocolSpec(1, theta)
-    chain = build_imperfect_chain(input_state, 1, theta)
-    rec2, chain = measure(chain, 1, basis="xi", xi=0.0, outcome=forced_m2, rng=rng)
-    seq = str(rec2.outcome)
-    success = seq in enumerate_success_sequences(1)
-    if not success:
-        run = ProtocolRun(spec, seq, False, extract_qubits(chain, [0, 2]), rec2.probability)
+    pair = init_register([_input_pair(input_state), "+"])
+    forced = None if forced_m2 is None else (forced_m2,)
+    seq, path_probability = held_pair_attempt(pair, 0, 1, 1, theta, forced, rng)
+    if seq not in enumerate_success_sequences(1):
+        run = ProtocolRun(spec, seq, False, pair, path_probability)
         return StochasticTeleportRun(False, None, None, run)
-    rec1, chain = measure(chain, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
-    run = ProtocolRun(spec, seq, True, extract_qubits(chain, [0, 2]), rec2.probability)
-    return StochasticTeleportRun(True, rec1.outcome, extract_qubits(chain, [2]), run)
+    rec1, pair = measure(pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
+    run = ProtocolRun(spec, seq, True, pair, path_probability)
+    return StochasticTeleportRun(True, rec1.outcome, extract_qubits(pair, [1]), run)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +403,9 @@ def retry_protocol(
 ) -> ProtocolRun:
     """Re-run the protocol between two held end qubits in an arbitrary joint state.
 
-    Fresh ``|+>`` middles are inserted, the whole chain is re-entangled, and
-    the middles are measured.  A successful sequence of weight q leaves the
-    ends in ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
+    It is :func:`held_pair_attempt` on a copy of the pair.  A successful
+    sequence of weight q leaves the ends in
+    ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
     regardless of how many earlier attempts failed.
     """
     if end_pair.num_qubits != 2:
@@ -418,10 +415,10 @@ def retry_protocol(
         raise DegenerateInputError(
             "no |00>/|11> amplitude left on the end pair; success is impossible"
         )
-    spec = ProtocolSpec(n, theta)
-    chain = sv.embed_pair_with_plus_middles(end_pair, n)
-    entangle_chain(chain, theta, "CSX")
-    return _measure_middles(spec, chain, outcomes, rng)
+    pair = end_pair.copy()
+    seq, path_probability = held_pair_attempt(pair, 0, 1, n, theta, outcomes, rng)
+    success = seq in enumerate_success_sequences(n)
+    return ProtocolRun(ProtocolSpec(n, theta), seq, success, pair, path_probability)
 
 
 @lru_cache(maxsize=2)  # one entry per (n, theta) in use, like sv.chain_phases
@@ -439,7 +436,7 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     for k in range(4):
         a, b = divmod(k, 2)
         chain = sv.embed_pair_with_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), n)
-        tens = branch_tensor(entangle_chain(chain, theta, "CSX"))
+        tens = branch_tensor(entangle_chain(chain, theta))
         # sanity: the off-diagonal end components must vanish
         other = tens.copy()
         other[a, :, b] = 0.0
@@ -450,6 +447,27 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     for table in (maps, weights):
         table.flags.writeable = False
     return maps, weights
+
+
+def held_pair_attempt(
+    state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None
+) -> tuple[str, float]:
+    """One protocol attempt through n fresh middles between held qubits ``a < b``, in place.
+
+    The outcome weights are the :func:`held_pair_maps` weights against the
+    pair's Born marginals; the bits are drawn (or forced by ``outcomes``) by
+    ``sv.draw_outcome``, with the draws of measuring the middles one at a
+    time, and the drawn map, rescaled by its own weight, updates every
+    amplitude of the register.  No middle qubit is built.  Returns the
+    outcome bits and the path probability.
+    """
+    maps, map_weights = held_pair_maps(n, theta)
+    weights = (map_weights @ sv.pair_marginals(state, a, b).reshape(4)).tolist()
+    sv._check_norm_squared(sum(weights), state.amps.size)
+    m, path_probability = sv.draw_outcome(weights, outcomes, rng)
+    view = sv._split_pair(state, a, b)
+    view *= (maps[m] / math.sqrt(weights[m])).reshape(1, 2, 1, 2, 1)
+    return format(m, f"0{n}b"), path_probability
 
 
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:

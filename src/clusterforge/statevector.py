@@ -23,19 +23,17 @@ half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
 measured-out qubits off the largest amplitude component, copy that one
 definite core and check that it holds the state.
 
-A run of adjacent qubits is measured in sigma_x by one kernel.
-:func:`x_branches` rotates the run into the sigma_x basis with cached
-Walsh-Hadamard matrices (one matmul per four qubits), giving every outcome
-branch at once as a ``(2^first, 2^count, rest)`` array; :func:`draw_x_run`
-reads the joint outcome weights off its columns (:func:`x_weights`) and
-returns the kept column, the unmeasured qubits, rescaled by its own norm.
-The draw itself is :func:`draw_outcome`, on any list of joint outcome
+:func:`x_branches` rotates a run of adjacent qubits into the sigma_x basis
+with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
+every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
+protocol's oracle and held-pair table read it.  The protocol runs draw
+their outcomes with :func:`draw_outcome`, on any list of joint outcome
 weights: it draws the outcome bits left to right against the conditional
 p0 of each prefix (one ``rng.random()`` each, the rule of :func:`measure`),
 so its draws and outcomes are those of a per-qubit :func:`measure` loop.
-Callers that know the weights another way (the pipeline's per-theta tables
-in ``growth``) draw with it too.  One thread touches a state; parallelism
-belongs to the trial level above this module.
+The dense sigma_x run kernel that the tests check the tables against lives
+in the tests.  One thread touches a state; parallelism belongs to the trial
+level above this module.
 """
 
 from __future__ import annotations
@@ -204,14 +202,12 @@ def apply_controlled_phase(
 
 
 @functools.lru_cache(maxsize=2)  # at most two register-sized vectors
-def chain_phases(num_qubits: int, phi: float, variant: str = "CSX") -> np.ndarray:
-    """Read-only ``exp(i phi c)``: :func:`apply_controlled_phase` on every pair
-    (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
-    if variant not in ("CS", "CSX"):
-        raise ValueError(f"unknown controlled-phase variant {variant!r}")
+def chain_phases(num_qubits: int, phi: float) -> np.ndarray:
+    """Read-only ``exp(i phi c)``: CSX :func:`apply_controlled_phase` on every
+    pair (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
     hits = np.zeros(1 << num_qubits, dtype=np.uint8)
     for q in range(num_qubits - 1):
-        hits.reshape(1 << q, 2, 2, -1)[:, 1, int(variant == "CS")] += 1
+        hits.reshape(1 << q, 2, 2, -1)[:, 1, 0] += 1
     phases = np.exp(1j * phi * np.arange(num_qubits))[hits]
     phases.flags.writeable = False
     return phases
@@ -334,12 +330,6 @@ def x_branches(state: PureState, first: int, count: int) -> np.ndarray:
     return out.reshape(1 << first, 1 << count, -1)
 
 
-def x_weights(branches: np.ndarray) -> list:
-    """The outcome weights of :func:`x_branches`: its column norms^2, as floats."""
-    flat = branches.view(float)
-    return np.einsum("imj,imj->m", flat, flat).tolist()
-
-
 def draw_outcome(
     weights: list, outcomes=None, rng: np.random.Generator | None = None
 ) -> tuple[int, float]:
@@ -380,41 +370,6 @@ def draw_outcome(
             )
         path *= prob
     return lo, path
-
-
-def draw_x_run(
-    branches: np.ndarray,
-    outcomes=None,
-    rng: np.random.Generator | None = None,
-) -> tuple[str, float, PureState]:
-    """Measure a run of qubits in sigma_x, given its :func:`x_branches`.
-
-    The outcomes are drawn, or forced by ``outcomes``, by :func:`draw_outcome`
-    on the branches' column norms^2.  Those sum to the input's norm^2, which
-    must lie within the tolerance of :func:`measure`'s norm check.  Returns
-    the outcome bits, the path probability and the kept column: the
-    unmeasured qubits, rescaled by their own norm.
-    """
-    weights = x_weights(branches)
-    _check_norm_squared(sum(weights), branches.size)
-    index, path = draw_outcome(weights, outcomes, rng)
-    kept = branches[:, index, :] / math.sqrt(weights[index])
-    seq = format(index, f"0{len(weights).bit_length() - 1}b")
-    return seq, path, PureState(kept.size.bit_length() - 1, kept)
-
-
-def measure_x_run(
-    state: PureState,
-    first: int,
-    count: int,
-    outcomes=None,
-    rng: np.random.Generator | None = None,
-) -> tuple[str, float, PureState]:
-    """:func:`draw_x_run` on :func:`x_branches`: the run's outcome bits, path
-    probability and the normalized state of the qubits outside the run."""
-    if count >= state.num_qubits:
-        raise ValueError("the run must leave at least one qubit unmeasured")
-    return draw_x_run(x_branches(state, first, count), outcomes, rng)
 
 
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:

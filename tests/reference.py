@@ -1,16 +1,18 @@
 """Reference routes that only the tests call.
 
-The program never runs these: Monte-Carlo cross-checks of the closed-form
-cost model, target states of the pipeline's intermediate and reduced
-stages, the net-growth threshold, a Schmidt-rank product test and two
-probes of a graph or a state.  Import them as ``from reference import ...``,
-like the other test-side helpers.
+The program never runs these: the dense sigma_x run kernel and the dense
+protocol attempt that the held-pair table is checked against, Monte-Carlo
+cross-checks of the closed-form cost model, target states of the
+pipeline's intermediate and reduced stages, the net-growth threshold, a
+Schmidt-rank product test and two probes of a graph or a state.  Import
+them as ``from reference import ...``, like the other test-side helpers.
 """
 
 import math
 
 import numpy as np
 
+from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from clusterforge.growth import (
     ClusterGraph,
@@ -56,6 +58,48 @@ def is_product_across_cut(state: PureState, left_qubits) -> bool:
     """True when the Schmidt rank across the cut is 1 (to tolerance 1e-10)."""
     s = schmidt_coefficients(state, left_qubits)
     return bool(s[0] ** 2 > 1.0 - 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The dense sigma_x run kernel and the dense protocol attempt
+
+def x_weights(branches: np.ndarray) -> list:
+    """The outcome weights of ``sv.x_branches``: its column norms^2, as floats."""
+    flat = branches.view(float)
+    return np.einsum("imj,imj->m", flat, flat).tolist()
+
+
+def draw_x_run(branches: np.ndarray, outcomes=None, rng=None) -> tuple[str, float, PureState]:
+    """Measure a run of qubits in sigma_x, given its ``sv.x_branches``.
+
+    The outcomes are drawn, or forced by ``outcomes``, by ``sv.draw_outcome``
+    on the branches' column norms^2.  Those sum to the input's norm^2, which
+    must lie within the tolerance of ``sv.measure``'s norm check.  Returns
+    the outcome bits, the path probability and the kept column: the
+    unmeasured qubits, rescaled by their own norm.
+    """
+    weights = x_weights(branches)
+    sv._check_norm_squared(sum(weights), branches.size)
+    index, path = sv.draw_outcome(weights, outcomes, rng)
+    kept = branches[:, index, :] / math.sqrt(weights[index])
+    seq = format(index, f"0{len(weights).bit_length() - 1}b")
+    return seq, path, PureState(kept.size.bit_length() - 1, kept)
+
+
+def measure_x_run(state: PureState, first: int, count: int, outcomes=None, rng=None):
+    """``draw_x_run`` on ``sv.x_branches``: the run's outcome bits, path
+    probability and the normalized state of the qubits outside the run."""
+    if count >= state.num_qubits:
+        raise ValueError("the run must leave at least one qubit unmeasured")
+    return draw_x_run(sv.x_branches(state, first, count), outcomes, rng)
+
+
+def dense_retry(pair: PureState, n: int, theta: float, outcomes=None, rng=None):
+    """One protocol attempt on a held pair, built densely: fresh ``|+>``
+    middles, the chain entangler, then ``measure_x_run`` on the middles.
+    Returns the bits, the path probability and the kept end pair."""
+    chain = pr.entangle_chain(sv.embed_pair_with_plus_middles(pair, n), theta)
+    return measure_x_run(chain, 1, n, outcomes, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A top-level function or class must be named by ``src/`` code outside
 ``__init__.py`` or be exported in ``clusterforge.__all__``, and a public
 method must be called somewhere in ``src/``.  Routes that only tests call
-live in ``tests/reference.py``.  Every name a module outside ``__init__.py``
-imports must be used in that module.
+live in ``tests/reference.py``, and each of them must be named by a test
+module or by another definition there.  Every name a module outside
+``__init__.py`` imports must be used in that module.
 """
 
 import ast
@@ -14,6 +15,7 @@ import clusterforge
 
 SRC = Path(clusterforge.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TESTS = Path(__file__).parent
 
 
 def _referenced(tree) -> set:
@@ -77,4 +79,19 @@ def test_every_import_is_used():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_every_reference_definition_is_used():
+    reference = ast.parse((TESTS / "reference.py").read_text())
+    test_names = set().union(
+        *(_referenced(ast.parse(path.read_text())) for path in TESTS.glob("test_*.py"))
+    )
+    unused = [
+        node.name
+        for node in reference.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in test_names
+        and not any(node.name in _referenced(other) for other in reference.body if other is not node)
+    ]
     assert unused == []

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
-from reference import linear_cluster_target, thirteen_qubit_target
+from reference import draw_x_run, linear_cluster_target, thirteen_qubit_target, x_weights
 
 
 def run(theta, seed, **kw):
@@ -160,7 +160,7 @@ def entangle_fusion_block(block, theta):
     stage 1 also uses.
     """
     view = block.amps.reshape(2, 32, 2)
-    view *= sv.chain_phases(5, math.pi + theta, "CSX")[:, None]
+    view *= sv.chain_phases(5, math.pi + theta)[:, None]
     return block
 
 
@@ -328,20 +328,20 @@ def check_fusion_maps(theta, ends, seed):
     _, map_weights = pr.held_pair_maps(3, theta)
     branches = sv.x_branches(fusion_block(ends, theta), 2, 3)
     weights = map_weights @ sv.pair_marginals(ends, 1, 2).reshape(4)
-    np.testing.assert_allclose(weights, sv.x_weights(branches), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, x_weights(branches), rtol=0, atol=1e-12)
     for m, w in enumerate(weights):
         if w <= 1e-6:  # the kept ends are rescaled by 1/sqrt(w), magnifying rounding
             continue
         seq = format(m, "03b")
         kept = ends.copy()
-        assert gr._fusion_attempt(kept, theta, outcomes=seq) == seq
-        _, _, expected = sv.draw_x_run(branches, seq)
+        assert pr.held_pair_attempt(kept, 1, 2, 3, theta, outcomes=seq)[0] == seq
+        _, _, expected = draw_x_run(branches, seq)
         np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
     fast_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(4):
         kept = ends.copy()
-        seq = gr._fusion_attempt(kept, theta, rng=fast_rng)
-        expected_seq, _, expected = sv.draw_x_run(branches, rng=block_rng)
+        seq, _ = pr.held_pair_attempt(kept, 1, 2, 3, theta, rng=fast_rng)
+        expected_seq, _, expected = draw_x_run(branches, rng=block_rng)
         assert seq == expected_seq
         assert fast_rng.bit_generator.state == block_rng.bit_generator.state
         np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
@@ -383,7 +383,7 @@ def test_fusion_attempt_checks_the_norm():
     ends = random_ends(np.random.default_rng(3))
     ends.amps *= 1.0 + 1e-6
     with pytest.raises(sv.NormalizationError):
-        gr._fusion_attempt(ends, 1.0, rng=np.random.default_rng(1))
+        pr.held_pair_attempt(ends, 1, 2, 3, 1.0, rng=np.random.default_rng(1))
 
 
 def test_fusion_attempt_absorbs_norm_drift():
@@ -392,14 +392,14 @@ def test_fusion_attempt_absorbs_norm_drift():
     for seed in range(20):
         ends = random_ends(np.random.default_rng([seed, 12]))
         ends.amps *= math.sqrt(1.0 - 3e-12)
-        gr._fusion_attempt(ends, 1.0, rng=np.random.default_rng(seed))
+        pr.held_pair_attempt(ends, 1, 2, 3, 1.0, rng=np.random.default_rng(seed))
         assert abs(ends.norm_squared() - 1.0) <= 1e-15, seed
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.8])
 def test_chain_table_replays_draw_x_run(theta):
     """Stage 1's weights and kept pairs from the held-pair table replay
-    ``sv.draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain."""
+    ``draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain."""
     maps, map_weights = pr.held_pair_maps(3, theta)
     fresh = (map_weights.sum(axis=1) / 4.0).tolist()
     chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
@@ -408,7 +408,7 @@ def test_chain_table_replays_draw_x_run(theta):
         fast_rng, ref_rng = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
         for _ in range(4):
             m, _ = sv.draw_outcome(fresh, rng=fast_rng)
-            seq, _, pair = sv.draw_x_run(branches, rng=ref_rng)
+            seq, _, pair = draw_x_run(branches, rng=ref_rng)
             assert format(m, "03b") == seq
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
             kept = maps[m] * (0.5 / math.sqrt(fresh[m]))

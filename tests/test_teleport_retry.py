@@ -7,6 +7,7 @@ import pytest
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from reference import dense_retry
 
 PSI = (0.6, 0.8j)
 
@@ -209,8 +210,8 @@ class TestRetryProbabilities:
 
     @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0, 2.5])
     def test_matches_independent_tree_walk(self, theta):
-        # brute-force walk over failure histories with the full simulator,
-        # no diagonal-map shortcut
+        # brute-force walk over failure histories with the dense simulator
+        # route, no diagonal-map shortcut
         n = 3
         success = pr.enumerate_success_sequences(n)
         failures = [s for s in pr.branch_probabilities(n, theta) if s not in success]
@@ -219,19 +220,19 @@ class TestRetryProbabilities:
             success_here = 0.0
             for seq in success:
                 try:
-                    run = pr.retry_protocol(end_pair, n, theta, outcomes=seq)
-                except (sv.ForcedOutcomeError, pr.DegenerateInputError):
+                    _, path, _ = dense_retry(end_pair, n, theta, outcomes=seq)
+                except sv.ForcedOutcomeError:
                     continue
-                success_here += run.path_probability
+                success_here += path
             acc[depth] += weight * success_here
             if depth == len(acc) - 1:
                 return
             for seq in failures:
                 try:
-                    run = pr.retry_protocol(end_pair, n, theta, outcomes=seq)
-                except (sv.ForcedOutcomeError, pr.DegenerateInputError):
+                    _, path, kept = dense_retry(end_pair, n, theta, outcomes=seq)
+                except sv.ForcedOutcomeError:
                     continue
-                walk(run.end_pair, weight * run.path_probability, depth + 1, acc)
+                walk(kept, weight * path, depth + 1, acc)
 
         acc = [0.0, 0.0, 0.0, 0.0]
         walk(sv.init_register(["+", "+"]), 1.0, 0, acc)
