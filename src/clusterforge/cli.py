@@ -1,10 +1,18 @@
 """Command-line front end: verification suites, sweeps, result persistence.
 
+argparse is the only argument path: each subcommand takes just the flags it
+reads or echoes into its ``n``, ``theta``, ``seed`` and ``trials`` columns,
+and ``main`` hands the parsed namespace to the command.  ``pipeline13`` has
+no ``--n`` (its chains have three middles), ``protocol-stats`` reads
+``--theta`` as a comma-separated grid, and ``verify`` takes only ``--seed``,
+``--out`` and ``--corrupt-gate``.
+
 All randomness flows from one ``--seed`` flag; per-trial generators are
 seeded with ``[seed, stream, index]`` entropy tuples, so identical configs
 reproduce byte-identical output files under any execution order.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a flag
+argparse rejects, or a ``ValueError`` from the library, such as an even n).
 CSV output is comma-separated with a header row, LF line endings, and floats
 printed at 12 significant digits.  The argument parser is built once per
 process, on the first ``main`` call, and reused by every later call.
@@ -17,7 +25,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +36,15 @@ _PUBLISHED_T1D = "23*l_C"     # published shorthand for the 1D time cost
 _PUBLISHED_T2D = "65*N+10"    # published shorthand for the 2D time cost
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 3
-    theta: float = 0.3
-    trials: int = 1000
-    seed: int = 12345
-    out: str | None = None
-    fmt: str = "csv"
-
-    def validate(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError("n must be odd and >= 1")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
-def _emit(rows: list[dict], config: RunConfig) -> str:
+def _emit(rows: list[dict], args: argparse.Namespace) -> str:
     """Render rows (list of ordered dicts) as CSV or JSON text."""
-    if config.fmt == "json":
+    if args.fmt == "json":
         return json.dumps(rows, indent=1, sort_keys=False) + "\n"
     if not rows:
         return "\n"
@@ -65,36 +55,36 @@ def _emit(rows: list[dict], config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, config: RunConfig):
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
+def _write(text: str, args: argparse.Namespace):
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
 
-def _provenance(config: RunConfig) -> dict:
-    return {"n": config.n, "theta": config.theta, "seed": config.seed, "trials": config.trials}
+def _provenance(args: argparse.Namespace) -> dict:
+    return {"n": args.n, "theta": args.theta, "seed": args.seed, "trials": args.trials}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_sequences(config: RunConfig) -> int:
+def cmd_sequences(args: argparse.Namespace) -> int:
     """Print heralded-success sequences from the oracle and the rule generator."""
-    oracle = pr.enumerate_success_sequences(config.n)
-    rules = pr.rule_based_sequences(config.n)
+    oracle = pr.enumerate_success_sequences(args.n)
+    rules = pr.rule_based_sequences(args.n)
     rows = []
     for seq in sorted(oracle | rules):
         rows.append(
             {
-                **_provenance(config),
+                **_provenance(args),
                 "sequence": seq,
                 "hamming_weight": seq.count("1"),
                 "in_oracle": int(seq in oracle),
                 "in_rules": int(seq in rules),
             }
         )
-    _write(_emit(rows, config), config)
+    _write(_emit(rows, args), args)
     if oracle != rules:
         print("MISMATCH: rule-based generator disagrees with the oracle", file=sys.stderr)
         return 1
@@ -102,66 +92,67 @@ def cmd_sequences(config: RunConfig) -> int:
     return 0
 
 
-def cmd_protocol_stats(config: RunConfig, theta_grid) -> int:
+def cmd_protocol_stats(args: argparse.Namespace) -> int:
     """Closed-form vs enumerated success probability over a theta grid."""
     rows = []
     worst = 0.0
-    for theta in theta_grid:
-        closed = pr.success_probability_closed(config.n, theta)
-        oracle = pr.oracle_success_probability(config.n, theta)
-        asym = pr.success_probability_asymptotic(config.n, theta)
+    for theta in args.theta:
+        closed = pr.success_probability_closed(args.n, theta)
+        oracle = pr.oracle_success_probability(args.n, theta)
+        asym = pr.success_probability_asymptotic(args.n, theta)
         worst = max(worst, abs(closed - oracle))
         rows.append(
             {
-                **{**_provenance(config), "theta": theta},
+                **_provenance(args),
+                "theta": theta,
                 "p_closed": closed,
                 "p_oracle": oracle,
                 "p_asymptotic": asym,
             }
         )
-    _write(_emit(rows, config), config)
+    _write(_emit(rows, args), args)
     if worst > 1e-10:
         print(f"MISMATCH: closed form vs oracle differ by {worst:.3e}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_retry(config: RunConfig, max_failures: int) -> int:
+def cmd_retry(args: argparse.Namespace) -> int:
     """Exact success probabilities after N consecutive failures."""
-    probs, total = pr.retry_probabilities(config.n, config.theta, max_failures)
+    probs, total = pr.retry_probabilities(args.n, args.theta, args.max_failures)
     rows = []
     running = 0.0
     for k, prob in enumerate(probs):
         running += prob
         rows.append(
             {
-                **_provenance(config),
+                **_provenance(args),
                 "failures_before_success": k,
                 "probability": prob,
                 "cumulative": running,
             }
         )
-    _write(_emit(rows, config), config)
-    print(f"# cumulative after {max_failures} failures: {total:.9f}", file=sys.stderr)
+    _write(_emit(rows, args), args)
+    print(f"# cumulative after {args.max_failures} failures: {total:.9f}", file=sys.stderr)
     return 0
 
 
-def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int:
+def cmd_grow(args: argparse.Namespace) -> int:
     """Monte-Carlo growth statistics against the closed-form cost model."""
-    p = pr.success_probability_closed(config.n, config.theta)
+    p = pr.success_probability_closed(args.n, args.theta)
     ell = 3
     s_a = gr.expected_pair_prep_attempts(p)
     s_b = gr.expected_three_node_protocols(p)
     gain = gr.expected_length_gain(p, ell)
 
-    if mode == "1d":
+    if args.mode == "1d":
         t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length; rejects no growth
-        cost = gr.CostModel(p, ell, config.n)
+        cost = gr.CostModel(p, ell, args.n)
         totals = {"apps": 0, "prep": 0, "cycles": 0, "units": 0, "len": 0,
                   "gain_sum": 0.0, "gain_pairs": 0}
-        for i in range(config.trials):
-            rng = np.random.default_rng([config.seed, 10, i])
-            _, st = gr.grow_1d(target_length, cost, rng)
+        for i in range(args.trials):
+            rng = np.random.default_rng([args.seed, 10, i])
+            _, st = gr.grow_1d(args.target_length, cost, rng)
             totals["apps"] += st.protocol_applications
             totals["prep"] += st.prep_rounds
             totals["cycles"] += st.pair_fusion_attempts
@@ -176,9 +167,9 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
         per_len_model_mc = (s_b_mc + 1.0) / gain_mc
         per_len_model = (s_b + 1.0) / gain
         row = {
-            **_provenance(config),
+            **_provenance(args),
             "p": p,
-            "target_length": target_length,
+            "target_length": args.target_length,
             "s_a_formula": s_a,
             "s_a_mc": s_a_mc,
             "s_b_formula": s_b,
@@ -192,37 +183,36 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
             "t1d_per_length_published": _PUBLISHED_T1D,
             "note": "published shorthand differs from the displayed formula; both reported",
         }
-        _write(_emit([row], config), config)
+        _write(_emit([row], args), args)
         # the displayed formulas must agree with their own direct evaluation
         if abs(t1d_formula - 5.0 * per_len_model) > 1e-3 * t1d_formula:
             print("MISMATCH: 1D time formula drifted from its own evaluation", file=sys.stderr)
             return 1
         return 0
 
-    # 2d
+    # 2d: a build that cannot complete raises, so every trial completes a grid
+    size = args.size
     t2d_formula_coeff = (gr.time_steps_2d(size, p, ell) - 10.0) / size
-    ok_trials = 0
     overhead = 0.0
     apps = 0
-    for i in range(config.trials):
-        rng = np.random.default_rng([config.seed, 20, i])
-        graph, st = gr.grow_2d(size, config.n, config.theta, rng)
-        ok_trials += 1
+    for i in range(args.trials):
+        rng = np.random.default_rng([args.seed, 20, i])
+        _, st = gr.grow_2d(size, args.n, args.theta, rng)
         overhead += st.physical_qubits_used / (size * size)
         apps += st.protocol_applications
     row = {
-        **_provenance(config),
+        **_provenance(args),
         "p": p,
         "grid": size,
-        "grids_completed": ok_trials,
-        "mean_protocol_applications": apps / config.trials,
-        "mean_overhead_per_qubit": overhead / config.trials,
-        "overhead_reference": 4 * (config.n + 1) ** 2,
+        "grids_completed": args.trials,
+        "mean_protocol_applications": apps / args.trials,
+        "mean_overhead_per_qubit": overhead / args.trials,
+        "overhead_reference": 4 * (args.n + 1) ** 2,
         "t2d_formula": f"{_fmt(t2d_formula_coeff)}*N+10",
         "t2d_published": _PUBLISHED_T2D,
         "note": "published shorthand differs from the displayed formula; both reported",
     }
-    _write(_emit([row], config), config)
+    _write(_emit([row], args), args)
     expected_coeff = 10.0 / (p * gr.expected_length_gain(p, ell)) * (gr.expected_three_node_protocols(p) + 1.0)
     if abs(t2d_formula_coeff - expected_coeff) > 1e-3 * expected_coeff:
         print("MISMATCH: 2D time formula drifted from its own evaluation", file=sys.stderr)
@@ -230,19 +220,19 @@ def cmd_grow(config: RunConfig, mode: str, target_length: int, size: int) -> int
     return 0
 
 
-def cmd_pipeline13(config: RunConfig, retry_cap: int) -> int:
+def cmd_pipeline13(args: argparse.Namespace) -> int:
     """Run the 13-qubit demonstration pipeline and report fidelities."""
     rows = []
     worst = 1.0
     target = gr.three_node_target()
-    for i in range(config.trials):
-        rng = np.random.default_rng([config.seed, 30, i])
-        ends, st = gr.run_thirteen_qubit_pipeline(config.theta, rng, retry_cap=retry_cap)
+    for i in range(args.trials):
+        rng = np.random.default_rng([args.seed, 30, i])
+        ends, st = gr.run_thirteen_qubit_pipeline(args.theta, rng, retry_cap=args.retry_cap)
         fid = sv.fidelity_up_to_global_phase(ends, target)
         worst = min(worst, fid)
         rows.append(
             {
-                **_provenance(config),
+                **_provenance(args),
                 "trial": i,
                 "fidelity": fid,
                 "protocol_applications": st.protocol_applications,
@@ -250,7 +240,7 @@ def cmd_pipeline13(config: RunConfig, retry_cap: int) -> int:
                 "restarts": st.restarts,
             }
         )
-    _write(_emit(rows, config), config)
+    _write(_emit(rows, args), args)
     if worst < 1.0 - 1e-9:
         print(f"MISMATCH: worst pipeline fidelity {worst!r}", file=sys.stderr)
         return 1
@@ -264,10 +254,10 @@ def _check(name: str, ok: bool, detail: str, failures: list, lines: list):
         failures.append(name)
 
 
-def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None) -> int:
+def verify(args: argparse.Namespace) -> int:
     """Run the cross-module invariant suite; returns a process exit code.
 
-    ``corrupt_gate`` is the negative control: every state the suite compares
+    ``args.corrupt_gate`` is the negative control: every state the suite compares
     by fidelity gets an extra RZ(1e-3) on qubit 0 first, so the teleportation,
     GHZ and pipeline checks must fail and every other line is unchanged.
     """
@@ -275,7 +265,7 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
     lines: list[str] = []
 
     def fidelity(state: sv.PureState, target: sv.PureState) -> float:
-        if corrupt_gate:
+        if args.corrupt_gate:
             sv.apply_gate(state, 0, "RZ", 1e-3)
         return sv.fidelity_up_to_global_phase(state, target)
 
@@ -299,7 +289,7 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
     _check("probability_closed_form", worst < 1e-10, f"max deviation {worst:.3e}", failures, lines)
 
     # norm preservation and entangler identity on random states
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
     state = sv.PureState(3, raw / np.linalg.norm(raw))
     for q, gate in ((0, "H"), (1, "X"), (2, "Z"), (1, "H")):
@@ -335,7 +325,7 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
     ok &= fidelity(run.output, pr.stochastic_teleport_target((0.6, 0.8j), 0.4, 0)) > 1.0 - 1e-10
     _check("teleportation", ok, "ideal and heralded outputs", failures, lines)
 
-    est = pr.average_teleport_infidelity(0.3, 20000, seed)
+    est = pr.average_teleport_infidelity(0.3, 20000, args.seed)
     target = 0.5 * math.sin(0.15) ** 2
     se = math.sin(0.15) ** 2 / math.sqrt(12.0) / math.sqrt(20000)
     _check(
@@ -351,16 +341,16 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
     dev = max(abs(x - y) for x, y in zip(probs, exact))
     _check("retry_exact_n1", dev < 1e-12, f"max deviation {dev:.2e}", failures, lines)
 
-    ghz = pr.concatenated_ghz(3, 0.7, rng=np.random.default_rng([seed, 1]))
+    ghz = pr.concatenated_ghz(3, 0.7, rng=np.random.default_rng([args.seed, 1]))
     fid = fidelity(ghz.state, pr.ghz_target(5))
     _check("ghz_concatenation", fid > 1.0 - 1e-10, f"fidelity {fid:.12f}", failures, lines)
 
     for theta in (0.0, 0.3, 1.0, 2.5):
-        ends, _ = gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng([seed, 2, int(theta * 10)]))
+        ends, _ = gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng([args.seed, 2, int(theta * 10)]))
         fid = fidelity(ends, gr.three_node_target())
         _check(f"pipeline_theta_{theta}", fid > 1.0 - 1e-9, f"fidelity {fid:.12f}", failures, lines)
 
-    graph, _ = gr.grow_2d(2, 3, 0.3, np.random.default_rng([seed, 3]))
+    graph, _ = gr.grow_2d(2, 3, 0.3, np.random.default_rng([args.seed, 3]))
     _check(
         "grow2d_minimal",
         len(graph.nodes) == 4 and graph.edge_count() == 4,
@@ -370,16 +360,23 @@ def verify(seed: int = 12345, corrupt_gate: bool = False, out: str | None = None
     )
 
     lines.append(f"{'FAIL' if failures else 'PASS'} overall: {len(failures)} failing checks")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
     return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(t) for t in text.split(",")]
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -389,37 +386,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=3, help="odd middle-qubit count")
-        p.add_argument("--theta", type=str, default="0.3", help="systematic phase error (radians)")
-        p.add_argument("--trials", type=int, default=1000)
+    one_theta = {"type": float, "default": 0.3, "help": "systematic phase error (radians)"}
+
+    def command(name, run, help, theta=one_theta, n=True):
+        """A subcommand printing rows whose n, theta, seed and trials columns echo its flags."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if n:
+            p.add_argument("--n", type=int, default=3, help="odd middle-qubit count")
+        p.add_argument("--theta", **theta)
+        p.add_argument("--trials", type=_positive_int, default=1000)
         p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--out", type=str, default=None, help="output file path")
+        p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--max-qubits", type=int, default=None, help="dense register cap, checked up front")
+        return p
 
-    p = sub.add_parser("sequences", help="heralded success sequences: oracle vs rules")
-    common(p)
+    command("sequences", cmd_sequences, "heralded success sequences: oracle vs rules")
+    command("protocol-stats", cmd_protocol_stats, "success probability: closed form vs oracle",
+            theta={"type": _float_list, "default": (0.0, 0.3, 1.0, 2.5),
+                   "help": "comma-separated theta grid (radians)"})
 
-    p = sub.add_parser("protocol-stats", help="success probability: closed form vs oracle")
-    common(p)
-
-    p = sub.add_parser("retry", help="exact fail-and-retry success probabilities")
-    common(p)
+    p = command("retry", cmd_retry, "exact fail-and-retry success probabilities")
     p.add_argument("--max-failures", type=int, default=25)
 
-    p = sub.add_parser("grow", help="Monte-Carlo growth vs the closed-form cost model")
-    common(p)
+    p = command("grow", cmd_grow, "Monte-Carlo growth vs the closed-form cost model")
     p.add_argument("--mode", choices=("1d", "2d"), default="1d")
     p.add_argument("--target-length", type=int, default=100)
     p.add_argument("--size", type=int, default=3, help="grid side for 2d mode")
 
-    p = sub.add_parser("pipeline13", help="thirteen-qubit selective-entanglement pipeline")
-    common(p)
+    p = command("pipeline13", cmd_pipeline13, "thirteen-qubit selective-entanglement pipeline",
+                n=False)
+    p.set_defaults(n=3)  # the pipeline's chains have three middles
     p.add_argument("--retry-cap", type=int, default=10_000)
 
     p = sub.add_parser("verify", help="run the invariant suite (exit 0 iff all pass)")
-    common(p)
+    p.set_defaults(run=verify)
+    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--out", default=None, help="output file path")
     # negative control: an RZ(1e-3) on every state verify compares by fidelity
     p.add_argument("--corrupt-gate", action="store_true", help=argparse.SUPPRESS)
 
@@ -427,50 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    thetas = [float(t) for t in str(args.theta).split(",") if t != ""]
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        theta=thetas[0],
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        config.validate()
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    if args.max_qubits is not None:
-        # the register the command's protocol is defined on, not what it
-        # builds: pipeline13 (and verify, which runs it) is defined on 13
-        # qubits, an n-middle chain on n + 2, growth on abstract graphs
-        need = max(1, {"pipeline13": 13, "verify": 13, "grow": 0}.get(args.command, args.n + 2))
-        if not need <= args.max_qubits <= sv.MAX_QUBITS:
-            parser.error(f"--max-qubits must be in {need}..{sv.MAX_QUBITS} for {args.command}")
-
-    try:
-        if args.command == "sequences":
-            return cmd_sequences(config)
-        if args.command == "protocol-stats":
-            grid = thetas if len(thetas) > 1 else [0.0, 0.3, 1.0, 2.5]
-            return cmd_protocol_stats(config, grid)
-        if args.command == "retry":
-            return cmd_retry(config, args.max_failures)
-        if args.command == "grow":
-            return cmd_grow(config, args.mode, args.target_length, args.size)
-        if args.command == "pipeline13":
-            return cmd_pipeline13(config, args.retry_cap)
-        if args.command == "verify":
-            return verify(seed=config.seed, corrupt_gate=args.corrupt_gate, out=config.out)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -72,6 +72,12 @@ class RetryLimitError(RuntimeError):
     growth failure run ate a row back to lattice structure it must keep."""
 
 
+def _check_odd_n(n: int) -> None:
+    """Reject a middle-qubit count the protocol is not defined for."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be an odd integer >= 1")
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Parameters of one protocol instance: middle-qubit count and error."""
@@ -80,8 +86,7 @@ class ProtocolSpec:
     theta: float
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise ValueError("n must be an odd integer >= 1")
+        _check_odd_n(self.n)
         if abs(math.cos(self.theta / 2.0)) < 1e-12:
             warnings.warn(
                 "theta = pi gives zero success probability", stacklevel=2
@@ -113,8 +118,7 @@ def build_imperfect_chain(input_state, n: int, theta: float) -> PureState:
     All the controlled-phase factors commute, so the application order is
     irrelevant; the test suite asserts this on small cases.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
+    _check_odd_n(n)
     pair = _input_pair(input_state)
     state = init_register([pair] + ["+"] * (n + 1))
     return entangle_chain(state, theta)
@@ -165,8 +169,7 @@ def enumerate_success_sequences(n: int) -> frozenset:
     least 1 - 1e-9.  Returns the set of bitstrings (leftmost character is the
     outcome of the qubit next to the input).
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
+    _check_odd_n(n)
     alive = set(_sequence_strings(n))
     for probe in PROBE_INPUTS:
         tens = branch_tensor(build_imperfect_chain(probe, n, PROBE_THETA))
@@ -234,22 +237,19 @@ def _compositions(n: int) -> set:
 
 def rule_based_sequences(n: int) -> frozenset:
     """Successful sequences generated by the two construction rules."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
+    _check_odd_n(n)
     return _successful_by_rules(n)
 
 
 def success_probability_closed(n: int, theta: float) -> float:
     """Closed-form success probability C(n,(n+1)/2) cos^(n+1)(theta/2) / 2^n."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
+    _check_odd_n(n)
     return math.comb(n, (n + 1) // 2) / (1 << n) * math.cos(theta / 2.0) ** (n + 1)
 
 
 def success_probability_asymptotic(n: int, theta: float) -> float:
     """Stirling approximation sqrt(2/(pi n)) cos^(n+1)(theta/2)."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("n must be an odd integer >= 1")
+    _check_odd_n(n)
     return math.sqrt(2.0 / (math.pi * n)) * math.cos(theta / 2.0) ** (n + 1)
 
 
@@ -432,6 +432,7 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     chain on the four basis end pairs.  The second table is ``|maps|^2``, so
     the outcome weights of a pair are that matrix times its Born marginals.
     """
+    _check_odd_n(n)
     maps = np.empty((1 << n, 4), dtype=complex)
     for k in range(4):
         a, b = divmod(k, 2)
@@ -487,6 +488,7 @@ def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, 
     ``s + f = 1``, this equals ``p (1 - 2p)**N``, which sums to 1/2 for every
     p > 0.  Returns the list of P_N values and their partial sum.
     """
+    _check_odd_n(n)
     if max_failures < 0:
         raise ValueError("max_failures must be >= 0")
     w = held_pair_maps(n, theta)[1]
@@ -518,8 +520,7 @@ class GhzRun:
 def concatenated_ghz(
     N: int,
     theta: float,
-    rng: np.random.Generator | None = None,
-    force_success: bool = False,
+    rng: np.random.Generator,
     retry_cap: int = 100_000,
 ) -> GhzRun:
     """Chain 2(N-1) successful n=1 protocols into a (2N-1)-qubit GHZ state.
@@ -536,10 +537,6 @@ def concatenated_ghz(
         raise ValueError("N must be >= 2")
     links = 2 * (N - 1)
     total = 2 * links + 1
-    if force_success:
-        rng = None
-    elif rng is None:
-        raise ValueError("need an rng unless force_success is set")
 
     attempts = 0
     restarts = 0
@@ -556,15 +553,11 @@ def concatenated_ghz(
                     raise RetryLimitError("GHZ retry cap exhausted")
                 apply_controlled_phase(state, left, mid, math.pi + theta, "CSX")
                 apply_controlled_phase(state, mid, right, math.pi + theta, "CSX")
-                if force_success:
-                    outcome = 1
-                else:
-                    _, p1 = sv.measurement_probabilities(state, mid, "xi", 0.0)
-                    if p1 < 1e-9:
-                        aborted = True  # link is dead; rebuild everything
-                        break
-                    outcome = None
-                rec, state = measure(state, mid, basis="xi", xi=0.0, outcome=outcome, rng=rng)
+                _, p1 = sv.measurement_probabilities(state, mid, "xi", 0.0)
+                if p1 < 1e-9:
+                    aborted = True  # link is dead; rebuild everything
+                    break
+                rec, state = measure(state, mid, basis="xi", xi=0.0, rng=rng)
                 parity ^= rec.outcome
                 if rec.outcome == 1:
                     break

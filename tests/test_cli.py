@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,13 @@ class TestProtocolStatsCommand:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 2
         assert float(rows[0].split(",")[-3]) == pytest.approx(0.5)
+
+    def test_single_theta_is_a_one_point_grid(self):
+        code, out = run_cli(["protocol-stats", "--n", "3", "--theta", "0.5"])
+        assert code == 0
+        header, *rows = out.strip().split("\n")
+        assert len(rows) == 1
+        assert dict(zip(header.split(","), rows[0].split(",")))["theta"] == "0.5"
 
 
 class TestRetryCommand:
@@ -200,28 +208,6 @@ class TestPipelineCommand:
         header = "n,theta,seed,trials,trial,fidelity,protocol_applications,time_steps,restarts\n"
         assert out == header + expected
 
-    def test_max_qubits_does_not_leak(self):
-        cap = sv.MAX_QUBITS
-        code, _ = run_cli(["pipeline13", "--trials", "1", "--max-qubits", "5"])
-        assert code == 2  # the 13-qubit register exceeds the cap
-        assert sv.MAX_QUBITS == cap
-        code, _ = run_cli(["pipeline13", "--trials", "1"])
-        assert code == 0
-
-    def test_max_qubits_above_built_in_rejected(self):
-        code, _ = run_cli(["pipeline13", "--trials", "1", "--max-qubits", str(sv.MAX_QUBITS + 1)])
-        assert code == 2
-
-    def test_max_qubits_checked_against_command_register(self):
-        # sequences at n = 5 simulates (n + 2)-qubit chains
-        code, _ = run_cli(["sequences", "--n", "5", "--max-qubits", "6"])
-        assert code == 2
-        code, _ = run_cli(["sequences", "--n", "5", "--max-qubits", "7"])
-        assert code == 0
-        # growth builds no dense register
-        code, _ = run_cli(["grow", "--mode", "1d", "--trials", "2", "--max-qubits", "1"])
-        assert code == 0
-
 
 class TestVerifyCommand:
     def test_passes_clean(self, tmp_path):
@@ -268,6 +254,16 @@ class TestFormatsAndCodes:
         assert code == 2
         code, _ = run_cli(["retry", "--trials", "0"])
         assert code == 2
+        # flags a command does not read, a theta list where one theta is
+        # read, and a negative n, which the protocol layer rejects
+        for args in (
+            ["pipeline13", "--max-qubits", "13"],
+            ["retry", "--theta", "0.3,1.0"],
+            ["pipeline13", "--n", "5", "--trials", "1"],
+            ["verify", "--format", "json"],
+            ["retry", "--n", "-1"],
+        ):
+            assert run_cli(args) == (2, ""), args
 
     def test_reproducible_outputs(self, tmp_path):
         files = []
@@ -283,20 +279,21 @@ class TestModuleState:
     @pytest.mark.parametrize(
         "args",
         [
-            ["sequences", "--max-qubits", "5"],
-            ["protocol-stats", "--max-qubits", "5"],
-            ["retry", "--max-failures", "3", "--max-qubits", "5"],
-            ["grow", "--mode", "1d", "--trials", "2", "--target-length", "20", "--max-qubits", "1"],
-            ["pipeline13", "--trials", "1", "--max-qubits", "13"],
-            ["verify", "--max-qubits", "13"],
-            ["verify", "--corrupt-gate", "--max-qubits", "13"],
+            ["sequences"],
+            ["protocol-stats"],
+            ["retry", "--max-failures", "3"],
+            ["grow", "--mode", "1d", "--trials", "2", "--target-length", "20"],
+            ["pipeline13", "--trials", "1"],
+            ["verify"],
+            ["verify", "--corrupt-gate"],
         ],
         ids=["sequences", "protocol-stats", "retry", "grow-1d", "pipeline13", "verify", "verify-corrupt-gate"],
     )
     def test_flags_leave_module_globals_alone(self, args):
         modules = (sv, pr, gr, cli)
         before = [dict(vars(m)) for m in modules]
-        run_cli(args)
+        code, _ = run_cli(args)
+        assert code == (1 if "--corrupt-gate" in args else 0)
         after = [dict(vars(m)) for m in modules]
         for old, new in zip(before, after):
             assert old.keys() == new.keys()
@@ -332,6 +329,20 @@ class TestParserReuse:
         first = run_cli(["--help"])
         assert first[0] == 0 and "usage: clusterforge" in first[1]
         assert run_cli(["--help"]) == first
+
+
+def test_readme_cli_examples_parse():
+    # a removed or renamed flag must not linger in the docs; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("clusterforge ")]
+    assert examples
+    for argv in examples:
+        try:
+            cli._build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_console_entry_point():

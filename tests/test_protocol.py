@@ -156,6 +156,15 @@ class TestProbabilities:
         expect = 2 * pr.success_probability_closed(n, theta) * np.eye(2)
         np.testing.assert_allclose(weights, expect, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [-1, 0, 2])
+    def test_tables_reject_n_first(self, n):
+        with pytest.raises(ValueError, match="n must be an odd integer"):
+            pr.held_pair_maps(n, 0.3)
+        misses = pr.held_pair_maps.cache_info().misses
+        with pytest.raises(ValueError, match="n must be an odd integer"):
+            pr.retry_probabilities(n, 0.3, 3)
+        assert pr.held_pair_maps.cache_info().misses == misses  # no table built for n
+
     def test_asymptotic_at_n1(self):
         assert pr.success_probability_asymptotic(1, 0.0) == pytest.approx(math.sqrt(2 / math.pi))
 

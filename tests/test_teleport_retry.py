@@ -249,12 +249,18 @@ class TestGhzConcatenation:
         assert fid >= 1 - 1e-10
 
     def test_forced_success_theta_zero_exact(self):
-        run = pr.concatenated_ghz(2, 0.0, force_success=True)
-        amps = run.state.amps
-        assert abs(amps[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert abs(amps[-1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert abs(amps[-1] / amps[0] - 1.0) < 1e-12  # corrected relative sign
-        np.testing.assert_allclose(amps[1:-1], 0.0, atol=1e-12)
+        # at theta = 0 a failed link is dead, so these seeds also rebuild the
+        # register: 0 to 3 restarts before the GHZ state comes out exact
+        restarts = set()
+        for seed in range(5):
+            run = pr.concatenated_ghz(2, 0.0, rng=np.random.default_rng(seed))
+            restarts.add(run.restarts)
+            amps = run.state.amps
+            assert abs(amps[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            assert abs(amps[-1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+            assert abs(amps[-1] / amps[0] - 1.0) < 1e-12  # corrected relative sign
+            np.testing.assert_allclose(amps[1:-1], 0.0, atol=1e-12)
+        assert 0 in restarts and max(restarts) > 0
 
     def test_five_qubit_case(self):
         run = pr.concatenated_ghz(3, 0.5, rng=np.random.default_rng(9))
@@ -262,4 +268,4 @@ class TestGhzConcatenation:
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            pr.concatenated_ghz(1, 0.3, force_success=True)
+            pr.concatenated_ghz(1, 0.3, rng=np.random.default_rng(0))
