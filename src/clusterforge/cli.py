@@ -374,8 +374,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",")]
+    return [_finite_float(t) for t in text.split(",")]
 
 
 @functools.cache
@@ -386,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    one_theta = {"type": float, "default": 0.3, "help": "systematic phase error (radians)"}
+    one_theta = {"type": _finite_float, "default": 0.3, "help": "systematic phase error (radians)"}
 
     def command(name, run, help, theta=one_theta, n=True):
         """A subcommand printing rows whose n, theta, seed and trials columns echo its flags."""

@@ -14,13 +14,14 @@ phase, where q is the Hamming weight of the sequence.  A combinatorial
 generator reproduces the same sets and is tested against the oracle; the
 oracle is canonical.
 
-Dense chains only define things: the oracle, ``branch_probabilities`` and
-the held-pair table, each reading every outcome branch at once off the
-middles rotated by Hadamards (``branch_tensor``).  Runs read the table: each
-outcome sequence maps the two held qubits diagonally (``held_pair_maps``),
-and ``held_pair_attempt`` draws one attempt from it in place.  The protocol
-run, the retry, the teleport link and the pipeline's fusion all use it;
-``concatenated_ghz`` still retries on its dense register.
+Dense chains only define the oracle and ``branch_probabilities``, each
+reading every outcome branch at once off the middles rotated by Hadamards
+(``branch_tensor``).  Runs read the held-pair table: each outcome sequence
+maps the two held qubits diagonally (``held_pair_maps``, a product of 2x2
+transfer matrices, one per middle), and ``held_pair_attempt`` draws one
+attempt from it in place.  The protocol run, the retry, the teleport link
+and the pipeline's fusion all use it; ``concatenated_ghz`` still retries on
+its dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -72,10 +73,14 @@ class RetryLimitError(RuntimeError):
     growth failure run ate a row back to lattice structure it must keep."""
 
 
-def _check_odd_n(n: int) -> None:
-    """Reject a middle-qubit count the protocol is not defined for."""
+def _check_odd_n(n: int, bounded: bool = True) -> None:
+    """Reject a middle-qubit count the protocol is not defined for and, unless
+    the caller allocates nothing (``bounded=False``), one whose (n+2)-qubit
+    chain exceeds ``sv.MAX_QUBITS``, before anything is allocated."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 1")
+    if bounded and n > sv.MAX_QUBITS - 2:
+        raise ValueError(f"n must be <= {sv.MAX_QUBITS - 2} (MAX_QUBITS={sv.MAX_QUBITS})")
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,8 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     ``(2, 2**n, 2)`` tensor is the joint amplitude of ends ``(b0, bE)`` with
     the forced outcome sequence ``m`` (qubit 1 is the most significant bit of
     m).  Column norms are branch probabilities.  The oracle and
-    :func:`held_pair_maps` read it; the tests check it against forcing the
-    outcomes one measurement at a time.
+    :func:`branch_probabilities` read it; the tests check it against forcing
+    the outcomes one measurement at a time.
     """
     return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
@@ -243,13 +248,13 @@ def rule_based_sequences(n: int) -> frozenset:
 
 def success_probability_closed(n: int, theta: float) -> float:
     """Closed-form success probability C(n,(n+1)/2) cos^(n+1)(theta/2) / 2^n."""
-    _check_odd_n(n)
+    _check_odd_n(n, bounded=False)
     return math.comb(n, (n + 1) // 2) / (1 << n) * math.cos(theta / 2.0) ** (n + 1)
 
 
 def success_probability_asymptotic(n: int, theta: float) -> float:
     """Stirling approximation sqrt(2/(pi n)) cos^(n+1)(theta/2)."""
-    _check_odd_n(n)
+    _check_odd_n(n, bounded=False)
     return math.sqrt(2.0 / (math.pi * n)) * math.cos(theta / 2.0) ** (n + 1)
 
 
@@ -428,23 +433,32 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     Re-running the protocol between two held qubits maps their joint
     amplitudes elementwise: outcome sequence m scales basis state ``2a + b``
     by ``maps[m, 2a + b]``, unnormalized, because basis ends stay basis ends
-    under the diagonal entanglers.  The factors are read off by running the
-    chain on the four basis end pairs.  The second table is ``|maps|^2``, so
-    the outcome weights of a pair are that matrix times its Born marginals.
+    under the diagonal entanglers.  Summing the chain over the middles'
+    computational bits makes that factor a product of 2x2 matrices,
+
+        maps[m, 2a + b] = (B S_{m1} B S_{m2} ... S_{mn} B)[a, b] / 2^n,
+
+    with the bond ``B[x, y] = exp(i (pi + theta))`` for ``(x, y) = (1, 0)``
+    and 1 otherwise, one CSX link, and ``S_m = diag(1, (-1)^m)`` the sigma_x
+    outcome m of a ``|+>`` middle (Gross & Eisert, quant-ph/0609149).  Each
+    middle is one matmul of the rows ``(a, m)`` built so far against the
+    pair ``(S_0 B, S_1 B) / 2`` side by side, its bit the next least
+    significant of m.  The second table is ``|maps|^2``, so the outcome
+    weights of a pair are that matrix times its Born marginals; each of its
+    columns is a basis pair's outcome distribution and sums to 1.
     """
     _check_odd_n(n)
-    maps = np.empty((1 << n, 4), dtype=complex)
-    for k in range(4):
-        a, b = divmod(k, 2)
-        chain = sv.embed_pair_with_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), n)
-        tens = branch_tensor(entangle_chain(chain, theta))
-        # sanity: the off-diagonal end components must vanish
-        other = tens.copy()
-        other[a, :, b] = 0.0
-        if np.max(np.abs(other)) > 1e-12:
-            raise AssertionError("held-pair map is not diagonal")
-        maps[:, k] = tens[a, :, b]
+    phase = np.exp(1j * (math.pi + theta))
+    bond = np.array([[1.0, 1.0], [phase, 1.0]])
+    # rows b, columns 2 m_j + b': S_1 negates the bond's row 1
+    step = np.array([[1.0, 1.0, 1.0, 1.0], [phase, 1.0, -phase, -1.0]]) / 2.0
+    partial = bond[:, None]  # [a, m, b], m over the middles so far
+    for _ in range(n):
+        partial = (partial.reshape(-1, 2) @ step).reshape(2, -1, 2)
+    maps = partial.transpose(1, 0, 2).reshape(-1, 4)
     weights = np.abs(maps) ** 2
+    for total in weights.sum(axis=0).tolist():
+        sv._check_norm_squared(total, 1 << n)
     for table in (maps, weights):
         table.flags.writeable = False
     return maps, weights

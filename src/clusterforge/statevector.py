@@ -26,14 +26,14 @@ definite core and check that it holds the state.
 :func:`x_branches` rotates a run of adjacent qubits into the sigma_x basis
 with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
 every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
-protocol's oracle and held-pair table read it.  The protocol runs draw
+protocol's oracle and branch probabilities read it.  The protocol runs draw
 their outcomes with :func:`draw_outcome`, on any list of joint outcome
 weights: it draws the outcome bits left to right against the conditional
 p0 of each prefix (one ``rng.random()`` each, the rule of :func:`measure`),
 so its draws and outcomes are those of a per-qubit :func:`measure` loop.
-The dense sigma_x run kernel that the tests check the tables against lives
-in the tests.  One thread touches a state; parallelism belongs to the trial
-level above this module.
+The dense sigma_x run kernel and the dense chain that the tests check the
+held-pair table against live in the tests.  One thread touches a state;
+parallelism belongs to the trial level above this module.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class PureState:
         self.amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if self.amps.size != 1 << self.num_qubits:
             raise ValueError("amplitude vector length is not 2**num_qubits")
-
-    def tensor(self) -> np.ndarray:
-        """View of the amplitudes with one axis per qubit."""
-        return self.amps.reshape([2] * self.num_qubits)
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
@@ -448,20 +444,3 @@ def reset_qubits(state: PureState, assignments: dict) -> PureState:
     np.multiply(core, fresh, out=view)
     _check_norm(state)
     return state
-
-
-def embed_pair_with_plus_middles(pair: PureState, n_middles: int) -> PureState:
-    """(2 + n)-qubit product of a joint end pair with fresh ``|+>`` middles.
-
-    The pair's first qubit becomes qubit 0 and its second becomes the last
-    qubit, with the middles in between; this is the layout used when a chain
-    is re-entangled between two held end qubits.
-    """
-    if pair.num_qubits != 2:
-        raise ValueError("end pair must be a 2-qubit state")
-    if n_middles < 1:
-        raise ValueError("need at least one middle qubit")
-    mid = np.full(1 << n_middles, (0.5) ** (n_middles / 2.0), dtype=complex)
-    t = pair.tensor()  # [a, b]
-    amps = (t[:, None, :] * mid[None, :, None]).reshape(-1)
-    return PureState(n_middles + 2, amps)

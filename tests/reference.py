@@ -1,10 +1,10 @@
 """Reference routes that only the tests call.
 
-The program never runs these: the dense sigma_x run kernel and the dense
-protocol attempt that the held-pair table is checked against, Monte-Carlo
-cross-checks of the closed-form cost model, target states of the
-pipeline's intermediate and reduced stages, the net-growth threshold, a
-Schmidt-rank product test and two probes of a graph or a state.  Import
+The program never runs these: the dense sigma_x run kernel, the dense
+protocol attempt and the dense held-pair table that the table is checked
+against, Monte-Carlo cross-checks of the closed-form cost model, target
+states of the pipeline's intermediate and reduced stages, the net-growth
+threshold, a Schmidt-rank product test and two probes of a graph or a state.  Import
 them as ``from reference import ...``, like the other test-side helpers.
 """
 
@@ -50,7 +50,7 @@ def schmidt_coefficients(state: PureState, left_qubits) -> np.ndarray:
     if not left or len(left) == n:
         raise ValueError("cut must be a nontrivial bipartition")
     right = [q for q in range(n) if q not in left]
-    mat = state.tensor().transpose(left + right).reshape(1 << len(left), 1 << len(right))
+    mat = state.amps.reshape([2] * n).transpose(left + right).reshape(1 << len(left), 1 << len(right))
     return np.linalg.svd(mat, compute_uv=False)
 
 
@@ -94,12 +94,46 @@ def measure_x_run(state: PureState, first: int, count: int, outcomes=None, rng=N
     return draw_x_run(sv.x_branches(state, first, count), outcomes, rng)
 
 
+def embed_pair_with_plus_middles(pair: PureState, n_middles: int) -> PureState:
+    """(2 + n)-qubit product of a joint end pair with fresh ``|+>`` middles.
+
+    The pair's first qubit becomes qubit 0 and its second becomes the last
+    qubit, with the middles in between; this is the layout used when a chain
+    is re-entangled between two held end qubits.
+    """
+    if pair.num_qubits != 2:
+        raise ValueError("end pair must be a 2-qubit state")
+    if n_middles < 1:
+        raise ValueError("need at least one middle qubit")
+    mid = np.full(1 << n_middles, (0.5) ** (n_middles / 2.0), dtype=complex)
+    t = pair.amps.reshape(2, 2)  # [a, b]
+    amps = (t[:, None, :] * mid[None, :, None]).reshape(-1)
+    return PureState(n_middles + 2, amps)
+
+
 def dense_retry(pair: PureState, n: int, theta: float, outcomes=None, rng=None):
     """One protocol attempt on a held pair, built densely: fresh ``|+>``
     middles, the chain entangler, then ``measure_x_run`` on the middles.
     Returns the bits, the path probability and the kept end pair."""
-    chain = pr.entangle_chain(sv.embed_pair_with_plus_middles(pair, n), theta)
+    chain = pr.entangle_chain(embed_pair_with_plus_middles(pair, n), theta)
     return measure_x_run(chain, 1, n, outcomes, rng)
+
+
+def dense_held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pr.held_pair_maps`` built densely: the chain run on each of the four
+    basis end pairs, every outcome branch read off ``pr.branch_tensor``.
+    Raises unless every off-diagonal end component vanishes."""
+    maps = np.empty((1 << n, 4), dtype=complex)
+    for k in range(4):
+        a, b = divmod(k, 2)
+        chain = embed_pair_with_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), n)
+        tens = pr.branch_tensor(pr.entangle_chain(chain, theta))
+        other = tens.copy()
+        other[a, :, b] = 0.0
+        if np.max(np.abs(other)) > 1e-12:
+            raise AssertionError("held-pair map is not diagonal")
+        maps[:, k] = tens[a, :, b]
+    return maps, np.abs(maps) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,19 @@ class TestFormatsAndCodes:
             ["retry", "--n", "-1"],
         ):
             assert run_cli(args) == (2, ""), args
+        # n past the register cap, rejected before any table is built, and
+        # a non-finite theta, in a comma list too
+        for args in (
+            ["sequences", "--n", "23"],
+            ["retry", "--n", "23"],
+            ["protocol-stats", "--n", "23"],
+            ["protocol-stats", "--theta", "nan"],
+            ["protocol-stats", "--theta", "0.3,inf"],
+            ["retry", "--theta", "nan"],
+            ["retry", "--theta=-inf"],
+            ["pipeline13", "--theta", "nan", "--trials", "1"],
+        ):
+            assert run_cli(args) == (2, ""), args
 
     def test_reproducible_outputs(self, tmp_path):
         files = []

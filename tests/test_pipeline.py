@@ -183,14 +183,14 @@ def fusion_success_probability_reference(ends, theta):
     positions 1-5, with middles 2-4.
     """
     probe = sv.PureState(
-        7, np.einsum("abcd,m->abmcd", ends.tensor(), sv.init_register(["+"] * 3).amps)
+        7, np.einsum("abcd,m->abmcd", ends.amps.reshape(2, 2, 2, 2), sv.init_register(["+"] * 3).amps)
     )
     mids = [2, 3, 4]
     for q in range(1, 5):
         sv.apply_controlled_phase(probe, q, q + 1, np.pi + theta, "CSX")
     for q in mids:
         sv.apply_gate(probe, q, "H")
-    tens = probe.tensor()
+    tens = probe.amps.reshape([2] * 7)
     total = 0.0
     for seq in pr.enumerate_success_sequences(3):
         idx = [slice(None)] * 7

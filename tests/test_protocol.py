@@ -7,7 +7,9 @@ import pytest
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
-from reference import dense_retry
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import dense_held_pair_maps, dense_retry
 
 PSI = (0.6, 0.8j)
 
@@ -165,6 +167,13 @@ class TestProbabilities:
             pr.retry_probabilities(n, 0.3, 3)
         assert pr.held_pair_maps.cache_info().misses == misses  # no table built for n
 
+    def test_tables_reject_n_above_register_cap(self):
+        # n = 23 would need a 25-qubit chain; its table would take over 1 GB
+        with pytest.raises(ValueError, match="n must be <= 22"):
+            pr.held_pair_maps(23, 0.3)
+        # closed forms allocate nothing and take any odd n
+        assert pr.success_probability_closed(23, 0.3) > 0.0
+
     def test_asymptotic_at_n1(self):
         assert pr.success_probability_asymptotic(1, 0.0) == pytest.approx(math.sqrt(2 / math.pi))
 
@@ -185,6 +194,30 @@ class TestProbabilities:
             for n in range(3, 53, 2)
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+def _check_table_against_dense(n, theta):
+    maps, weights = pr.held_pair_maps(n, theta)
+    dense_maps, dense_weights = dense_held_pair_maps(n, theta)
+    np.testing.assert_allclose(maps, dense_maps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, dense_weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    assert not maps.flags.writeable and not weights.flags.writeable
+    info = pr.held_pair_maps.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+
+
+@pytest.mark.parametrize("n", range(1, 14, 2))
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.8, 3.1])
+def test_held_pair_table_matches_dense_chain(n, theta):
+    """The transfer-matrix table against the dense chain on the four basis pairs."""
+    _check_table_against_dense(n, theta)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 3, 5, 7, 9]), theta=st.floats(0.0, math.pi))
+def test_held_pair_table_matches_dense_chain_property(n, theta):
+    _check_table_against_dense(n, theta)
 
 
 class TestRunProtocol:
@@ -213,7 +246,7 @@ class TestRunProtocol:
 
 def _spectator_between(pair, spectator):
     """3-qubit register: ``pair`` on qubits 0 and 2, ``spectator`` on qubit 1."""
-    amps = np.einsum("ab,s->asb", pair.tensor(), spectator)
+    amps = np.einsum("ab,s->asb", pair.amps.reshape(2, 2), spectator)
     return sv.PureState(3, amps)
 
 

