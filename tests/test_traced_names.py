@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from clusterforge import protocol
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -38,7 +40,5 @@ def test_traced_name_resolves(name):
 
 def test_traced_oracle_keeps_its_cache():
     # the tracer counts cache hits through cache_info()
-    from clusterforge import protocol
-
     assert "protocol.enumerate_success_sequences" in TRACED_NAMES
     assert callable(protocol.enumerate_success_sequences.cache_info)
