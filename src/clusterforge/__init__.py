@@ -40,7 +40,6 @@ from .protocol import (
 from .growth import (
     ClusterGraph,
     GrowthStats,
-    CostModel,
     fuse,
     x_measure_shorten,
     z_remove_leaf,
@@ -79,7 +78,6 @@ __all__ = [
     "concatenated_ghz",
     "ClusterGraph",
     "GrowthStats",
-    "CostModel",
     "fuse",
     "x_measure_shorten",
     "z_remove_leaf",

@@ -140,19 +140,16 @@ def cmd_retry(args: argparse.Namespace) -> int:
 def cmd_grow(args: argparse.Namespace) -> int:
     """Monte-Carlo growth statistics against the closed-form cost model."""
     p = pr.success_probability_closed(args.n, args.theta)
-    ell = 3
-    s_a = gr.expected_pair_prep_attempts(p)
-    s_b = gr.expected_three_node_protocols(p)
-    gain = gr.expected_length_gain(p, ell)
 
     if args.mode == "1d":
-        t1d_formula = gr.time_steps_1d(1.0, p, ell)  # per unit length; rejects no growth
-        cost = gr.CostModel(p, ell, args.n)
+        s_a = gr.expected_pair_prep_attempts(p)
+        s_b = gr.expected_three_node_protocols(p)
+        gain = gr.expected_length_gain(p, 3)
         totals = {"apps": 0, "prep": 0, "cycles": 0, "units": 0, "len": 0,
                   "gain_sum": 0.0, "gain_pairs": 0}
         for i in range(args.trials):
             rng = np.random.default_rng([args.seed, 10, i])
-            _, st = gr.grow_1d(args.target_length, cost, rng)
+            _, st = gr.grow_1d(args.target_length, p, args.n, rng)
             totals["apps"] += st.protocol_applications
             totals["prep"] += st.prep_rounds
             totals["cycles"] += st.pair_fusion_attempts
@@ -164,8 +161,6 @@ def cmd_grow(args: argparse.Namespace) -> int:
         s_a_mc = totals["prep"] / totals["cycles"]
         s_b_mc = totals["prep"] / totals["units"]
         gain_mc = totals["gain_sum"] / totals["gain_pairs"]
-        per_len_model_mc = (s_b_mc + 1.0) / gain_mc
-        per_len_model = (s_b + 1.0) / gain
         row = {
             **_provenance(args),
             "p": p,
@@ -176,28 +171,23 @@ def cmd_grow(args: argparse.Namespace) -> int:
             "s_b_mc": s_b_mc,
             "length_gain_formula": gain,
             "length_gain_mc": gain_mc,
-            "protocols_per_length_formula": per_len_model,
-            "protocols_per_length_mc": per_len_model_mc,
+            "protocols_per_length_formula": (s_b + 1.0) / gain,
+            "protocols_per_length_mc": (s_b_mc + 1.0) / gain_mc,
             "protocols_per_length_raw": totals["apps"] / totals["len"],
-            "t1d_per_length_formula": t1d_formula,
+            "t1d_per_length_formula": gr.time_steps_1d(1.0, p, 3),
             "t1d_per_length_published": _PUBLISHED_T1D,
             "note": "published shorthand differs from the displayed formula; both reported",
         }
         _write(_emit([row], args), args)
-        # the displayed formulas must agree with their own direct evaluation
-        if abs(t1d_formula - 5.0 * per_len_model) > 1e-3 * t1d_formula:
-            print("MISMATCH: 1D time formula drifted from its own evaluation", file=sys.stderr)
-            return 1
         return 0
 
     # 2d: a build that cannot complete raises, so every trial completes a grid
     size = args.size
-    t2d_formula_coeff = (gr.time_steps_2d(size, p, ell) - 10.0) / size
     overhead = 0.0
     apps = 0
     for i in range(args.trials):
         rng = np.random.default_rng([args.seed, 20, i])
-        _, st = gr.grow_2d(size, args.n, args.theta, rng)
+        _, st = gr.grow_2d(size, p, args.n, rng)
         overhead += st.physical_qubits_used / (size * size)
         apps += st.protocol_applications
     row = {
@@ -208,15 +198,11 @@ def cmd_grow(args: argparse.Namespace) -> int:
         "mean_protocol_applications": apps / args.trials,
         "mean_overhead_per_qubit": overhead / args.trials,
         "overhead_reference": 4 * (args.n + 1) ** 2,
-        "t2d_formula": f"{_fmt(t2d_formula_coeff)}*N+10",
+        "t2d_formula": f"{_fmt(gr.time_steps_2d(1, p, 3) - 10.0)}*N+10",
         "t2d_published": _PUBLISHED_T2D,
         "note": "published shorthand differs from the displayed formula; both reported",
     }
     _write(_emit([row], args), args)
-    expected_coeff = 10.0 / (p * gr.expected_length_gain(p, ell)) * (gr.expected_three_node_protocols(p) + 1.0)
-    if abs(t2d_formula_coeff - expected_coeff) > 1e-3 * expected_coeff:
-        print("MISMATCH: 2D time formula drifted from its own evaluation", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -350,7 +336,8 @@ def verify(args: argparse.Namespace) -> int:
         fid = fidelity(ends, gr.three_node_target())
         _check(f"pipeline_theta_{theta}", fid > 1.0 - 1e-9, f"fidelity {fid:.12f}", failures, lines)
 
-    graph, _ = gr.grow_2d(2, 3, 0.3, np.random.default_rng([args.seed, 3]))
+    p = pr.success_probability_closed(3, 0.3)
+    graph, _ = gr.grow_2d(2, p, 3, np.random.default_rng([args.seed, 3]))
     _check(
         "grow2d_minimal",
         len(graph.nodes) == 4 and graph.edge_count() == 4,

@@ -71,6 +71,9 @@ STEPS_REMOVE_ROUND = 2     # measure, correct
 # 24 nodes at n = 3, theta = 0.3 and 85 at theta = 1.0.
 MARGIN = 12.0
 
+# protocol applications after which a 2D build stops with RetryLimitError
+ATTEMPT_CAP = 500_000
+
 
 # ---------------------------------------------------------------------------
 # Abstract graph state
@@ -304,23 +307,25 @@ class GrowthStats:
     restarts: int = 0
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Inputs of the closed-form growth cost model: p, the unit length, n."""
-
-    p: float
-    ell: int = 3
-    n: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
-        if self.ell < 2:
-            raise ValueError("small-cluster length must be >= 2")
-
-
 class NoGrowthError(ValueError):
-    """The cost model predicts no net growth for these parameters."""
+    """A row cannot grow at this success probability."""
+
+
+def _check_growth(p: float) -> None:
+    """Reject a fusion success probability at which a row cannot grow.
+
+    An attach adds four qubits to the row on success (the unit's hub, arm
+    and spare, plus its tail, left dangling on the old end) and measures the
+    end out on failure, so a row's node count walks with drift 5p - 1, and
+    its length, which never exceeds that count, grows only if 5p > 1.  The
+    paired-average gain ``expected_length_gain(p, 3)`` crosses zero lower,
+    at p = 3 - 2 sqrt(2) ~ 0.172; between the two a 1D run never reaches its
+    target and a 2D build runs into ``ATTEMPT_CAP``.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
+    if 5.0 * p <= 1.0:
+        raise NoGrowthError(f"a row cannot grow at p = {p!r}: it needs 5p > 1")
 
 
 def expected_pair_prep_attempts(p: float) -> float:
@@ -526,7 +531,8 @@ def _ensure_spare(graph, row, node, margin, stats, p, rng, cap_check) -> int:
 
 def grow_1d(
     target_length: int,
-    cost: CostModel,
+    p: float,
+    n: int,
     rng: np.random.Generator,
 ) -> tuple[ClusterGraph, GrowthStats]:
     """Monte-Carlo 1D growth by fusing fresh growth units onto a chain.
@@ -536,20 +542,23 @@ def grow_1d(
     that fusion fails).  A failed growth fusion measures out the chain end,
     which costs length only when the previous attempt also failed.  Stats
     carry both the raw application count and the accounting used by the
-    closed-form model (preparation rounds and growth attempts).
+    closed-form model (preparation rounds and growth attempts).  ``p`` is
+    the fusion success probability and ``n`` the middle-qubit count, which
+    sets the qubits a unit spans; a ``p`` at which a row cannot grow raises
+    ``NoGrowthError`` before any draw.
 
     The seed unit and one unit per attach are charged in one batched draw
     after the loop.  This is exact: a unit's cost is independent of the
     fusion outcomes and never changes the row, so drawing it later changes
     the order in which the stream is consumed, not the stats' distribution.
     """
+    _check_growth(p)
     if target_length < 3:
         raise ValueError("target_length must be >= 3")
-    p = cost.p
     stats = GrowthStats()
     graph = ClusterGraph()
 
-    row = _fresh_unit_row(graph, cost.n)
+    row = _fresh_unit_row(graph, n)
     trace: list[tuple[bool, int]] = []
     length = _row_length(row)
 
@@ -727,11 +736,9 @@ def run_thirteen_qubit_pipeline(
 
 def grow_2d(
     N: int,
+    p: float,
     n: int,
-    theta: float,
     rng: np.random.Generator,
-    attempt_cap: int = 500_000,
-    success_probability: float | None = None,
 ) -> tuple[ClusterGraph, GrowthStats]:
     """Grow an exact N x N cluster lattice from N horizontal rows.
 
@@ -747,24 +754,21 @@ def grow_2d(
     row is cut, and the next candidate is tried.  Every growth call grows the
     row ``MARGIN / gain`` backbone nodes past the node it works on, gain being
     the mean length gain per attempt; a failure run that still eats back to a
-    grid node raises ``RetryLimitError``, as the attempt cap does, and
-    parameters with no net growth raise ``NoGrowthError``.  Finally the rows
-    are shortened until consecutive grid nodes are adjacent and every
-    dangling qubit is measured out, leaving exactly the N x N lattice.
+    grid node raises ``RetryLimitError``, as ``ATTEMPT_CAP`` does, and a
+    ``p`` at which a row cannot grow raises ``NoGrowthError`` before any
+    draw.  Finally the rows are shortened until consecutive grid nodes are
+    adjacent and every dangling qubit is measured out, leaving exactly the
+    N x N lattice.  ``p`` is the fusion success probability and ``n`` the
+    middle-qubit count of the vertical links.
     """
+    _check_growth(p)
     if N < 2:
         raise ValueError("N must be >= 2")
-    p = success_probability
-    if p is None:
-        p = pr.success_probability_closed(n, theta)
-    gain = expected_length_gain(p, 3)
-    if gain <= 0:
-        raise NoGrowthError("expected length gain is not positive")
-    margin = math.ceil(MARGIN / gain)
+    margin = math.ceil(MARGIN / expected_length_gain(p, 3))  # positive where 5p > 1
     stats = GrowthStats()
 
     def cap_check():
-        if stats.protocol_applications > attempt_cap:
+        if stats.protocol_applications > ATTEMPT_CAP:
             raise RetryLimitError("2D growth attempt cap exhausted")
 
     graph = ClusterGraph()

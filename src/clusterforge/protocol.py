@@ -258,16 +258,16 @@ def success_probability_asymptotic(n: int, theta: float) -> float:
     return math.sqrt(2.0 / (math.pi * n)) * math.cos(theta / 2.0) ** (n + 1)
 
 
-def branch_probabilities(n: int, theta: float, input_state="+") -> dict:
-    """Exact branch probability of every outcome sequence for one input."""
-    tens = branch_tensor(build_imperfect_chain(input_state, n, theta))
+def branch_probabilities(n: int, theta: float) -> dict:
+    """Exact branch probability of every outcome sequence for input |+>."""
+    tens = branch_tensor(build_imperfect_chain("+", n, theta))
     probs = np.einsum("amb,amb->m", tens, tens.conj()).real
     return {format(m, f"0{n}b"): float(probs[m]) for m in range(1 << n)}
 
 
-def oracle_success_probability(n: int, theta: float, input_state="+") -> float:
-    """Sum of exact branch probabilities over the oracle's success set."""
-    probs = branch_probabilities(n, theta, input_state)
+def oracle_success_probability(n: int, theta: float) -> float:
+    """Sum of exact branch probabilities over the oracle's success set, input |+>."""
+    probs = branch_probabilities(n, theta)
     return sum(probs[s] for s in enumerate_success_sequences(n))
 
 
@@ -448,7 +448,7 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     columns is a basis pair's outcome distribution and sums to 1.
     """
     _check_odd_n(n)
-    phase = np.exp(1j * (math.pi + theta))
+    phase = -np.exp(1j * theta)  # exactly -1 at theta = 0, so no roundoff leaks into failures
     bond = np.array([[1.0, 1.0], [phase, 1.0]])
     # rows b, columns 2 m_j + b': S_1 negates the bond's row 1
     step = np.array([[1.0, 1.0, 1.0, 1.0], [phase, 1.0, -phase, -1.0]]) / 2.0
@@ -523,6 +523,9 @@ def retry_probability_closed_n1(theta: float, n_failures: int) -> float:
 # ---------------------------------------------------------------------------
 # GHZ concatenation
 
+GHZ_RETRY_CAP = 100_000  # protocol attempts, over every restart of one run
+
+
 @dataclass
 class GhzRun:
     state: PureState          # unmeasured qubits, byproducts already corrected
@@ -531,12 +534,7 @@ class GhzRun:
     restarts: int
 
 
-def concatenated_ghz(
-    N: int,
-    theta: float,
-    rng: np.random.Generator,
-    retry_cap: int = 100_000,
-) -> GhzRun:
+def concatenated_ghz(N: int, theta: float, rng: np.random.Generator) -> GhzRun:
     """Chain 2(N-1) successful n=1 protocols into a (2N-1)-qubit GHZ state.
 
     The register holds 4N-3 qubits; every odd qubit is a protocol middle.
@@ -545,7 +543,8 @@ def concatenated_ghz(
     When retrying becomes hopeless (the success amplitude of the link decays
     to zero) the whole register is rebuilt from scratch.  Each successful
     link records a Z byproduct on its output qubit; the returned state has
-    the recorded corrections applied.
+    the recorded corrections applied.  More than ``GHZ_RETRY_CAP`` protocol
+    attempts raise ``RetryLimitError``.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -563,7 +562,7 @@ def concatenated_ghz(
             parity = 0
             while True:
                 attempts += 1
-                if attempts > retry_cap:
+                if attempts > GHZ_RETRY_CAP:
                     raise RetryLimitError("GHZ retry cap exhausted")
                 apply_controlled_phase(state, left, mid, math.pi + theta, "CSX")
                 apply_controlled_phase(state, mid, right, math.pi + theta, "CSX")

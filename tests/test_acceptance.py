@@ -173,11 +173,10 @@ def test_criterion_08_cost_formulas():
     # count = preparation rounds + growth attempts; length gain measured over
     # attempt pairs anchored at buffered ends (the quantity the formula
     # averages); the raw end-to-end ratio is also reported via the CLI
-    cost = gr.CostModel(P3, 3, 3)
     prep = growth = units = 0
     gain_sum, gain_pairs = 0.0, 0
     for i in range(400):
-        _, st = gr.grow_1d(100, cost, np.random.default_rng([808, i]))
+        _, st = gr.grow_1d(100, P3, 3, np.random.default_rng([808, i]))
         prep += st.prep_rounds
         growth += st.growth_attempts
         units += st.three_nodes_built
@@ -250,7 +249,7 @@ def test_criterion_11_grow_2d():
     trials = 1000
     overhead = 0.0
     for i in range(trials):
-        graph, st = gr.grow_2d(3, 3, 0.3, np.random.default_rng([11, i]))
+        graph, st = gr.grow_2d(3, P3, 3, np.random.default_rng([11, i]))
         assert len(graph.nodes) == 9 and graph.edge_count() == 12
         degrees = sorted(graph.degree(v) for v in graph.nodes)
         assert degrees == [2, 2, 2, 2, 3, 3, 3, 3, 4]

@@ -104,7 +104,7 @@ class TestGrowCommand:
         record = dict(zip(header.split(","), row.split(",")))
         p = float(record["p"])
         stats = [
-            gr.grow_1d(200, gr.CostModel(p, 3, 3), np.random.default_rng([2, 10, i]))[1]
+            gr.grow_1d(200, p, 3, np.random.default_rng([2, 10, i]))[1]
             for i in range(20)
         ]
         rounds = sum(st.prep_rounds for st in stats)
@@ -275,6 +275,14 @@ class TestFormatsAndCodes:
             ["retry", "--theta", "nan"],
             ["retry", "--theta=-inf"],
             ["pipeline13", "--theta", "nan", "--trials", "1"],
+        ):
+            assert run_cli(args) == (2, ""), args
+        # theta = 1.15 puts p = 0.186 between the paired-average gain's zero
+        # and 5p = 1, where no row grows, and a grid side of 0 has no lattice
+        for args in (
+            ["grow", "--mode", "1d", "--theta", "1.15", "--target-length", "200", "--trials", "1"],
+            ["grow", "--mode", "2d", "--size", "3", "--theta", "1.15", "--trials", "1"],
+            ["grow", "--mode", "2d", "--size", "0", "--trials", "1"],
         ):
             assert run_cli(args) == (2, ""), args
 

@@ -516,22 +516,31 @@ class TestSquareClusterEndToEnd:
 
 class TestGrow1D:
     def test_deterministic_limit(self):
-        graph, stats = gr.grow_1d(31, gr.CostModel(1.0), np.random.default_rng(0))
+        graph, stats = gr.grow_1d(31, 1.0, 3, np.random.default_rng(0))
         assert stats.final_length == 31
         assert stats.growth_attempts == 14  # +2 per attempt from length 3
         assert stats.prep_rounds == 15      # one round per unit, 15 units
         assert stats.pair_fusion_attempts == 15
 
+    def test_no_net_growth_rejected(self):
+        # the 1D twin of TestGrow2D.test_no_net_growth_rejected
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(gr.NoGrowthError):
+            gr.grow_1d(200, 0.19, 3, rng)
+        assert rng.bit_generator.state == state
+        _, stats = gr.grow_1d(200, 0.21, 3, rng)
+        assert stats.final_length >= 200
+
     def test_length_decreases_only_after_two_consecutive_failures(self):
         rng = np.random.default_rng(77)
-        cost = gr.CostModel(0.4)
         for _ in range(5):
             graph = gr.ClusterGraph()
             row = gr._fresh_unit_row(graph)
             prev_len = graph.longest_segment_length()
             prev_failed = False
             for _ in range(60):
-                success = bool(rng.random() < cost.p)
+                success = bool(rng.random() < 0.4)
                 gr._attach_bernoulli(graph, row, success)
                 if not row.backbone:
                     break
@@ -618,7 +627,7 @@ class TestGrow1D:
         monkeypatch.setattr(gr, "_row_attach", counting_attach)
         for i in range(20):
             calls.clear()
-            _, stats = gr.grow_1d(200, gr.CostModel(P3), np.random.default_rng([23, i]))
+            _, stats = gr.grow_1d(200, P3, 3, np.random.default_rng([23, i]))
             assert stats.three_nodes_built == 1 + len(calls)
             assert stats.time_steps == gr.STEPS_PROTOCOL_ROUND * (
                 stats.prep_rounds + stats.pair_fusion_attempts + stats.growth_attempts
@@ -644,6 +653,7 @@ class TestRowInvariant:
         def checking_attach(graph, row, success):
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
+            before = len(graph.nodes)
             attach(graph, row, success)
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
@@ -652,15 +662,17 @@ class TestRowInvariant:
                 assert graph.neighbors(spare) == {node}
             if one_row:
                 assert set(graph.nodes) == {*row.backbone, *row.spares.values()}
+                # the walk growth._check_growth rests on: +4 or -1 per attach
+                assert len(graph.nodes) - before == (4 if success else -1)
             checked.append(success)
 
         monkeypatch.setattr(gr, "_attach_bernoulli", checking_attach)
         for i in range(20):
-            gr.grow_1d(200, gr.CostModel(P3), np.random.default_rng([21, i]))
+            gr.grow_1d(200, P3, 3, np.random.default_rng([21, i]))
         grown_1d = len(checked)
         one_row = False
         for i in range(20):
-            gr.grow_2d(3, 3, 0.3, np.random.default_rng([22, i]))
+            gr.grow_2d(3, P3, 3, np.random.default_rng([22, i]))
         assert grown_1d > 0 and len(checked) > grown_1d
         assert not all(checked) and any(checked)
 
@@ -831,7 +843,7 @@ class TestMonteCarloCrossChecks:
 
 class TestGrow2D:
     def test_minimal_grid_deterministic_limit(self):
-        graph, stats = gr.grow_2d(2, 3, 0.0, np.random.default_rng(1), success_probability=1.0)
+        graph, stats = gr.grow_2d(2, 1.0, 3, np.random.default_rng(1))
         assert len(graph.nodes) == 4 and graph.edge_count() == 4
         degrees = sorted(graph.degree(v) for v in graph.nodes)
         assert degrees == [2, 2, 2, 2]
@@ -839,15 +851,16 @@ class TestGrow2D:
 
     def test_seed_units_are_charged(self):
         # at p = 1 every unit takes one preparation round and one pair fusion
-        _, stats = gr.grow_2d(3, 3, 0.0, np.random.default_rng(1), success_probability=1.0)
+        _, stats = gr.grow_2d(3, 1.0, 3, np.random.default_rng(1))
         assert stats.three_nodes_built == stats.prep_rounds == stats.pair_fusion_attempts
 
     def test_minimal_grid_theta_zero(self):
-        graph, stats = gr.grow_2d(2, 3, 0.0, np.random.default_rng(1))
+        p = pr.success_probability_closed(3, 0.0)
+        graph, stats = gr.grow_2d(2, p, 3, np.random.default_rng(1))
         assert len(graph.nodes) == 4 and graph.edge_count() == 4
 
     def test_three_by_three(self):
-        graph, stats = gr.grow_2d(3, 3, 0.3, np.random.default_rng(2))
+        graph, stats = gr.grow_2d(3, P3, 3, np.random.default_rng(2))
         assert len(graph.nodes) == 9 and graph.edge_count() == 12
         degrees = sorted(graph.degree(v) for v in graph.nodes)
         assert degrees == [2, 2, 2, 2, 3, 3, 3, 3, 4]
@@ -857,19 +870,19 @@ class TestGrow2D:
 
     def test_seeded_batch(self):
         for i in range(25):
-            graph, _ = gr.grow_2d(3, 3, 0.3, np.random.default_rng([11, i]))
+            graph, _ = gr.grow_2d(3, P3, 3, np.random.default_rng([11, i]))
             assert len(graph.nodes) == 9 and graph.edge_count() == 12
 
     def test_seeded_stream_pinned(self):
         # 2D charges each unit just before its attach; these counts pin the
         # order in which a seeded build consumes its stream
-        _, stats = gr.grow_2d(3, 3, 0.3, np.random.default_rng(2))
+        _, stats = gr.grow_2d(3, P3, 3, np.random.default_rng(2))
         assert stats == gr.GrowthStats(
             protocol_applications=5658, time_steps=21465, final_length=9,
             physical_qubits_used=3868, prep_rounds=3158, pair_fusion_attempts=819,
             growth_attempts=284, three_nodes_built=287, restarts=0,
         )
-        _, stats = gr.grow_2d(4, 3, 0.3, np.random.default_rng([22, 0]))
+        _, stats = gr.grow_2d(4, P3, 3, np.random.default_rng([22, 0]))
         assert stats == gr.GrowthStats(
             protocol_applications=10512, time_steps=39820, final_length=16,
             physical_qubits_used=6032, prep_rounds=5869, pair_fusion_attempts=1522,
@@ -883,24 +896,36 @@ class TestGrow2D:
         for N, seeds in ((3, range(5)), (10, range(5)), (16, range(1))):
             per_site[N] = []
             for s in seeds:
-                graph, stats = gr.grow_2d(N, 3, 0.3, np.random.default_rng([s, 20, 0]))
+                graph, stats = gr.grow_2d(N, P3, 3, np.random.default_rng([s, 20, 0]))
                 assert len(graph.nodes) == N * N and graph.edge_count() == 2 * N * (N - 1)
                 per_site[N].append(stats.protocol_applications / (N * N))
         ratio = np.median(per_site[10]) / np.median(per_site[3])
         assert 0.75 < ratio < 1.25
 
     def test_no_net_growth_rejected(self):
+        # a row's node count walks +4 / -1 per attach (TestRowInvariant), so
+        # no row grows at 5p <= 1; the check comes before any draw.  Near
+        # 5p = 1 a build can still stop at the attempt cap, so the completing
+        # case sits a little higher
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(gr.NoGrowthError):
-            gr.grow_2d(2, 3, 1.6, np.random.default_rng(0))
+            gr.grow_2d(3, 0.19, 3, rng)
+        assert rng.bit_generator.state == state
+        for p in (0.0, 3.0):  # 3.0: an n, theta order passed where p, n now go
+            with pytest.raises(ValueError):
+                gr.grow_2d(3, p, 3, rng)
+        graph, _ = gr.grow_2d(3, 0.25, 3, rng)
+        assert len(graph.nodes) == 9 and graph.edge_count() == 12
 
     def test_deterministic_given_seed(self):
-        runs = [gr.grow_2d(3, 3, 0.3, np.random.default_rng(77)) for _ in range(2)]
+        runs = [gr.grow_2d(3, P3, 3, np.random.default_rng(77)) for _ in range(2)]
         assert runs[0][0].edges() == runs[1][0].edges()
         assert runs[0][1] == runs[1][1]
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            gr.grow_2d(1, 3, 0.3, np.random.default_rng(0))
+            gr.grow_2d(1, P3, 3, np.random.default_rng(0))
 
 
 class TestSelectiveLayout:

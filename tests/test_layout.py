@@ -5,7 +5,9 @@ A top-level function or class must be named by ``src/`` code outside
 method must be called somewhere in ``src/``.  Routes that only tests call
 live in ``tests/reference.py``, and each of them must be named by a test
 module or by another definition there.  Every name a module outside
-``__init__.py`` imports must be used in that module.
+``__init__.py`` imports must be used in that module.  Every defaulted
+parameter of a function in ``src/`` must be set by some call in ``src/`` or
+``tests/``: a knob nothing turns is a constant.
 """
 
 import ast
@@ -95,3 +97,62 @@ def test_every_reference_definition_is_used():
         and not any(node.name in _referenced(other) for other in reference.body if other is not node)
     ]
     assert unused == []
+
+
+def _calls_by_name() -> dict:
+    calls: dict = {}
+    trees = [*MODULES.values(), *(ast.parse(path.read_text()) for path in TESTS.glob("*.py"))]
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position in a call or None) per defaulted parameter.
+
+    A call to a method names its arguments after ``self``, so a method's
+    positions count from its second parameter.
+    """
+    methods = {
+        id(item)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        skip = 1 if id(node) in methods else 0
+        for index in range(first, len(positional)):
+            yield node.name, positional[index].arg, index - skip
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _sets(call, parameter, position) -> bool:
+    """Whether ``call`` sets the parameter by keyword, by position or through ``*``/``**``."""
+    if any(kw.arg is None or kw.arg == parameter for kw in call.keywords):
+        return True
+    if position is None:  # keyword-only
+        return False
+    return len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def test_every_default_is_overridden_somewhere():
+    calls = _calls_by_name()
+    unset = [
+        f"{module}.{function}({parameter})"
+        for module, tree in MODULES.items()
+        for function, parameter, position in _defaulted_parameters(tree)
+        if not any(_sets(call, parameter, position) for call in calls.get(function, []))
+    ]
+    assert unset == []

@@ -70,6 +70,23 @@ class TestOneBitTeleport:
         est = pr.average_teleport_infidelity(math.pi, 40_000, seed=8)
         assert est == pytest.approx(0.5, abs=0.005)
 
+    def test_sampled_run_matches_forced_run(self):
+        # a drawn outcome gives the forced run's record and state, and the
+        # outcomes come at the record's probability
+        theta, xi, seeds = 0.7, 0.4, 400
+        counts, probability = [0, 0], [None, None]
+        for seed in range(seeds):
+            rec, out = pr.one_bit_teleport(PSI, xi, theta, rng=np.random.default_rng(seed))
+            forced_rec, forced_out = pr.one_bit_teleport(PSI, xi, theta, outcome=rec.outcome)
+            assert rec == forced_rec
+            np.testing.assert_array_equal(out.amps, forced_out.amps)
+            counts[rec.outcome] += 1
+            probability[rec.outcome] = rec.probability
+        assert probability[0] + probability[1] == pytest.approx(1.0, abs=1e-12)
+        for m in (0, 1):
+            p = probability[m]
+            assert abs(counts[m] / seeds - p) < 4 * math.sqrt(p * (1 - p) / seeds)
+
     def test_vectorized_matches_simulator_path(self):
         theta = 0.62
         pairs = haar_pairs(50, seed=17)
@@ -131,6 +148,26 @@ class TestRetryProtocol:
             sv.fidelity_up_to_global_phase(retried.end_pair, direct.end_pair) > 1 - 1e-10
         )
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_sampled_run_matches_forced_run(self, n):
+        # a drawn run gives the forced run with its bits; it succeeds with
+        # probability 2p (P00 + P11) on the pair, p the closed form
+        theta, seeds = 1.0, 400
+        amps = np.array([0.5, 0.3, 0.4j, 0.6 - 0.2j])
+        pair = sv.PureState(2, amps / np.linalg.norm(amps))
+        wins = 0
+        for seed in range(seeds):
+            run = pr.retry_protocol(pair, n, theta, rng=np.random.default_rng(seed))
+            forced = pr.retry_protocol(pair, n, theta, outcomes=run.outcomes)
+            assert (run.spec, run.outcomes, run.success, run.path_probability) == (
+                forced.spec, forced.outcomes, forced.success, forced.path_probability
+            )
+            np.testing.assert_array_equal(run.end_pair.amps, forced.end_pair.amps)
+            wins += run.success
+        equal = abs(pair.amps[0]) ** 2 + abs(pair.amps[3]) ** 2
+        p = 2 * pr.success_probability_closed(n, theta) * equal
+        assert abs(wins / seeds - p) < 4 * math.sqrt(p * (1 - p) / seeds)
+
     def test_degenerate_input_rejected(self):
         pair = sv.PureState(2, np.array([0.0, 1.0, 0.0, 0.0]))
         with pytest.raises(pr.DegenerateInputError):
@@ -162,9 +199,9 @@ class TestRetryProbabilities:
             np.testing.assert_allclose(probs, expect, atol=1e-14)
 
     def test_n1_theta_zero_single_row(self):
-        probs, total = pr.retry_probabilities(1, 0.0, 8)
+        probs, total = pr.retry_probabilities(1, 0.0, 10)
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
-        assert all(abs(p) < 1e-12 for p in probs[1:])
+        assert probs[1:] == [0.0] * 10  # exact: the bond phase is exactly -1
         assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_n1_sum_limit(self):
