@@ -48,6 +48,7 @@ build is the verified N x N lattice and reports N * N, its snake path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import KeysView
 from dataclasses import dataclass
@@ -392,11 +393,14 @@ def _fresh_unit_row(graph: ClusterGraph, n: int = 3) -> _Row:
 
 
 def _row_length(row: _Row) -> int:
-    """Cluster length of a 1D row: its backbone plus a spare on either end."""
+    """Cluster length of a 1D row: its backbone plus a spare on its start.
+
+    The row end never holds a spare (``_attach_bernoulli`` keeps it so), so
+    only the start can add a leaf to the longest path.
+    """
     if not row.backbone:
         return 0
-    ends = (row.backbone[0], row.backbone[-1])
-    return len(row.backbone) + sum(v in row.spares for v in ends)
+    return len(row.backbone) + (row.backbone[0] in row.spares)
 
 
 def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) -> None:
@@ -425,11 +429,12 @@ def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) ->
     stats.three_nodes_built += units
 
 
-def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rng) -> bool:
+def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, outcomes) -> bool:
     """Attempt to fuse a fresh unit onto the row's end.
 
-    Returns the fusion outcome; an emptied row restarts from the fresh unit.
-    The unit's preparation is charged by the caller.
+    The fusion outcome is the next bool of ``outcomes``.  Returns it; an
+    emptied row restarts from the fresh unit and takes no outcome.  The
+    unit's preparation is charged by the caller.
     """
     if not row.backbone:
         u, c, w, lf = three_node(graph)
@@ -437,7 +442,7 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, p: float, rn
         row.spares = {c: lf}
         return True
 
-    success = bool(rng.random() < p)
+    success = next(outcomes)
     stats.growth_attempts += 1
     stats.protocol_applications += 1
     stats.time_steps += STEPS_PROTOCOL_ROUND
@@ -480,13 +485,6 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
             row.backbone.append(promoted)
 
 
-def _row_grow_to(graph, row, stats, p, rng, length, cap_check):
-    while len(row.backbone) < length:
-        cap_check()
-        _build_three_node_unit(stats, p, rng)
-        _row_attach(graph, row, stats, p, rng)
-
-
 def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = None):
     """Measure out the backbone nodes at positions start..stop-1 and their spares."""
     for node in row.backbone[start:stop]:
@@ -514,14 +512,15 @@ def _shorten_after(graph: ClusterGraph, row: _Row, node: int) -> int:
     return z
 
 
-def _ensure_spare(graph, row, node, margin, stats, p, rng, cap_check) -> int:
+def _ensure_spare(graph, row, node, margin, stats, grow_to) -> int:
     """Pop and return a flagged leaf on ``node``, shortening the row to make one.
 
-    The row first grows ``margin`` nodes past the node that follows the cut.
+    The row first grows, through ``grow_to(row, length)``, ``margin`` nodes
+    past the node that follows the cut.
     """
     if node in row.spares:
         return row.spares.pop(node)
-    _row_grow_to(graph, row, stats, p, rng, row.backbone.index(node) + 3 + margin, cap_check)
+    grow_to(row, row.backbone.index(node) + 3 + margin)
     stats.time_steps += STEPS_SHORTEN_ROUND
     return _shorten_after(graph, row, node)
 
@@ -547,8 +546,12 @@ def grow_1d(
     sets the qubits a unit spans; a ``p`` at which a row cannot grow raises
     ``NoGrowthError`` before any draw.
 
-    The seed unit and one unit per attach are charged in one batched draw
-    after the loop.  This is exact: a unit's cost is independent of the
+    The fusion outcomes are drawn in blocks of uniforms.  After the loop
+    the generator is rewound to where it stood before them and advanced by
+    one uniform per growth attempt, so the unused rest of the last block is
+    never consumed and the stream reads exactly as if each attach had drawn
+    its own.  The seed unit and one unit per attach are then charged in one
+    batched draw.  This is exact: a unit's cost is independent of the
     fusion outcomes and never changes the row, so drawing it later changes
     the order in which the stream is consumed, not the stats' distribution.
     """
@@ -562,10 +565,18 @@ def grow_1d(
     trace: list[tuple[bool, int]] = []
     length = _row_length(row)
 
+    start = rng.bit_generator.state
+    block = 2 * target_length  # one or two blocks at theta = 0.3, n = 3
+    outcomes = itertools.chain.from_iterable(
+        iter(lambda: (rng.random(block) < p).tolist(), None)
+    )
     while length < target_length:
-        success = _row_attach(graph, row, stats, p, rng)
+        success = _row_attach(graph, row, stats, outcomes)
         length = _row_length(row)
         trace.append((success, length))
+    # rewind past the unused outcomes: one uniform per growth attempt
+    rng.bit_generator.state = start
+    rng.random(stats.growth_attempts)
     _build_three_node_unit(stats, p, rng, units=1 + len(trace))
 
     # non-overlapping attempt pairs anchored right after a success measure
@@ -775,12 +786,21 @@ def grow_2d(
     rows = [_fresh_unit_row(graph, n) for _ in range(N)]
     for _ in range(N):  # the seed unit of every row
         _build_three_node_unit(stats, p, rng)
+    # drawn one at a time: unit charges draw from rng between two outcomes
+    outcomes = iter(lambda: bool(rng.random() < p), None)
+
+    def grow_to(row, length):
+        while len(row.backbone) < length:
+            cap_check()
+            _build_three_node_unit(stats, p, rng)
+            _row_attach(graph, row, stats, outcomes)
+
     grid: dict[tuple[int, int], int] = {}
     for j in range(N):
         for r, row in enumerate(rows):
             idx = row.protected  # one past the row's newest grid node
             while True:
-                _row_grow_to(graph, row, stats, p, rng, idx + margin, cap_check)
+                grow_to(row, idx + margin)
                 node = row.backbone[idx]
                 if node not in row.spares:
                     idx += 2
@@ -788,12 +808,12 @@ def grow_2d(
                 if r == 0:
                     break
                 upper = grid[(r - 1, j)]
-                tail = _ensure_spare(graph, rows[r - 1], upper, margin, stats, p, rng, cap_check)
+                tail = _ensure_spare(graph, rows[r - 1], upper, margin, stats, grow_to)
                 tip = row.spares.pop(node)
                 cap_check()
                 stats.protocol_applications += 1
                 stats.time_steps += STEPS_PROTOCOL_ROUND
-                success = bool(rng.random() < p)
+                success = next(outcomes)
                 fuse(graph, tip, tail, success)
                 if success:
                     # both measurements commute with the rest of the build, so

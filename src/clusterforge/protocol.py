@@ -485,6 +485,15 @@ def held_pair_attempt(
     return format(m, f"0{n}b"), path_probability
 
 
+@lru_cache(maxsize=None)
+def _success_mask(n: int) -> np.ndarray:
+    """Read-only boolean mask over the 2**n outcome sequences: the oracle's set."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[[int(seq, 2) for seq in enumerate_success_sequences(n)]] = True
+    mask.flags.writeable = False
+    return mask
+
+
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:
     """Exact success probabilities after N = 0..max_failures consecutive failures.
 
@@ -506,8 +515,7 @@ def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, 
     if max_failures < 0:
         raise ValueError("max_failures must be >= 0")
     w = held_pair_maps(n, theta)[1]
-    success = np.zeros(1 << n, dtype=bool)
-    success[[int(seq, 2) for seq in enumerate_success_sequences(n)]] = True
+    success = _success_mask(n)
     s, f = w[success].sum(axis=0), w[~success].sum(axis=0)
     probs = [float(0.25 * np.dot(s, f**k)) for k in range(max_failures + 1)]
     return probs, float(sum(probs))

@@ -2,10 +2,11 @@
 
 The program never runs these: the dense sigma_x run kernel, the dense
 protocol attempt and the dense held-pair table that the table is checked
-against, Monte-Carlo cross-checks of the closed-form cost model, target
-states of the pipeline's intermediate and reduced stages, the net-growth
-threshold, a Schmidt-rank product test and two probes of a graph or a state.  Import
-them as ``from reference import ...``, like the other test-side helpers.
+against, Monte-Carlo cross-checks of the closed-form cost model, 1D growth
+with one draw per attach, target states of the pipeline's intermediate and
+reduced stages, the net-growth threshold, a Schmidt-rank product test and two
+probes of a graph or a state.  Import them as ``from reference import ...``,
+like the other test-side helpers.
 """
 
 import math
@@ -16,8 +17,12 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from clusterforge.growth import (
     ClusterGraph,
+    GrowthStats,
     _attach_bernoulli,
+    _build_three_node_unit,
+    _check_growth,
     _fresh_unit_row,
+    _row_attach,
     _row_length,
     fuse,
     graph_state_target,
@@ -238,3 +243,43 @@ def mc_link_balance(p: float, l: int, attempts: int, seed: int) -> float:
 def _component_edges(graph: ClusterGraph, node: int) -> int:
     """Edge count of the component of ``node``: half its degree sum."""
     return graph._sweep(node)[3] // 2
+
+
+# ---------------------------------------------------------------------------
+# 1D growth, one draw per attach
+
+def grow_1d_per_attach(target_length: int, p: float, n: int, rng: np.random.Generator):
+    """``growth.grow_1d`` drawing each fusion outcome when its attach runs.
+
+    One ``rng.random() < p`` per growth attempt, then the batched unit
+    charge and the paired-gain trace: the results and the stream position
+    ``grow_1d`` must match, however it draws its outcomes.
+    """
+    _check_growth(p)
+    if target_length < 3:
+        raise ValueError("target_length must be >= 3")
+    stats = GrowthStats()
+    graph = ClusterGraph()
+    row = _fresh_unit_row(graph, n)
+    outcomes = iter(lambda: bool(rng.random() < p), None)
+    trace = []
+    length = _row_length(row)
+    while length < target_length:
+        success = _row_attach(graph, row, stats, outcomes)
+        length = _row_length(row)
+        trace.append((success, length))
+    _build_three_node_unit(stats, p, rng, units=1 + len(trace))
+
+    i = 0
+    while i + 1 < len(trace):
+        before = trace[i - 1][1] if i else 3
+        if (i == 0 or trace[i - 1][0]) and before <= target_length - 5:
+            stats.paired_gain_sum += 0.5 * (trace[i + 1][1] - before)
+            stats.paired_gain_pairs += 1
+            i += 2
+        else:
+            i += 1
+
+    stats.physical_qubits_used = row.frontier
+    stats.final_length = length
+    return graph, stats

@@ -10,6 +10,7 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
     check_invariants,
+    grow_1d_per_attach,
     is_product_across_cut,
     linear_cluster_target,
     mc_length_gain,
@@ -612,6 +613,48 @@ class TestGrow1D:
             expected += int(row.spares.get(row.backbone[0]) in graph.nodes)
             expected += int(row.spares.get(row.backbone[-1]) in graph.nodes)
             assert graph.longest_segment_length() == expected
+
+    def test_row_length_tracks_graph_diameter_through_restarts(self):
+        # the O(1) row length, which counts only a spare on the row start,
+        # against the graph diameter after every attach; at p = 0.22 rows
+        # empty and restart from a fresh unit
+        restarts = 0
+        for seed in range(10):
+            rng = np.random.default_rng([6, seed])
+            outcomes = iter(lambda: bool(rng.random() < 0.22), None)
+            graph = gr.ClusterGraph()
+            row = gr._fresh_unit_row(graph)
+            for _ in range(200):
+                restarts += not row.backbone
+                gr._row_attach(graph, row, gr.GrowthStats(), outcomes)
+                assert gr._row_length(row) == graph.longest_segment_length()
+        assert restarts > 0
+
+    @pytest.mark.parametrize(
+        "target_length, p, seeds",
+        [
+            (200, P3, range(20)),
+            (200, 0.21, range(3)),  # rows empty and restart; about nine blocks
+            (200, 1.0, range(2)),
+            (3, P3, range(2)),  # the seed unit reaches the target: no draw
+            (2000, P3, range(2)),  # about 4,300 attempts: two blocks of 4,000
+        ],
+    )
+    def test_matches_draw_per_attach_reference(self, target_length, p, seeds):
+        # outcomes drawn in blocks, then rewound, leave the stats, the graph
+        # and the generator exactly where one draw per attach leaves them
+        for seed in seeds:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            graph, stats = gr.grow_1d(target_length, p, 3, rng)
+            ref_graph, ref_stats = grow_1d_per_attach(target_length, p, 3, ref_rng)
+            assert stats == ref_stats
+            assert graph.nodes == ref_graph.nodes
+            assert graph.edges() == ref_graph.edges()
+            assert graph.leaf_flags == ref_graph.leaf_flags
+            assert graph.z_parity == ref_graph.z_parity
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if target_length == 3:
+                assert stats.growth_attempts == 0
 
 
     def test_one_unit_charged_per_attach(self, monkeypatch):
