@@ -338,8 +338,6 @@ def expected_pair_prep_attempts(p: float) -> float:
 
 def expected_three_node_protocols(p: float) -> float:
     """Mean pair-preparation rounds summed over the fusion cycles of one unit."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
     return expected_pair_prep_attempts(p) / p
 
 
@@ -359,9 +357,8 @@ def expected_length_gain(p: float, ell: int) -> float:
 
 def time_steps_1d(target_length: float, p: float, ell: int) -> float:
     """Five steps per counted protocol, times protocols per unit length."""
+    _check_growth(p)
     gain = expected_length_gain(p, ell)
-    if gain <= 0:
-        raise NoGrowthError("expected length gain is not positive")
     return 5.0 * (target_length / gain) * (expected_three_node_protocols(p) + 1.0)
 
 
@@ -369,9 +366,8 @@ def time_steps_2d(N: int, p: float, ell: int) -> float:
     """Row growth to length 2N/p plus the constant ten-step assembly tail."""
     if N < 0:
         raise ValueError("N must be >= 0")
+    _check_growth(p)
     gain = expected_length_gain(p, ell)
-    if gain <= 0:
-        raise NoGrowthError("expected length gain is not positive")
     return (10.0 / (p * gain)) * (expected_three_node_protocols(p) + 1.0) * N + 10.0
 
 
@@ -433,13 +429,15 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, outcomes) ->
     """Attempt to fuse a fresh unit onto the row's end.
 
     The fusion outcome is the next bool of ``outcomes``.  Returns it; an
-    emptied row restarts from the fresh unit and takes no outcome.  The
-    unit's preparation is charged by the caller.
+    emptied row restarts from the fresh unit, takes no outcome and counts
+    one ``stats.restarts``.  The unit's preparation is charged by the
+    caller.
     """
     if not row.backbone:
         u, c, w, lf = three_node(graph)
         row.backbone = [u, c, w]
         row.spares = {c: lf}
+        stats.restarts += 1
         return True
 
     success = next(outcomes)
@@ -681,8 +679,8 @@ def run_thirteen_qubit_pipeline(
       at the same theta, since a failed chain keeps nothing (its ends are
       measured out and it is rebuilt fresh).  That is the held pair
       ``|+>|+>`` with fresh middles, so the outcome weights are the table's
-      ``|.|^2`` rows summed over the pair's four marginals of 1/4, computed
-      once per run, and a success keeps its map times the pair's amplitude
+      ``|.|^2`` rows summed over the pair's four marginals of 1/4
+      (``pr.branch_probabilities``), computed once per run, and a success keeps its map times the pair's amplitude
       1/2, rescaled by its weight.  An attempt is three draws, in the same
       chain-by-chain order; nothing reads a failed chain's end bits, so they
       are never drawn.
@@ -693,9 +691,9 @@ def run_thirteen_qubit_pipeline(
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    success = pr.enumerate_success_sequences(3)
-    maps, map_weights = pr.held_pair_maps(3, theta)
-    fresh = (map_weights.sum(axis=1) / 4.0).tolist()  # stage 1's outcome weights
+    success = pr.success_mask(3).tolist()
+    maps = pr.held_pair_maps(3, theta)[0]
+    fresh = list(pr.branch_probabilities(3, theta).values())  # stage 1's outcome weights
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
@@ -711,9 +709,8 @@ def run_thirteen_qubit_pipeline(
             protocol_round(len(pending))
             for key in list(pending):
                 m, _ = sv.draw_outcome(fresh, rng=rng)
-                seq = format(m, "03b")
-                if seq in success:
-                    parities[key] = seq.count("1") & 1
+                if success[m]:
+                    parities[key] = m.bit_count() & 1
                     pairs[key] = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
                     pending.remove(key)
 
@@ -730,7 +727,7 @@ def run_thirteen_qubit_pipeline(
             protocol_round(1)
             seq, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=rng)
             fusion_parity ^= seq.count("1") & 1
-            if seq in success:
+            if success[int(seq, 2)]:
                 # stage 4: local corrections; tail 8 becomes the growth-unit leaf
                 if fusion_parity:
                     apply_gate(ends, 1, "Z")

@@ -14,14 +14,15 @@ phase, where q is the Hamming weight of the sequence.  A combinatorial
 generator reproduces the same sets and is tested against the oracle; the
 oracle is canonical.
 
-Dense chains only define the oracle and ``branch_probabilities``, each
-reading every outcome branch at once off the middles rotated by Hadamards
-(``branch_tensor``).  Runs read the held-pair table: each outcome sequence
-maps the two held qubits diagonally (``held_pair_maps``, a product of 2x2
-transfer matrices, one per middle), and ``held_pair_attempt`` draws one
-attempt from it in place.  The protocol run, the retry, the teleport link
-and the pipeline's fusion all use it; ``concatenated_ghz`` still retries on
-its dense register.
+Dense chains only define the oracle: one chain per probe input gives every
+outcome branch at once (``branch_tensor``), so ``success_mask``, the one
+representation of success, decides all 2**n sequences in one pass.  Every
+probability reads the held-pair table: each outcome sequence maps the two
+held qubits diagonally (``held_pair_maps``, a product of 2x2 transfer
+matrices, one per middle), and ``held_pair_attempt`` draws one attempt from
+it in place.  The protocol run, the retry, the teleport link and the
+pipeline's fusion all use it; ``concatenated_ghz`` still retries on its
+dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -43,7 +44,6 @@ from .statevector import (
     apply_controlled_phase,
     apply_gate,
     extract_qubits,
-    fidelity_up_to_global_phase,
     init_register,
     measure,
 )
@@ -142,9 +142,8 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     into the sigma_x outcome bit, so entry ``[b0, m, bE]`` of the returned
     ``(2, 2**n, 2)`` tensor is the joint amplitude of ends ``(b0, bE)`` with
     the forced outcome sequence ``m`` (qubit 1 is the most significant bit of
-    m).  Column norms are branch probabilities.  The oracle and
-    :func:`branch_probabilities` read it; the tests check it against forcing
-    the outcomes one measurement at a time.
+    m).  Column norms are branch probabilities.  The oracle reads it; the
+    tests check it against forcing the outcomes one measurement at a time.
     """
     return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
@@ -160,36 +159,41 @@ def heralded_pair(input_state, q: int) -> PureState:
     return PureState(2, np.array([a, 0.0, 0.0, sign * b], dtype=complex))
 
 
-def _sequence_strings(n: int):
-    for m in range(1 << n):
-        yield format(m, f"0{n}b")
+def _probe_heralds(probe, n: int, parity: np.ndarray) -> np.ndarray:
+    """Whether each outcome sequence m heralds the probe's pair: its branch
+    has probability above 1e-12 and fidelity at least 1 - 1e-9 with the
+    heralded map, ``|<heralded_pair(probe, q)|branch>|^2 >= (1 - 1e-9) *
+    prob`` with q the parity of m.  All branches come from one chain."""
+    tens = branch_tensor(build_imperfect_chain(probe, n, PROBE_THETA))
+    targets = np.array([heralded_pair(probe, q).amps.reshape(2, 2) for q in (0, 1)])
+    overlaps = (tens @ targets.conj().transpose(1, 2, 0)).sum(axis=0)  # [m, q]
+    fidelity = np.abs(overlaps[np.arange(1 << n), parity]) ** 2
+    prob = (np.abs(tens) ** 2).sum(axis=(0, 2))
+    return (prob > 1e-12) & (fidelity >= (1.0 - 1e-9) * prob)
+
+
+@lru_cache(maxsize=None)
+def success_mask(n: int) -> np.ndarray:
+    """The oracle: a read-only boolean mask over the 2**n outcome sequences,
+    true where a sequence heralds the pair of every probe input.  Each
+    probe's chain is freed before the next one is built."""
+    _check_odd_n(n)
+    parity = np.zeros(1, dtype=np.intp)
+    for _ in range(n):  # a leading 1 bit flips the parity of the rest
+        parity = np.concatenate([parity, 1 - parity])
+    mask = np.ones(1 << n, dtype=bool)
+    for probe in PROBE_INPUTS:
+        mask &= _probe_heralds(probe, n, parity)
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=None)
 def enumerate_success_sequences(n: int) -> frozenset:
-    """Brute-force oracle over all 2**n outcome sequences.
-
-    A sequence is successful iff for every probe input its branch has nonzero
-    probability and the end pair matches the heralded map with fidelity at
-    least 1 - 1e-9.  Returns the set of bitstrings (leftmost character is the
-    outcome of the qubit next to the input).
-    """
-    _check_odd_n(n)
-    alive = set(_sequence_strings(n))
-    for probe in PROBE_INPUTS:
-        tens = branch_tensor(build_imperfect_chain(probe, n, PROBE_THETA))
-        for seq in list(alive):
-            m = int(seq, 2)
-            branch = tens[:, m, :].reshape(-1)
-            prob = float(np.vdot(branch, branch).real)
-            if prob <= 1e-12:
-                alive.discard(seq)
-                continue
-            end = PureState(2, branch / math.sqrt(prob))
-            target = heralded_pair(probe, seq.count("1"))
-            if fidelity_up_to_global_phase(end, target) < 1.0 - 1e-9:
-                alive.discard(seq)
-    return frozenset(alive)
+    """The oracle's success set as bit strings (leftmost character is the
+    outcome of the qubit next to the input): the indices of
+    :func:`success_mask`, for the commands that print or compare sequences."""
+    return frozenset(format(m, f"0{n}b") for m in np.flatnonzero(success_mask(n)).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -259,16 +263,17 @@ def success_probability_asymptotic(n: int, theta: float) -> float:
 
 
 def branch_probabilities(n: int, theta: float) -> dict:
-    """Exact branch probability of every outcome sequence for input |+>."""
-    tens = branch_tensor(build_imperfect_chain("+", n, theta))
-    probs = np.einsum("amb,amb->m", tens, tens.conj()).real
-    return {format(m, f"0{n}b"): float(probs[m]) for m in range(1 << n)}
+    """Exact branch probability of every outcome sequence for input |+>: the
+    ends start as ``|+>|+>``, so it is the sequence's held-pair weights / 4."""
+    weights = (held_pair_maps(n, theta)[1].sum(axis=1) / 4.0).tolist()
+    return {format(m, f"0{n}b"): w for m, w in enumerate(weights)}
 
 
 def oracle_success_probability(n: int, theta: float) -> float:
-    """Sum of exact branch probabilities over the oracle's success set, input |+>."""
-    probs = branch_probabilities(n, theta)
-    return sum(probs[s] for s in enumerate_success_sequences(n))
+    """Sum of :func:`branch_probabilities` over the oracle's success mask,
+    read as an array and correctly rounded, so no summation order shows."""
+    weights = held_pair_maps(n, theta)[1].sum(axis=1) / 4.0
+    return math.fsum(weights[success_mask(n)].tolist())
 
 
 def run_protocol(
@@ -282,11 +287,11 @@ def run_protocol(
     It is :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``.  ``outcomes``
     forces the full sequence as a bit string; otherwise outcomes are sampled
     from ``rng``.  Success is decided by membership in the oracle's success
-    set, never by a hardcoded list.
+    mask, never by a hardcoded list.
     """
     pair = init_register([_input_pair(input_state), "+"])
     seq, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
-    success = seq in enumerate_success_sequences(spec.n)
+    success = bool(success_mask(spec.n)[int(seq, 2)])
     return ProtocolRun(spec, seq, success, pair, path_probability)
 
 
@@ -388,7 +393,7 @@ def stochastic_teleport(
     pair = init_register([_input_pair(input_state), "+"])
     forced = None if forced_m2 is None else (forced_m2,)
     seq, path_probability = held_pair_attempt(pair, 0, 1, 1, theta, forced, rng)
-    if seq not in enumerate_success_sequences(1):
+    if not success_mask(1)[int(seq, 2)]:
         run = ProtocolRun(spec, seq, False, pair, path_probability)
         return StochasticTeleportRun(False, None, None, run)
     rec1, pair = measure(pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
@@ -422,7 +427,7 @@ def retry_protocol(
         )
     pair = end_pair.copy()
     seq, path_probability = held_pair_attempt(pair, 0, 1, n, theta, outcomes, rng)
-    success = seq in enumerate_success_sequences(n)
+    success = bool(success_mask(n)[int(seq, 2)])
     return ProtocolRun(ProtocolSpec(n, theta), seq, success, pair, path_probability)
 
 
@@ -485,15 +490,6 @@ def held_pair_attempt(
     return format(m, f"0{n}b"), path_probability
 
 
-@lru_cache(maxsize=None)
-def _success_mask(n: int) -> np.ndarray:
-    """Read-only boolean mask over the 2**n outcome sequences: the oracle's set."""
-    mask = np.zeros(1 << n, dtype=bool)
-    mask[[int(seq, 2) for seq in enumerate_success_sequences(n)]] = True
-    mask.flags.writeable = False
-    return mask
-
-
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:
     """Exact success probabilities after N = 0..max_failures consecutive failures.
 
@@ -515,7 +511,7 @@ def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, 
     if max_failures < 0:
         raise ValueError("max_failures must be >= 0")
     w = held_pair_maps(n, theta)[1]
-    success = _success_mask(n)
+    success = success_mask(n)
     s, f = w[success].sum(axis=0), w[~success].sum(axis=0)
     probs = [float(0.25 * np.dot(s, f**k)) for k in range(max_failures + 1)]
     return probs, float(sum(probs))

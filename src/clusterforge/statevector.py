@@ -26,11 +26,12 @@ definite core and check that it holds the state.
 :func:`x_branches` rotates a run of adjacent qubits into the sigma_x basis
 with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
 every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
-protocol's oracle and branch probabilities read it.  The protocol runs draw
-their outcomes with :func:`draw_outcome`, on any list of joint outcome
-weights: it draws the outcome bits left to right against the conditional
-p0 of each prefix (one ``rng.random()`` each, the rule of :func:`measure`),
-so its draws and outcomes are those of a per-qubit :func:`measure` loop.
+protocol's oracle reads it, on one chain per probe input.  Every outcome is
+drawn by :func:`draw_outcome`, on any list of joint outcome weights: it
+draws the outcome bits left to right against the conditional p0 of each
+prefix (one ``rng.random()`` each), so the protocol runs draw what a
+per-qubit :func:`measure` loop would, and :func:`measure` is
+:func:`draw_outcome` on its two weights.
 The dense sigma_x run kernel and the dense chain that the tests check the
 held-pair table against live in the tests.  One thread touches a state;
 parallelism belongs to the trial level above this module.
@@ -259,30 +260,18 @@ def measure(
 
     The measured qubit is left in the computational state ``|m>`` (for the
     rotated basis this is the post-rotation frame), so it can later be
-    sliced away with :func:`extract_qubits`.  The draw is against
-    ``p0 = 1 - p1``; the kept half is rescaled by its own norm, so a norm
-    error in the input is not carried over (let alone amplified by 1/p0),
-    and the input norm itself is checked first.  Forcing an outcome whose
-    probability is below ``PROB_TOL`` raises :class:`ForcedOutcomeError`.
+    sliced away with :func:`extract_qubits`.  The outcome is drawn, or
+    forced, by :func:`draw_outcome` on the two outcome weights, after the
+    input norm is checked; the kept half is rescaled by its own norm, so a
+    norm error in the input is not carried over (let alone amplified by
+    1/p0).  Forcing an outcome whose probability is at most ``PROB_TOL``
+    raises :class:`ForcedOutcomeError`.
     """
     v = _split(state, qubit)
     halves, weights = _halves(v, basis, xi)
     _check_norm_squared(weights[0] + weights[1], state.amps.size)
-    p1 = weights[1]
-    p0 = 1.0 - p1
-    if outcome is None:
-        if rng is None:
-            raise ValueError("measure needs either a forced outcome or an rng")
-        outcome = int(rng.random() >= p0)
-    else:
-        outcome = int(outcome)
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be a bit")
-    prob = (p0, p1)[outcome]
-    if min(prob, weights[outcome]) <= PROB_TOL:
-        raise ForcedOutcomeError(
-            f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
-        )
+    forced = None if outcome is None else (outcome,)
+    outcome, prob = draw_outcome(list(weights), forced, rng)
 
     scale = 1.0 if basis == "z" else 2.0
     np.multiply(
@@ -333,8 +322,8 @@ def draw_outcome(
 
     ``weights[m]`` is the weight of outcome sequence m, its first bit the most
     significant.  The bits are drawn left to right, one ``rng.random()`` each,
-    against the conditional p0 of the prefix drawn so far, with
-    :func:`measure`'s rule ``bit = int(u >= p0)``; ``outcomes`` forces them
+    against the conditional p0 of the prefix drawn so far, by the rule
+    ``bit = int(u >= p0)``; ``outcomes`` forces them
     instead (a bit string or a sequence of bits).  A bit of probability at
     most ``PROB_TOL`` raises :class:`ForcedOutcomeError`.  The caller checks
     the weights' norm.  Returns the outcome index m and the path probability

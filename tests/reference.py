@@ -1,10 +1,11 @@
 """Reference routes that only the tests call.
 
-The program never runs these: the dense sigma_x run kernel, the dense
-protocol attempt and the dense held-pair table that the table is checked
-against, Monte-Carlo cross-checks of the closed-form cost model, 1D growth
-with one draw per attach, target states of the pipeline's intermediate and
-reduced stages, the net-growth threshold, a Schmidt-rank product test and two
+The program never runs these: the per-sequence loop the vectorized oracle
+is checked against, the dense sigma_x run kernel, the dense protocol
+attempt and the dense held-pair table that the table is checked against,
+Monte-Carlo cross-checks of the closed-form cost model, 1D growth with one
+draw per attach, target states of the pipeline's intermediate and reduced
+stages, the net-growth threshold, a Schmidt-rank product test and two
 probes of a graph or a state.  Import them as ``from reference import ...``,
 like the other test-side helpers.
 """
@@ -63,6 +64,30 @@ def is_product_across_cut(state: PureState, left_qubits) -> bool:
     """True when the Schmidt rank across the cut is 1 (to tolerance 1e-10)."""
     s = schmidt_coefficients(state, left_qubits)
     return bool(s[0] ** 2 > 1.0 - 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The oracle, one sequence at a time
+
+def loop_oracle(n: int) -> frozenset:
+    """``pr.enumerate_success_sequences`` deciding each of the 2**n sequences
+    in turn: a sequence succeeds iff for every probe input its branch has
+    probability above 1e-12 and its normalized end pair matches the heralded
+    map with fidelity at least 1 - 1e-9."""
+    alive = {format(m, f"0{n}b") for m in range(1 << n)}
+    for probe in pr.PROBE_INPUTS:
+        tens = pr.branch_tensor(pr.build_imperfect_chain(probe, n, pr.PROBE_THETA))
+        for seq in list(alive):
+            branch = tens[:, int(seq, 2), :].reshape(-1)
+            prob = float(np.vdot(branch, branch).real)
+            if prob <= 1e-12:
+                alive.discard(seq)
+                continue
+            end = PureState(2, branch / math.sqrt(prob))
+            target = pr.heralded_pair(probe, seq.count("1"))
+            if sv.fidelity_up_to_global_phase(end, target) < 1.0 - 1e-9:
+                alive.discard(seq)
+    return frozenset(alive)
 
 
 # ---------------------------------------------------------------------------

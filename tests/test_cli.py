@@ -234,6 +234,21 @@ class TestVerifyCommand:
         assert corrupt.keys() == clean.keys()
         assert all(corrupt[k] == clean[k] for k in clean.keys() - failing)
 
+    def test_stdout_independent_of_hash_seed(self):
+        # no printed figure may depend on the iteration order of a str set
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = set()
+        for hash_seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-m", "clusterforge.cli", "verify", "--seed", "7"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            )
+            assert result.returncode == 0, result.stderr
+            outs.add(result.stdout)
+        assert len(outs) == 1
+
 
 class TestFormatsAndCodes:
     def test_json_format(self):

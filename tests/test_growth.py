@@ -614,6 +614,16 @@ class TestGrow1D:
             expected += int(row.spares.get(row.backbone[-1]) in graph.nodes)
             assert graph.longest_segment_length() == expected
 
+    def test_restarts_are_counted(self):
+        # each attach call builds one unit: a growth attempt, or the fresh
+        # unit that restarts an emptied row
+        restarts = 0
+        for seed in range(3):
+            _, stats = gr.grow_1d(200, 0.21, 3, np.random.default_rng([7, seed]))
+            assert stats.three_nodes_built == 1 + stats.growth_attempts + stats.restarts
+            restarts += stats.restarts
+        assert restarts > 0
+
     def test_row_length_tracks_graph_diameter_through_restarts(self):
         # the O(1) row length, which counts only a spare on the row start,
         # against the graph diameter after every attach; at p = 0.22 rows
@@ -760,6 +770,15 @@ class TestCostModel:
         assert per_len == pytest.approx(115.7, abs=0.1)
         with pytest.raises(gr.NoGrowthError):
             gr.time_steps_1d(10.0, 0.05, 3)
+
+    def test_time_steps_share_the_growth_threshold(self):
+        # the paired gain is still positive at p = 0.19, but no row grows at
+        # 5p <= 1, so the cost model raises where grow_1d and grow_2d do
+        assert gr.expected_length_gain(0.19, 3) > 0
+        with pytest.raises(gr.NoGrowthError):
+            gr.time_steps_1d(1.0, 0.19, 3)
+        with pytest.raises(gr.NoGrowthError):
+            gr.time_steps_2d(1, 0.19, 3)
 
     def test_time_steps_2d(self):
         assert gr.time_steps_2d(1, 1.0, 3) == pytest.approx(20.0)
@@ -929,7 +948,7 @@ class TestGrow2D:
         assert stats == gr.GrowthStats(
             protocol_applications=10512, time_steps=39820, final_length=16,
             physical_qubits_used=6032, prep_rounds=5869, pair_fusion_attempts=1522,
-            growth_attempts=512, three_nodes_built=518, restarts=0,
+            growth_attempts=512, three_nodes_built=518, restarts=2,
         )
 
     def test_cost_per_site_flat_in_size(self):

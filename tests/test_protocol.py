@@ -9,7 +9,7 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_held_pair_maps, dense_retry
+from reference import dense_held_pair_maps, dense_retry, loop_oracle
 
 PSI = (0.6, 0.8j)
 
@@ -86,6 +86,18 @@ class TestOracle:
     def test_counts(self, n):
         assert len(pr.enumerate_success_sequences(n)) == math.comb(n, (n + 1) // 2)
 
+    @pytest.mark.parametrize("n", range(1, 14, 2))
+    def test_mask_matches_sequence_loop(self, n):
+        assert pr.enumerate_success_sequences(n) == loop_oracle(n)
+
+    def test_mask_is_read_only_and_cached(self):
+        mask = pr.success_mask(5)
+        assert mask.dtype == bool and mask.shape == (32,)
+        assert set(np.flatnonzero(mask).tolist()) == {int(s, 2) for s in N5_SEQUENCES}
+        with pytest.raises(ValueError):
+            mask[0] = True
+        assert pr.success_mask(5) is mask
+
     def test_branch_tensor_equals_sequential_forcing(self):
         theta = 0.8
         chain = pr.build_imperfect_chain(PSI, 3, theta)
@@ -118,7 +130,7 @@ class TestOracle:
 
 
 class TestRuleGenerator:
-    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 17])  # 15, 17: past the loop reference
     def test_equals_oracle(self, n):
         assert pr.rule_based_sequences(n) == pr.enumerate_success_sequences(n)
 
