@@ -144,7 +144,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
     if args.mode == "1d":
         s_a = gr.expected_pair_prep_attempts(p)
         s_b = gr.expected_three_node_protocols(p)
-        gain = gr.expected_length_gain(p, 3)
+        gain = gr.expected_length_gain(p)
         totals = {"apps": 0, "prep": 0, "cycles": 0, "units": 0, "len": 0,
                   "gain_sum": 0.0, "gain_pairs": 0}
         for i in range(args.trials):
@@ -174,7 +174,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
             "protocols_per_length_formula": (s_b + 1.0) / gain,
             "protocols_per_length_mc": (s_b_mc + 1.0) / gain_mc,
             "protocols_per_length_raw": totals["apps"] / totals["len"],
-            "t1d_per_length_formula": gr.time_steps_1d(1.0, p, 3),
+            "t1d_per_length_formula": gr.time_steps_1d(1.0, p),
             "t1d_per_length_published": _PUBLISHED_T1D,
             "note": "published shorthand differs from the displayed formula; both reported",
         }
@@ -190,6 +190,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
         _, st = gr.grow_2d(size, p, args.n, rng)
         overhead += st.physical_qubits_used / (size * size)
         apps += st.protocol_applications
+    tail = gr.time_steps_2d(0, p)  # the model's c*N + tail, read at N = 0 and 1
     row = {
         **_provenance(args),
         "p": p,
@@ -198,7 +199,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
         "mean_protocol_applications": apps / args.trials,
         "mean_overhead_per_qubit": overhead / args.trials,
         "overhead_reference": 4 * (args.n + 1) ** 2,
-        "t2d_formula": f"{_fmt(gr.time_steps_2d(1, p, 3) - 10.0)}*N+10",
+        "t2d_formula": f"{_fmt(gr.time_steps_2d(1, p) - tail)}*N+{_fmt(tail)}",
         "t2d_published": _PUBLISHED_T2D,
         "note": "published shorthand differs from the displayed formula; both reported",
     }

@@ -319,7 +319,7 @@ def _check_growth(p: float) -> None:
     and spare, plus its tail, left dangling on the old end) and measures the
     end out on failure, so a row's node count walks with drift 5p - 1, and
     its length, which never exceeds that count, grows only if 5p > 1.  The
-    paired-average gain ``expected_length_gain(p, 3)`` crosses zero lower,
+    paired-average gain ``expected_length_gain(p)`` crosses zero lower,
     at p = 3 - 2 sqrt(2) ~ 0.172; between the two a 1D run never reaches its
     target and a 2D build runs into ``ATTEMPT_CAP``.
     """
@@ -341,33 +341,31 @@ def expected_three_node_protocols(p: float) -> float:
     return expected_pair_prep_attempts(p) / p
 
 
-def expected_length_gain(p: float, ell: int) -> float:
+def expected_length_gain(p: float) -> float:
     """Mean length gain per fusion attempt, averaged over attempt pairs.
 
     Averages the four outcomes of two consecutive attempts from a freshly
-    buffered end: two successes gain 2(ell-1), exactly one gains ell-1, two
-    failures cost one unit.
+    buffered end, each attaching a three-node unit: two successes gain 4,
+    exactly one gains 2, two failures cost one unit.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return p * ell - 0.5 * (1.0 + p * p)
+    return 3.0 * p - 0.5 * (1.0 + p * p)
 
 
-def time_steps_1d(target_length: float, p: float, ell: int) -> float:
+def time_steps_1d(target_length: float, p: float) -> float:
     """Five steps per counted protocol, times protocols per unit length."""
     _check_growth(p)
-    gain = expected_length_gain(p, ell)
+    gain = expected_length_gain(p)
     return 5.0 * (target_length / gain) * (expected_three_node_protocols(p) + 1.0)
 
 
-def time_steps_2d(N: int, p: float, ell: int) -> float:
+def time_steps_2d(N: int, p: float) -> float:
     """Row growth to length 2N/p plus the constant ten-step assembly tail."""
     if N < 0:
         raise ValueError("N must be >= 0")
     _check_growth(p)
-    gain = expected_length_gain(p, ell)
+    gain = expected_length_gain(p)
     return (10.0 / (p * gain)) * (expected_three_node_protocols(p) + 1.0) * N + 10.0
 
 
@@ -772,7 +770,7 @@ def grow_2d(
     _check_growth(p)
     if N < 2:
         raise ValueError("N must be >= 2")
-    margin = math.ceil(MARGIN / expected_length_gain(p, 3))  # positive where 5p > 1
+    margin = math.ceil(MARGIN / expected_length_gain(p))  # positive where 5p > 1
     stats = GrowthStats()
 
     def cap_check():

@@ -79,8 +79,9 @@ def _check_odd_n(n: int, bounded: bool = True) -> None:
     chain exceeds ``sv.MAX_QUBITS``, before anything is allocated."""
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be an odd integer >= 1")
-    if bounded and n > sv.MAX_QUBITS - 2:
-        raise ValueError(f"n must be <= {sv.MAX_QUBITS - 2} (MAX_QUBITS={sv.MAX_QUBITS})")
+    largest = sv.MAX_QUBITS - 3 + sv.MAX_QUBITS % 2  # the largest odd n <= MAX_QUBITS - 2
+    if bounded and n > largest:
+        raise ValueError(f"n must be <= {largest} (MAX_QUBITS={sv.MAX_QUBITS})")
 
 
 @dataclass(frozen=True)
@@ -198,50 +199,22 @@ def enumerate_success_sequences(n: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _successful_by_rules(n: int) -> frozenset:
-    if n == 1:
-        return frozenset({"1"})
-    return frozenset(_zero_wrapped(n) | _compositions(n))
-
-
-@lru_cache(maxsize=None)
-def _zero_wrapped(n: int) -> frozenset:
-    """Rule (i): wrap any odd-weight successful sequence in a pair of 0s."""
-    if n < 3:
-        return frozenset()
-    return frozenset(
-        "0" + s + "0" for s in _successful_by_rules(n - 2) if s.count("1") % 2 == 1
-    )
-
-
-def _atoms(length: int) -> frozenset:
-    # Building blocks of rule (ii): the n=1 seed or any rule (i) product.
-    if length == 1:
-        return frozenset({"1"})
-    return _zero_wrapped(length)
-
-
-@lru_cache(maxsize=None)
-def _chains_ending_in_atom(length: int) -> frozenset:
-    """Alternating words  atom (bit atom)*  of the given total length."""
-    out = set()
-    for alen in range(1, length + 1, 2):
-        for atom in _atoms(alen):
-            if alen == length:
-                out.add(atom)
-            else:
-                for prefix in _chains_ending_in_atom(length - alen - 1):
-                    out.add(prefix + "0" + atom)
-                    out.add(prefix + "1" + atom)
+    """Rule (ii)'s closure: the words ``atom (bit atom)*`` of length n, each a
+    shorter such word, any bit and an atom.  Duplicate constructions collapse
+    in the set; the oracle is the ground truth it is tested against."""
+    out = set(_atoms(n))
+    for alen in range(1, n - 1, 2):
+        atoms, prefixes = _atoms(alen), _successful_by_rules(n - alen - 1)
+        out.update(prefix + bit + atom for prefix in prefixes for bit in "01" for atom in atoms)
     return frozenset(out)
 
 
-def _compositions(n: int) -> set:
-    """Rule (ii): sandwich arbitrary bits between two or more atoms.
-
-    Duplicate constructions collapse under set semantics; the oracle is the
-    ground truth the result is tested against.
-    """
-    return {s for s in _chains_ending_in_atom(n) if s not in _atoms(n)}
+def _atoms(length: int) -> frozenset:
+    """Rule (ii)'s building blocks of one length: the seed "1", or rule (i),
+    an odd-weight successful sequence wrapped in a pair of 0s."""
+    if length == 1:
+        return frozenset({"1"})
+    return frozenset("0" + s + "0" for s in _successful_by_rules(length - 2) if s.count("1") % 2)
 
 
 def rule_based_sequences(n: int) -> frozenset:
@@ -276,6 +249,13 @@ def oracle_success_probability(n: int, theta: float) -> float:
     return math.fsum(weights[success_mask(n)].tolist())
 
 
+def _attempt(spec: ProtocolSpec, pair: PureState, outcomes, rng) -> ProtocolRun:
+    """One :func:`held_pair_attempt` on qubits 0 and 1 of ``pair``, in place;
+    its success is the oracle's mask at the drawn sequence."""
+    seq, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
+    return ProtocolRun(spec, seq, bool(success_mask(spec.n)[int(seq, 2)]), pair, path_probability)
+
+
 def run_protocol(
     spec: ProtocolSpec,
     input_state,
@@ -284,15 +264,12 @@ def run_protocol(
 ) -> ProtocolRun:
     """Execute one protocol instance, measuring the middles left to right.
 
-    It is :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``.  ``outcomes``
-    forces the full sequence as a bit string; otherwise outcomes are sampled
-    from ``rng``.  Success is decided by membership in the oracle's success
-    mask, never by a hardcoded list.
+    It is one :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``, the
+    attempt :func:`retry_protocol` and the heralded teleport's link share.
+    ``outcomes`` forces the full sequence as a bit string, or ``rng`` draws
+    it.  Success is membership in the oracle's mask, not a hardcoded list.
     """
-    pair = init_register([_input_pair(input_state), "+"])
-    seq, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
-    success = bool(success_mask(spec.n)[int(seq, 2)])
-    return ProtocolRun(spec, seq, success, pair, path_probability)
+    return _attempt(spec, init_register([_input_pair(input_state), "+"]), outcomes, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +363,12 @@ def stochastic_teleport(
     ``outcomes`` may force ``(m2, m1)``.  On success the third qubit holds
     ``Z^(1-m1) Rz(xi) psi`` with fidelity 1 for any theta.
     """
-    forced_m2 = forced_m1 = None
-    if outcomes is not None:
-        forced_m2, forced_m1 = outcomes
-    spec = ProtocolSpec(1, theta)
-    pair = init_register([_input_pair(input_state), "+"])
+    forced_m2, forced_m1 = (None, None) if outcomes is None else outcomes
     forced = None if forced_m2 is None else (forced_m2,)
-    seq, path_probability = held_pair_attempt(pair, 0, 1, 1, theta, forced, rng)
-    if not success_mask(1)[int(seq, 2)]:
-        run = ProtocolRun(spec, seq, False, pair, path_probability)
+    run = run_protocol(ProtocolSpec(1, theta), input_state, forced, rng)
+    if not run.success:
         return StochasticTeleportRun(False, None, None, run)
-    rec1, pair = measure(pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
-    run = ProtocolRun(spec, seq, True, pair, path_probability)
+    rec1, pair = measure(run.end_pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
     return StochasticTeleportRun(True, rec1.outcome, extract_qubits(pair, [1]), run)
 
 
@@ -413,7 +384,7 @@ def retry_protocol(
 ) -> ProtocolRun:
     """Re-run the protocol between two held end qubits in an arbitrary joint state.
 
-    It is :func:`held_pair_attempt` on a copy of the pair.  A successful
+    It is :func:`run_protocol`'s attempt on a copy of the pair.  A successful
     sequence of weight q leaves the ends in
     ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
     regardless of how many earlier attempts failed.
@@ -425,10 +396,7 @@ def retry_protocol(
         raise DegenerateInputError(
             "no |00>/|11> amplitude left on the end pair; success is impossible"
         )
-    pair = end_pair.copy()
-    seq, path_probability = held_pair_attempt(pair, 0, 1, n, theta, outcomes, rng)
-    success = bool(success_mask(n)[int(seq, 2)])
-    return ProtocolRun(ProtocolSpec(n, theta), seq, success, pair, path_probability)
+    return _attempt(ProtocolSpec(n, theta), end_pair.copy(), outcomes, rng)
 
 
 @lru_cache(maxsize=2)  # one entry per (n, theta) in use, like sv.chain_phases

@@ -167,7 +167,7 @@ def test_criterion_08_cost_formulas():
     s_b = mc_three_node_protocols(P3, trials, seed=808)
     assert abs(s_b / gr.expected_three_node_protocols(P3) - 1) < 0.01
     gain = mc_length_gain(P3, trials, seed=808)
-    assert abs(gain / gr.expected_length_gain(P3, 3) - 1) < 0.02
+    assert abs(gain / gr.expected_length_gain(P3) - 1) < 0.02
 
     # growth-run cross-check with the cost model's own accounting: protocol
     # count = preparation rounds + growth attempts; length gain measured over
@@ -183,7 +183,7 @@ def test_criterion_08_cost_formulas():
         gain_sum += st.paired_gain_sum
         gain_pairs += st.paired_gain_pairs
     ratio = (prep / units + 1.0) / (gain_sum / gain_pairs)
-    target = (gr.expected_three_node_protocols(P3) + 1.0) / gr.expected_length_gain(P3, 3)
+    target = (gr.expected_three_node_protocols(P3) + 1.0) / gr.expected_length_gain(P3)
     assert abs(ratio / target - 1) < 0.05
     report(
         8,
@@ -224,7 +224,7 @@ def test_criterion_10_discrepancy_report(tmp_path):
     record = dict(zip(header.split(","), row.split(",")))
     assert record["t1d_per_length_published"] == "23*l_C"
     formula_value = float(record["t1d_per_length_formula"])
-    direct = 5.0 * (gr.expected_three_node_protocols(P3) + 1.0) / gr.expected_length_gain(P3, 3)
+    direct = 5.0 * (gr.expected_three_node_protocols(P3) + 1.0) / gr.expected_length_gain(P3)
     assert abs(formula_value / direct - 1) < 1e-3
 
     out_2d = tmp_path / "grow2d.csv"
@@ -238,7 +238,7 @@ def test_criterion_10_discrepancy_report(tmp_path):
     record = dict(zip(header.split(","), row.split(",")))
     assert record["t2d_published"] == "65*N+10"
     coeff = float(record["t2d_formula"].split("*")[0])
-    direct = 10.0 / (P3 * gr.expected_length_gain(P3, 3)) * (
+    direct = 10.0 / (P3 * gr.expected_length_gain(P3)) * (
         gr.expected_three_node_protocols(P3) + 1.0
     )
     assert abs(coeff / direct - 1) < 1e-3

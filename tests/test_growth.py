@@ -595,7 +595,7 @@ class TestGrow1D:
             assert run_costs[k] == {k // 2}, f"run of {k} failures: {run_costs[k]}"
         raw_gain = (length() - start) / attempts
         upper = 2 * p - (1 - p) ** 2 / (2 - p)
-        paired = gr.expected_length_gain(p, 3)
+        paired = gr.expected_length_gain(p)
         assert 0.9 * upper < raw_gain < upper
         assert raw_gain < 0.95 * paired  # the two conventions genuinely differ
 
@@ -755,9 +755,9 @@ class TestCostModel:
         assert gr.expected_three_node_protocols(P3) == pytest.approx(10.825, abs=1e-3)
 
     def test_length_gain_values(self):
-        assert gr.expected_length_gain(1.0, 3) == pytest.approx(2.0)
-        assert gr.expected_length_gain(P3, 3) == pytest.approx(0.5111, abs=1e-4)
-        assert gr.expected_length_gain(1e-9, 3) == pytest.approx(-0.5, abs=1e-6)
+        assert gr.expected_length_gain(1.0) == pytest.approx(2.0)
+        assert gr.expected_length_gain(P3) == pytest.approx(0.5111, abs=1e-4)
+        assert gr.expected_length_gain(1e-9) == pytest.approx(-0.5, abs=1e-6)
 
     def test_net_growth_condition(self):
         assert net_growth_condition(3, 0.375)
@@ -765,25 +765,25 @@ class TestCostModel:
         assert net_growth_condition(1, 1.0)
 
     def test_time_steps_1d(self):
-        assert gr.time_steps_1d(10.0, 1.0, 3) == pytest.approx(50.0)
-        per_len = gr.time_steps_1d(1.0, P3, 3)
+        assert gr.time_steps_1d(10.0, 1.0) == pytest.approx(50.0)
+        per_len = gr.time_steps_1d(1.0, P3)
         assert per_len == pytest.approx(115.7, abs=0.1)
         with pytest.raises(gr.NoGrowthError):
-            gr.time_steps_1d(10.0, 0.05, 3)
+            gr.time_steps_1d(10.0, 0.05)
 
     def test_time_steps_share_the_growth_threshold(self):
         # the paired gain is still positive at p = 0.19, but no row grows at
         # 5p <= 1, so the cost model raises where grow_1d and grow_2d do
-        assert gr.expected_length_gain(0.19, 3) > 0
+        assert gr.expected_length_gain(0.19) > 0
         with pytest.raises(gr.NoGrowthError):
-            gr.time_steps_1d(1.0, 0.19, 3)
+            gr.time_steps_1d(1.0, 0.19)
         with pytest.raises(gr.NoGrowthError):
-            gr.time_steps_2d(1, 0.19, 3)
+            gr.time_steps_2d(1, 0.19)
 
     def test_time_steps_2d(self):
-        assert gr.time_steps_2d(1, 1.0, 3) == pytest.approx(20.0)
-        assert gr.time_steps_2d(0, 1.0, 3) == pytest.approx(10.0)
-        coeff = (gr.time_steps_2d(1, P3, 3) - 10.0)
+        assert gr.time_steps_2d(1, 1.0) == pytest.approx(20.0)
+        assert gr.time_steps_2d(0, 1.0) == pytest.approx(10.0)
+        coeff = (gr.time_steps_2d(1, P3) - 10.0)
         assert coeff == pytest.approx(645.5, abs=0.5)
 
 
@@ -798,7 +798,7 @@ class TestMonteCarloCrossChecks:
 
     def test_length_gain(self):
         est = mc_length_gain(P3, 40_000, seed=101)
-        assert abs(est / gr.expected_length_gain(P3, 3) - 1) < 0.02
+        assert abs(est / gr.expected_length_gain(P3) - 1) < 0.02
 
     def test_link_balance_signs(self):
         # mean link change positive above the threshold, negative below

@@ -144,6 +144,16 @@ class TestRuleGenerator:
     def test_count_n7(self):
         assert len(pr.rule_based_sequences(7)) == 35
 
+    def test_past_the_oracle_tests(self):
+        # the mask tests stop at n = 17; past it, the rules must carry the
+        # closed-form probability and the binomial count on their own
+        rules = [int(s, 2) for s in pr.rule_based_sequences(19)]
+        for theta in (0.3, 1.0):
+            weights = pr.held_pair_maps(19, theta)[1].sum(axis=1) / 4.0
+            closed = pr.success_probability_closed(19, theta)
+            assert abs(math.fsum(weights[rules].tolist()) - closed) < 1e-12
+        assert len(pr.rule_based_sequences(21)) == math.comb(21, 11) == 352_716
+
 
 class TestProbabilities:
     def test_closed_values(self):
@@ -181,7 +191,7 @@ class TestProbabilities:
 
     def test_tables_reject_n_above_register_cap(self):
         # n = 23 would need a 25-qubit chain; its table would take over 1 GB
-        with pytest.raises(ValueError, match="n must be <= 22"):
+        with pytest.raises(ValueError, match="n must be <= 21"):
             pr.held_pair_maps(23, 0.3)
         # closed forms allocate nothing and take any odd n
         assert pr.success_probability_closed(23, 0.3) > 0.0
