@@ -142,6 +142,9 @@ def cmd_grow(args: argparse.Namespace) -> int:
     p = pr.success_probability_closed(args.n, args.theta)
 
     if args.mode == "1d":
+        # the gain estimate pairs attempts that start at least 5 below the target
+        if args.target_length < 8:
+            raise ValueError("--target-length must be >= 8 in 1d mode")
         s_a = gr.expected_pair_prep_attempts(p)
         s_b = gr.expected_three_node_protocols(p)
         gain = gr.expected_length_gain(p)

@@ -7,14 +7,18 @@ either heralds a perfectly entangled end pair (the theta dependence collapses
 to a global phase) or fails, leaving a non-maximally entangled remainder that
 can be retried.
 
-Success is decided operationally: an outcome sequence is successful when, for
-a spanning set of probe inputs at a generic probe angle, the resulting end
-pair matches the heralded map ``(I ⊗ Z^q H) CZ (psi ⊗ |+>)`` up to global
-phase, where q is the Hamming weight of the sequence.  A combinatorial
-generator reproduces the same sets and is tested against the oracle; the
-oracle is canonical.
+Success is decided operationally: an outcome sequence is successful when, at
+a generic probe angle, it maps every input to the heralded pair
+``(I ⊗ Z^q H) CZ (psi ⊗ |+>)`` up to global phase, where q is the Hamming
+weight of the sequence.  The input |+> alone decides it: the input qubit is
+never measured and every entangler is diagonal on it, so the |+> chain's two
+Z halves on that qubit are the images of |0> and |1>, and by Cauchy-Schwarz
+its end pair matches ``heralded_pair("+", q)`` exactly when both images are
+the heralded ones with one common factor.  A combinatorial generator
+reproduces the same sets and is tested against the oracle; the oracle is
+canonical.
 
-Dense chains only define the oracle: one chain per probe input gives every
+A dense chain only defines the oracle: the one |+> chain gives every
 outcome branch at once (``branch_tensor``), so ``success_mask``, the one
 representation of success, decides all 2**n sequences in one pass.  Every
 probability reads the held-pair table: each outcome sequence maps the two
@@ -53,15 +57,6 @@ from .statevector import (
 PROBE_THETA = 1.2345
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Four states with pairwise independence determine a single-qubit linear map
-# up to global phase.
-PROBE_INPUTS = (
-    (1.0, 0.0),
-    (0.0, 1.0),
-    (_INV_SQRT2, _INV_SQRT2),
-    (_INV_SQRT2, 1j * _INV_SQRT2),
-)
 
 
 class DegenerateInputError(ValueError):
@@ -160,31 +155,23 @@ def heralded_pair(input_state, q: int) -> PureState:
     return PureState(2, np.array([a, 0.0, 0.0, sign * b], dtype=complex))
 
 
-def _probe_heralds(probe, n: int, parity: np.ndarray) -> np.ndarray:
-    """Whether each outcome sequence m heralds the probe's pair: its branch
-    has probability above 1e-12 and fidelity at least 1 - 1e-9 with the
-    heralded map, ``|<heralded_pair(probe, q)|branch>|^2 >= (1 - 1e-9) *
-    prob`` with q the parity of m.  All branches come from one chain."""
-    tens = branch_tensor(build_imperfect_chain(probe, n, PROBE_THETA))
-    targets = np.array([heralded_pair(probe, q).amps.reshape(2, 2) for q in (0, 1)])
-    overlaps = (tens @ targets.conj().transpose(1, 2, 0)).sum(axis=0)  # [m, q]
-    fidelity = np.abs(overlaps[np.arange(1 << n), parity]) ** 2
-    prob = (np.abs(tens) ** 2).sum(axis=(0, 2))
-    return (prob > 1e-12) & (fidelity >= (1.0 - 1e-9) * prob)
-
-
 @lru_cache(maxsize=None)
 def success_mask(n: int) -> np.ndarray:
     """The oracle: a read-only boolean mask over the 2**n outcome sequences,
-    true where a sequence heralds the pair of every probe input.  Each
-    probe's chain is freed before the next one is built."""
+    true where a sequence m heralds the |+> chain's pair: its branch has
+    probability above 1e-12 and fidelity at least 1 - 1e-9 with the heralded
+    map, ``|<heralded_pair("+", q)|branch>|^2 >= (1 - 1e-9) * prob`` with q
+    the parity of m.  All branches come from one chain."""
     _check_odd_n(n)
     parity = np.zeros(1, dtype=np.intp)
     for _ in range(n):  # a leading 1 bit flips the parity of the rest
         parity = np.concatenate([parity, 1 - parity])
-    mask = np.ones(1 << n, dtype=bool)
-    for probe in PROBE_INPUTS:
-        mask &= _probe_heralds(probe, n, parity)
+    tens = branch_tensor(build_imperfect_chain("+", n, PROBE_THETA))
+    targets = np.array([heralded_pair("+", q).amps.reshape(2, 2) for q in (0, 1)])
+    overlaps = (tens @ targets.conj().transpose(1, 2, 0)).sum(axis=0)  # [m, q]
+    fidelity = np.abs(overlaps[np.arange(1 << n), parity]) ** 2
+    prob = (np.abs(tens) ** 2).sum(axis=(0, 2))
+    mask = (prob > 1e-12) & (fidelity >= (1.0 - 1e-9) * prob)
     mask.flags.writeable = False
     return mask
 
@@ -399,7 +386,7 @@ def retry_protocol(
     return _attempt(ProtocolSpec(n, theta), end_pair.copy(), outcomes, rng)
 
 
-@lru_cache(maxsize=2)  # one entry per (n, theta) in use, like sv.chain_phases
+@lru_cache(maxsize=2)  # a run reads one (n, theta); at most two table pairs stay alive
 def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only diagonal maps of the outcome sequences on a held end pair.
 

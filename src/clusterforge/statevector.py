@@ -16,7 +16,8 @@ reshape view of the amplitudes: ``(2^q, 2, 2^(n-q-1))`` for qubit q, whose
 axis 1 is the qubit (reversed when the last factor is short, see ``_split``),
 or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
 them moves data or copies the state.  The global entangler is diagonal: one
-multiply by a cached ``exp(i phi c)`` (:func:`chain_phases`).  A rotated
+multiply by ``exp(i phi c)`` (:func:`chain_phases`), built per call and not
+kept, since the oracle that asks for it caches its own result.  A rotated
 :func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it writes
 ``(v0 -/+ r)/sqrt(2)``, rescaled by the kept half's own norm, into the kept
 half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
@@ -26,7 +27,7 @@ definite core and check that it holds the state.
 :func:`x_branches` rotates a run of adjacent qubits into the sigma_x basis
 with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
 every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
-protocol's oracle reads it, on one chain per probe input.  Every outcome is
+protocol's oracle reads it, on the one |+> chain.  Every outcome is
 drawn by :func:`draw_outcome`, on any list of joint outcome weights: it
 draws the outcome bits left to right against the conditional p0 of each
 prefix (one ``rng.random()`` each), so the protocol runs draw what a
@@ -198,16 +199,13 @@ def apply_controlled_phase(
     return state
 
 
-@functools.lru_cache(maxsize=2)  # at most two register-sized vectors
 def chain_phases(num_qubits: int, phi: float) -> np.ndarray:
-    """Read-only ``exp(i phi c)``: CSX :func:`apply_controlled_phase` on every
-    pair (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
+    """``exp(i phi c)``: CSX :func:`apply_controlled_phase` on every pair
+    (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
     hits = np.zeros(1 << num_qubits, dtype=np.uint8)
     for q in range(num_qubits - 1):
         hits.reshape(1 << q, 2, 2, -1)[:, 1, 0] += 1
-    phases = np.exp(1j * phi * np.arange(num_qubits))[hits]
-    phases.flags.writeable = False
-    return phases
+    return np.exp(1j * phi * np.arange(num_qubits))[hits]
 
 
 @dataclass(frozen=True)

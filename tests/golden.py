@@ -114,6 +114,7 @@ def corpus() -> list:
         ["retry", "--n", "3", "--max-failures", "-1"],
         ["protocol-stats", "--theta", "nan"],
         ["grow", "--mode", "1d", "--theta", "1.15"],
+        ["grow", "--mode", "1d", "--target-length", "5"],
         ["grow", "--mode", "3d"],
         ["grow", "--trials", "0"],
         ["pipeline13", "--n", "5"],

@@ -1,13 +1,14 @@
 """Reference routes that only the tests call.
 
-The program never runs these: the per-sequence loop the vectorized oracle
-is checked against, the dense sigma_x run kernel, the dense protocol
-attempt and the dense held-pair table that the table is checked against,
-Monte-Carlo cross-checks of the closed-form cost model, 1D growth with one
-draw per attach, target states of the pipeline's intermediate and reduced
-stages, the net-growth threshold, a Schmidt-rank product test and two
-probes of a graph or a state.  Import them as ``from reference import ...``,
-like the other test-side helpers.
+The program never runs these: the four probe inputs and the per-sequence
+loop that the one-chain vectorized oracle is checked against, the dense
+sigma_x run kernel, the dense protocol attempt and the dense held-pair
+table that the table is checked against, Monte-Carlo cross-checks of the
+closed-form cost model, 1D growth with one draw per attach, target states
+of the pipeline's intermediate and reduced stages, the net-growth
+threshold, a Schmidt-rank product test and two probes of a graph or a
+state.  Import them as ``from reference import ...``, like the other
+test-side helpers.
 """
 
 import math
@@ -69,13 +70,25 @@ def is_product_across_cut(state: PureState, left_qubits) -> bool:
 # ---------------------------------------------------------------------------
 # The oracle, one sequence at a time
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Four states with pairwise independence determine a single-qubit linear map
+# up to global phase.
+PROBE_INPUTS = (
+    (1.0, 0.0),
+    (0.0, 1.0),
+    (_INV_SQRT2, _INV_SQRT2),
+    (_INV_SQRT2, 1j * _INV_SQRT2),
+)
+
+
 def loop_oracle(n: int) -> frozenset:
     """``pr.enumerate_success_sequences`` deciding each of the 2**n sequences
     in turn: a sequence succeeds iff for every probe input its branch has
     probability above 1e-12 and its normalized end pair matches the heralded
     map with fidelity at least 1 - 1e-9."""
     alive = {format(m, f"0{n}b") for m in range(1 << n)}
-    for probe in pr.PROBE_INPUTS:
+    for probe in PROBE_INPUTS:
         tens = pr.branch_tensor(pr.build_imperfect_chain(probe, n, pr.PROBE_THETA))
         for seq in list(alive):
             branch = tens[:, int(seq, 2), :].reshape(-1)

@@ -15,6 +15,7 @@ from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
+    PROBE_INPUTS,
     linear_cluster_target,
     mc_length_gain,
     mc_link_balance,
@@ -67,7 +68,7 @@ def test_criterion_02_probability_closed_form():
 def test_criterion_03_state_correctness():
     worst = 1.0
     for n in (1, 3, 5):
-        for probe in pr.PROBE_INPUTS:
+        for probe in PROBE_INPUTS:
             tens = pr.branch_tensor(pr.build_imperfect_chain(probe, n, 0.9))
             for seq in pr.enumerate_success_sequences(n):
                 branch = tens[:, int(seq, 2), :].reshape(-1)

@@ -120,6 +120,22 @@ class TestGrowCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("target", [3, 5, 7])
+    def test_1d_target_too_short_for_a_gain_pair_exits_2(self, target):
+        # below 8 no attempt pair starts 5 below the target, so the length
+        # gain would divide by zero pairs
+        args = ["grow", "--mode", "1d", "--target-length", str(target), "--trials", "2"]
+        code, out = run_cli(args)
+        assert code == 2
+        assert out == ""
+
+    def test_1d_shortest_target_with_a_gain_pair(self):
+        code, out = run_cli(["grow", "--mode", "1d", "--target-length", "8", "--trials", "3"])
+        assert code == 0
+        header, row = out.strip().split("\n")
+        record = dict(zip(header.split(","), row.split(",")))
+        assert np.isfinite(float(record["length_gain_mc"]))
+
     def test_1d_deterministic_limit(self):
         code, out = run_cli(
             ["grow", "--mode", "1d", "--trials", "5", "--target-length", "21",

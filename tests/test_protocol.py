@@ -9,7 +9,7 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import dense_held_pair_maps, dense_retry, loop_oracle
+from reference import PROBE_INPUTS, dense_held_pair_maps, dense_retry, loop_oracle
 
 PSI = (0.6, 0.8j)
 
@@ -111,15 +111,19 @@ class TestOracle:
             assert sv.fidelity_up_to_global_phase(run.end_pair, target) > 1 - 1e-12
 
     def test_success_states_match_heralded_map(self):
-        # every successful branch, on all four probe inputs
-        for n in (1, 3, 5):
-            for probe in pr.PROBE_INPUTS:
-                tens = pr.branch_tensor(pr.build_imperfect_chain(probe, n, 0.9))
-                for seq in pr.enumerate_success_sequences(n):
-                    branch = tens[:, int(seq, 2), :].reshape(-1)
-                    state = sv.PureState(2, branch / np.linalg.norm(branch))
-                    target = pr.heralded_pair(probe, seq.count("1"))
-                    assert sv.fidelity_up_to_global_phase(state, target) >= 1 - 1e-10
+        # every successful branch of the mask, which one |+> chain decides, on
+        # all four probe inputs and on seeded random inputs, at other angles
+        raw = np.random.default_rng(27).normal(size=(3, 2, 2)) @ (1.0, 1j)
+        inputs = [*PROBE_INPUTS, *(raw / np.linalg.norm(raw, axis=1, keepdims=True))]
+        for theta in (0.9, 2.2):
+            for n in (1, 3, 5):
+                for probe in inputs:
+                    tens = pr.branch_tensor(pr.build_imperfect_chain(probe, n, theta))
+                    for seq in pr.enumerate_success_sequences(n):
+                        branch = tens[:, int(seq, 2), :].reshape(-1)
+                        state = sv.PureState(2, branch / np.linalg.norm(branch))
+                        target = pr.heralded_pair(probe, seq.count("1"))
+                        assert sv.fidelity_up_to_global_phase(state, target) >= 1 - 1e-10
 
     def test_success_branches_have_uniform_probability(self):
         theta = 1.3
