@@ -42,8 +42,10 @@ Cluster length is the node count of the longest simple path whose interior
 vertices are not flagged leaves.  It is defined here on forests only, where
 it is the largest tree diameter, so the four-qubit growth unit (a degree-3
 hub with three degree-1 arms) has length 3, not 4.  1D growth reads it off
-the row: the backbone plus a live spare leaf on either end.  A finished 2D
-build is the verified N x N lattice and reports N * N, its snake path.
+the row: the backbone plus a live spare leaf on either end, so the CLI grows
+1D rows without a graph; a ``ClusterGraph`` a caller attaches is a witness,
+and only then is this diameter checked.  A finished 2D build is the verified
+N x N lattice and reports N * N, its snake path.
 """
 
 from __future__ import annotations
@@ -379,11 +381,21 @@ class _Row:
     n: int = 3           # middle qubits per protocol chain, sets the site count
     protected: int = 0   # backbone prefix length that must survive
     frontier: int = 0    # high-water mark of lattice sites this row spans
+    issued: int = 0      # node ids the row has numbered while no graph is attached
+
+    def new_unit(self, graph: ClusterGraph | None) -> tuple[int, ...]:
+        """A fresh growth unit (u, c, w, leaf): built on the graph, or numbered here."""
+        if graph is not None:
+            return three_node(graph)
+        self.issued += 4
+        return tuple(range(self.issued - 4, self.issued))
 
 
-def _fresh_unit_row(graph: ClusterGraph, n: int = 3) -> _Row:
-    u, c, w, lf = three_node(graph)
-    return _Row(backbone=[u, c, w], spares={c: lf}, n=n, frontier=3 * n + 4)
+def _fresh_unit_row(graph: ClusterGraph | None, n: int = 3) -> _Row:
+    row = _Row(backbone=[], spares={}, n=n, frontier=3 * n + 4)
+    u, c, w, lf = row.new_unit(graph)
+    row.backbone, row.spares = [u, c, w], {c: lf}
+    return row
 
 
 def _row_length(row: _Row) -> int:
@@ -423,7 +435,7 @@ def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) ->
     stats.three_nodes_built += units
 
 
-def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, outcomes) -> bool:
+def _row_attach(graph: ClusterGraph | None, row: _Row, stats: GrowthStats, outcomes) -> bool:
     """Attempt to fuse a fresh unit onto the row's end.
 
     The fusion outcome is the next bool of ``outcomes``.  Returns it; an
@@ -432,9 +444,8 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, outcomes) ->
     caller.
     """
     if not row.backbone:
-        u, c, w, lf = three_node(graph)
-        row.backbone = [u, c, w]
-        row.spares = {c: lf}
+        u, c, w, lf = row.new_unit(graph)
+        row.backbone, row.spares = [u, c, w], {c: lf}
         stats.restarts += 1
         return True
 
@@ -446,7 +457,7 @@ def _row_attach(graph: ClusterGraph, row: _Row, stats: GrowthStats, outcomes) ->
     return success
 
 
-def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
+def _attach_bernoulli(graph: ClusterGraph | None, row: _Row, success: bool):
     """Fuse a fresh growth unit onto the row's end with a given outcome.
 
     No cost is accounted here.  The row end never holds a spare.  A failure
@@ -455,14 +466,16 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
     new end node when one exists.  Either way the row ends on a node without
     a spare.  An attach on a protected end raises ``RetryLimitError``: a
     failure run has eaten the row back to lattice structure it must keep.
+    Only an attached graph is rewritten; ``graph=None`` grows the same row.
     """
     if len(row.backbone) <= row.protected:
         raise RetryLimitError("growth failure run reached protected lattice structure")
     end = row.backbone[-1]
 
     if success:
-        u, c, w, lf = three_node(graph)
-        fuse(graph, end, u, True)
+        u, c, w, lf = row.new_unit(graph)
+        if graph is not None:
+            fuse(graph, end, u, True)
         row.spares[end] = u
         row.spares[c] = lf
         row.backbone.extend([c, w])
@@ -472,13 +485,13 @@ def _attach_bernoulli(graph: ClusterGraph, row: _Row, success: bool):
         row.frontier = max(row.frontier, extent)
         return
 
-    graph.measure_out(end)
     row.backbone.pop()
-    if row.backbone:
-        promoted = row.spares.pop(row.backbone[-1], None)
-        if promoted is not None:
-            graph.leaf_flags.discard(promoted)
-            row.backbone.append(promoted)
+    promoted = row.spares.pop(row.backbone[-1], None) if row.backbone else None
+    if promoted is not None:
+        row.backbone.append(promoted)
+    if graph is not None:
+        graph.measure_out(end)
+        graph.leaf_flags.discard(promoted)  # None when no spare was promoted
 
 
 def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = None):
@@ -529,7 +542,8 @@ def grow_1d(
     p: float,
     n: int,
     rng: np.random.Generator,
-) -> tuple[ClusterGraph, GrowthStats]:
+    graph: ClusterGraph | None = None,
+) -> tuple[ClusterGraph | None, GrowthStats]:
     """Monte-Carlo 1D growth by fusing fresh growth units onto a chain.
 
     Every attempt first builds a unit: two two-qubit clusters prepared in
@@ -540,7 +554,9 @@ def grow_1d(
     closed-form model (preparation rounds and growth attempts).  ``p`` is
     the fusion success probability and ``n`` the middle-qubit count, which
     sets the qubits a unit spans; a ``p`` at which a row cannot grow raises
-    ``NoGrowthError`` before any draw.
+    ``NoGrowthError`` before any draw.  Only a caller that passes an empty
+    ``ClusterGraph`` gets a graph: the row also grows on it, as a witness
+    whose diameter is checked against the row length.  Returns (graph, stats).
 
     The fusion outcomes are drawn in blocks of uniforms.  After the loop
     the generator is rewound to where it stood before them and advanced by
@@ -555,7 +571,6 @@ def grow_1d(
     if target_length < 3:
         raise ValueError("target_length must be >= 3")
     stats = GrowthStats()
-    graph = ClusterGraph()
 
     row = _fresh_unit_row(graph, n)
     trace: list[tuple[bool, int]] = []
@@ -589,7 +604,7 @@ def grow_1d(
         else:
             i += 1
 
-    if graph.longest_segment_length() != length:
+    if graph is not None and graph.longest_segment_length() != length:
         raise AssertionError("row length disagrees with the graph diameter")
     stats.physical_qubits_used = row.frontier
     stats.final_length = length

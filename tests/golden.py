@@ -95,6 +95,9 @@ def corpus() -> list:
         *_seeded("grow", "--mode", "1d", "--trials", "10", "--target-length", "300",
                  "--theta", "0.8"),
         *_seeded("grow", "--mode", "1d", "--trials", "20", "--n", "1", "--theta", "1.0"),
+        # p ~ 0.210, close to the growth threshold: about 85 row restarts
+        *_seeded("grow", "--mode", "1d", "--theta", "1.05", "--target-length", "200",
+                 "--trials", "5"),
         *_seeded("grow", "--mode", "2d", "--size", "2", "--trials", "5"),
         *_seeded("grow", "--mode", "2d", "--size", "3", "--trials", "2"),
         ["grow", "--mode", "2d", "--size", "5", "--trials", "1", "--seed", "4"],

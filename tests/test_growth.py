@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clusterforge import cli
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
@@ -655,7 +656,7 @@ class TestGrow1D:
         # and the generator exactly where one draw per attach leaves them
         for seed in seeds:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            graph, stats = gr.grow_1d(target_length, p, 3, rng)
+            graph, stats = gr.grow_1d(target_length, p, 3, rng, graph=gr.ClusterGraph())
             ref_graph, ref_stats = grow_1d_per_attach(target_length, p, 3, ref_rng)
             assert stats == ref_stats
             assert graph.nodes == ref_graph.nodes
@@ -665,6 +666,44 @@ class TestGrow1D:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if target_length == 3:
                 assert stats.growth_attempts == 0
+
+    @pytest.mark.parametrize(
+        "target_length, p, seeds",
+        [
+            (200, P3, range(20)),
+            (200, 0.21, range(3)),  # rows empty and restart
+            (200, 1.0, range(2)),
+            (8, P3, range(5)),
+            (2000, P3, range(2)),
+        ],
+    )
+    def test_graph_free_matches_witness(self, target_length, p, seeds):
+        # the row grown without a graph gives the stats and stream position of
+        # the same row grown on a witness graph, whose diameter is its length
+        for seed in seeds:
+            rng, witness_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            none, stats = gr.grow_1d(target_length, p, 3, rng)
+            graph, witness_stats = gr.grow_1d(
+                target_length, p, 3, witness_rng, graph=gr.ClusterGraph()
+            )
+            assert none is None
+            assert stats == witness_stats
+            assert rng.bit_generator.state == witness_rng.bit_generator.state
+            assert graph.longest_segment_length() == stats.final_length
+
+    def test_graph_free_path_builds_no_graph(self, monkeypatch, capsys):
+        # the CLI's 1D runs read every column off the row: no graph node is
+        # made or measured out on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("1D growth touched a graph")
+
+        monkeypatch.setattr(gr.ClusterGraph, "new_node", refuse)
+        monkeypatch.setattr(gr.ClusterGraph, "measure_out", refuse)
+        _, stats = gr.grow_1d(200, P3, 3, np.random.default_rng(3))
+        assert stats.final_length >= 200
+        argv = ["grow", "--mode", "1d", "--target-length", "200", "--trials", "2"]
+        assert cli.main(argv) == 0
+        assert "protocols_per_length_raw" in capsys.readouterr().out
 
 
     def test_one_unit_charged_per_attach(self, monkeypatch):
@@ -721,7 +760,7 @@ class TestRowInvariant:
 
         monkeypatch.setattr(gr, "_attach_bernoulli", checking_attach)
         for i in range(20):
-            gr.grow_1d(200, P3, 3, np.random.default_rng([21, i]))
+            gr.grow_1d(200, P3, 3, np.random.default_rng([21, i]), graph=gr.ClusterGraph())
         grown_1d = len(checked)
         one_row = False
         for i in range(20):
