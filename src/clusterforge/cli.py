@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("pipeline13", cmd_pipeline13, "thirteen-qubit selective-entanglement pipeline",
                 n=False)
     p.set_defaults(n=3)  # the pipeline's chains have three middles
-    p.add_argument("--retry-cap", type=int, default=10_000)
+    p.add_argument("--retry-cap", type=_positive_int, default=10_000)
 
     p = sub.add_parser("verify", help="run the invariant suite (exit 0 iff all pass)")
     p.set_defaults(run=verify)

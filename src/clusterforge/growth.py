@@ -300,7 +300,7 @@ class GrowthStats:
     time_steps: int = 0
     final_length: int = 0
     physical_qubits_used: int = 0
-    # trace extras used by the cost-model comparisons
+    # counters used by the cost-model comparisons
     prep_rounds: int = 0
     pair_fusion_attempts: int = 0
     growth_attempts: int = 0
@@ -573,7 +573,6 @@ def grow_1d(
     stats = GrowthStats()
 
     row = _fresh_unit_row(graph, n)
-    trace: list[tuple[bool, int]] = []
     length = _row_length(row)
 
     start = rng.bit_generator.state
@@ -581,28 +580,27 @@ def grow_1d(
     outcomes = itertools.chain.from_iterable(
         iter(lambda: (rng.random(block) < p).tolist(), None)
     )
-    while length < target_length:
-        success = _row_attach(graph, row, stats, outcomes)
-        length = _row_length(row)
-        trace.append((success, length))
-    # rewind past the unused outcomes: one uniform per growth attempt
-    rng.bit_generator.state = start
-    rng.random(stats.growth_attempts)
-    _build_three_node_unit(stats, p, rng, units=1 + len(trace))
-
     # non-overlapping attempt pairs anchored right after a success measure
     # exactly the quantity the closed-form length gain averages over; pairs
     # too close to the stopping boundary are skipped because their second
     # attempt only exists conditioned on the first one failing
-    i = 0
-    while i + 1 < len(trace):
-        before = trace[i - 1][1] if i else 3
-        if (i == 0 or trace[i - 1][0]) and before <= target_length - 5:
-            stats.paired_gain_sum += 0.5 * (trace[i + 1][1] - before)
+    opened = None  # the row length before the open pair's first attempt
+    may_open = True  # at the start, or right after a success
+    while length < target_length:
+        before = length
+        success = _row_attach(graph, row, stats, outcomes)
+        length = _row_length(row)
+        if opened is not None:
+            stats.paired_gain_sum += 0.5 * (length - opened)
             stats.paired_gain_pairs += 1
-            i += 2
-        else:
-            i += 1
+            opened = None
+        elif may_open and before <= target_length - 5:
+            opened = before
+        may_open = success
+    # rewind past the unused outcomes: one uniform per growth attempt
+    rng.bit_generator.state = start
+    rng.random(stats.growth_attempts)
+    _build_three_node_unit(stats, p, rng, units=1 + stats.growth_attempts + stats.restarts)
 
     if graph is not None and graph.longest_segment_length() != length:
         raise AssertionError("row length disagrees with the graph diameter")
@@ -693,10 +691,10 @@ def run_thirteen_qubit_pipeline(
       measured out and it is rebuilt fresh).  That is the held pair
       ``|+>|+>`` with fresh middles, so the outcome weights are the table's
       ``|.|^2`` rows summed over the pair's four marginals of 1/4
-      (``pr.branch_probabilities``), computed once per run, and a success keeps its map times the pair's amplitude
-      1/2, rescaled by its weight.  An attempt is three draws, in the same
-      chain-by-chain order; nothing reads a failed chain's end bits, so they
-      are never drawn.
+      (``pr.branch_probabilities``, indexed by m), computed once per run, and
+      a success keeps its map times the pair's amplitude 1/2, rescaled by its
+      weight.  An attempt is three draws, in the same chain-by-chain order;
+      nothing reads a failed chain's end bits, so they are never drawn.
     * Stage 3: an attempt is ``pr.held_pair_attempt`` on the tip-tail pair
       (tip 4, tail 8) of the ends, in place.  No middle qubit is built.
 
@@ -706,7 +704,7 @@ def run_thirteen_qubit_pipeline(
     stats.physical_qubits_used = 13
     success = pr.success_mask(3).tolist()
     maps = pr.held_pair_maps(3, theta)[0]
-    fresh = list(pr.branch_probabilities(3, theta).values())  # stage 1's outcome weights
+    fresh = pr.branch_probabilities(3, theta).tolist()  # stage 1's outcome weights
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:

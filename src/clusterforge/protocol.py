@@ -7,26 +7,26 @@ either heralds a perfectly entangled end pair (the theta dependence collapses
 to a global phase) or fails, leaving a non-maximally entangled remainder that
 can be retried.
 
-Success is decided operationally: an outcome sequence is successful when, at
-a generic probe angle, it maps every input to the heralded pair
-``(I ⊗ Z^q H) CZ (psi ⊗ |+>)`` up to global phase, where q is the Hamming
-weight of the sequence.  The input |+> alone decides it: the input qubit is
-never measured and every entangler is diagonal on it, so the |+> chain's two
-Z halves on that qubit are the images of |0> and |1>, and by Cauchy-Schwarz
-its end pair matches ``heralded_pair("+", q)`` exactly when both images are
-the heralded ones with one common factor.  A combinatorial generator
-reproduces the same sets and is tested against the oracle; the oracle is
-canonical.
+Success is decided operationally: an outcome sequence of Hamming weight q
+is successful when, at a generic probe angle, it maps every input
+``alpha|0> + beta|1>`` to the heralded pair ``(I ⊗ Z^q H) CZ (psi ⊗ |+>) =
+alpha|00> + (-1)^q beta|11>`` up to global phase.  The input |+> alone
+decides it: the input qubit is never measured and every entangler is
+diagonal on it, so the |+> chain's two Z halves on that qubit are the images
+of |0> and |1>, and by Cauchy-Schwarz its end pair matches the heralded one
+exactly when both images do with one common factor.  A combinatorial
+generator reproduces the same sets and is tested against the oracle; the
+oracle is canonical.
 
-A dense chain only defines the oracle: the one |+> chain gives every
-outcome branch at once (``branch_tensor``), so ``success_mask``, the one
-representation of success, decides all 2**n sequences in one pass.  Every
-probability reads the held-pair table: each outcome sequence maps the two
-held qubits diagonally (``held_pair_maps``, a product of 2x2 transfer
-matrices, one per middle), and ``held_pair_attempt`` draws one attempt from
-it in place.  The protocol run, the retry, the teleport link and the
-pipeline's fusion all use it; ``concatenated_ghz`` still retries on its
-dense register.
+A dense chain only defines the oracle: the one |+> chain (one
+``apply_controlled_phase`` per pair) gives every outcome branch at once
+(``branch_tensor``), so ``success_mask``, the one representation of success,
+decides all 2**n sequences in one pass.  Every probability reads the
+held-pair table: each outcome sequence maps the two held qubits diagonally
+(``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
+and ``held_pair_attempt`` draws one attempt from it in place.  The protocol
+run, the retry, the teleport link and the pipeline's fusion all use it;
+``concatenated_ghz`` still retries on its dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def build_imperfect_chain(input_state, n: int, theta: float) -> PureState:
 
 def entangle_chain(state: PureState, theta: float) -> PureState:
     """Apply the imperfect CSX entangler to every consecutive pair of the register."""
-    state.amps *= sv.chain_phases(state.num_qubits, math.pi + theta)
+    for q in range(state.num_qubits - 1):
+        apply_controlled_phase(state, q, q + 1, math.pi + theta)
     return state
 
 
@@ -144,32 +145,18 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
 
-def heralded_pair(input_state, q: int) -> PureState:
-    """The heralded end-pair state ``(I ⊗ Z^q H) CZ (psi ⊗ |+>)``.
-
-    Works out to ``alpha|00> + (-1)^q beta|11>`` for input
-    ``alpha|0> + beta|1>``.
-    """
-    a, b = _input_pair(input_state)
-    sign = -1.0 if q % 2 else 1.0
-    return PureState(2, np.array([a, 0.0, 0.0, sign * b], dtype=complex))
-
-
 @lru_cache(maxsize=None)
 def success_mask(n: int) -> np.ndarray:
     """The oracle: a read-only boolean mask over the 2**n outcome sequences,
-    true where a sequence m heralds the |+> chain's pair: its branch has
+    true where a sequence m heralds the |+> chain's pair: its branch t has
     probability above 1e-12 and fidelity at least 1 - 1e-9 with the heralded
-    map, ``|<heralded_pair("+", q)|branch>|^2 >= (1 - 1e-9) * prob`` with q
-    the parity of m.  All branches come from one chain."""
+    pair ``(|00> + (-1)^q |11>)/sqrt(2)``, q the parity of m, that is
+    ``|t[0, m, 0] + (-1)^q t[1, m, 1]|^2 / 2 >= (1 - 1e-9) * prob``.  All
+    branches come from one chain."""
     _check_odd_n(n)
-    parity = np.zeros(1, dtype=np.intp)
-    for _ in range(n):  # a leading 1 bit flips the parity of the rest
-        parity = np.concatenate([parity, 1 - parity])
     tens = branch_tensor(build_imperfect_chain("+", n, PROBE_THETA))
-    targets = np.array([heralded_pair("+", q).amps.reshape(2, 2) for q in (0, 1)])
-    overlaps = (tens @ targets.conj().transpose(1, 2, 0)).sum(axis=0)  # [m, q]
-    fidelity = np.abs(overlaps[np.arange(1 << n), parity]) ** 2
+    sign = reduce(np.kron, [np.array([1.0, -1.0])] * n)  # (-1)^q, q the parity of m
+    fidelity = np.abs(tens[0, :, 0] + sign * tens[1, :, 1]) ** 2 / 2.0
     prob = (np.abs(tens) ** 2).sum(axis=(0, 2))
     mask = (prob > 1e-12) & (fidelity >= (1.0 - 1e-9) * prob)
     mask.flags.writeable = False
@@ -222,18 +209,17 @@ def success_probability_asymptotic(n: int, theta: float) -> float:
     return math.sqrt(2.0 / (math.pi * n)) * math.cos(theta / 2.0) ** (n + 1)
 
 
-def branch_probabilities(n: int, theta: float) -> dict:
-    """Exact branch probability of every outcome sequence for input |+>: the
-    ends start as ``|+>|+>``, so it is the sequence's held-pair weights / 4."""
-    weights = (held_pair_maps(n, theta)[1].sum(axis=1) / 4.0).tolist()
-    return {format(m, f"0{n}b"): w for m, w in enumerate(weights)}
+def branch_probabilities(n: int, theta: float) -> np.ndarray:
+    """Exact branch probability of every outcome sequence for input |+>, as
+    one array indexed by the sequence m: the ends start as ``|+>|+>``, so it
+    is the sequence's held-pair weights / 4."""
+    return held_pair_maps(n, theta)[1].sum(axis=1) / 4.0
 
 
 def oracle_success_probability(n: int, theta: float) -> float:
     """Sum of :func:`branch_probabilities` over the oracle's success mask,
-    read as an array and correctly rounded, so no summation order shows."""
-    weights = held_pair_maps(n, theta)[1].sum(axis=1) / 4.0
-    return math.fsum(weights[success_mask(n)].tolist())
+    correctly rounded, so no summation order shows."""
+    return math.fsum(branch_probabilities(n, theta)[success_mask(n)].tolist())
 
 
 def _attempt(spec: ProtocolSpec, pair: PureState, outcomes, rng) -> ProtocolRun:

@@ -15,12 +15,12 @@ States are small dense complex vectors.  Every kernel works in place on a
 reshape view of the amplitudes: ``(2^q, 2, 2^(n-q-1))`` for qubit q, whose
 axis 1 is the qubit (reversed when the last factor is short, see ``_split``),
 or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
-them moves data or copies the state.  The global entangler is diagonal: one
-multiply by ``exp(i phi c)`` (:func:`chain_phases`), built per call and not
-kept, since the oracle that asks for it caches its own result.  A rotated
-:func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it writes
-``(v0 -/+ r)/sqrt(2)``, rescaled by the kept half's own norm, into the kept
-half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
+them moves data or copies the state.  The one entangler kernel is
+:func:`apply_controlled_phase`, an in-place multiply of the quarter of the
+amplitudes its pair selects; a chain's entangler layer is one call per pair.
+A rotated :func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it
+writes ``(v0 -/+ r)/sqrt(2)``, rescaled by the kept half's own norm, into the
+kept half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
 measured-out qubits off the largest amplitude component, copy that one
 definite core and check that it holds the state.
 
@@ -50,7 +50,6 @@ import numpy as np
 MAX_QUBITS = 24
 
 NORM_TOL = 1e-12
-STATE_TOL = 1e-10
 PROB_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -197,15 +196,6 @@ def apply_controlled_phase(
     lo, hi = sorted(bits)
     _split_pair(state, lo, hi)[:, bits[lo], :, bits[hi]] *= np.exp(1j * phi)
     return state
-
-
-def chain_phases(num_qubits: int, phi: float) -> np.ndarray:
-    """``exp(i phi c)``: CSX :func:`apply_controlled_phase` on every pair
-    (q, q+1), all diagonal and commuting; c[idx] counts the pairs hit at idx."""
-    hits = np.zeros(1 << num_qubits, dtype=np.uint8)
-    for q in range(num_qubits - 1):
-        hits.reshape(1 << q, 2, 2, -1)[:, 1, 0] += 1
-    return np.exp(1j * phi * np.arange(num_qubits))[hits]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,7 @@ def corpus() -> list:
         ["grow", "--mode", "3d"],
         ["grow", "--trials", "0"],
         ["pipeline13", "--n", "5"],
+        ["pipeline13", "--retry-cap", "0", "--trials", "1"],
         ["verify", "--theta", "0.3"],
         ["frobnicate"],
         # escapes as RetryLimitError today, not as a documented exit

@@ -1,9 +1,9 @@
 """Reference routes that only the tests call.
 
-The program never runs these: the four probe inputs and the per-sequence
-loop that the one-chain vectorized oracle is checked against, the dense
-sigma_x run kernel, the dense protocol attempt and the dense held-pair
-table that the table is checked against, Monte-Carlo cross-checks of the
+The program never runs these: the four probe inputs, the heralded pair for
+any input and the per-sequence loop that the one-chain vectorized oracle is
+checked against, the dense sigma_x run kernel, the dense protocol attempt
+and the dense held-pair table that the table is checked against, Monte-Carlo cross-checks of the
 closed-form cost model, 1D growth with one draw per attach, target states
 of the pipeline's intermediate and reduced stages, the net-growth
 threshold, a Schmidt-rank product test and two probes of a graph or a
@@ -82,6 +82,17 @@ PROBE_INPUTS = (
 )
 
 
+def heralded_pair(input_state, q: int) -> PureState:
+    """The heralded end-pair state ``(I ⊗ Z^q H) CZ (psi ⊗ |+>)``.
+
+    Works out to ``alpha|00> + (-1)^q beta|11>`` for input
+    ``alpha|0> + beta|1>``.
+    """
+    a, b = pr._input_pair(input_state)
+    sign = -1.0 if q % 2 else 1.0
+    return PureState(2, np.array([a, 0.0, 0.0, sign * b], dtype=complex))
+
+
 def loop_oracle(n: int) -> frozenset:
     """``pr.enumerate_success_sequences`` deciding each of the 2**n sequences
     in turn: a sequence succeeds iff for every probe input its branch has
@@ -97,7 +108,7 @@ def loop_oracle(n: int) -> frozenset:
                 alive.discard(seq)
                 continue
             end = PureState(2, branch / math.sqrt(prob))
-            target = pr.heralded_pair(probe, seq.count("1"))
+            target = heralded_pair(probe, seq.count("1"))
             if sv.fidelity_up_to_global_phase(end, target) < 1.0 - 1e-9:
                 alive.discard(seq)
     return frozenset(alive)

@@ -16,6 +16,7 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
     PROBE_INPUTS,
+    heralded_pair,
     linear_cluster_target,
     mc_length_gain,
     mc_link_balance,
@@ -73,7 +74,7 @@ def test_criterion_03_state_correctness():
             for seq in pr.enumerate_success_sequences(n):
                 branch = tens[:, int(seq, 2), :].reshape(-1)
                 state = sv.PureState(2, branch / np.linalg.norm(branch))
-                target = pr.heralded_pair(probe, seq.count("1"))
+                target = heralded_pair(probe, seq.count("1"))
                 worst = min(worst, sv.fidelity_up_to_global_phase(state, target))
     assert worst >= 1 - 1e-10
 

@@ -201,6 +201,12 @@ class TestPipelineCommand:
         header, row = out.strip().split("\n")
         assert float(dict(zip(header.split(","), row.split(",")))["fidelity"]) >= 1 - 1e-9
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_retry_cap_exits_2(self, cap):
+        # a cap below one allows no protocol round: an invalid argument, not
+        # a run that stopped at its cap
+        assert run_cli(["pipeline13", "--retry-cap", cap, "--trials", "1"]) == (2, "")
+
     @pytest.mark.parametrize(
         "args, expected",
         [

@@ -649,6 +649,7 @@ class TestGrow1D:
             (200, 1.0, range(2)),
             (3, P3, range(2)),  # the seed unit reaches the target: no draw
             (2000, P3, range(2)),  # about 4,300 attempts: two blocks of 4,000
+            (8, P3, range(20)),  # a gain pair opens only from length 3 or less
         ],
     )
     def test_matches_draw_per_attach_reference(self, target_length, p, seeds):

@@ -5,9 +5,10 @@ A top-level function or class must be named by ``src/`` code outside
 method must be called somewhere in ``src/``.  Routes that only tests call
 live in ``tests/reference.py``, and each of them must be named by a test
 module or by another definition there.  Every name a module outside
-``__init__.py`` imports must be used in that module.  Every defaulted
-parameter of a function in ``src/`` must be set by some call in ``src/`` or
-``tests/``: a knob nothing turns is a constant.
+``__init__.py`` imports must be used in that module, and every constant
+such a module assigns at its top level must be read by ``src/`` code.  Every
+defaulted parameter of a function in ``src/`` must be set by some call in
+``src/`` or ``tests/``: a knob nothing turns is a constant.
 """
 
 import ast
@@ -82,6 +83,26 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for module, tree in MODULES.items()
+        if module != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{target.id}"
+        for module, tree in MODULES.items()
+        if module != "__init__"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id not in read
+    ]
+    assert unread == []
 
 
 def test_every_reference_definition_is_used():

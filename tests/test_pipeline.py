@@ -156,11 +156,10 @@ def entangle_fusion_block(block, theta):
 
     Only the register pairs (4, 5) ... (7, 8), block positions (1, 2) ...
     (4, 5), are neighbours; the block's (0, 4) and (8, 12) pairs are not and
-    get no phase.  It is one multiply by the 5-qubit chain phases that
-    stage 1 also uses.
+    get no phase.  It is one CSX gate per neighbour pair.
     """
-    view = block.amps.reshape(2, 32, 2)
-    view *= sv.chain_phases(5, math.pi + theta)[:, None]
+    for q in range(1, 5):
+        sv.apply_controlled_phase(block, q, q + 1, math.pi + theta)
     return block
 
 

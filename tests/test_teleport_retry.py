@@ -179,7 +179,8 @@ class TestRetryProtocol:
         theta = 1.2
         pair = sv.PureState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
         ratio0 = 0.8j / 0.6
-        for seq in sorted(pr.branch_probabilities(n, theta)):
+        for m in range(len(pr.branch_probabilities(n, theta))):
+            seq = format(m, f"0{n}b")
             try:
                 run = pr.retry_protocol(pair, n, theta, outcomes=seq)
             except sv.ForcedOutcomeError:
@@ -251,7 +252,8 @@ class TestRetryProbabilities:
         # route, no diagonal-map shortcut
         n = 3
         success = pr.enumerate_success_sequences(n)
-        failures = [s for s in pr.branch_probabilities(n, theta) if s not in success]
+        sequences = (format(m, f"0{n}b") for m in range(len(pr.branch_probabilities(n, theta))))
+        failures = [s for s in sequences if s not in success]
 
         def walk(end_pair, weight, depth, acc):
             success_here = 0.0
