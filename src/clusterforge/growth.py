@@ -736,9 +736,9 @@ def run_thirteen_qubit_pipeline(
         fusion_parity = 0
         while True:
             protocol_round(1)
-            seq, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=rng)
-            fusion_parity ^= seq.count("1") & 1
-            if success[int(seq, 2)]:
+            m, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=rng)
+            fusion_parity ^= m.bit_count() & 1
+            if success[m]:
                 # stage 4: local corrections; tail 8 becomes the growth-unit leaf
                 if fusion_parity:
                     apply_gate(ends, 1, "Z")

@@ -25,8 +25,9 @@ decides all 2**n sequences in one pass.  Every probability reads the
 held-pair table: each outcome sequence maps the two held qubits diagonally
 (``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
 and ``held_pair_attempt`` draws one attempt from it in place.  The protocol
-run, the retry, the teleport link and the pipeline's fusion all use it;
-``concatenated_ghz`` still retries on its dense register.
+run, the teleport link and the pipeline's fusion all use it, and
+``retry_probabilities`` reads the table; ``concatenated_ghz`` still retries
+on its dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -57,10 +58,6 @@ from .statevector import (
 PROBE_THETA = 1.2345
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class DegenerateInputError(ValueError):
-    """The end pair has no amplitude left on |00> and |11>; success is impossible."""
 
 
 class RetryLimitError(RuntimeError):
@@ -225,8 +222,9 @@ def oracle_success_probability(n: int, theta: float) -> float:
 def _attempt(spec: ProtocolSpec, pair: PureState, outcomes, rng) -> ProtocolRun:
     """One :func:`held_pair_attempt` on qubits 0 and 1 of ``pair``, in place;
     its success is the oracle's mask at the drawn sequence."""
-    seq, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
-    return ProtocolRun(spec, seq, bool(success_mask(spec.n)[int(seq, 2)]), pair, path_probability)
+    m, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
+    seq = format(m, f"0{spec.n}b")
+    return ProtocolRun(spec, seq, bool(success_mask(spec.n)[m]), pair, path_probability)
 
 
 def run_protocol(
@@ -238,7 +236,7 @@ def run_protocol(
     """Execute one protocol instance, measuring the middles left to right.
 
     It is one :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``, the
-    attempt :func:`retry_protocol` and the heralded teleport's link share.
+    attempt the heralded teleport's link makes.
     ``outcomes`` forces the full sequence as a bit string, or ``rng`` draws
     it.  Success is membership in the oracle's mask, not a hardcoded list.
     """
@@ -348,30 +346,6 @@ def stochastic_teleport(
 # ---------------------------------------------------------------------------
 # Fail and retry
 
-def retry_protocol(
-    end_pair: PureState,
-    n: int,
-    theta: float,
-    outcomes=None,
-    rng: np.random.Generator | None = None,
-) -> ProtocolRun:
-    """Re-run the protocol between two held end qubits in an arbitrary joint state.
-
-    It is :func:`run_protocol`'s attempt on a copy of the pair.  A successful
-    sequence of weight q leaves the ends in
-    ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
-    regardless of how many earlier attempts failed.
-    """
-    if end_pair.num_qubits != 2:
-        raise ValueError("end pair must be a 2-qubit state")
-    a00, a11 = end_pair.amps[0], end_pair.amps[3]
-    if abs(a00) ** 2 + abs(a11) ** 2 < 1e-12:
-        raise DegenerateInputError(
-            "no |00>/|11> amplitude left on the end pair; success is impossible"
-        )
-    return _attempt(ProtocolSpec(n, theta), end_pair.copy(), outcomes, rng)
-
-
 @lru_cache(maxsize=2)  # a run reads one (n, theta); at most two table pairs stay alive
 def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only diagonal maps of the outcome sequences on a held end pair.
@@ -412,7 +386,7 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def held_pair_attempt(
     state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None
-) -> tuple[str, float]:
+) -> tuple[int, float]:
     """One protocol attempt through n fresh middles between held qubits ``a < b``, in place.
 
     The outcome weights are the :func:`held_pair_maps` weights against the
@@ -420,7 +394,8 @@ def held_pair_attempt(
     ``sv.draw_outcome``, with the draws of measuring the middles one at a
     time, and the drawn map, rescaled by its own weight, updates every
     amplitude of the register.  No middle qubit is built.  Returns the
-    outcome bits and the path probability.
+    outcome index m, its first bit the most significant, and the path
+    probability.
     """
     maps, map_weights = held_pair_maps(n, theta)
     weights = (map_weights @ sv.pair_marginals(state, a, b).reshape(4)).tolist()
@@ -428,7 +403,7 @@ def held_pair_attempt(
     m, path_probability = sv.draw_outcome(weights, outcomes, rng)
     view = sv._split_pair(state, a, b)
     view *= (maps[m] / math.sqrt(weights[m])).reshape(1, 2, 1, 2, 1)
-    return format(m, f"0{n}b"), path_probability
+    return m, path_probability
 
 
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:

@@ -3,9 +3,10 @@
 The program never runs these: the four probe inputs, the heralded pair for
 any input and the per-sequence loop that the one-chain vectorized oracle is
 checked against, the dense sigma_x run kernel, the dense protocol attempt
-and the dense held-pair table that the table is checked against, Monte-Carlo cross-checks of the
-closed-form cost model, 1D growth with one draw per attach, target states
-of the pipeline's intermediate and reduced stages, the net-growth
+and the dense held-pair table that the table is checked against, the
+Monte-Carlo fail-and-retry route on a held pair, Monte-Carlo cross-checks
+of the closed-form cost model, 1D growth with one draw per attach, target
+states of the pipeline's intermediate and reduced stages, the net-growth
 threshold, a Schmidt-rank product test and two probes of a graph or a
 state.  Import them as ``from reference import ...``, like the other
 test-side helpers.
@@ -188,6 +189,39 @@ def dense_held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
             raise AssertionError("held-pair map is not diagonal")
         maps[:, k] = tens[a, :, b]
     return maps, np.abs(maps) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Fail and retry, one Monte-Carlo attempt at a time
+
+class DegenerateInputError(ValueError):
+    """The end pair has no amplitude left on |00> and |11>; success is impossible."""
+
+
+def retry_protocol(
+    end_pair: PureState,
+    n: int,
+    theta: float,
+    outcomes=None,
+    rng: np.random.Generator | None = None,
+) -> pr.ProtocolRun:
+    """Re-run the protocol between two held end qubits in an arbitrary joint state.
+
+    It is ``pr.run_protocol``'s attempt on a copy of the pair: the sampled
+    route beside the exact ``pr.retry_probabilities``.  A successful
+    sequence of weight q leaves the ends in
+    ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
+    regardless of how many earlier attempts failed.  A pair with no
+    ``|00>``/``|11>`` amplitude raises :class:`DegenerateInputError`.
+    """
+    if end_pair.num_qubits != 2:
+        raise ValueError("end pair must be a 2-qubit state")
+    a00, a11 = end_pair.amps[0], end_pair.amps[3]
+    if abs(a00) ** 2 + abs(a11) ** 2 < 1e-12:
+        raise DegenerateInputError(
+            "no |00>/|11> amplitude left on the end pair; success is impossible"
+        )
+    return pr._attempt(pr.ProtocolSpec(n, theta), end_pair.copy(), outcomes, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """``src/`` holds only what the program runs.
 
-A top-level function or class must be named by ``src/`` code outside
-``__init__.py`` or be exported in ``clusterforge.__all__``, and a public
-method must be called somewhere in ``src/``.  Routes that only tests call
-live in ``tests/reference.py``, and each of them must be named by a test
-module or by another definition there.  Every name a module outside
-``__init__.py`` imports must be used in that module, and every constant
-such a module assigns at its top level must be read by ``src/`` code.  Every
-defaulted parameter of a function in ``src/`` must be set by some call in
-``src/`` or ``tests/``: a knob nothing turns is a constant.
+Every top-level function or class must be reached from ``cli.main`` or
+from a module's top-level statements, through the names each reached
+definition references, and a public method must be called somewhere in
+``src/``.  The modules are the API: ``__init__.py`` holds no names.  Routes
+that only tests call live in ``tests/reference.py``, and each of them must
+be named by a test module or by another definition there.  Every name a
+module imports must be used in that module, and every constant a module
+assigns at its top level must be read by ``src/`` code.  Every defaulted
+parameter of a function in ``src/`` must be set by some call in ``src/``
+or ``tests/``: a knob nothing turns is a constant.
 """
 
 import ast
@@ -36,22 +37,27 @@ def _definitions():
                 yield module, node
 
 
-def test_every_definition_is_used_or_exported():
-    unused = []
-    for module, node in _definitions():
-        if node.name in clusterforge.__all__:
-            continue
-        # a recursive call or a class naming itself does not count as a use
-        used = any(
-            node.name in _referenced(other)
-            for other_module, tree in MODULES.items()
-            if other_module != "__init__"
-            for other in tree.body
-            if other is not node
-        )
-        if not used:
-            unused.append(f"{module}.{node.name}")
-    assert unused == []
+def test_every_definition_is_reached_from_main():
+    definitions: dict = {}
+    for _, node in _definitions():
+        definitions.setdefault(node.name, []).append(node)
+    main = [node for node in MODULES["cli"].body if getattr(node, "name", None) == "main"]
+    # the roots are main and the top-level statements; an import binds a name without using it
+    pending = main + [
+        node
+        for tree in MODULES.values()
+        for node in tree.body
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom))
+    ]
+    reached = {"main"}
+    while pending:
+        for name in _referenced(pending.pop()) & definitions.keys() - reached:
+            reached.add(name)
+            pending.extend(definitions[name])
+    unreached = [
+        f"{module}.{node.name}" for module, node in _definitions() if node.name not in reached
+    ]
+    assert unreached == []
 
 
 def test_every_public_method_is_called():
@@ -71,8 +77,6 @@ def test_every_public_method_is_called():
 def test_every_import_is_used():
     unused = []
     for module, tree in MODULES.items():
-        if module == "__init__":
-            continue  # its imports are the package's re-exports
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -88,15 +92,13 @@ def test_every_import_is_used():
 def test_every_module_constant_is_read():
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
-        for module, tree in MODULES.items()
-        if module != "__init__"
+        for tree in MODULES.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     unread = [
         f"{module}.{target.id}"
         for module, tree in MODULES.items()
-        if module != "__init__"
         for node in tree.body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])

