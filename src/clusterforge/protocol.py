@@ -14,9 +14,9 @@ alpha|00> + (-1)^q beta|11>`` up to global phase.  The input |+> alone
 decides it: the input qubit is never measured and every entangler is
 diagonal on it, so the |+> chain's two Z halves on that qubit are the images
 of |0> and |1>, and by Cauchy-Schwarz its end pair matches the heralded one
-exactly when both images do with one common factor.  A combinatorial
-generator reproduces the same sets and is tested against the oracle; the
-oracle is canonical.
+exactly when both images do with one common factor.  The paper's two
+construction rules, a recursion on boolean masks, reproduce the same mask
+and are compared with it mask to mask; the oracle is canonical.
 
 A dense chain only defines the oracle: the one |+> chain (one
 ``apply_controlled_phase`` per pair) gives every outcome branch at once
@@ -142,6 +142,11 @@ def branch_tensor(chain: PureState) -> np.ndarray:
     return sv.x_branches(chain, 1, chain.num_qubits - 2)
 
 
+def _odd_parity(n: int) -> np.ndarray:
+    """Boolean mask over the 2**n outcome sequences m, true at odd weight."""
+    return reduce(np.kron, [np.array([1, -1], dtype=np.int8)] * n) < 0
+
+
 @lru_cache(maxsize=None)
 def success_mask(n: int) -> np.ndarray:
     """The oracle: a read-only boolean mask over the 2**n outcome sequences,
@@ -152,7 +157,7 @@ def success_mask(n: int) -> np.ndarray:
     branches come from one chain."""
     _check_odd_n(n)
     tens = branch_tensor(build_imperfect_chain("+", n, PROBE_THETA))
-    sign = reduce(np.kron, [np.array([1.0, -1.0])] * n)  # (-1)^q, q the parity of m
+    sign = np.where(_odd_parity(n), -1.0, 1.0)  # (-1)^q
     fidelity = np.abs(tens[0, :, 0] + sign * tens[1, :, 1]) ** 2 / 2.0
     prob = (np.abs(tens) ** 2).sum(axis=(0, 2))
     mask = (prob > 1e-12) & (fidelity >= (1.0 - 1e-9) * prob)
@@ -164,34 +169,29 @@ def success_mask(n: int) -> np.ndarray:
 def enumerate_success_sequences(n: int) -> frozenset:
     """The oracle's success set as bit strings (leftmost character is the
     outcome of the qubit next to the input): the indices of
-    :func:`success_mask`, for the commands that print or compare sequences."""
+    :func:`success_mask`, for verify's literal n = 1 and 3 checks and the
+    tests."""
     return frozenset(format(m, f"0{n}b") for m in np.flatnonzero(success_mask(n)).tolist())
 
 
 @lru_cache(maxsize=None)
-def _successful_by_rules(n: int) -> frozenset:
-    """Rule (ii)'s closure: the words ``atom (bit atom)*`` of length n, each a
-    shorter such word, any bit and an atom.  Duplicate constructions collapse
-    in the set; the oracle is the ground truth it is tested against."""
-    out = set(_atoms(n))
-    for alen in range(1, n - 1, 2):
-        atoms, prefixes = _atoms(alen), _successful_by_rules(n - alen - 1)
-        out.update(prefix + bit + atom for prefix in prefixes for bit in "01" for atom in atoms)
-    return frozenset(out)
-
-
-def _atoms(length: int) -> frozenset:
-    """Rule (ii)'s building blocks of one length: the seed "1", or rule (i),
-    an odd-weight successful sequence wrapped in a pair of 0s."""
-    if length == 1:
-        return frozenset({"1"})
-    return frozenset("0" + s + "0" for s in _successful_by_rules(length - 2) if s.count("1") % 2)
-
-
-def rule_based_sequences(n: int) -> frozenset:
-    """Successful sequences generated by the two construction rules."""
+def rule_based_sequences(n: int) -> np.ndarray:
+    """The two construction rules as a read-only boolean mask over the 2**n
+    outcome sequences, indexed as :func:`success_mask`: rule (ii)'s words
+    ``atom (bit atom)*``, each a shorter such word, either bit and an atom.
+    An atom is the seed "1" or, by rule (i), an odd-weight such word s
+    wrapped in a pair of 0s, the index ``s << 1``.  No chain and no table."""
     _check_odd_n(n)
-    return _successful_by_rules(n)
+    atoms = [np.array([False, True])]  # atoms[k] has length 2k + 1
+    for length in range(3, n + 1, 2):
+        atom = np.zeros(1 << length, dtype=bool)
+        atom[: 1 << (length - 1) : 2] = rule_based_sequences(length - 2) & _odd_parity(length - 2)
+        atoms.append(atom)
+    mask = atoms[-1].copy()
+    for alen in range(1, n - 1, 2):  # prefix, either bit, atom
+        mask |= np.kron(rule_based_sequences(n - alen - 1), np.tile(atoms[alen // 2], 2))
+    mask.flags.writeable = False
+    return mask
 
 
 def success_probability_closed(n: int, theta: float) -> float:

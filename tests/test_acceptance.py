@@ -42,7 +42,7 @@ def test_criterion_01_sequence_sets():
         }
     )
     for n in (1, 3, 5, 7):
-        assert pr.rule_based_sequences(n) == pr.enumerate_success_sequences(n)
+        assert np.array_equal(pr.rule_based_sequences(n), pr.success_mask(n))
     elapsed = time.monotonic() - start
     report(1, elapsed < 10.0, f"oracle sets exact, rules match for n<=7, {elapsed:.2f}s")
 

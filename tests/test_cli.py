@@ -16,6 +16,15 @@ from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 
 
+def flip_rules_n3(monkeypatch):
+    """Negative control: the rules' masks for n = 1, 3, 5, with sequence 000
+    flipped into n = 3.  They are built before the patch, so the real
+    recursion and its cache never see the flip."""
+    masks = {n: pr.rule_based_sequences(n).copy() for n in (1, 3, 5)}
+    masks[3][0] = True
+    monkeypatch.setattr(pr, "rule_based_sequences", masks.__getitem__)
+
+
 def run_cli(args, tmp_path=None):
     """Invoke the CLI in-process, capturing stdout."""
     import io
@@ -42,6 +51,18 @@ class TestSequencesCommand:
         code, out = run_cli(["sequences", "--n", "3", "--seed", "99"])
         header = out.split("\n", 1)[0].split(",")
         assert {"n", "theta", "seed", "trials"} <= set(header)
+
+    def test_rules_mismatch_detected(self, monkeypatch, capsys):
+        flip_rules_n3(monkeypatch)
+        code, out = run_cli(["sequences", "--n", "3"])
+        assert code == 1
+        assert "MISMATCH" in capsys.readouterr().err
+        header, *lines = out.strip().split("\n")
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        rows = {row["sequence"]: row for row in rows}
+        assert rows.keys() == {"000", "010", "101", "111"}
+        assert (rows["000"]["in_oracle"], rows["000"]["in_rules"]) == ("0", "1")
+        assert all(rows[s]["in_oracle"] == rows[s]["in_rules"] == "1" for s in ("010", "101", "111"))
 
 
 class TestProtocolStatsCommand:
@@ -255,6 +276,13 @@ class TestVerifyCommand:
         assert failing == {"teleportation", "ghz_concatenation", "overall"} | pipeline
         assert corrupt.keys() == clean.keys()
         assert all(corrupt[k] == clean[k] for k in clean.keys() - failing)
+
+    def test_rules_mismatch_detected(self, monkeypatch):
+        flip_rules_n3(monkeypatch)
+        code, out = run_cli(["verify", "--seed", "7"])
+        assert code == 1
+        failing = {line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")}
+        assert failing == {"FAIL rules_equal_oracle_n3", "FAIL overall"}
 
     def test_stdout_independent_of_hash_seed(self):
         # no printed figure may depend on the iteration order of a str set

@@ -142,27 +142,31 @@ class TestOracle:
 class TestRuleGenerator:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 15, 17])  # 15, 17: past the loop reference
     def test_equals_oracle(self, n):
-        assert pr.rule_based_sequences(n) == pr.enumerate_success_sequences(n)
+        assert np.array_equal(pr.rule_based_sequences(n), pr.success_mask(n))
 
     def test_zero_wrapping_example(self):
-        assert "00100" in pr.rule_based_sequences(5)
+        assert pr.rule_based_sequences(5)[0b00100]
 
     def test_sandwich_examples(self):
         five = pr.rule_based_sequences(5)
-        assert {"01001", "01011"} <= five
+        assert five[0b01001] and five[0b01011]
 
     def test_count_n7(self):
-        assert len(pr.rule_based_sequences(7)) == 35
+        assert pr.rule_based_sequences(7).sum() == 35
+
+    def test_mask_is_read_only(self):
+        with pytest.raises(ValueError):
+            pr.rule_based_sequences(5)[0] = True
 
     def test_past_the_oracle_tests(self):
         # the mask tests stop at n = 17; past it, the rules must carry the
         # closed-form probability and the binomial count on their own
-        rules = [int(s, 2) for s in pr.rule_based_sequences(19)]
+        rules = pr.rule_based_sequences(19)
         for theta in (0.3, 1.0):
             weights = pr.held_pair_maps(19, theta)[1].sum(axis=1) / 4.0
             closed = pr.success_probability_closed(19, theta)
             assert abs(math.fsum(weights[rules].tolist()) - closed) < 1e-12
-        assert len(pr.rule_based_sequences(21)) == math.comb(21, 11) == 352_716
+        assert pr.rule_based_sequences(21).sum() == math.comb(21, 11) == 352_716
 
 
 class TestProbabilities:
