@@ -21,10 +21,13 @@ process, on the first ``main`` call, and reused by every later call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -42,24 +45,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], args: argparse.Namespace) -> str:
-    """Render rows (list of ordered dicts) as CSV or JSON text."""
+def _json_pieces(rows: list[dict]) -> Iterator[str]:
+    """``json.dumps(rows, indent=1) + "\n"`` in pieces of a few thousand
+    tokens, as the encoder yields them: an indented one-shot dump would
+    hold every token of every row at once."""
+    tokens = json.JSONEncoder(indent=1).iterencode(rows)
+    while piece := "".join(itertools.islice(tokens, 4096)):
+        yield piece
+    yield "\n"
+
+
+def _emit(rows: list[dict], args: argparse.Namespace) -> Iterable[str]:
+    """Render rows (list of ordered dicts) as CSV text, or as JSON text in pieces."""
     if args.fmt == "json":
-        return json.dumps(rows, indent=1, sort_keys=False) + "\n"
+        return _json_pieces(rows)
     if not rows:
-        return "\n"
+        return ["\n"]
     header = list(rows[0].keys())
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _write(text: str, args: argparse.Namespace):
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _write(pieces: Iterable[str], args: argparse.Namespace):
+    """Write the pieces of one output to ``--out``, if given, and to stdout."""
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+        for piece in pieces:
+            if fh is not None:
+                fh.write(piece)
+            sys.stdout.write(piece)
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -350,7 +365,7 @@ def verify(args: argparse.Namespace) -> int:
     )
 
     lines.append(f"{'FAIL' if failures else 'PASS'} overall: {len(failures)} failing checks")
-    _write("\n".join(lines) + "\n", args)
+    _write(["\n".join(lines) + "\n"], args)
     return 1 if failures else 0
 
 

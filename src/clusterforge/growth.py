@@ -50,6 +50,7 @@ N x N lattice and reports N * N, its snake path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import KeysView
@@ -74,7 +75,8 @@ STEPS_REMOVE_ROUND = 2     # measure, correct
 # 24 nodes at n = 3, theta = 0.3 and 85 at theta = 1.0.
 MARGIN = 12.0
 
-# protocol applications after which a 2D build stops with RetryLimitError
+# protocol applications after which a 2D build, and growth attempts after
+# which a 1D row, stops with RetryLimitError
 ATTEMPT_CAP = 500_000
 
 
@@ -566,6 +568,8 @@ def grow_1d(
     batched draw.  This is exact: a unit's cost is independent of the
     fusion outcomes and never changes the row, so drawing it later changes
     the order in which the stream is consumed, not the stats' distribution.
+    A row still short of its target when a block is due after more than
+    ``ATTEMPT_CAP`` growth attempts raises ``RetryLimitError``.
     """
     _check_growth(p)
     if target_length < 3:
@@ -577,9 +581,13 @@ def grow_1d(
 
     start = rng.bit_generator.state
     block = 2 * target_length  # one or two blocks at theta = 0.3, n = 3
-    outcomes = itertools.chain.from_iterable(
-        iter(lambda: (rng.random(block) < p).tolist(), None)
-    )
+
+    def next_block() -> list:
+        if stats.growth_attempts > ATTEMPT_CAP:
+            raise RetryLimitError("1D growth attempt cap exhausted")
+        return (rng.random(block) < p).tolist()
+
+    outcomes = itertools.chain.from_iterable(iter(next_block, None))
     # non-overlapping attempt pairs anchored right after a success measure
     # exactly the quantity the closed-form length gain averages over; pairs
     # too close to the stopping boundary are skipped because their second
@@ -626,27 +634,14 @@ def graph_state_target(num_qubits: int, edges) -> PureState:
     return state
 
 
+@functools.cache
 def three_node_target() -> PureState:
-    """Graph state of the growth unit on (0, 4, 8, 12): hub at qubit 4."""
-    return graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
+    """Graph state of the growth unit on (0, 4, 8, 12): hub at qubit 4.
 
-
-def _fusion_success_probability(ends: PureState, theta: float) -> float:
-    """Exact probability that re-running the fusion chain would succeed.
-
-    ``ends`` holds register qubits (0, 4, 8, 12); the chain ends are tip 4
-    and tail 8.  Every outcome branch acts diagonally on the chain-end pair,
-    so it is the Born marginals P of the end pair against the success rows
-    of ``pr.held_pair_maps(3, theta)``'s weights, summed.  That sum is 0 on
-    |01> and |10>, where success is impossible, and 2p on |00> and |11>, p
-    being success_probability_closed(3, theta), so the probability is
-    2p (P00 + P11), P00 + P11 being the norm^2 of the ends' |00> and |11>
-    tip-tail part.  test_success_weights_closed_form pins the summed rows;
-    test_pipeline_fast_probability checks the result against the slow
-    re-entangle-and-enumerate route.
-    """
-    equal = ends.amps.reshape(2, 4, 2)[:, ::3].ravel()  # tip-tail |00> and |11>
-    return 2.0 * pr.success_probability_closed(3, theta) * float(np.vdot(equal, equal).real)
+    Built once and shared, so its amplitudes are read-only."""
+    target = graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
+    target.amps.flags.writeable = False
+    return target
 
 
 def run_thirteen_qubit_pipeline(
@@ -695,10 +690,11 @@ def run_thirteen_qubit_pipeline(
       a success keeps its map times the pair's amplitude 1/2, rescaled by its
       weight.  An attempt is three draws, in the same chain-by-chain order;
       nothing reads a failed chain's end bits, so they are never drawn.
-    * Stage 3: an attempt is ``pr.held_pair_attempt`` on the tip-tail pair
-      (tip 4, tail 8) of the ends, in place.  No middle qubit is built.
+    * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` on the
+      tip-tail pair (tip 4, tail 8) of the ends, which touches them once.
 
-    The retry cap is checked before every protocol round.
+    The retry cap is checked before every protocol round; stage 3's limit
+    is the applications left under it.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
@@ -731,23 +727,22 @@ def run_thirteen_qubit_pipeline(
                 apply_gate(pair, 1, "Z")
             apply_gate(pair, 1, "H")
 
-        # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7
+        # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
         ends = PureState(4, np.multiply.outer(pairs[0].amps, pairs[1].amps))
-        fusion_parity = 0
-        while True:
-            protocol_round(1)
-            m, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=rng)
-            fusion_parity ^= m.bit_count() & 1
-            if success[m]:
-                # stage 4: local corrections; tail 8 becomes the growth-unit leaf
-                if fusion_parity:
-                    apply_gate(ends, 1, "Z")
-                apply_gate(ends, 2, "H")
-                stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
-                return ends, stats
-            if _fusion_success_probability(ends, theta) < 1e-9:
-                stats.restarts += 1
-                break  # dead end: rebuild everything
+        limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
+        attempts, fusion_parity, fused = pr.held_pair_retry(ends, 1, 2, 3, theta, rng, limit)
+        stats.time_steps += STEPS_PROTOCOL_ROUND * attempts
+        stats.protocol_applications += attempts
+        if not fused:
+            stats.restarts += 1  # a dead link, or the cap, which the next round raises
+            continue  # rebuild everything
+
+        # stage 4: local corrections; tail 8 becomes the growth-unit leaf
+        if fusion_parity:
+            apply_gate(ends, 1, "Z")
+        apply_gate(ends, 2, "H")
+        stats.final_length = 3  # the growth unit: arms 0 and 12 on hub 4, leaf 8
+        return ends, stats
 
 
 # ---------------------------------------------------------------------------

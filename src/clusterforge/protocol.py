@@ -24,10 +24,12 @@ A dense chain only defines the oracle: the one |+> chain (one
 decides all 2**n sequences in one pass.  Every probability reads the
 held-pair table: each outcome sequence maps the two held qubits diagonally
 (``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
-and ``held_pair_attempt`` draws one attempt from it in place.  The protocol
-run, the teleport link and the pipeline's fusion all use it, and
-``retry_probabilities`` reads the table; ``concatenated_ghz`` still retries
-on its dense register.
+and ``held_pair_attempt`` draws one attempt from it in place, for the
+protocol run and the teleport link.  ``held_pair_retry`` draws a run of
+attempts as those calls would, on the pair's four Born marginals alone, and
+rescales the register once, when the run stops: the pipeline's fusion
+retries with it.  ``retry_probabilities`` reads the table;
+``concatenated_ghz`` still retries on its dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -384,6 +386,17 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return maps, weights
 
 
+def _held_pair_draw(rows, marginals, size: int, outcomes, rng) -> tuple[int, float, float]:
+    """The one draw rule: ``sv.draw_outcome`` on the weight ``rows`` against
+    the Born marginals, norm-checked as a register of ``size`` amplitudes.
+    Returns m, its path probability and its weight."""
+    p00, p01, p10, p11 = marginals
+    weights = [w00 * p00 + w01 * p01 + w10 * p10 + w11 * p11 for w00, w01, w10, w11 in rows]
+    sv._check_norm_squared(sum(weights), size)
+    m, path_probability = sv.draw_outcome(weights, outcomes, rng)
+    return m, path_probability, weights[m]
+
+
 def held_pair_attempt(
     state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None
 ) -> tuple[int, float]:
@@ -395,15 +408,47 @@ def held_pair_attempt(
     time, and the drawn map, rescaled by its own weight, updates every
     amplitude of the register.  No middle qubit is built.  Returns the
     outcome index m, its first bit the most significant, and the path
-    probability.
+    probability.  :func:`held_pair_retry` draws a run of them the same way.
     """
     maps, map_weights = held_pair_maps(n, theta)
-    weights = (map_weights @ sv.pair_marginals(state, a, b).reshape(4)).tolist()
-    sv._check_norm_squared(sum(weights), state.amps.size)
-    m, path_probability = sv.draw_outcome(weights, outcomes, rng)
-    view = sv._split_pair(state, a, b)
-    view *= (maps[m] / math.sqrt(weights[m])).reshape(1, 2, 1, 2, 1)
-    return m, path_probability
+    marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
+    m, path, w = _held_pair_draw(map_weights.tolist(), marginals, state.amps.size, outcomes, rng)
+    sv._split_pair(state, a, b)[...] *= (maps[m] / math.sqrt(w)).reshape(1, 2, 1, 2, 1)
+    return m, path
+
+
+def held_pair_success_probability(marginals: list, p: float) -> float:
+    """Chance that one more attempt succeeds on a held pair with Born marginals
+    ``(P00, P01, P10, P11)``: the table's success rows sum to ``2p (1, 0, 0, 1)``."""
+    return 2.0 * p * (marginals[0] + marginals[3])
+
+
+def held_pair_retry(
+    state: PureState, a: int, b: int, n: int, theta: float, rng, limit: int
+) -> tuple[int, int, bool]:
+    """:func:`held_pair_attempt` until one succeeds, on the pair's four Born marginals.
+
+    The drawn map rescales them as ``P_k <- w[m, k] P_k / weight_m``, and
+    the register takes the product of the drawn maps, each over the square
+    root of its weight, once: on a success, on a dead link
+    (:func:`held_pair_success_probability` below 1e-9) or after ``limit``
+    attempts.  Returns the attempts, the drawn outcomes' parity and success.
+    """
+    if limit < 1:
+        raise RetryLimitError("retry cap exhausted")
+    cells, rows = (table.tolist() for table in held_pair_maps(n, theta))
+    success, p = success_mask(n).tolist(), success_probability_closed(n, theta)
+    marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
+    scale, parity = [1.0] * 4, 0
+    for attempts in range(1, limit + 1):
+        m, _, weight = _held_pair_draw(rows, marginals, state.amps.size, None, rng)
+        parity ^= m.bit_count() & 1
+        marginals = [w * q / weight for w, q in zip(rows[m], marginals)]
+        scale = [s * g / math.sqrt(weight) for s, g in zip(scale, cells[m])]
+        if success[m] or held_pair_success_probability(marginals, p) < 1e-9:
+            break
+    sv._split_pair(state, a, b)[...] *= np.array(scale).reshape(1, 2, 1, 2, 1)
+    return attempts, parity, success[m]
 
 
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:

@@ -1,0 +1,23 @@
+"""Hypothesis strategies shared by the property tests."""
+
+import math
+
+import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from clusterforge import statevector as sv
+
+# the protocol's error angle: success is likeliest at 0 and impossible at pi
+thetas = st.floats(0.0, math.pi)
+
+
+@st.composite
+def normalized_ends(draw):
+    """A random 4-qubit state: 16 complex amplitudes, normalized."""
+    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
+    amps = parts[:16] + 1j * parts[16:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.1)
+    return sv.PureState(4, amps / norm)

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import shlex
@@ -276,6 +277,9 @@ class TestVerifyCommand:
         assert failing == {"teleportation", "ghz_concatenation", "overall"} | pipeline
         assert corrupt.keys() == clean.keys()
         assert all(corrupt[k] == clean[k] for k in clean.keys() - failing)
+        # the compared states were rotated, not the shared, read-only target
+        fresh = gr.graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
+        np.testing.assert_array_equal(gr.three_node_target().amps, fresh.amps)
 
     def test_rules_mismatch_detected(self, monkeypatch):
         flip_rules_n3(monkeypatch)
@@ -305,6 +309,29 @@ class TestFormatsAndCodes:
         code, out = run_cli(["sequences", "--n", "1", "--format", "json"])
         payload = json.loads(out)
         assert payload[0]["sequence"] == "1"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sequences", "--n", "11"],  # several thousand tokens: more than one piece
+            ["protocol-stats", "--n", "3"],
+            ["retry", "--n", "3", "--max-failures", "4"],
+            ["pipeline13", "--trials", "2", "--seed", "3"],
+        ],
+    )
+    def test_json_is_the_indented_dump(self, args, tmp_path):
+        """JSON is written a piece at a time, and the bytes, on stdout and in
+        ``--out``, are those of the one-shot ``json.dumps(rows, indent=1)``."""
+        out_file = tmp_path / "rows.json"
+        code, out = run_cli([*args, "--format", "json", "--out", str(out_file)])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=1) + "\n"
+        assert out_file.read_bytes() == out.encode()
+
+    def test_empty_rows(self):
+        json_args, csv_args = argparse.Namespace(fmt="json"), argparse.Namespace(fmt="csv")
+        assert "".join(cli._emit([], json_args)) == json.dumps([], indent=1) + "\n" == "[]\n"
+        assert "".join(cli._emit([], csv_args)) == "\n"
 
     def test_csv_uses_lf_and_12_digits(self, tmp_path):
         out_file = tmp_path / "stats.csv"

@@ -534,6 +534,23 @@ class TestGrow1D:
         _, stats = gr.grow_1d(200, 0.21, 3, rng)
         assert stats.final_length >= 200
 
+    def test_attempt_cap(self, monkeypatch):
+        """Just above p = 0.2 a row creeps: 1000 sites take about 30,000
+        attempts.  Past ``ATTEMPT_CAP`` the next block of outcomes is never
+        drawn."""
+        monkeypatch.setattr(gr, "ATTEMPT_CAP", 100)
+        with pytest.raises(gr.RetryLimitError, match="1D growth attempt cap"):
+            gr.grow_1d(1000, 0.21, 3, np.random.default_rng(1))
+
+    def test_attempt_cap_is_checked_per_block(self, monkeypatch):
+        """The cap is read only where a block is drawn: a run that ends
+        inside its first block (400 outcomes) is the uncapped run."""
+        _, uncapped = gr.grow_1d(200, 0.6, 3, np.random.default_rng(2))
+        assert 0 < uncapped.growth_attempts <= 400
+        monkeypatch.setattr(gr, "ATTEMPT_CAP", 0)
+        _, capped = gr.grow_1d(200, 0.6, 3, np.random.default_rng(2))
+        assert capped == uncapped
+
     def test_length_decreases_only_after_two_consecutive_failures(self):
         rng = np.random.default_rng(77)
         for _ in range(5):

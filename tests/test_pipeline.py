@@ -1,19 +1,18 @@
 """Thirteen-qubit selective-entanglement pipeline."""
 
-import contextlib
 import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import draw_x_run, linear_cluster_target, thirteen_qubit_target, x_weights
+from strategies import normalized_ends, thetas
 
 
 def run(theta, seed, **kw):
@@ -202,23 +201,28 @@ def fusion_success_probability_reference(ends, theta):
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
 def test_pipeline_fast_probability(theta, monkeypatch):
-    """The restart decision's fast probability matches re-running the chain.
+    """The dead-link probability matches re-running the chain.
 
-    The pipeline evaluates it only after a failed fusion attempt, so each
-    state checked here was left behind by such a failure.
+    ``held_pair_retry`` evaluates it on its tracked marginals after every
+    failed attempt.  Run one attempt at a time (``limit=1``), each failure
+    leaves its state in the register, and that is the state checked here.
     """
-    fast = gr._fusion_success_probability
+    fast = pr.held_pair_success_probability
+    seen = []
+
+    def recorded(marginals, p):
+        seen.append(fast(marginals, p))
+        return seen[-1]
+
+    monkeypatch.setattr(pr, "held_pair_success_probability", recorded)
+    rng = np.random.default_rng(17)
     deviations = []
-
-    def checked(state, th):
-        prob = fast(state, th)
-        deviations.append(abs(prob - fusion_success_probability_reference(state, th)))
-        return prob
-
-    monkeypatch.setattr(gr, "_fusion_success_probability", checked)
-    for seed in range(12):
-        with contextlib.suppress(gr.RetryLimitError):  # the cap keeps theta = 2.5 short
-            run(theta, seed=seed, retry_cap=300)
+    for _ in range(24):
+        ends = random_ends(rng)
+        for _ in range(6):
+            if pr.held_pair_retry(ends, 1, 2, 3, theta, rng, 1)[2]:
+                break
+            deviations.append(abs(seen[-1] - fusion_success_probability_reference(ends, theta)))
     assert len(deviations) >= 20
     assert max(deviations) < 1e-12
 
@@ -246,6 +250,15 @@ def test_pipeline_reaches_growth_unit(theta):
         sv.apply_gate(state, 1, "Z")
     final = sv.extract_qubits(state, [0, 1, 3])
     assert sv.fidelity_up_to_global_phase(final, linear_cluster_target(3)) >= 1 - 1e-9
+
+
+def test_three_node_target_is_shared_and_read_only():
+    target = gr.three_node_target()
+    assert gr.three_node_target() is target
+    with pytest.raises(ValueError):
+        target.amps[0] = 0.0
+    expected = gr.graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
+    np.testing.assert_array_equal(target.amps, expected.amps)
 
 
 def test_weak_entanglement_still_succeeds():
@@ -358,16 +371,6 @@ def test_fusion_maps_match_block_route(theta):
         check_fusion_maps(theta, random_ends(rng), seed)
 
 
-@st.composite
-def normalized_ends(draw):
-    """A random 4-qubit state: 16 complex amplitudes, normalized."""
-    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
-    amps = parts[:16] + 1j * parts[16:]
-    norm = np.linalg.norm(amps)
-    assume(norm > 0.1)
-    return sv.PureState(4, amps / norm)
-
-
 @settings(
     derandomize=True,
     database=None,
@@ -375,7 +378,7 @@ def normalized_ends(draw):
     deadline=None,
 )
 @given(
-    theta=st.floats(0.0, math.pi),
+    theta=thetas,
     ends=normalized_ends(),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -384,10 +387,17 @@ def test_fusion_maps_match_block_route_property(theta, ends, seed):
 
 
 def test_fusion_attempt_checks_the_norm():
-    ends = random_ends(np.random.default_rng(3))
-    ends.amps *= 1.0 + 1e-6
-    with pytest.raises(sv.NormalizationError):
-        pr.held_pair_attempt(ends, 1, 2, 3, 1.0, rng=np.random.default_rng(1))
+    """One attempt and a retry run both check the register's norm first, and
+    leave the register as it was: amplitudes, then norm^2, off by 1e-6."""
+    for factor in (1.0 + 1e-6, math.sqrt(1.0 + 1e-6)):
+        ends = random_ends(np.random.default_rng(3))
+        ends.amps *= factor
+        before = ends.amps.copy()
+        with pytest.raises(sv.NormalizationError):
+            pr.held_pair_attempt(ends, 1, 2, 3, 1.0, rng=np.random.default_rng(1))
+        with pytest.raises(sv.NormalizationError):
+            pr.held_pair_retry(ends, 1, 2, 3, 1.0, np.random.default_rng(1), 5)
+        np.testing.assert_array_equal(ends.amps, before)
 
 
 def test_fusion_attempt_absorbs_norm_drift():
@@ -428,3 +438,89 @@ def test_stage_caches_are_bounded_and_read_only():
         for array in (maps, map_weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+def is_dead(ends, n, theta):
+    marginals = sv.pair_marginals(ends, 1, 2).reshape(4)
+    return pr.held_pair_success_probability(marginals, pr.success_probability_closed(n, theta)) < 1e-9
+
+
+def attempt_loop(ends, a, b, n, theta, rng, limit):
+    """``held_pair_retry`` as a loop of ``held_pair_attempt`` calls, each
+    updating the register and each dead-link check reading it."""
+    success = pr.success_mask(n)
+    parity = 0
+    for attempts in range(1, limit + 1):
+        m, _ = pr.held_pair_attempt(ends, a, b, n, theta, rng=rng)
+        parity ^= m.bit_count() & 1
+        if success[m] or is_dead(ends, n, theta):
+            break
+    return attempts, parity, bool(success[m])
+
+
+def run_recorded(route, ends, n, theta, seed, limit):
+    """One route on a copy of ``ends``: its result, the drawn outcomes,
+    the generator's state after it and the register it leaves."""
+    state, rng, draws = ends.copy(), np.random.default_rng(seed), []
+    real = sv.draw_outcome
+
+    def recorded(*args):
+        draws.append(real(*args)[0])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "draw_outcome", recorded)
+        result = route(state, 1, 2, n, theta, rng, limit)
+    return result, draws, rng.bit_generator.state, state
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    ends=normalized_ends(),
+    theta=thetas,
+    n=st.sampled_from([1, 3, 5]),
+    limit=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_retry_matches_attempt_loop_property(ends, theta, n, limit, seed):
+    """The retry on four marginals replays a loop of single attempts: the
+    same outcomes and parity, the same draws and the same final register."""
+    fast, fast_draws, fast_rng, fast_state = run_recorded(pr.held_pair_retry, ends, n, theta, seed, limit)
+    slow, slow_draws, slow_rng, slow_state = run_recorded(attempt_loop, ends, n, theta, seed, limit)
+    assert fast == slow
+    assert fast_draws == slow_draws and len(fast_draws) == fast[0]
+    assert fast_rng == slow_rng
+    np.testing.assert_allclose(fast_state.amps, slow_state.amps, rtol=0, atol=1e-12)
+
+
+def dying_ends(rng):
+    """Random ends with almost no tip-tail |00> or |11> weight: few attempts
+    can succeed before the link dies."""
+    ends = random_ends(rng)
+    ends.amps.reshape(2, 4, 2)[:, ::3] *= 1e-4
+    ends.amps /= math.sqrt(ends.norm_squared())
+    return ends
+
+
+def test_retry_in_single_attempts_replays_one_call():
+    """k calls with ``limit=1``, stopped where the run stops, replay one
+    call with ``limit=k``, whichever way it stops."""
+    k = 12
+    stops = set()
+    for theta, make_ends in ((0.3, random_ends), (2.5, random_ends), (0.3, dying_ends)):
+        for seed in range(10):
+            ends = make_ends(np.random.default_rng([seed, 4]))
+            whole, whole_rng = ends.copy(), np.random.default_rng(seed)
+            result = pr.held_pair_retry(whole, 1, 2, 3, theta, whole_rng, k)
+            parts, parts_rng = ends.copy(), np.random.default_rng(seed)
+            attempts, parity, fused = 0, 0, False
+            while attempts < k and not fused and not (attempts and is_dead(parts, 3, theta)):
+                _, bit, fused = pr.held_pair_retry(parts, 1, 2, 3, theta, parts_rng, 1)
+                attempts, parity = attempts + 1, parity ^ bit
+            assert (attempts, parity, fused) == result, seed
+            assert parts_rng.bit_generator.state == whole_rng.bit_generator.state
+            np.testing.assert_allclose(parts.amps, whole.amps, rtol=0, atol=1e-12)
+            stops.add("success" if fused else "limit" if attempts == k else "dead link")
+    assert stops == {"success", "limit", "dead link"}
+    with pytest.raises(pr.RetryLimitError):  # a limit of 0 leaves no attempt
+        pr.held_pair_retry(random_ends(np.random.default_rng(3)), 1, 2, 3, 1.0, np.random.default_rng(1), 0)

@@ -16,6 +16,7 @@ from reference import (
     heralded_pair,
     loop_oracle,
 )
+from strategies import thetas
 
 PSI = (0.6, 0.8j)
 
@@ -251,7 +252,7 @@ def test_held_pair_table_matches_dense_chain(n, theta):
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(n=st.sampled_from([1, 3, 5, 7, 9]), theta=st.floats(0.0, math.pi))
+@given(n=st.sampled_from([1, 3, 5, 7, 9]), theta=thetas)
 def test_held_pair_table_matches_dense_chain_property(n, theta):
     _check_table_against_dense(n, theta)
 
