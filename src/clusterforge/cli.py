@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import sys
+import time
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -251,13 +252,6 @@ def cmd_pipeline13(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, failures: list, lines: list):
-    status = "PASS" if ok else "FAIL"
-    lines.append(f"{status} {name}: {detail}")
-    if not ok:
-        failures.append(name)
-
-
 def verify(args: argparse.Namespace) -> int:
     """Run the cross-module invariant suite; returns a process exit code.
 
@@ -267,6 +261,17 @@ def verify(args: argparse.Namespace) -> int:
     """
     failures: list[str] = []
     lines: list[str] = []
+    clock = time.perf_counter()
+
+    def check(name: str, ok: bool, detail: str):
+        """Record a check's line, and its wall time since the last one on stderr."""
+        nonlocal clock
+        now = time.perf_counter()
+        print(f"# {name}: {now - clock:.6f} s", file=sys.stderr)
+        clock = now
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        if not ok:
+            failures.append(name)
 
     def fidelity(state: sv.PureState, target: sv.PureState) -> float:
         if args.corrupt_gate:
@@ -275,10 +280,10 @@ def verify(args: argparse.Namespace) -> int:
 
     for n, expected in ((1, {"1"}), (3, {"010", "101", "111"})):
         got = set(pr.enumerate_success_sequences(n))
-        _check(f"oracle_n{n}", got == expected, f"{sorted(got)}", failures, lines)
+        check(f"oracle_n{n}", got == expected, f"{sorted(got)}")
     for n in (1, 3, 5):
         ok = np.array_equal(pr.rule_based_sequences(n), pr.success_mask(n))
-        _check(f"rules_equal_oracle_n{n}", ok, f"n={n}", failures, lines)
+        check(f"rules_equal_oracle_n{n}", ok, f"n={n}")
 
     worst = 0.0
     for n in (1, 3, 5):
@@ -290,7 +295,7 @@ def verify(args: argparse.Namespace) -> int:
                     - pr.success_probability_closed(n, theta)
                 ),
             )
-    _check("probability_closed_form", worst < 1e-10, f"max deviation {worst:.3e}", failures, lines)
+    check("probability_closed_form", worst < 1e-10, f"max deviation {worst:.3e}")
 
     # norm preservation and entangler identity on random states
     rng = np.random.default_rng(args.seed)
@@ -299,26 +304,16 @@ def verify(args: argparse.Namespace) -> int:
     for q, gate in ((0, "H"), (1, "X"), (2, "Z"), (1, "H")):
         sv.apply_gate(state, q, gate)
     sv.apply_controlled_phase(state, 0, 2, 0.77, "CSX")
-    _check(
-        "norm_preservation",
-        abs(state.norm_squared() - 1.0) < 1e-12,
-        f"|norm^2 - 1| = {abs(state.norm_squared() - 1.0):.2e}",
-        failures,
-        lines,
-    )
+    drift = abs(state.norm_squared() - 1.0)
+    check("norm_preservation", drift < 1e-12, f"|norm^2 - 1| = {drift:.2e}")
     a = sv.init_register([(0.6, 0.8j), "+"])
     b = a.copy()
     sv.apply_controlled_phase(a, 0, 1, 1.234, "CSX")
     sv.apply_gate(b, 1, "X")
     sv.apply_controlled_phase(b, 0, 1, 1.234, "CS")
     sv.apply_gate(b, 1, "X")
-    _check(
-        "csx_identity",
-        bool(np.max(np.abs(a.amps - b.amps)) < 1e-12),
-        "CSX == (I x X) CS (I x X)",
-        failures,
-        lines,
-    )
+    ok = bool(np.max(np.abs(a.amps - b.amps)) < 1e-12)
+    check("csx_identity", ok, "CSX == (I x X) CS (I x X)")
 
     # teleportation: exact at theta = 0, heralded branch perfect at any theta
     ok = True
@@ -327,42 +322,31 @@ def verify(args: argparse.Namespace) -> int:
         ok &= fidelity(out_state, pr.teleport_target((0.6, 0.8j), 0.9, m)) > 1.0 - 1e-12
     run = pr.stochastic_teleport((0.6, 0.8j), 0.4, 0.8, outcomes=(1, 0))
     ok &= fidelity(run.output, pr.stochastic_teleport_target((0.6, 0.8j), 0.4, 0)) > 1.0 - 1e-10
-    _check("teleportation", ok, "ideal and heralded outputs", failures, lines)
+    check("teleportation", ok, "ideal and heralded outputs")
 
     est = pr.average_teleport_infidelity(0.3, 20000, args.seed)
     target = 0.5 * math.sin(0.15) ** 2
     se = math.sin(0.15) ** 2 / math.sqrt(12.0) / math.sqrt(20000)
-    _check(
-        "teleport_infidelity_mc",
-        abs(est - target) < 4 * se,
-        f"{est:.6f} vs {target:.6f}",
-        failures,
-        lines,
-    )
+    check("teleport_infidelity_mc", abs(est - target) < 4 * se, f"{est:.6f} vs {target:.6f}")
 
     probs, total = pr.retry_probabilities(1, 0.7, 10)
     exact = [pr.retry_probability_closed_n1(0.7, k) for k in range(11)]
     dev = max(abs(x - y) for x, y in zip(probs, exact))
-    _check("retry_exact_n1", dev < 1e-12, f"max deviation {dev:.2e}", failures, lines)
+    check("retry_exact_n1", dev < 1e-12, f"max deviation {dev:.2e}")
 
     ghz = pr.concatenated_ghz(3, 0.7, rng=np.random.default_rng([args.seed, 1]))
     fid = fidelity(ghz.state, pr.ghz_target(5))
-    _check("ghz_concatenation", fid > 1.0 - 1e-10, f"fidelity {fid:.12f}", failures, lines)
+    check("ghz_concatenation", fid > 1.0 - 1e-10, f"fidelity {fid:.12f}")
 
     for theta in (0.0, 0.3, 1.0, 2.5):
         ends, _ = gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng([args.seed, 2, int(theta * 10)]))
         fid = fidelity(ends, gr.three_node_target())
-        _check(f"pipeline_theta_{theta}", fid > 1.0 - 1e-9, f"fidelity {fid:.12f}", failures, lines)
+        check(f"pipeline_theta_{theta}", fid > 1.0 - 1e-9, f"fidelity {fid:.12f}")
 
     p = pr.success_probability_closed(3, 0.3)
     graph, _ = gr.grow_2d(2, p, 3, np.random.default_rng([args.seed, 3]))
-    _check(
-        "grow2d_minimal",
-        len(graph.nodes) == 4 and graph.edge_count() == 4,
-        f"{len(graph.nodes)} nodes, {graph.edge_count()} edges",
-        failures,
-        lines,
-    )
+    nodes, edges = len(graph.nodes), graph.edge_count()
+    check("grow2d_minimal", nodes == 4 and edges == 4, f"{nodes} nodes, {edges} edges")
 
     lines.append(f"{'FAIL' if failures else 'PASS'} overall: {len(failures)} failing checks")
     _write(["\n".join(lines) + "\n"], args)

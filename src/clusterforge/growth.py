@@ -46,6 +46,11 @@ the row: the backbone plus a live spare leaf on either end, so the CLI grows
 1D rows without a graph; a ``ClusterGraph`` a caller attaches is a witness,
 and only then is this diameter checked.  A finished 2D build is the verified
 N x N lattice and reports N * N, its snake path.
+
+Both builders move a row's end through one step, ``_row_attach``, which
+charges nothing: ``grow_1d`` counts attempts and restarts in locals and
+writes its stats once, and ``grow_2d`` charges each unit, attempt and
+restart as it makes it.
 """
 
 from __future__ import annotations
@@ -382,29 +387,28 @@ class _Row:
     spares: dict      # backbone node id -> flagged leaf hanging on it
     n: int = 3           # middle qubits per protocol chain, sets the site count
     protected: int = 0   # backbone prefix length that must survive
-    frontier: int = 0    # high-water mark of lattice sites this row spans
+    peak: int = 3        # high-water mark of the backbone length
     issued: int = 0      # node ids the row has numbered while no graph is attached
 
-    def new_unit(self, graph: ClusterGraph | None) -> tuple[int, ...]:
-        """A fresh growth unit (u, c, w, leaf): built on the graph, or numbered here."""
-        if graph is not None:
-            return three_node(graph)
-        self.issued += 4
-        return tuple(range(self.issued - 4, self.issued))
+    @property
+    def frontier(self) -> int:
+        """High-water mark of lattice sites this row spans.
+
+        The sites a backbone spans grow with its length, and truncated
+        territory is re-used, so this is the span of the longest backbone."""
+        return (3 * self.n + 4) + ((self.peak - 3) // 2) * (4 * self.n + 4)
 
 
 def _fresh_unit_row(graph: ClusterGraph | None, n: int = 3) -> _Row:
-    row = _Row(backbone=[], spares={}, n=n, frontier=3 * n + 4)
-    u, c, w, lf = row.new_unit(graph)
-    row.backbone, row.spares = [u, c, w], {c: lf}
-    return row
+    u, c, w, lf = range(4) if graph is None else three_node(graph)
+    return _Row(backbone=[u, c, w], spares={c: lf}, n=n, issued=4)
 
 
 def _row_length(row: _Row) -> int:
     """Cluster length of a 1D row: its backbone plus a spare on its start.
 
-    The row end never holds a spare (``_attach_bernoulli`` keeps it so), so
-    only the start can add a leaf to the longest path.
+    The row end never holds a spare (``_row_attach`` keeps it so), so only
+    the start can add a leaf to the longest path.
     """
     if not row.backbone:
         return 0
@@ -437,63 +441,54 @@ def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) ->
     stats.three_nodes_built += units
 
 
-def _row_attach(graph: ClusterGraph | None, row: _Row, stats: GrowthStats, outcomes) -> bool:
-    """Attempt to fuse a fresh unit onto the row's end.
+def _row_attach(graph: ClusterGraph | None, row: _Row, outcomes) -> bool | None:
+    """Fuse a fresh growth unit onto the row's end: the one step that moves it.
 
-    The fusion outcome is the next bool of ``outcomes``.  Returns it; an
-    emptied row restarts from the fresh unit, takes no outcome and counts
-    one ``stats.restarts``.  The unit's preparation is charged by the
-    caller.
+    The fusion outcome is the next bool of ``outcomes``; it is returned.  An
+    emptied row instead restarts, in place, from the fresh unit, takes no
+    outcome and returns None.  No cost is accounted here: the builders
+    charge the unit, the attempt or the restart.  The row end never holds a
+    spare.  A failure builds no unit (its remnant would not be recycled) and
+    measures out the end qubit; the end is then re-derived by promoting the
+    spare leaf of the new end node when one exists.  An attach on a
+    protected end raises ``RetryLimitError``: a failure run has eaten the
+    row back to lattice structure it must keep.  Only an attached graph is
+    rewritten; with ``graph=None`` the row numbers the unit's nodes itself.
     """
-    if not row.backbone:
-        u, c, w, lf = row.new_unit(graph)
-        row.backbone, row.spares = [u, c, w], {c: lf}
-        stats.restarts += 1
-        return True
+    backbone = row.backbone
+    if backbone:
+        success = next(outcomes)
+        if len(backbone) <= row.protected:
+            raise RetryLimitError("growth failure run reached protected lattice structure")
+        if not success:
+            end = backbone.pop()
+            promoted = row.spares.pop(backbone[-1], None) if backbone else None
+            if promoted is not None:
+                backbone.append(promoted)
+            if graph is not None:
+                graph.measure_out(end)
+                graph.leaf_flags.discard(promoted)  # None when no spare was promoted
+            return False
 
-    success = next(outcomes)
-    stats.growth_attempts += 1
-    stats.protocol_applications += 1
-    stats.time_steps += STEPS_PROTOCOL_ROUND
-    _attach_bernoulli(graph, row, success)
-    return success
-
-
-def _attach_bernoulli(graph: ClusterGraph | None, row: _Row, success: bool):
-    """Fuse a fresh growth unit onto the row's end with a given outcome.
-
-    No cost is accounted here.  The row end never holds a spare.  A failure
-    builds no unit (its remnant would not be recycled) and measures out the
-    end qubit; the end is then re-derived by promoting the spare leaf of the
-    new end node when one exists.  Either way the row ends on a node without
-    a spare.  An attach on a protected end raises ``RetryLimitError``: a
-    failure run has eaten the row back to lattice structure it must keep.
-    Only an attached graph is rewritten; ``graph=None`` grows the same row.
-    """
-    if len(row.backbone) <= row.protected:
-        raise RetryLimitError("growth failure run reached protected lattice structure")
-    end = row.backbone[-1]
-
-    if success:
-        u, c, w, lf = row.new_unit(graph)
-        if graph is not None:
-            fuse(graph, end, u, True)
-        row.spares[end] = u
+    if graph is None:
+        u = row.issued
+        row.issued = u + 4
+        c, w, lf = u + 1, u + 2, u + 3
+    else:
+        u, c, w, lf = three_node(graph)
+    if not backbone:  # an emptied row restarts from the fresh unit
+        backbone += u, c, w
         row.spares[c] = lf
-        row.backbone.extend([c, w])
-        # lattice sites spanned by the current backbone; truncated territory
-        # is re-used, so the frontier is a high-water mark
-        extent = (3 * row.n + 4) + ((len(row.backbone) - 3) // 2) * (4 * row.n + 4)
-        row.frontier = max(row.frontier, extent)
-        return
-
-    row.backbone.pop()
-    promoted = row.spares.pop(row.backbone[-1], None) if row.backbone else None
-    if promoted is not None:
-        row.backbone.append(promoted)
+        return None
+    end = backbone[-1]
     if graph is not None:
-        graph.measure_out(end)
-        graph.leaf_flags.discard(promoted)  # None when no spare was promoted
+        fuse(graph, end, u, True)
+    row.spares[end] = u
+    row.spares[c] = lf
+    backbone += c, w
+    if len(backbone) > row.peak:  # only a success lengthens the backbone
+        row.peak = len(backbone)
+    return True
 
 
 def _row_discard(graph: ClusterGraph, row: _Row, start: int, stop: int | None = None):
@@ -574,16 +569,17 @@ def grow_1d(
     _check_growth(p)
     if target_length < 3:
         raise ValueError("target_length must be >= 3")
-    stats = GrowthStats()
 
     row = _fresh_unit_row(graph, n)
     length = _row_length(row)
 
     start = rng.bit_generator.state
     block = 2 * target_length  # one or two blocks at theta = 0.3, n = 3
+    attempts = restarts = pairs = 0
+    gain_sum = 0.0
 
     def next_block() -> list:
-        if stats.growth_attempts > ATTEMPT_CAP:
+        if attempts > ATTEMPT_CAP:
             raise RetryLimitError("1D growth attempt cap exhausted")
         return (rng.random(block) < p).tolist()
 
@@ -593,27 +589,35 @@ def grow_1d(
     # too close to the stopping boundary are skipped because their second
     # attempt only exists conditioned on the first one failing
     opened = None  # the row length before the open pair's first attempt
-    may_open = True  # at the start, or right after a success
+    may_open = True  # at the start, or right after a success or a restart
     while length < target_length:
         before = length
-        success = _row_attach(graph, row, stats, outcomes)
+        success = _row_attach(graph, row, outcomes)
         length = _row_length(row)
+        if success is None:  # a restart, which may open a pair as a success does
+            restarts += 1
+            success = True
+        else:
+            attempts += 1
         if opened is not None:
-            stats.paired_gain_sum += 0.5 * (length - opened)
-            stats.paired_gain_pairs += 1
+            gain_sum += 0.5 * (length - opened)
+            pairs += 1
             opened = None
         elif may_open and before <= target_length - 5:
             opened = before
         may_open = success
+    stats = GrowthStats(
+        protocol_applications=attempts, time_steps=STEPS_PROTOCOL_ROUND * attempts,
+        final_length=length, physical_qubits_used=row.frontier, growth_attempts=attempts,
+        paired_gain_sum=gain_sum, paired_gain_pairs=pairs, restarts=restarts,
+    )
     # rewind past the unused outcomes: one uniform per growth attempt
     rng.bit_generator.state = start
-    rng.random(stats.growth_attempts)
-    _build_three_node_unit(stats, p, rng, units=1 + stats.growth_attempts + stats.restarts)
+    rng.random(attempts)
+    _build_three_node_unit(stats, p, rng, units=1 + attempts + restarts)
 
     if graph is not None and graph.longest_segment_length() != length:
         raise AssertionError("row length disagrees with the graph diameter")
-    stats.physical_qubits_used = row.frontier
-    stats.final_length = length
     return graph, stats
 
 
@@ -796,7 +800,12 @@ def grow_2d(
         while len(row.backbone) < length:
             cap_check()
             _build_three_node_unit(stats, p, rng)
-            _row_attach(graph, row, stats, outcomes)
+            if _row_attach(graph, row, outcomes) is None:
+                stats.restarts += 1
+            else:
+                stats.growth_attempts += 1
+                stats.protocol_applications += 1
+                stats.time_steps += STEPS_PROTOCOL_ROUND
 
     grid: dict[tuple[int, int], int] = {}
     for j in range(N):

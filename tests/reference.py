@@ -19,9 +19,9 @@ import numpy as np
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from clusterforge.growth import (
+    STEPS_PROTOCOL_ROUND,
     ClusterGraph,
     GrowthStats,
-    _attach_bernoulli,
     _build_three_node_unit,
     _check_growth,
     _fresh_unit_row,
@@ -292,8 +292,7 @@ def mc_length_gain(p: float, trials: int, seed: int) -> float:
         row = _fresh_unit_row(graph)
         before = _row_length(row)
         for _attempt in range(2):
-            success = bool(rng.random() < p)
-            _attach_bernoulli(graph, row, success)
+            _row_attach(graph, row, iter([bool(rng.random() < p)]))
         total += 0.5 * (_row_length(row) - before)
     return total / trials
 
@@ -348,7 +347,14 @@ def grow_1d_per_attach(target_length: int, p: float, n: int, rng: np.random.Gene
     trace = []
     length = _row_length(row)
     while length < target_length:
-        success = _row_attach(graph, row, stats, outcomes)
+        success = _row_attach(graph, row, outcomes)
+        if success is None:  # a restart opens a gain pair as a success does
+            stats.restarts += 1
+            success = True
+        else:
+            stats.growth_attempts += 1
+            stats.protocol_applications += 1
+            stats.time_steps += STEPS_PROTOCOL_ROUND
         length = _row_length(row)
         trace.append((success, length))
     _build_three_node_unit(stats, p, rng, units=1 + len(trace))

@@ -12,6 +12,9 @@ from clusterforge import statevector as sv
 # the protocol's error angle: success is likeliest at 0 and impossible at pi
 thetas = st.floats(0.0, math.pi)
 
+# fusion outcomes of successive growth attempts on one row
+outcome_lists = st.lists(st.booleans(), max_size=40)
+
 
 @st.composite
 def normalized_ends(draw):

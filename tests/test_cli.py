@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -280,6 +281,17 @@ class TestVerifyCommand:
         # the compared states were rotated, not the shared, read-only target
         fresh = gr.graph_state_target(4, [(0, 1), (1, 2), (1, 3)])
         np.testing.assert_array_equal(gr.three_node_target().amps, fresh.amps)
+
+    @pytest.mark.parametrize("extra", [[], ["--corrupt-gate"]])
+    def test_check_times_on_stderr(self, extra, capsys):
+        # one "# <check>: <s> s" line per check on stderr, in the order of
+        # the check lines on stdout, whose last line is the overall verdict
+        _, out = run_cli(["verify", "--seed", "7", *extra])
+        checks = [line.split(":")[0].split()[1] for line in out.splitlines()[:-1]]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(checks) == 17
+        for name, line in zip(checks, err):
+            assert re.fullmatch(rf"# {re.escape(name)}: \d+\.\d{{6}} s", line), line
 
     def test_rules_mismatch_detected(self, monkeypatch):
         flip_rules_n3(monkeypatch)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterforge import cli
 from clusterforge import growth as gr
@@ -20,6 +22,7 @@ from reference import (
     mc_three_node_protocols,
     net_growth_condition,
 )
+from strategies import outcome_lists
 from test_pipeline import selective_layout
 
 P3 = pr.success_probability_closed(3, 0.3)
@@ -560,7 +563,7 @@ class TestGrow1D:
             prev_failed = False
             for _ in range(60):
                 success = bool(rng.random() < 0.4)
-                gr._attach_bernoulli(graph, row, success)
+                gr._row_attach(graph, row, iter([success]))
                 if not row.backbone:
                     break
                 length = graph.longest_segment_length()
@@ -598,7 +601,7 @@ class TestGrow1D:
         fail_run, cost = 0, 0
         for _ in range(attempts):
             success = bool(rng.random() < p)
-            gr._attach_bernoulli(graph, row, success)
+            gr._row_attach(graph, row, iter([success]))
             cur = length()
             if success:
                 if fail_run:
@@ -624,7 +627,7 @@ class TestGrow1D:
         graph = gr.ClusterGraph()
         row = gr._fresh_unit_row(graph)
         for _ in range(80):
-            gr._attach_bernoulli(graph, row, bool(rng.random() < 0.5))
+            gr._row_attach(graph, row, iter([bool(rng.random() < 0.5)]))
             if not row.backbone:
                 break
             expected = len(row.backbone)
@@ -654,7 +657,7 @@ class TestGrow1D:
             row = gr._fresh_unit_row(graph)
             for _ in range(200):
                 restarts += not row.backbone
-                gr._row_attach(graph, row, gr.GrowthStats(), outcomes)
+                gr._row_attach(graph, row, outcomes)
                 assert gr._row_length(row) == graph.longest_segment_length()
         assert restarts > 0
 
@@ -756,15 +759,16 @@ class TestRowInvariant:
     """
 
     def test_after_every_attach(self, monkeypatch):
-        attach = gr._attach_bernoulli
+        attach = gr._row_attach
         checked = []
         one_row = True
 
-        def checking_attach(graph, row, success):
-            if row.backbone:
-                assert row.backbone[-1] not in row.spares
+        def checking_attach(graph, row, outcomes):
+            if not row.backbone:  # a restart
+                return attach(graph, row, outcomes)
+            assert row.backbone[-1] not in row.spares
             before = len(graph.nodes)
-            attach(graph, row, success)
+            success = attach(graph, row, outcomes)
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
             for node, spare in row.spares.items():
@@ -775,8 +779,9 @@ class TestRowInvariant:
                 # the walk growth._check_growth rests on: +4 or -1 per attach
                 assert len(graph.nodes) - before == (4 if success else -1)
             checked.append(success)
+            return success
 
-        monkeypatch.setattr(gr, "_attach_bernoulli", checking_attach)
+        monkeypatch.setattr(gr, "_row_attach", checking_attach)
         for i in range(20):
             gr.grow_1d(200, P3, 3, np.random.default_rng([21, i]), graph=gr.ClusterGraph())
         grown_1d = len(checked)
@@ -786,6 +791,37 @@ class TestRowInvariant:
         assert grown_1d > 0 and len(checked) > grown_1d
         assert not all(checked) and any(checked)
 
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(outcomes=outcome_lists, n=st.sampled_from([1, 3, 5]))
+    @example(outcomes=[False] * 5 + [True] * 3, n=3)  # empties the row: a restart
+    def test_graph_free_row_matches_witness_property(self, outcomes, n):
+        """The same outcomes move a graph-free row and a row on a witness
+        graph alike, step by step.  The row length is the witness's
+        diameter, and the frontier is the running max of the lattice sites
+        the backbone spans after each success."""
+        graph = gr.ClusterGraph()
+        free, witness = gr._fresh_unit_row(None, n), gr._fresh_unit_row(graph, n)
+        frontier = 3 * n + 4
+
+        def check():
+            assert free.backbone == witness.backbone
+            assert free.spares == witness.spares
+            assert free.peak == witness.peak
+            assert gr._row_length(free) == graph.longest_segment_length()
+            assert free.frontier == witness.frontier == frontier
+
+        for outcome in outcomes:
+            if not free.backbone:
+                assert gr._row_attach(None, free, None) is None
+                assert gr._row_attach(graph, witness, None) is None
+                check()
+            assert gr._row_attach(None, free, iter([outcome])) is outcome
+            assert gr._row_attach(graph, witness, iter([outcome])) is outcome
+            if outcome:
+                extent = (3 * n + 4) + ((len(free.backbone) - 3) // 2) * (4 * n + 4)
+                frontier = max(frontier, extent)
+            check()
+
     @pytest.mark.parametrize("success", [True, False])
     def test_attach_on_protected_end_raises(self, success):
         # a failure run that eats a row back to its newest grid node stops
@@ -794,7 +830,7 @@ class TestRowInvariant:
         row = gr._fresh_unit_row(graph)
         row.protected = len(row.backbone)
         with pytest.raises(pr.RetryLimitError):
-            gr._attach_bernoulli(graph, row, success)
+            gr._row_attach(graph, row, iter([success]))
 
 
 class TestCostModel:
