@@ -163,22 +163,16 @@ def cmd_grow(args: argparse.Namespace) -> int:
         s_a = gr.expected_pair_prep_attempts(p)
         s_b = gr.expected_three_node_protocols(p)
         gain = gr.expected_length_gain(p)
-        totals = {"apps": 0, "prep": 0, "cycles": 0, "units": 0, "len": 0,
-                  "gain_sum": 0.0, "gain_pairs": 0}
-        for i in range(args.trials):
-            rng = np.random.default_rng([args.seed, 10, i])
-            _, st = gr.grow_1d(args.target_length, p, args.n, rng)
-            totals["apps"] += st.protocol_applications
-            totals["prep"] += st.prep_rounds
-            totals["cycles"] += st.pair_fusion_attempts
-            totals["units"] += st.three_nodes_built
-            totals["len"] += st.final_length
-            totals["gain_sum"] += st.paired_gain_sum
-            totals["gain_pairs"] += st.paired_gain_pairs
+        runs = [
+            gr.grow_1d(args.target_length, p, args.n, np.random.default_rng([args.seed, 10, i]))[1]
+            for i in range(args.trials)
+        ]
+        apps = sum(st.protocol_applications for st in runs)
+        prep = sum(st.prep_rounds for st in runs)
         # a fusion cycle's rounds are the larger of its two pairs' Geometric(p) draws
-        s_a_mc = totals["prep"] / totals["cycles"]
-        s_b_mc = totals["prep"] / totals["units"]
-        gain_mc = totals["gain_sum"] / totals["gain_pairs"]
+        s_a_mc = prep / sum(st.pair_fusion_attempts for st in runs)
+        s_b_mc = prep / sum(st.three_nodes_built for st in runs)
+        gain_mc = sum(st.paired_gain_sum for st in runs) / sum(st.paired_gain_pairs for st in runs)
         row = {
             **_provenance(args),
             "p": p,
@@ -191,7 +185,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
             "length_gain_mc": gain_mc,
             "protocols_per_length_formula": (s_b + 1.0) / gain,
             "protocols_per_length_mc": (s_b_mc + 1.0) / gain_mc,
-            "protocols_per_length_raw": totals["apps"] / totals["len"],
+            "protocols_per_length_raw": apps / sum(st.final_length for st in runs),
             "t1d_per_length_formula": gr.time_steps_1d(1.0, p),
             "t1d_per_length_published": _PUBLISHED_T1D,
             "note": "published shorthand differs from the displayed formula; both reported",

@@ -48,9 +48,10 @@ and only then is this diameter checked.  A finished 2D build is the verified
 N x N lattice and reports N * N, its snake path.
 
 Both builders move a row's end through one step, ``_row_attach``, which
-charges nothing: ``grow_1d`` counts attempts and restarts in locals and
-writes its stats once, and ``grow_2d`` charges each unit, attempt and
-restart as it makes it.
+charges nothing, and take their fusion outcomes from one stream,
+``_fusion_outcomes``: blocks of uniforms, rewound after the build to one
+uniform per outcome taken.  A unit's preparation cost never changes the
+row, so each build then charges all its units in one batched draw.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import KeysView
 from dataclasses import dataclass
 
@@ -80,8 +82,8 @@ STEPS_REMOVE_ROUND = 2     # measure, correct
 # 24 nodes at n = 3, theta = 0.3 and 85 at theta = 1.0.
 MARGIN = 12.0
 
-# protocol applications after which a 2D build, and growth attempts after
-# which a 1D row, stops with RetryLimitError
+# fusion outcomes (growth attempts and 2D link attempts) after which a build
+# stops with RetryLimitError where its next block of outcomes is due
 ATTEMPT_CAP = 500_000
 
 
@@ -329,8 +331,8 @@ def _check_growth(p: float) -> None:
     end out on failure, so a row's node count walks with drift 5p - 1, and
     its length, which never exceeds that count, grows only if 5p > 1.  The
     paired-average gain ``expected_length_gain(p)`` crosses zero lower,
-    at p = 3 - 2 sqrt(2) ~ 0.172; between the two a 1D run never reaches its
-    target and a 2D build runs into ``ATTEMPT_CAP``.
+    at p = 3 - 2 sqrt(2) ~ 0.172; between the two a build, 1D or 2D, never
+    completes and takes fusion outcomes until ``ATTEMPT_CAP`` stops it.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -415,30 +417,56 @@ def _row_length(row: _Row) -> int:
     return len(row.backbone) + (row.backbone[0] in row.spares)
 
 
-def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int = 1) -> None:
+def _build_three_node_unit(stats: GrowthStats, p: float, rng, units: int) -> None:
     """Account for preparing ``units`` growth units: pair rounds plus pair fusions.
 
     Each fusion cycle prepares two pairs in simultaneous rounds; a pair takes
     a Geometric(p) number of protocol applications, so the cycle takes the
     larger of two draws in rounds and their sum in applications, plus one
-    fusion attempt.  A unit takes a Geometric(p) number of cycles.  A batch
-    draws all its units' cycle counts in one call, then all their pairs in
-    another: the distribution of one call per unit, drawn from the stream
-    in another order.
+    fusion attempt.  A unit takes a Geometric(p) number of cycles.  One call
+    draws all its units' cycle counts, then all their pairs: the distribution
+    of one call per unit, drawn from the stream in another order.
     """
-    if units == 1:  # a handful of draws: Python ints reduce faster than numpy calls
-        cycles = int(rng.geometric(p))
-        chains = rng.geometric(p, size=(cycles, 2)).tolist()
-        rounds, draws = sum(map(max, chains)), sum(map(sum, chains))
-    else:
-        cycles = int(rng.geometric(p, size=units).sum())
-        chains = rng.geometric(p, size=(cycles, 2))
-        rounds, draws = int(chains.max(axis=1).sum()), int(chains.sum())
+    cycles = int(rng.geometric(p, size=units).sum())
+    chains = rng.geometric(p, size=(cycles, 2))
+    rounds = int(np.maximum(chains[:, 0], chains[:, 1]).sum())
     stats.prep_rounds += rounds
     stats.pair_fusion_attempts += cycles
-    stats.protocol_applications += draws + cycles
+    stats.protocol_applications += int(chains.sum()) + cycles
     stats.time_steps += STEPS_PROTOCOL_ROUND * (rounds + cycles)
     stats.three_nodes_built += units
+
+
+def _fusion_outcomes(rng: np.random.Generator, p: float, block: int):
+    """The Bernoulli(p) fusion outcomes of one build, ``block`` uniforms at a time.
+
+    Returns ``(outcomes, rewind)``: an iterator of bools, which raises
+    ``RetryLimitError`` where a block is due after more than ``ATTEMPT_CAP``
+    outcomes, and a function that returns the number of outcomes taken and
+    leaves the generator where it stood before them, advanced by one uniform
+    per outcome taken.  The unused rest of the last block is never consumed,
+    so the stream reads exactly as if each outcome had drawn its own uniform.
+    """
+    start = rng.bit_generator.state
+    drawn = 0
+    current = iter(())  # the block being read
+
+    def blocks():
+        nonlocal drawn, current
+        while True:
+            if drawn > ATTEMPT_CAP:
+                raise RetryLimitError("growth attempt cap exhausted")
+            current = iter((rng.random(block) < p).tolist())
+            drawn += block
+            yield current
+
+    def rewind() -> int:
+        taken = drawn - operator.length_hint(current)
+        rng.bit_generator.state = start
+        rng.random(taken)
+        return taken
+
+    return itertools.chain.from_iterable(blocks()), rewind
 
 
 def _row_attach(graph: ClusterGraph | None, row: _Row, outcomes) -> bool | None:
@@ -518,19 +546,6 @@ def _shorten_after(graph: ClusterGraph, row: _Row, node: int) -> int:
     return z
 
 
-def _ensure_spare(graph, row, node, margin, stats, grow_to) -> int:
-    """Pop and return a flagged leaf on ``node``, shortening the row to make one.
-
-    The row first grows, through ``grow_to(row, length)``, ``margin`` nodes
-    past the node that follows the cut.
-    """
-    if node in row.spares:
-        return row.spares.pop(node)
-    grow_to(row, row.backbone.index(node) + 3 + margin)
-    stats.time_steps += STEPS_SHORTEN_ROUND
-    return _shorten_after(graph, row, node)
-
-
 # ---------------------------------------------------------------------------
 # 1D growth
 
@@ -555,16 +570,13 @@ def grow_1d(
     ``ClusterGraph`` gets a graph: the row also grows on it, as a witness
     whose diameter is checked against the row length.  Returns (graph, stats).
 
-    The fusion outcomes are drawn in blocks of uniforms.  After the loop
-    the generator is rewound to where it stood before them and advanced by
-    one uniform per growth attempt, so the unused rest of the last block is
-    never consumed and the stream reads exactly as if each attach had drawn
-    its own.  The seed unit and one unit per attach are then charged in one
-    batched draw.  This is exact: a unit's cost is independent of the
-    fusion outcomes and never changes the row, so drawing it later changes
-    the order in which the stream is consumed, not the stats' distribution.
-    A row still short of its target when a block is due after more than
-    ``ATTEMPT_CAP`` growth attempts raises ``RetryLimitError``.
+    Every outcome taken from ``_fusion_outcomes`` is a growth attempt.
+    After the loop the stream is rewound to one uniform per attempt, and the
+    seed unit and one unit per attach are charged in one batched draw.  This
+    is exact: a unit's cost is independent of the fusion outcomes and never
+    changes the row, so drawing it later changes the order in which the
+    stream is consumed, not the stats' distribution.  A row still short of
+    its target past ``ATTEMPT_CAP`` attempts raises ``RetryLimitError``.
     """
     _check_growth(p)
     if target_length < 3:
@@ -572,18 +584,10 @@ def grow_1d(
 
     row = _fresh_unit_row(graph, n)
     length = _row_length(row)
-
-    start = rng.bit_generator.state
-    block = 2 * target_length  # one or two blocks at theta = 0.3, n = 3
-    attempts = restarts = pairs = 0
+    # one or two blocks at theta = 0.3, n = 3
+    outcomes, rewind = _fusion_outcomes(rng, p, 2 * target_length)
+    restarts = pairs = 0
     gain_sum = 0.0
-
-    def next_block() -> list:
-        if attempts > ATTEMPT_CAP:
-            raise RetryLimitError("1D growth attempt cap exhausted")
-        return (rng.random(block) < p).tolist()
-
-    outcomes = itertools.chain.from_iterable(iter(next_block, None))
     # non-overlapping attempt pairs anchored right after a success measure
     # exactly the quantity the closed-form length gain averages over; pairs
     # too close to the stopping boundary are skipped because their second
@@ -597,8 +601,6 @@ def grow_1d(
         if success is None:  # a restart, which may open a pair as a success does
             restarts += 1
             success = True
-        else:
-            attempts += 1
         if opened is not None:
             gain_sum += 0.5 * (length - opened)
             pairs += 1
@@ -606,14 +608,12 @@ def grow_1d(
         elif may_open and before <= target_length - 5:
             opened = before
         may_open = success
+    attempts = rewind()  # every outcome taken is a growth attempt
     stats = GrowthStats(
         protocol_applications=attempts, time_steps=STEPS_PROTOCOL_ROUND * attempts,
         final_length=length, physical_qubits_used=row.frontier, growth_attempts=attempts,
         paired_gain_sum=gain_sum, paired_gain_pairs=pairs, restarts=restarts,
     )
-    # rewind past the unused outcomes: one uniform per growth attempt
-    rng.bit_generator.state = start
-    rng.random(attempts)
     _build_three_node_unit(stats, p, rng, units=1 + attempts + restarts)
 
     if graph is not None and graph.longest_segment_length() != length:
@@ -772,40 +772,34 @@ def grow_2d(
     row is cut, and the next candidate is tried.  Every growth call grows the
     row ``MARGIN / gain`` backbone nodes past the node it works on, gain being
     the mean length gain per attempt; a failure run that still eats back to a
-    grid node raises ``RetryLimitError``, as ``ATTEMPT_CAP`` does, and a
+    grid node raises ``RetryLimitError``, as the attempt cap does, and a
     ``p`` at which a row cannot grow raises ``NoGrowthError`` before any
     draw.  Finally the rows are shortened until consecutive grid nodes are
     adjacent and every dangling qubit is measured out, leaving exactly the
     N x N lattice.  ``p`` is the fusion success probability and ``n`` the
     middle-qubit count of the vertical links.
+
+    The row attaches and the vertical links take their outcomes from one
+    ``_fusion_outcomes`` stream.  After the build it is rewound to one
+    uniform per outcome taken, and the N seed units and one unit per attach,
+    restarts included, are charged in one batched draw, as in ``grow_1d``.
     """
     _check_growth(p)
     if N < 2:
         raise ValueError("N must be >= 2")
     margin = math.ceil(MARGIN / expected_length_gain(p))  # positive where 5p > 1
     stats = GrowthStats()
-
-    def cap_check():
-        if stats.protocol_applications > ATTEMPT_CAP:
-            raise RetryLimitError("2D growth attempt cap exhausted")
-
     graph = ClusterGraph()
     rows = [_fresh_unit_row(graph, n) for _ in range(N)]
-    for _ in range(N):  # the seed unit of every row
-        _build_three_node_unit(stats, p, rng)
-    # drawn one at a time: unit charges draw from rng between two outcomes
-    outcomes = iter(lambda: bool(rng.random() < p), None)
+    # about 30 outcomes per site at theta = 0.3, n = 3: one or two blocks
+    outcomes, rewind = _fusion_outcomes(rng, p, 32 * N * N)
 
     def grow_to(row, length):
         while len(row.backbone) < length:
-            cap_check()
-            _build_three_node_unit(stats, p, rng)
             if _row_attach(graph, row, outcomes) is None:
                 stats.restarts += 1
             else:
                 stats.growth_attempts += 1
-                stats.protocol_applications += 1
-                stats.time_steps += STEPS_PROTOCOL_ROUND
 
     grid: dict[tuple[int, int], int] = {}
     for j in range(N):
@@ -819,12 +813,13 @@ def grow_2d(
                     continue
                 if r == 0:
                     break
-                upper = grid[(r - 1, j)]
-                tail = _ensure_spare(graph, rows[r - 1], upper, margin, stats, grow_to)
+                upper, above = grid[(r - 1, j)], rows[r - 1]
+                tail = above.spares.pop(upper, None)
+                if tail is None:  # shorten the upper row to leave a leaf on its grid node
+                    grow_to(above, above.backbone.index(upper) + 3 + margin)
+                    stats.time_steps += STEPS_SHORTEN_ROUND
+                    tail = _shorten_after(graph, above, upper)
                 tip = row.spares.pop(node)
-                cap_check()
-                stats.protocol_applications += 1
-                stats.time_steps += STEPS_PROTOCOL_ROUND
                 success = next(outcomes)
                 fuse(graph, tip, tail, success)
                 if success:
@@ -837,6 +832,11 @@ def grow_2d(
             grid[(r, j)] = node
             row.protected = idx + 1
 
+    taken = rewind()  # the growth attempts and the vertical link attempts
+    stats.protocol_applications += taken
+    stats.time_steps += STEPS_PROTOCOL_ROUND * taken
+    # the seed unit of every row and one unit per attach, restarts included
+    _build_three_node_unit(stats, p, rng, units=N + stats.growth_attempts + stats.restarts)
     _trim_to_grid(graph, rows, grid, N, stats)
     _verify_grid(graph, grid, N)
     # every row band owns its chain row plus the n spacer rows used as

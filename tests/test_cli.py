@@ -182,17 +182,19 @@ class TestGrowCommand:
         [
             (
                 ["--size", "3", "--trials", "4", "--seed", "1"],
-                "3,0.3,1,4,0.35843819866,3,4,5301.25,413.777777778,",
+                "3,0.3,1,4,0.35843819866,3,4,5186.25,404.888888889,",
             ),
             (
                 ["--size", "10", "--trials", "1", "--seed", "0"],
-                "3,0.3,0,1,0.35843819866,10,1,49721,241.36,",
+                "3,0.3,0,1,0.35843819866,10,1,56919,285.52,",
             ),
         ],
     )
     def test_2d_seeded_stdout_pinned(self, args, expected):
-        # the exact bytes of seeded 2D runs: a change to how a build draws
-        # from the generator shows here and must be declared as a stream change
+        # the exact bytes of seeded 2D runs, whose builds take one uniform per
+        # fusion outcome and then charge every unit in one batched draw: a
+        # change to how a build draws from the generator shows here and must
+        # be declared as a stream change
         code, out = run_cli(["grow", "--mode", "2d", *args])
         assert code == 0
         header = (

@@ -537,21 +537,35 @@ class TestGrow1D:
         _, stats = gr.grow_1d(200, 0.21, 3, rng)
         assert stats.final_length >= 200
 
-    def test_attempt_cap(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda rng: gr.grow_1d(1000, 0.21, 3, rng), id="1d"),
+            pytest.param(lambda rng: gr.grow_2d(3, 0.21, 3, rng), id="2d"),
+        ],
+    )
+    def test_attempt_cap(self, monkeypatch, build):
         """Just above p = 0.2 a row creeps: 1000 sites take about 30,000
-        attempts.  Past ``ATTEMPT_CAP`` the next block of outcomes is never
-        drawn."""
+        attempts, and a 3 x 3 lattice takes more than its first block of
+        outcomes.  Past ``ATTEMPT_CAP`` the next block is never drawn."""
         monkeypatch.setattr(gr, "ATTEMPT_CAP", 100)
-        with pytest.raises(gr.RetryLimitError, match="1D growth attempt cap"):
-            gr.grow_1d(1000, 0.21, 3, np.random.default_rng(1))
+        with pytest.raises(gr.RetryLimitError, match=r"^growth attempt cap exhausted$"):
+            build(np.random.default_rng(1))
 
-    def test_attempt_cap_is_checked_per_block(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build, block",
+        [
+            pytest.param(lambda rng: gr.grow_1d(200, 0.6, 3, rng), 400, id="1d"),
+            pytest.param(lambda rng: gr.grow_2d(2, 0.6, 3, rng), 128, id="2d"),
+        ],
+    )
+    def test_attempt_cap_is_checked_per_block(self, monkeypatch, build, block):
         """The cap is read only where a block is drawn: a run that ends
-        inside its first block (400 outcomes) is the uncapped run."""
-        _, uncapped = gr.grow_1d(200, 0.6, 3, np.random.default_rng(2))
-        assert 0 < uncapped.growth_attempts <= 400
+        inside its first block of outcomes is the uncapped run."""
+        _, uncapped = build(np.random.default_rng(2))
+        assert 0 < uncapped.growth_attempts <= block
         monkeypatch.setattr(gr, "ATTEMPT_CAP", 0)
-        _, capped = gr.grow_1d(200, 0.6, 3, np.random.default_rng(2))
+        _, capped = build(np.random.default_rng(2))
         assert capped == uncapped
 
     def test_length_decreases_only_after_two_consecutive_failures(self):
@@ -918,7 +932,7 @@ class TestMonteCarloCrossChecks:
             stats = gr.GrowthStats()
             rng = np.random.default_rng([31, round(10 * p)])
             for _ in range(units):
-                gr._build_three_node_unit(stats, p, rng)
+                gr._build_three_node_unit(stats, p, rng, 1)
             assert stats.three_nodes_built == units
             assert stats.prep_rounds / units == pytest.approx(
                 gr.expected_three_node_protocols(p), rel=0.02
@@ -948,7 +962,7 @@ class TestMonteCarloCrossChecks:
             rng = np.random.default_rng([37, round(1000 * p)])
             rng_ref = np.random.default_rng([37, round(1000 * p)])
             for _ in range(5_000):
-                gr._build_three_node_unit(got, p, rng)
+                gr._build_three_node_unit(got, p, rng, 1)
                 reference_unit(want, p, rng_ref)
                 assert got == want
             assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -1029,20 +1043,61 @@ class TestGrow2D:
             assert len(graph.nodes) == 9 and graph.edge_count() == 12
 
     def test_seeded_stream_pinned(self):
-        # 2D charges each unit just before its attach; these counts pin the
-        # order in which a seeded build consumes its stream
+        # 2D draws its fusion outcomes in blocks, rewinds to one uniform per
+        # outcome taken, then charges every unit in one batch; these counts
+        # pin the order in which a seeded build consumes its stream
         _, stats = gr.grow_2d(3, P3, 3, np.random.default_rng(2))
         assert stats == gr.GrowthStats(
-            protocol_applications=5658, time_steps=21465, final_length=9,
-            physical_qubits_used=3868, prep_rounds=3158, pair_fusion_attempts=819,
-            growth_attempts=284, three_nodes_built=287, restarts=0,
+            protocol_applications=5071, time_steps=19200, final_length=9,
+            physical_qubits_used=3740, prep_rounds=2836, pair_fusion_attempts=722,
+            growth_attempts=255, three_nodes_built=258, restarts=0,
         )
         _, stats = gr.grow_2d(4, P3, 3, np.random.default_rng([22, 0]))
         assert stats == gr.GrowthStats(
-            protocol_applications=10512, time_steps=39820, final_length=16,
-            physical_qubits_used=6032, prep_rounds=5869, pair_fusion_attempts=1522,
-            growth_attempts=512, three_nodes_built=518, restarts=2,
+            protocol_applications=7587, time_steps=28820, final_length=16,
+            physical_qubits_used=5392, prep_rounds=4235, pair_fusion_attempts=1086,
+            growth_attempts=400, three_nodes_built=404, restarts=0,
         )
+
+    @pytest.mark.parametrize("p", [P3, 0.25], ids=["theta0.3", "p0.25"])  # rows restart at both
+    def test_stream_replays_as_outcomes_then_one_charge(self, monkeypatch, p):
+        """A build consumes one uniform per fusion outcome it takes, then one
+        batched charge of its N seed units and one unit per attach, restarts
+        included: a fresh generator that draws the same gives the same
+        state and unit counts."""
+        helper = gr._fusion_outcomes
+        taken = []
+
+        def counting(*args):
+            outcomes, rewind = helper(*args)
+            taken.append(0)
+
+            def counted():
+                for outcome in outcomes:
+                    taken[-1] += 1
+                    yield outcome
+
+            return counted(), rewind
+
+        monkeypatch.setattr(gr, "_fusion_outcomes", counting)
+        restarts = 0
+        for s in range(5):
+            N = 3 + s % 2
+            rng = np.random.default_rng([s, 20, 0])
+            _, stats = gr.grow_2d(N, p, 3, rng)
+            restarts += stats.restarts
+            replay = np.random.default_rng([s, 20, 0])
+            replay.random(taken[-1])
+            units = gr.GrowthStats()
+            gr._build_three_node_unit(units, p, replay, N + stats.growth_attempts + stats.restarts)
+            assert rng.bit_generator.state == replay.bit_generator.state
+            assert stats.prep_rounds == units.prep_rounds
+            assert stats.pair_fusion_attempts == units.pair_fusion_attempts
+            assert stats.three_nodes_built == units.three_nodes_built
+            assert stats.protocol_applications == units.protocol_applications + taken[-1]
+            # the links draw from the same stream: one or more per vertical edge
+            assert taken[-1] - stats.growth_attempts >= N * (N - 1)
+        assert restarts > 0
 
     def test_cost_per_site_flat_in_size(self):
         # with no whole-lattice restart a build costs the same per site at
