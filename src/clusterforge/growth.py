@@ -849,24 +849,20 @@ def grow_2d(
 
 
 def _trim_to_grid(graph, rows, grid, N, stats):
+    # a row's grid nodes sit an odd distance apart and keep no spare: each fed a link
     shorten_waves = 0
     for r in range(N):
         row = rows[r]
         for j in range(N - 1):
             left, right = grid[(r, j)], grid[(r, j + 1)]
-            waves = 0
-            while right not in graph.neighbors(left):
+            waves = (row.backbone.index(right) - row.backbone.index(left)) // 2
+            for _ in range(waves):
                 z_remove_leaf(graph, _shorten_after(graph, row, left))
-                waves += 1
             shorten_waves = max(shorten_waves, waves)
         _row_discard(graph, row, row.backbone.index(grid[(r, N - 1)]) + 1)
         _row_discard(graph, row, 0, row.backbone.index(grid[(r, 0)]))
     stats.time_steps += STEPS_SHORTEN_ROUND * max(1, shorten_waves)
-
-    # the rows are now their grid nodes; measure out the spares they still hold
-    for row in rows:
-        for spare in row.spares.values():
-            graph.measure_out(spare)
+    # the round that runs the links' deferred Z removals and Y joins
     stats.time_steps += STEPS_REMOVE_ROUND
 
 

@@ -13,16 +13,16 @@ Conventions, fixed here and used by every other module:
 
 States are small dense complex vectors.  Every kernel works in place on a
 reshape view of the amplitudes: ``(2^q, 2, 2^(n-q-1))`` for qubit q, whose
-axis 1 is the qubit (reversed when the last factor is short, see ``_split``),
-or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit pair a < b.  None of
-them moves data or copies the state.  The one entangler kernel is
-:func:`apply_controlled_phase`, an in-place multiply of the quarter of the
-amplitudes its pair selects; a chain's entangler layer is one call per pair.
-A rotated :func:`measure` applies no Rz or H: with ``r = exp(i xi) v1`` it
-writes ``(v0 -/+ r)/sqrt(2)``, rescaled by the kept half's own norm, into the
-kept half.  :func:`reset_qubits` and :func:`extract_qubits` read the bits of
-measured-out qubits off the largest amplitude component, copy that one
-definite core and check that it holds the state.
+axis 1 is the qubit, or ``(2^a, 2, 2^(b-a-1), 2, 2^(n-b-1))`` for a qubit
+pair a < b.  None of them moves data or copies the state.  The one entangler
+kernel is :func:`apply_controlled_phase`, an in-place multiply of the quarter
+of the amplitudes its pair selects; a chain's entangler layer is one call per
+pair.  A rotated :func:`measure` applies no Rz or H: with
+``r = exp(i xi) v1`` it writes ``(v0 -/+ r)/sqrt(2)``, rescaled by the kept
+half's own norm, into the kept half.  :func:`reset_qubits` and
+:func:`extract_qubits` read the bits of measured-out qubits off the largest
+amplitude component, copy that one definite core of the ``[2] * n`` view and
+check that it holds the state.
 
 :func:`x_branches` rotates a run of adjacent qubits into the sigma_x basis
 with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
@@ -41,7 +41,6 @@ parallelism belongs to the trial level above this module.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,11 +91,9 @@ def _check_qubit(state: PureState, qubit: int):
 
 
 def _split(state: PureState, qubit: int) -> np.ndarray:
-    """View ``(2^q, 2, rest)``, axis 1 the qubit; ``(rest, 2, 2^q)`` if rest < 8,
-    so that ufuncs called with ``order="C"`` loop along the long axis."""
+    """View ``(2^q, 2, rest)``; axis 1 is the qubit."""
     _check_qubit(state, qubit)
-    v = state.amps.reshape(1 << qubit, 2, -1)
-    return v.transpose(2, 1, 0) if v.shape[2] < 8 else v
+    return state.amps.reshape(1 << qubit, 2, -1)
 
 
 def _split_pair(state: PureState, a: int, b: int) -> np.ndarray:
@@ -219,20 +216,18 @@ def _halves(v: np.ndarray, basis: str, xi: float):
     """The two outcome halves of a qubit's :func:`_split` view and their weights.
 
     A Z readout's halves are the views ``v[:, m]``; in the rotated basis they
-    are ``v0 + r`` and ``v0 - r`` with ``r = exp(i xi) v1``, missing the
-    1/sqrt(2) that the weights (w0, w1) include.  w0 + w1 is the state's
-    norm^2.
+    are ``(v0 + r)/sqrt(2)`` and ``(v0 - r)/sqrt(2)`` with ``r = exp(i xi) v1``.
+    Each weight is its half's norm^2, so w0 + w1 is the state's norm^2.
     """
     if basis == "z":
         halves = (v[:, 0], v[:, 1])
-        scale = 1.0
     elif basis == "xi":
-        rot = np.multiply(v[:, 1], np.exp(1j * xi), order="C") if xi else v[:, 1]
-        halves = (np.add(v[:, 0], rot, order="C"), np.subtract(v[:, 0], rot, order="C"))
-        scale = 0.5
+        top = v[:, 0] * _INV_SQRT2
+        rot = v[:, 1] * (np.exp(1j * xi) * _INV_SQRT2)
+        halves = (top + rot, top - rot)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    weights = tuple(scale * float(np.vdot(h, h).real) for h in halves)
+    weights = tuple(float(np.vdot(h, h).real) for h in halves)
     return halves, weights
 
 
@@ -261,10 +256,7 @@ def measure(
     forced = None if outcome is None else (outcome,)
     outcome, prob = draw_outcome(list(weights), forced, rng)
 
-    scale = 1.0 if basis == "z" else 2.0
-    np.multiply(
-        halves[outcome], 1.0 / math.sqrt(scale * weights[outcome]), out=v[:, outcome], order="C"
-    )
+    np.multiply(halves[outcome], 1.0 / math.sqrt(weights[outcome]), out=v[:, outcome])
     v[:, 1 - outcome] = 0.0
     return MeasurementRecord(qubit, basis, xi, outcome, prob), state
 
@@ -357,27 +349,25 @@ def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:
 
 
 def _definite_core(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
-    """Run-grouped view of the amplitudes and a copy of its definite core.
+    """Per-qubit ``[2] * n`` view of the amplitudes and a copy of its definite core.
 
-    The view has one axis per run of adjacent listed or unlisted qubits.  The
-    core keeps each unlisted run whole and each listed run at the bits of the
-    amplitude with the largest real or imaginary part, as a length-1 axis.  It
-    must hold all but 1e-12 of the state's own norm^2 (which may drift within
-    ``_check_norm``); the mass off the core bounds every listed qubit's, and
-    an off-core amplitude that small can never hold the largest part.
+    The core keeps each unlisted qubit's axis whole and each listed qubit at
+    its bit in the amplitude with the largest real or imaginary part, as a
+    length-1 axis.  It must hold all but 1e-12 of the state's own norm^2
+    (which may drift within ``_check_norm``); the mass off the core bounds
+    every listed qubit's, and an off-core amplitude that small can never hold
+    the largest part.
     """
     listed = set(qubits)
     n = state.num_qubits
     if any(not 0 <= q < n for q in listed):
         raise IndexError(f"qubits {sorted(listed)} out of range for {n}-qubit register")
     top = int(np.abs(state.amps.view(float)).argmax()) >> 1
-    shape, index = [], []
-    for is_listed, run in itertools.groupby(range(n), key=listed.__contains__):
-        run = list(run)
-        shape.append(1 << len(run))
-        b = (top >> (n - 1 - run[-1])) & (shape[-1] - 1)
-        index.append(slice(b, b + 1) if is_listed else slice(None))
-    view = state.amps.reshape(shape)
+    index = []
+    for q in range(n):
+        b = (top >> (n - 1 - q)) & 1
+        index.append(slice(b, b + 1) if q in listed else slice(None))
+    view = state.amps.reshape([2] * n)
     core = view[tuple(index)].copy()
     held = float(np.vdot(core, core).real)
     if held < (1.0 - 1e-12) * state.norm_squared():
@@ -415,9 +405,8 @@ def reset_qubits(state: PureState, assignments: dict) -> PureState:
         return state
     view, core = _definite_core(state, targets)
     fresh = functools.reduce(np.multiply.outer, [_as_pair(assignments[q]) for q in targets])
-    # a reset run is a length-1 axis of the core, which broadcasts against
-    # ``fresh`` laid out on the reset runs (a kept run is as long as the view's)
-    fresh = fresh.reshape([v // c for v, c in zip(view.shape, core.shape)])
+    # a reset qubit is a length-1 axis of the core and a length-2 axis of fresh
+    fresh = fresh.reshape([2 if q in assignments else 1 for q in range(state.num_qubits)])
     np.multiply(core, fresh, out=view)
     _check_norm(state)
     return state

@@ -16,11 +16,22 @@ thetas = st.floats(0.0, math.pi)
 outcome_lists = st.lists(st.booleans(), max_size=40)
 
 
+def _normalized(draw, num_qubits):
+    size = 1 << num_qubits
+    parts = draw(arrays(np.float64, 2 * size, elements=st.floats(-1.0, 1.0)))
+    amps = parts[:size] + 1j * parts[size:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 0.1)
+    return sv.PureState(num_qubits, amps / norm)
+
+
 @st.composite
 def normalized_ends(draw):
     """A random 4-qubit state: 16 complex amplitudes, normalized."""
-    parts = draw(arrays(np.float64, 32, elements=st.floats(-1.0, 1.0)))
-    amps = parts[:16] + 1j * parts[16:]
-    norm = np.linalg.norm(amps)
-    assume(norm > 0.1)
-    return sv.PureState(4, amps / norm)
+    return _normalized(draw, 4)
+
+
+@st.composite
+def normalized_states(draw):
+    """A random state of 1 to 8 qubits, normalized."""
+    return _normalized(draw, draw(st.integers(1, 8)))

@@ -805,7 +805,7 @@ class TestRowInvariant:
         assert grown_1d > 0 and len(checked) > grown_1d
         assert not all(checked) and any(checked)
 
-    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(outcomes=outcome_lists, n=st.sampled_from([1, 3, 5]))
     @example(outcomes=[False] * 5 + [True] * 3, n=3)  # empties the row: a restart
     def test_graph_free_row_matches_witness_property(self, outcomes, n):

@@ -371,12 +371,7 @@ def test_fusion_maps_match_block_route(theta):
         check_fusion_maps(theta, random_ends(rng), seed)
 
 
-@settings(
-    derandomize=True,
-    database=None,
-    max_examples=30,
-    deadline=None,
-)
+@settings(max_examples=30)
 @given(
     theta=thetas,
     ends=normalized_ends(),
@@ -474,7 +469,7 @@ def run_recorded(route, ends, n, theta, seed, limit):
     return result, draws, rng.bit_generator.state, state
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     ends=normalized_ends(),
     theta=thetas,

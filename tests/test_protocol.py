@@ -251,7 +251,7 @@ def test_held_pair_table_matches_dense_chain(n, theta):
     _check_table_against_dense(n, theta)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.sampled_from([1, 3, 5, 7, 9]), theta=thetas)
 def test_held_pair_table_matches_dense_chain_property(n, theta):
     _check_table_against_dense(n, theta)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
@@ -16,6 +18,7 @@ from reference import (
     phase_from_interaction,
     probability_of_bit,
 )
+from strategies import normalized_states
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -207,6 +210,15 @@ def per_qubit_reset(state, assignments):
         v[:, 1] = core * pair[1]
 
 
+def sliced_extract(state, discard):
+    """Slice each discarded qubit down to its definite bit, the highest first,
+    so that every lower qubit keeps its place in the index."""
+    amps = state.amps
+    for q in sorted(discard, reverse=True):
+        amps = amps.reshape(1 << q, 2, -1)[:, int(probability_of_bit(state, q, 1) > 0.5)]
+    return amps.reshape(-1) / np.linalg.norm(amps)
+
+
 class TestFusedKernels:
     """The one-pass kernels against the per-gate routes they replace."""
 
@@ -257,6 +269,51 @@ class TestFusedKernels:
         rec, _ = sv.measure(state, q, basis, xi, outcome=outcome)
         assert abs(rec.probability - expect_prob) < 1e-12
         # equal outright, not only up to global phase
+        np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40)
+    @given(state=normalized_states(), data=st.data())
+    def test_measure_equals_gate_route_property(self, state, data):
+        """Every qubit of a random register, the last three included."""
+        basis = data.draw(st.sampled_from(["z", "xi"]))
+        xi = data.draw(st.floats(-math.pi, math.pi)) if basis == "xi" else 0.0
+        for q in range(state.num_qubits):
+            rotated = state.copy()
+            if basis == "xi":
+                sv.apply_gate(rotated, q, "RZ", xi)
+                sv.apply_gate(rotated, q, "H")
+            probs = [probability_of_bit(rotated, q, m) for m in (0, 1)]
+            np.testing.assert_allclose(
+                sv.measurement_probabilities(state, q, basis, xi), probs, rtol=0, atol=1e-12
+            )
+            outcome = data.draw(st.integers(0, 1))
+            if probs[outcome] < 1e-3:  # a forced outcome must be possible
+                outcome = 1 - outcome
+            got, expect = state.copy(), state.copy()
+            expect_prob = gate_route_measure(expect, q, basis, xi, outcome)
+            rec, _ = sv.measure(got, q, basis, xi, outcome=outcome)
+            assert abs(rec.probability - expect_prob) < 1e-12
+            np.testing.assert_allclose(got.amps, expect.amps, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40)
+    @given(state=normalized_states(), data=st.data())
+    def test_reset_and_extract_equal_references_property(self, state, data):
+        n = state.num_qubits
+        measured = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for q in sorted(measured):
+            sv.measure(state, q, rng=rng)
+        keep = [q for q in range(n) if q not in measured]
+        if keep:
+            got = sv.extract_qubits(state, keep)
+            np.testing.assert_allclose(
+                got.amps, sliced_extract(state, measured), rtol=0, atol=1e-12
+            )
+        tokens = ["+", "-", "0", "1", (0.6, 0.8j)]
+        assignments = {q: data.draw(st.sampled_from(tokens)) for q in sorted(measured)}
+        expect = state.copy()
+        per_qubit_reset(expect, assignments)
+        sv.reset_qubits(state, assignments)
         np.testing.assert_allclose(state.amps, expect.amps, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
