@@ -12,7 +12,8 @@ seeded with ``[seed, stream, index]`` entropy tuples, so identical configs
 reproduce byte-identical output files under any execution order.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a flag
-argparse rejects, or a ``ValueError`` from the library, such as an even n).
+argparse rejects, a ``ValueError`` from the library, such as an even n, or
+an ``--out`` path that cannot be opened).
 CSV output is comma-separated with a header row, LF line endings, and floats
 printed at 12 significant digits.  The argument parser is built once per
 process, on the first ``main`` call, and reused by every later call.
@@ -70,8 +71,13 @@ def _emit(rows: list[dict], args: argparse.Namespace) -> Iterable[str]:
 
 
 def _write(pieces: Iterable[str], args: argparse.Namespace):
-    """Write the pieces of one output to ``--out``, if given, and to stdout."""
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+    """Write the pieces of one output to ``--out``, if given, and to stdout.
+    An ``--out`` path that cannot be opened is an invalid argument."""
+    try:
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot open --out: {exc}") from None
+    with out as fh:
         for piece in pieces:
             if fh is not None:
                 fh.write(piece)

@@ -24,11 +24,11 @@ A dense chain only defines the oracle: the one |+> chain (one
 decides all 2**n sequences in one pass.  Every probability reads the
 held-pair table: each outcome sequence maps the two held qubits diagonally
 (``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
-and ``held_pair_attempt`` draws one attempt from it in place, for the
-protocol run and the teleport link.  ``held_pair_retry`` draws a run of
-attempts as those calls would, on the pair's four Born marginals alone, and
-rescales the register once, when the run stops: the pipeline's fusion
-retries with it.  ``retry_probabilities`` reads the table;
+and ``held_pair_attempt``, the one attempt routine, draws one attempt from
+it in place; the heralded teleport's link calls it.  ``held_pair_retry``
+draws a run of attempts as those calls would, on the pair's four Born
+marginals alone, and rescales the register once, when the run stops: the
+pipeline's fusion retries with it.  ``retry_probabilities`` reads the table;
 ``concatenated_ghz`` still retries on its dense register.
 
 All randomness flows through numpy Generators supplied by the caller, so
@@ -39,7 +39,6 @@ mutable state between runs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -76,32 +75,6 @@ def _check_odd_n(n: int, bounded: bool = True) -> None:
     largest = sv.MAX_QUBITS - 3 + sv.MAX_QUBITS % 2  # the largest odd n <= MAX_QUBITS - 2
     if bounded and n > largest:
         raise ValueError(f"n must be <= {largest} (MAX_QUBITS={sv.MAX_QUBITS})")
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """Parameters of one protocol instance: middle-qubit count and error."""
-
-    n: int
-    theta: float
-
-    def __post_init__(self):
-        _check_odd_n(self.n)
-        if abs(math.cos(self.theta / 2.0)) < 1e-12:
-            warnings.warn(
-                "theta = pi gives zero success probability", stacklevel=2
-            )
-
-
-@dataclass
-class ProtocolRun:
-    """Result of one stochastic protocol execution."""
-
-    spec: ProtocolSpec
-    outcomes: str  # middle-qubit outcomes in order; "1" is the |-> result
-    success: bool
-    end_pair: PureState
-    path_probability: float
 
 
 def _input_pair(input_state) -> np.ndarray:
@@ -221,30 +194,6 @@ def oracle_success_probability(n: int, theta: float) -> float:
     return math.fsum(branch_probabilities(n, theta)[success_mask(n)].tolist())
 
 
-def _attempt(spec: ProtocolSpec, pair: PureState, outcomes, rng) -> ProtocolRun:
-    """One :func:`held_pair_attempt` on qubits 0 and 1 of ``pair``, in place;
-    its success is the oracle's mask at the drawn sequence."""
-    m, path_probability = held_pair_attempt(pair, 0, 1, spec.n, spec.theta, outcomes, rng)
-    seq = format(m, f"0{spec.n}b")
-    return ProtocolRun(spec, seq, bool(success_mask(spec.n)[m]), pair, path_probability)
-
-
-def run_protocol(
-    spec: ProtocolSpec,
-    input_state,
-    outcomes=None,
-    rng: np.random.Generator | None = None,
-) -> ProtocolRun:
-    """Execute one protocol instance, measuring the middles left to right.
-
-    It is one :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``, the
-    attempt the heralded teleport's link makes.
-    ``outcomes`` forces the full sequence as a bit string, or ``rng`` draws
-    it.  Success is membership in the oracle's mask, not a hardcoded list.
-    """
-    return _attempt(spec, init_register([_input_pair(input_state), "+"]), outcomes, rng)
-
-
 # ---------------------------------------------------------------------------
 # Teleportation
 
@@ -312,7 +261,6 @@ class StochasticTeleportRun:
     success: bool
     m1: int | None
     output: PureState | None
-    protocol: ProtocolRun
 
 
 def stochastic_teleport_target(input_state, xi: float, m1: int) -> PureState:
@@ -333,16 +281,19 @@ def stochastic_teleport(
 ) -> StochasticTeleportRun:
     """Heralded perfect teleportation via the n=1 protocol.
 
-    ``outcomes`` may force ``(m2, m1)``.  On success the third qubit holds
+    The link is one :func:`held_pair_attempt` on the pair ``psi ⊗ |+>``;
+    it heralds where the oracle's mask holds its outcome m2.  ``outcomes``
+    may force ``(m2, m1)``.  On success the third qubit holds
     ``Z^(1-m1) Rz(xi) psi`` with fidelity 1 for any theta.
     """
     forced_m2, forced_m1 = (None, None) if outcomes is None else outcomes
     forced = None if forced_m2 is None else (forced_m2,)
-    run = run_protocol(ProtocolSpec(1, theta), input_state, forced, rng)
-    if not run.success:
-        return StochasticTeleportRun(False, None, None, run)
-    rec1, pair = measure(run.end_pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
-    return StochasticTeleportRun(True, rec1.outcome, extract_qubits(pair, [1]), run)
+    pair = init_register([_input_pair(input_state), "+"])
+    m, _ = held_pair_attempt(pair, 0, 1, 1, theta, forced, rng)
+    if not success_mask(1)[m]:
+        return StochasticTeleportRun(False, None, None)
+    rec1, pair = measure(pair, 0, basis="xi", xi=xi, outcome=forced_m1, rng=rng)
+    return StochasticTeleportRun(True, rec1.outcome, extract_qubits(pair, [1]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +444,7 @@ GHZ_RETRY_CAP = 100_000  # protocol attempts, over every restart of one run
 
 @dataclass
 class GhzRun:
-    state: PureState          # unmeasured qubits, byproducts already corrected
-    z_corrections: tuple      # (qubit index in the reduced register, parity)
-    protocol_attempts: int
+    state: PureState  # unmeasured qubits, byproducts already corrected
     restarts: int
 
 
@@ -547,11 +496,10 @@ def concatenated_ghz(N: int, theta: float, rng: np.random.Generator) -> GhzRun:
             restarts += 1
             continue
         reduced = extract_qubits(state, list(range(0, total, 2)))
-        corrections = tuple((q // 2, p) for q, p in parities)
-        for q, p in corrections:
-            if p % 2:
-                apply_gate(reduced, q, "Z")
-        return GhzRun(reduced, corrections, attempts, restarts)
+        for q, p in parities:
+            if p:
+                apply_gate(reduced, q // 2, "Z")
+        return GhzRun(reduced, restarts)
 
 
 def ghz_target(num_qubits: int) -> PureState:

@@ -197,9 +197,6 @@ def apply_controlled_phase(
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    qubit: int
-    basis: str  # "z" or "xi"
-    xi: float
     outcome: int
     probability: float
 
@@ -258,7 +255,7 @@ def measure(
 
     np.multiply(halves[outcome], 1.0 / math.sqrt(weights[outcome]), out=v[:, outcome])
     v[:, 1 - outcome] = 0.0
-    return MeasurementRecord(qubit, basis, xi, outcome, prob), state
+    return MeasurementRecord(outcome, prob), state
 
 
 # Walsh-Hadamard blocks: x_branches rotates at most this many qubits per matmul

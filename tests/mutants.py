@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 SV = "tests/test_statevector.py"
 GROWTH = "tests/test_growth.py"
+PROTOCOL = "tests/test_protocol.py"
 
 MUTANTS = [
     Mutant(
@@ -117,6 +118,44 @@ MUTANTS = [
             f"{GROWTH}::TestGrow2D::test_stream_replays_as_outcomes_then_one_charge[theta0.3]",
             f"{GROWTH}::TestGrow2D::test_stream_replays_as_outcomes_then_one_charge[p0.25]",
         ),
+    ),
+    Mutant(
+        "teleport-success-negated",
+        "protocol.py",
+        "if not success_mask(1)[m]:",
+        "if success_mask(1)[m]:",
+        (
+            "tests/test_teleport_retry.py::TestStochasticTeleport::test_success_branch_is_perfect",
+            "tests/test_teleport_retry.py::TestStochasticTeleport::test_success_rate",
+        ),
+    ),
+    Mutant(
+        "attempt-rescale-by-weight",
+        "protocol.py",
+        "(maps[m] / math.sqrt(w))",
+        "(maps[m] / w)",
+        (
+            f"{PROTOCOL}::test_held_pair_attempt_matches_dense_route_property",
+            f"{PROTOCOL}::test_held_pair_attempt_matches_dense_route[0.3-3]",
+            f"{PROTOCOL}::TestChainConstruction::test_failure_branch_termwise",
+        ),
+    ),
+    Mutant(
+        "retry-marginals-unnormalized",
+        "protocol.py",
+        "marginals = [w * q / weight for w, q in zip(rows[m], marginals)]",
+        "marginals = [w * q for w, q in zip(rows[m], marginals)]",
+        (
+            "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
+        ),
+    ),
+    Mutant(
+        "sequences-oracle-against-itself",
+        "cli.py",
+        "if not np.array_equal(oracle, rules):",
+        "if not np.array_equal(oracle, oracle):",
+        ("tests/test_cli.py::TestSequencesCommand::test_rules_mismatch_detected",),
     ),
 ]
 

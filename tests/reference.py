@@ -149,29 +149,33 @@ def measure_x_run(state: PureState, first: int, count: int, outcomes=None, rng=N
     return draw_x_run(sv.x_branches(state, first, count), outcomes, rng)
 
 
-def embed_pair_with_plus_middles(pair: PureState, n_middles: int) -> PureState:
-    """(2 + n)-qubit product of a joint end pair with fresh ``|+>`` middles.
+def embed_plus_middles(state: PureState, a: int, n_middles: int) -> PureState:
+    """The register with ``n_middles`` fresh ``|+>`` qubits inserted after qubit ``a``.
 
-    The pair's first qubit becomes qubit 0 and its second becomes the last
-    qubit, with the middles in between; this is the layout used when a chain
-    is re-entangled between two held end qubits.
+    Qubit a keeps its index and every later qubit moves up by n_middles;
+    this is the layout used when a chain is re-entangled between two held
+    qubits, a and a later one.
     """
-    if pair.num_qubits != 2:
-        raise ValueError("end pair must be a 2-qubit state")
+    if not 0 <= a < state.num_qubits - 1:
+        raise ValueError("a held qubit must follow qubit a")
     if n_middles < 1:
         raise ValueError("need at least one middle qubit")
     mid = np.full(1 << n_middles, (0.5) ** (n_middles / 2.0), dtype=complex)
-    t = pair.amps.reshape(2, 2)  # [a, b]
+    t = state.amps.reshape(2 << a, -1)  # [qubits up to a, the rest]
     amps = (t[:, None, :] * mid[None, :, None]).reshape(-1)
-    return PureState(n_middles + 2, amps)
+    return PureState(state.num_qubits + n_middles, amps)
 
 
-def dense_retry(pair: PureState, n: int, theta: float, outcomes=None, rng=None):
-    """One protocol attempt on a held pair, built densely: fresh ``|+>``
-    middles, the chain entangler, then ``measure_x_run`` on the middles.
-    Returns the bits, the path probability and the kept end pair."""
-    chain = pr.entangle_chain(embed_pair_with_plus_middles(pair, n), theta)
-    return measure_x_run(chain, 1, n, outcomes, rng)
+def dense_retry(state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None):
+    """``pr.held_pair_attempt`` built densely: n fresh ``|+>`` middles after
+    qubit ``a``, the chain entangler along a, the middles and ``b``, then
+    ``measure_x_run`` on the middles.  Returns the bits, the path probability
+    and the kept register, its qubits in their original order."""
+    chain = embed_plus_middles(state, a, n)
+    for q in range(a, a + n):
+        apply_controlled_phase(chain, q, q + 1, math.pi + theta)
+    apply_controlled_phase(chain, a + n, b + n, math.pi + theta)
+    return measure_x_run(chain, a + 1, n, outcomes, rng)
 
 
 def dense_held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +185,7 @@ def dense_held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     maps = np.empty((1 << n, 4), dtype=complex)
     for k in range(4):
         a, b = divmod(k, 2)
-        chain = embed_pair_with_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), n)
+        chain = embed_plus_middles(PureState(2, np.eye(4, dtype=complex)[k]), 0, n)
         tens = pr.branch_tensor(pr.entangle_chain(chain, theta))
         other = tens.copy()
         other[a, :, b] = 0.0
@@ -204,12 +208,14 @@ def retry_protocol(
     theta: float,
     outcomes=None,
     rng: np.random.Generator | None = None,
-) -> pr.ProtocolRun:
+) -> tuple[int, float, PureState]:
     """Re-run the protocol between two held end qubits in an arbitrary joint state.
 
-    It is ``pr.run_protocol``'s attempt on a copy of the pair: the sampled
-    route beside the exact ``pr.retry_probabilities``.  A successful
-    sequence of weight q leaves the ends in
+    It is one ``pr.held_pair_attempt`` on a copy of the pair: the sampled
+    route beside the exact ``pr.retry_probabilities``.  Returns the outcome
+    index m, its path probability and the kept pair; the attempt succeeds
+    where ``pr.success_mask(n)`` holds m.  A successful sequence of weight q
+    leaves the ends in
     ``(alpha|00> + (-1)^q delta|11>) / sqrt(|alpha|^2 + |delta|^2)``
     regardless of how many earlier attempts failed.  A pair with no
     ``|00>``/``|11>`` amplitude raises :class:`DegenerateInputError`.
@@ -221,7 +227,9 @@ def retry_protocol(
         raise DegenerateInputError(
             "no |00>/|11> amplitude left on the end pair; success is impossible"
         )
-    return pr._attempt(pr.ProtocolSpec(n, theta), end_pair.copy(), outcomes, rng)
+    pair = end_pair.copy()
+    m, path_probability = pr.held_pair_attempt(pair, 0, 1, n, theta, outcomes, rng)
+    return m, path_probability, pair
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,6 @@ def normalized_ends(draw):
 
 
 @st.composite
-def normalized_states(draw):
-    """A random state of 1 to 8 qubits, normalized."""
-    return _normalized(draw, draw(st.integers(1, 8)))
+def normalized_states(draw, min_qubits=1):
+    """A random state of ``min_qubits`` to 8 qubits, normalized."""
+    return _normalized(draw, draw(st.integers(min_qubits, 8)))

@@ -79,12 +79,14 @@ def test_criterion_03_state_correctness():
     assert worst >= 1 - 1e-10
 
     theta, (a, b) = 0.7, (0.6, 0.8j)
-    run = pr.run_protocol(pr.ProtocolSpec(1, theta), (a, b), outcomes="0")
+    pair = sv.init_register([(a, b), "+"])
+    m, _ = pr.held_pair_attempt(pair, 0, 1, 1, theta, outcomes="0")
+    assert not pr.success_mask(1)[m]
     phase = np.exp(1j * theta)
     expect = np.array([(1 - phase) * a / 4, a / 2, -phase * b / 2, (1 - phase) * b / 4])
     expect /= np.linalg.norm(expect)
-    overlap = np.vdot(run.end_pair.amps, expect)
-    np.testing.assert_allclose(run.end_pair.amps * overlap / abs(overlap), expect, atol=1e-10)
+    overlap = np.vdot(pair.amps, expect)
+    np.testing.assert_allclose(pair.amps * overlap / abs(overlap), expect, atol=1e-10)
     report(3, True, f"worst heralded fidelity deficit {1 - worst:.2e}, failure branch termwise")
 
 

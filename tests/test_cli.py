@@ -392,6 +392,24 @@ class TestFormatsAndCodes:
         ):
             assert run_cli(args) == (2, ""), args
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["retry", "--n", "3", "--max-failures", "2"],
+            ["sequences", "--n", "3", "--format", "json"],
+            ["verify", "--seed", "7"],
+        ],
+        ids=["csv", "json", "verify"],
+    )
+    def test_unopenable_out_exits_2(self, args, tmp_path, capsys):
+        # an --out path that cannot be opened is an invalid argument: no
+        # traceback, nothing on stdout, one error line besides verify's times
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli([*args, "--out", str(out)]) == (2, "")
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("# ")]
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert not out.parent.exists()
+
     def test_reproducible_outputs(self, tmp_path):
         files = []
         for i in (1, 2):

@@ -7,7 +7,9 @@ definition references, and a public method must be called somewhere in
 that only tests call live in ``tests/reference.py``, and each of them must
 be named by a test module or by another definition there.  Every name a
 module imports must be used in that module, and every constant a module
-assigns at its top level must be read by ``src/`` code.  Every defaulted
+assigns at its top level must be read by ``src/`` code.  Every field of a
+``src/`` dataclass must be read, by attribute name, in ``src/`` or
+``tests/``: a record field nothing reads is dead weight.  Every defaulted
 parameter of a function in ``src/`` must be set by some call in ``src/``
 or ``tests/``: a knob nothing turns is a constant.
 """
@@ -103,6 +105,25 @@ def test_every_module_constant_is_read():
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and target.id not in read
+    ]
+    assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    trees = [*MODULES.values(), *(ast.parse(path.read_text()) for path in TESTS.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{cls.name}.{field.target.id}"
+        for module, cls in _definitions()
+        if isinstance(cls, ast.ClassDef)
+        and any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert unread == []
 

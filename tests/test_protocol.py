@@ -16,7 +16,7 @@ from reference import (
     heralded_pair,
     loop_oracle,
 )
-from strategies import thetas
+from strategies import normalized_states, thetas
 
 PSI = (0.6, 0.8j)
 
@@ -50,28 +50,28 @@ class TestChainConstruction:
         # m = 0 on the three-qubit chain leaves the documented distorted state
         theta = 0.7
         a, b = PSI
-        run = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="0")
-        assert not run.success
+        pair = sv.init_register([PSI, "+"])
+        m, _ = pr.held_pair_attempt(pair, 0, 1, 1, theta, outcomes="0")
+        assert not pr.success_mask(1)[m]
         phase = np.exp(1j * theta)
         expect = np.array(
             [(1 - phase) * a / 4, a / 2, -phase * b / 2, (1 - phase) * b / 4]
         )
         expect /= np.linalg.norm(expect)
         target = sv.PureState(2, expect)
-        assert sv.fidelity_up_to_global_phase(run.end_pair, target) > 1 - 1e-12
+        assert sv.fidelity_up_to_global_phase(pair, target) > 1 - 1e-12
         # termwise: phase-align and compare amplitudes
-        overlap = np.vdot(run.end_pair.amps, target.amps)
-        np.testing.assert_allclose(
-            run.end_pair.amps * overlap / abs(overlap), target.amps, atol=1e-10
-        )
+        overlap = np.vdot(pair.amps, target.amps)
+        np.testing.assert_allclose(pair.amps * overlap / abs(overlap), target.amps, atol=1e-10)
 
     def test_success_branch_collapses_theta(self):
         theta = 1.1
         a, b = PSI
-        run = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="1")
-        assert run.success
+        pair = sv.init_register([PSI, "+"])
+        m, _ = pr.held_pair_attempt(pair, 0, 1, 1, theta, outcomes="1")
+        assert pr.success_mask(1)[m]
         target = sv.PureState(2, np.array([a, 0, 0, -b]))
-        assert sv.fidelity_up_to_global_phase(run.end_pair, target) > 1 - 1e-12
+        assert sv.fidelity_up_to_global_phase(pair, target) > 1 - 1e-12
 
     def test_n3_success_probability_total(self):
         theta = 0.3
@@ -110,12 +110,13 @@ class TestOracle:
         chain = pr.build_imperfect_chain(PSI, 3, theta)
         tens = pr.branch_tensor(chain)
         for seq in ("000", "010", "101", "110"):
-            run = pr.run_protocol(pr.ProtocolSpec(3, theta), PSI, outcomes=seq)
-            branch = tens[:, int(seq, 2), :].reshape(-1)
+            pair = sv.init_register([PSI, "+"])
+            m, path = pr.held_pair_attempt(pair, 0, 1, 3, theta, outcomes=seq)
+            branch = tens[:, m, :].reshape(-1)
             prob = float(np.vdot(branch, branch).real)
-            assert prob == pytest.approx(run.path_probability, abs=1e-12)
+            assert m == int(seq, 2) and prob == pytest.approx(path, abs=1e-12)
             target = sv.PureState(2, branch / math.sqrt(prob))
-            assert sv.fidelity_up_to_global_phase(run.end_pair, target) > 1 - 1e-12
+            assert sv.fidelity_up_to_global_phase(pair, target) > 1 - 1e-12
 
     def test_success_states_match_heralded_map(self):
         # every successful branch of the mask, which one |+> chain decides, on
@@ -258,27 +259,26 @@ def test_held_pair_table_matches_dense_chain_property(n, theta):
 
 
 class TestRunProtocol:
+    """One protocol run: a ``held_pair_attempt`` on the pair ``psi ⊗ |+>``,
+    successful where the oracle's mask holds the drawn sequence."""
+
     def test_forced_sequence_wrong_length(self):
         with pytest.raises(ValueError):
-            pr.run_protocol(pr.ProtocolSpec(3, 0.3), "+", outcomes="01")
+            pr.held_pair_attempt(sv.init_register(["+", "+"]), 0, 1, 3, 0.3, outcomes="01")
 
     def test_path_probability_matches_enumeration(self):
-        run = pr.run_protocol(pr.ProtocolSpec(3, 0.7), "+", outcomes="010")
-        assert run.success
-        assert run.path_probability == pytest.approx(
-            pr.branch_probabilities(3, 0.7)[0b010], abs=1e-12
-        )
+        m, path = pr.held_pair_attempt(sv.init_register(["+", "+"]), 0, 1, 3, 0.7, outcomes="010")
+        assert m == 0b010 and pr.success_mask(3)[m]
+        assert path == pytest.approx(pr.branch_probabilities(3, 0.7)[m], abs=1e-12)
 
     def test_sampled_outcomes_reproducible(self):
+        pairs = [sv.init_register([PSI, "+"]) for _ in range(2)]
         runs = [
-            pr.run_protocol(pr.ProtocolSpec(3, 0.9), PSI, rng=np.random.default_rng(21))
-            for _ in range(2)
+            pr.held_pair_attempt(pair, 0, 1, 3, 0.9, rng=np.random.default_rng(21))
+            for pair in pairs
         ]
-        assert str(runs[0].outcomes) == str(runs[1].outcomes)
-
-    def test_theta_pi_warns(self):
-        with pytest.warns(UserWarning):
-            pr.ProtocolSpec(1, math.pi)
+        assert runs[0] == runs[1]
+        np.testing.assert_array_equal(pairs[0].amps, pairs[1].amps)
 
 
 def _spectator_between(pair, spectator):
@@ -303,16 +303,11 @@ def test_held_pair_attempt_matches_dense_route(n, theta):
     for pair in pairs:
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         spectator = raw / np.linalg.norm(raw)
-        layouts = [
-            (pair, 0, 1, lambda kept: kept),
-            (_spectator_between(pair, spectator), 0, 2,
-             lambda kept: _spectator_between(kept, spectator)),
-        ]
-        for state, a, b, embed in layouts:
+        for state, a, b in ((pair, 0, 1), (_spectator_between(pair, spectator), 0, 2)):
             for m in range(1 << n):
                 seq = format(m, f"0{n}b")
                 try:
-                    _, path, kept = dense_retry(pair, n, theta, outcomes=seq)
+                    _, path, kept = dense_retry(state, a, b, n, theta, outcomes=seq)
                 except sv.ForcedOutcomeError:
                     raised += 1
                     with pytest.raises(sv.ForcedOutcomeError):
@@ -321,16 +316,49 @@ def test_held_pair_attempt_matches_dense_route(n, theta):
                 got = state.copy()
                 assert pr.held_pair_attempt(got, a, b, n, theta, outcomes=seq) == (
                     m, pytest.approx(path, rel=0, abs=1e-10))
-                np.testing.assert_allclose(got.amps, embed(kept).amps, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got.amps, kept.amps, rtol=0, atol=1e-10)
             for seed in range(4):
                 fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 got = state.copy()
                 seq = format(pr.held_pair_attempt(got, a, b, n, theta, rng=fast_rng)[0], f"0{n}b")
-                expected_seq, _, kept = dense_retry(pair, n, theta, rng=dense_rng)
+                expected_seq, _, kept = dense_retry(state, a, b, n, theta, rng=dense_rng)
                 assert seq == expected_seq
                 assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
-                np.testing.assert_allclose(got.amps, embed(kept).amps, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got.amps, kept.amps, rtol=0, atol=1e-10)
     assert raised > 0
+
+
+@settings(max_examples=40)
+@given(
+    state=normalized_states(min_qubits=2),
+    n=st.sampled_from([1, 3, 5]),
+    theta=thetas,
+    data=st.data(),
+)
+def test_held_pair_attempt_matches_dense_route_property(state, n, theta, data):
+    """Random qubits a < b of a random register, n middles built between
+    them on the dense route: a forced outcome of non-negligible weight gives
+    the same m, path probability and register, and a drawn one also the same
+    generator state."""
+    a = data.draw(st.integers(0, state.num_qubits - 2))
+    b = data.draw(st.integers(a + 1, state.num_qubits - 1))
+    weights = pr.held_pair_maps(n, theta)[1] @ sv.pair_marginals(state, a, b).reshape(4)
+    m = data.draw(st.sampled_from(np.flatnonzero(weights > 1e-6).tolist()))
+    seq = format(m, f"0{n}b")
+    _, path, kept = dense_retry(state, a, b, n, theta, outcomes=seq)
+    got = state.copy()
+    assert pr.held_pair_attempt(got, a, b, n, theta, outcomes=seq) == (
+        m, pytest.approx(path, rel=0, abs=1e-10))
+    np.testing.assert_allclose(got.amps, kept.amps, rtol=0, atol=1e-10)
+
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = state.copy()
+    drawn, _ = pr.held_pair_attempt(got, a, b, n, theta, rng=rng)
+    expected_seq, _, kept = dense_retry(state, a, b, n, theta, rng=dense_rng)
+    assert format(drawn, f"0{n}b") == expected_seq
+    assert rng.bit_generator.state == dense_rng.bit_generator.state
+    np.testing.assert_allclose(got.amps, kept.amps, rtol=0, atol=1e-10)
 
 
 class TestConcatenationDerivations:

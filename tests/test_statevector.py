@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
-    embed_pair_with_plus_middles,
+    embed_plus_middles,
     is_product_across_cut,
     measure_x_run,
     phase_from_interaction,
     probability_of_bit,
+    x_weights,
 )
 from strategies import normalized_states
 
@@ -468,6 +469,22 @@ class TestXRunKernel:
                 assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
                 np.testing.assert_allclose(kept.amps, ref_kept.amps, rtol=0, atol=1e-12)
 
+    @settings(max_examples=40)
+    @given(state=normalized_states(min_qubits=2), data=st.data())
+    def test_draw_outcome_matches_per_qubit_loop_property(self, state, data):
+        """``sv.draw_outcome`` on the ``x_weights`` of a random run draws the
+        bits a per-qubit ``measure`` loop draws, and leaves the generator
+        where the loop leaves it."""
+        count = data.draw(st.integers(1, state.num_qubits - 1))
+        first = data.draw(st.integers(0, state.num_qubits - count))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        m, path = sv.draw_outcome(x_weights(sv.x_branches(state, first, count)), rng=rng)
+        ref_seq, ref_path, _ = per_qubit_x_run(state.copy(), first, count, rng=ref_rng)
+        assert format(m, f"0{count}b") == ref_seq
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("n", [5, 7])
     def test_every_forced_sequence_matches(self, n):
         for first, count in every_run(n):
@@ -625,10 +642,15 @@ class TestExtractReset:
 
 def test_embed_pair_with_middles():
     pair = sv.PureState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
-    chain = embed_pair_with_plus_middles(pair, 2)
+    chain = embed_plus_middles(pair, 0, 2)
     assert chain.num_qubits == 4
     # ends are qubits 0 and 3; middles uniform
     t = chain.amps.reshape(2, 2, 2, 2)
     np.testing.assert_allclose(t[0, :, :, 0].ravel(), [0.3, 0.3, 0.3, 0.3], atol=1e-12)
     np.testing.assert_allclose(t[1, :, :, 1].ravel(), [0.4j, 0.4j, 0.4j, 0.4j], atol=1e-12)
     assert abs(chain.norm_squared() - 1.0) < 1e-12
+    # past qubit a, every qubit moves up by the middle count
+    chain = embed_plus_middles(sv.init_register(["0", "1", "-"]), 1, 2)
+    np.testing.assert_allclose(
+        chain.amps, sv.init_register(["0", "1", "+", "+", "-"]).amps, rtol=0, atol=1e-15
+    )

@@ -129,9 +129,9 @@ class TestStochasticTeleport:
 class TestRetryProtocol:
     def test_ratio_preserved_on_success(self):
         pair = sv.PureState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
-        run = retry_protocol(pair, 3, 0.7, outcomes="010")
-        assert run.success
-        amps = run.end_pair.amps
+        m, _, kept = retry_protocol(pair, 3, 0.7, outcomes="010")
+        assert pr.success_mask(3)[m]
+        amps = kept.amps
         assert amps[1] == pytest.approx(0.0, abs=1e-12)
         assert amps[2] == pytest.approx(0.0, abs=1e-12)
         # weight-1 success flips the relative sign once
@@ -139,14 +139,13 @@ class TestRetryProtocol:
 
     def test_failure_then_retry_matches_direct_success(self):
         theta = 0.9
-        first = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="0")
-        assert not first.success
-        retried = retry_protocol(first.end_pair, 1, theta, outcomes="1")
-        direct = pr.run_protocol(pr.ProtocolSpec(1, theta), PSI, outcomes="1")
-        assert retried.success
-        assert (
-            sv.fidelity_up_to_global_phase(retried.end_pair, direct.end_pair) > 1 - 1e-10
-        )
+        first, direct = sv.init_register([PSI, "+"]), sv.init_register([PSI, "+"])
+        failed, _ = pr.held_pair_attempt(first, 0, 1, 1, theta, outcomes="0")
+        assert not pr.success_mask(1)[failed]
+        retried, _, kept = retry_protocol(first, 1, theta, outcomes="1")
+        pr.held_pair_attempt(direct, 0, 1, 1, theta, outcomes="1")
+        assert pr.success_mask(1)[retried]
+        assert sv.fidelity_up_to_global_phase(kept, direct) > 1 - 1e-10
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_sampled_run_matches_forced_run(self, n):
@@ -157,13 +156,13 @@ class TestRetryProtocol:
         pair = sv.PureState(2, amps / np.linalg.norm(amps))
         wins = 0
         for seed in range(seeds):
-            run = retry_protocol(pair, n, theta, rng=np.random.default_rng(seed))
-            forced = retry_protocol(pair, n, theta, outcomes=run.outcomes)
-            assert (run.spec, run.outcomes, run.success, run.path_probability) == (
-                forced.spec, forced.outcomes, forced.success, forced.path_probability
+            m, path, kept = retry_protocol(pair, n, theta, rng=np.random.default_rng(seed))
+            forced_m, forced_path, forced_kept = retry_protocol(
+                pair, n, theta, outcomes=format(m, f"0{n}b")
             )
-            np.testing.assert_array_equal(run.end_pair.amps, forced.end_pair.amps)
-            wins += run.success
+            assert (m, path) == (forced_m, forced_path)
+            np.testing.assert_array_equal(kept.amps, forced_kept.amps)
+            wins += pr.success_mask(n)[m]
         equal = abs(pair.amps[0]) ** 2 + abs(pair.amps[3]) ** 2
         p = 2 * pr.success_probability_closed(n, theta) * equal
         assert abs(wins / seeds - p) < 4 * math.sqrt(p * (1 - p) / seeds)
@@ -182,10 +181,10 @@ class TestRetryProtocol:
         for m in range(len(pr.branch_probabilities(n, theta))):
             seq = format(m, f"0{n}b")
             try:
-                run = retry_protocol(pair, n, theta, outcomes=seq)
+                _, _, kept = retry_protocol(pair, n, theta, outcomes=seq)
             except sv.ForcedOutcomeError:
                 continue
-            amps = run.end_pair.amps
+            amps = kept.amps
             if abs(amps[0]) < 1e-9:
                 continue
             sign = (-1) ** seq.count("1")
@@ -259,7 +258,7 @@ class TestRetryProbabilities:
             success_here = 0.0
             for seq in success:
                 try:
-                    _, path, _ = dense_retry(end_pair, n, theta, outcomes=seq)
+                    _, path, _ = dense_retry(end_pair, 0, 1, n, theta, outcomes=seq)
                 except sv.ForcedOutcomeError:
                     continue
                 success_here += path
@@ -268,7 +267,7 @@ class TestRetryProbabilities:
                 return
             for seq in failures:
                 try:
-                    _, path, kept = dense_retry(end_pair, n, theta, outcomes=seq)
+                    _, path, kept = dense_retry(end_pair, 0, 1, n, theta, outcomes=seq)
                 except sv.ForcedOutcomeError:
                     continue
                 walk(kept, weight * path, depth + 1, acc)
