@@ -83,7 +83,7 @@ STEPS_REMOVE_ROUND = 2     # measure, correct
 MARGIN = 12.0
 
 # fusion outcomes (growth attempts and 2D link attempts) after which a build
-# stops with RetryLimitError where its next block of outcomes is due
+# stops with RetryLimitError where its next block, at most this size, is due
 ATTEMPT_CAP = 500_000
 
 
@@ -375,9 +375,8 @@ def time_steps_2d(N: int, p: float) -> float:
     """Row growth to length 2N/p plus the constant ten-step assembly tail."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    _check_growth(p)
-    gain = expected_length_gain(p)
-    return (10.0 / (p * gain)) * (expected_three_node_protocols(p) + 1.0) * N + 10.0
+    _check_growth(p)  # before 2N / p divides by it
+    return time_steps_1d(2 * N / p, p) + 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,9 @@ def _fusion_outcomes(rng: np.random.Generator, p: float, block: int):
     leaves the generator where it stood before them, advanced by one uniform
     per outcome taken.  The unused rest of the last block is never consumed,
     so the stream reads exactly as if each outcome had drawn its own uniform.
+    A block holds 1 to ``ATTEMPT_CAP`` outcomes: a build stops within twice the cap.
     """
+    block = max(1, min(block, ATTEMPT_CAP))
     start = rng.bit_generator.state
     drawn = 0
     current = iter(())  # the block being read

@@ -29,7 +29,8 @@ it in place; the heralded teleport's link calls it.  ``held_pair_retry``
 draws a run of attempts as those calls would, on the pair's four Born
 marginals alone, and rescales the register once, when the run stops: the
 pipeline's fusion retries with it.  ``retry_probabilities`` reads the table;
-``concatenated_ghz`` still retries on its dense register.
+``concatenated_ghz`` still retries on its dense register, but gives a link
+up by the retry's own rule, ``held_pair_success_probability``.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -368,6 +369,9 @@ def held_pair_attempt(
     return m, path
 
 
+DEAD_LINK_PROBABILITY = 1e-9  # both retry loops give a link up below this success chance
+
+
 def held_pair_success_probability(marginals: list, p: float) -> float:
     """Chance that one more attempt succeeds on a held pair with Born marginals
     ``(P00, P01, P10, P11)``: the table's success rows sum to ``2p (1, 0, 0, 1)``."""
@@ -381,9 +385,10 @@ def held_pair_retry(
 
     The drawn map rescales them as ``P_k <- w[m, k] P_k / weight_m``, and
     the register takes the product of the drawn maps, each over the square
-    root of its weight, once: on a success, on a dead link
-    (:func:`held_pair_success_probability` below 1e-9) or after ``limit``
-    attempts.  Returns the attempts, the drawn outcomes' parity and success.
+    root of its weight, once: on a success, after ``limit`` attempts or on a
+    dead link (:func:`held_pair_success_probability` below
+    ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn outcomes'
+    parity and success.
     """
     if limit < 1:
         raise RetryLimitError("retry cap exhausted")
@@ -396,7 +401,7 @@ def held_pair_retry(
         parity ^= m.bit_count() & 1
         marginals = [w * q / weight for w, q in zip(rows[m], marginals)]
         scale = [s * g / math.sqrt(weight) for s, g in zip(scale, cells[m])]
-        if success[m] or held_pair_success_probability(marginals, p) < 1e-9:
+        if success[m] or held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
             break
     sv._split_pair(state, a, b)[...] *= np.array(scale).reshape(1, 2, 1, 2, 1)
     return attempts, parity, success[m]
@@ -454,52 +459,43 @@ def concatenated_ghz(N: int, theta: float, rng: np.random.Generator) -> GhzRun:
     The register holds 4N-3 qubits; every odd qubit is a protocol middle.
     Failures are retried by re-initializing the middle and re-entangling,
     which never disturbs the amplitude ratio of the qubits already linked.
-    When retrying becomes hopeless (the success amplitude of the link decays
-    to zero) the whole register is rebuilt from scratch.  Each successful
-    link records a Z byproduct on its output qubit; the returned state has
-    the recorded corrections applied.  More than ``GHZ_RETRY_CAP`` protocol
+    A link dead by :func:`held_pair_retry`'s rule, on the marginals of its
+    held qubits, rebuilds the whole register from scratch.  An n = 1 link
+    heralds only on m = 1, so each linked qubit takes one Z byproduct,
+    corrected in the returned state.  More than ``GHZ_RETRY_CAP`` protocol
     attempts raise ``RetryLimitError``.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    links = 2 * (N - 1)
-    total = 2 * links + 1
+    total = 4 * N - 3
+    p = success_probability_closed(1, theta)
 
-    attempts = 0
-    restarts = 0
+    attempts = restarts = 0
     while True:
         state = init_register(["+"] * total)
-        parities = []
-        aborted = False
-        for k in range(links):
-            left, mid, right = 2 * k, 2 * k + 1, 2 * k + 2
-            parity = 0
-            while True:
+        for left in range(0, total - 1, 2):
+            mid, right = left + 1, left + 2
+            outcome = 0
+            while not outcome:
                 attempts += 1
                 if attempts > GHZ_RETRY_CAP:
                     raise RetryLimitError("GHZ retry cap exhausted")
                 apply_controlled_phase(state, left, mid, math.pi + theta, "CSX")
                 apply_controlled_phase(state, mid, right, math.pi + theta, "CSX")
-                _, p1 = sv.measurement_probabilities(state, mid, "xi", 0.0)
-                if p1 < 1e-9:
-                    aborted = True  # link is dead; rebuild everything
+                marginals = sv.pair_marginals(state, left, right).reshape(4).tolist()
+                if held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
                     break
-                rec, state = measure(state, mid, basis="xi", xi=0.0, rng=rng)
-                parity ^= rec.outcome
-                if rec.outcome == 1:
-                    break
-                sv.reset_qubits(state, {mid: "+"})
-            if aborted:
-                break
-            parities.append((right, parity))
-        if aborted:
-            restarts += 1
-            continue
-        reduced = extract_qubits(state, list(range(0, total, 2)))
-        for q, p in parities:
-            if p:
-                apply_gate(reduced, q // 2, "Z")
-        return GhzRun(reduced, restarts)
+                outcome = measure(state, mid, basis="xi", rng=rng)[0].outcome
+                if not outcome:
+                    sv.reset_qubits(state, {mid: "+"})
+            if not outcome:
+                break  # the link is dead: rebuild everything
+        else:
+            reduced = extract_qubits(state, list(range(0, total, 2)))
+            for q in range(1, reduced.num_qubits):
+                apply_gate(reduced, q, "Z")
+            return GhzRun(reduced, restarts)
+        restarts += 1
 
 
 def ghz_target(num_qubits: int) -> PureState:

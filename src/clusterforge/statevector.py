@@ -201,33 +201,6 @@ class MeasurementRecord:
     probability: float
 
 
-def measurement_probabilities(
-    state: PureState, qubit: int, basis: str = "z", xi: float = 0.0
-) -> tuple[float, float]:
-    """Outcome probabilities (p0, p1) without collapsing the state."""
-    p1 = _halves(_split(state, qubit), basis, xi)[1][1]
-    return 1.0 - p1, p1
-
-
-def _halves(v: np.ndarray, basis: str, xi: float):
-    """The two outcome halves of a qubit's :func:`_split` view and their weights.
-
-    A Z readout's halves are the views ``v[:, m]``; in the rotated basis they
-    are ``(v0 + r)/sqrt(2)`` and ``(v0 - r)/sqrt(2)`` with ``r = exp(i xi) v1``.
-    Each weight is its half's norm^2, so w0 + w1 is the state's norm^2.
-    """
-    if basis == "z":
-        halves = (v[:, 0], v[:, 1])
-    elif basis == "xi":
-        top = v[:, 0] * _INV_SQRT2
-        rot = v[:, 1] * (np.exp(1j * xi) * _INV_SQRT2)
-        halves = (top + rot, top - rot)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    weights = tuple(float(np.vdot(h, h).real) for h in halves)
-    return halves, weights
-
-
 def measure(
     state: PureState,
     qubit: int,
@@ -241,17 +214,25 @@ def measure(
     The measured qubit is left in the computational state ``|m>`` (for the
     rotated basis this is the post-rotation frame), so it can later be
     sliced away with :func:`extract_qubits`.  The outcome is drawn, or
-    forced, by :func:`draw_outcome` on the two outcome weights, after the
-    input norm is checked; the kept half is rescaled by its own norm, so a
-    norm error in the input is not carried over (let alone amplified by
-    1/p0).  Forcing an outcome whose probability is at most ``PROB_TOL``
-    raises :class:`ForcedOutcomeError`.
+    forced, by :func:`draw_outcome` on the norms^2 of the two outcome halves,
+    after the input norm is checked; the kept half is rescaled by its own
+    norm, so a norm error in the input is not carried over (let alone
+    amplified by 1/p0).  Forcing an outcome whose probability is at most
+    ``PROB_TOL`` raises :class:`ForcedOutcomeError`.
     """
     v = _split(state, qubit)
-    halves, weights = _halves(v, basis, xi)
+    if basis == "z":
+        halves = (v[:, 0], v[:, 1])
+    elif basis == "xi":
+        top = v[:, 0] * _INV_SQRT2
+        rot = v[:, 1] * (np.exp(1j * xi) * _INV_SQRT2)
+        halves = (top + rot, top - rot)
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    weights = [float(np.vdot(h, h).real) for h in halves]
     _check_norm_squared(weights[0] + weights[1], state.amps.size)
     forced = None if outcome is None else (outcome,)
-    outcome, prob = draw_outcome(list(weights), forced, rng)
+    outcome, prob = draw_outcome(weights, forced, rng)
 
     np.multiply(halves[outcome], 1.0 / math.sqrt(weights[outcome]), out=v[:, outcome])
     v[:, 1 - outcome] = 0.0

@@ -151,6 +151,104 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "dead-link-rule-reads-p01-p10",
+        "protocol.py",
+        "return 2.0 * p * (marginals[0] + marginals[3])",
+        "return 2.0 * p * (marginals[1] + marginals[2])",
+        (
+            f"{PROTOCOL}::test_dead_link_rule_matches_dense_outcome_probability_property",
+            "tests/test_teleport_retry.py::TestGhzConcatenation::test_forced_success_theta_zero_exact",
+        ),
+    ),
+    Mutant(
+        "dead-link-rule-relative-error-1e-9",
+        "protocol.py",
+        "return 2.0 * p * (marginals[0] + marginals[3])",
+        "return 2.0 * p * (marginals[0] + marginals[3]) * (1.0 + 1e-9)",
+        (f"{PROTOCOL}::test_dead_link_rule_matches_dense_outcome_probability_property",),
+    ),
+    Mutant(
+        "dead-link-threshold-1e-3",
+        "protocol.py",
+        "DEAD_LINK_PROBABILITY = 1e-9",
+        "DEAD_LINK_PROBABILITY = 1e-3",
+        (
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[0.3-40-20]",
+            "tests/test_pipeline.py::test_retry_in_single_attempts_replays_one_call",
+        ),
+    ),
+    Mutant(
+        "retry-scale-by-weight",
+        "protocol.py",
+        "scale = [s * g / math.sqrt(weight) for s, g in zip(scale, cells[m])]",
+        "scale = [s * g / weight for s, g in zip(scale, cells[m])]",
+        (
+            "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
+            "tests/test_pipeline.py::test_pipeline_reaches_growth_unit[0.3]",
+        ),
+    ),
+    Mutant(
+        "retry-no-register-update",
+        "protocol.py",
+        "    sv._split_pair(state, a, b)[...] *= np.array(scale).reshape(1, 2, 1, 2, 1)\n",
+        "",
+        (
+            "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
+            "tests/test_acceptance.py::test_criterion_07_pipeline",
+        ),
+    ),
+    Mutant(
+        "fusion-charges-one-application",
+        "growth.py",
+        "        stats.protocol_applications += attempts\n        if not fused:",
+        "        stats.protocol_applications += 1\n        if not fused:",
+        (
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[0.3-40-20]",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[2.5-4-300]",
+        ),
+    ),
+    Mutant(
+        "no-attempt-cap-check",
+        "growth.py",
+        "if drawn > ATTEMPT_CAP:",
+        "if False:",
+        (f"{GROWTH}::TestGrow1D::test_attempt_cap[1d]", f"{GROWTH}::TestGrow1D::test_attempt_cap[2d]"),
+    ),
+    Mutant(
+        "block-not-clamped-to-cap",
+        "growth.py",
+        "    block = max(1, min(block, ATTEMPT_CAP))\n",
+        "",
+        (
+            f"{GROWTH}::TestGrow1D::test_capped_build_takes_at_most_two_caps[1d]",
+            f"{GROWTH}::TestGrow1D::test_capped_build_takes_at_most_two_caps[2d-block-above-cap]",
+        ),
+    ),
+    Mutant(
+        "hand-over-drops-parity",
+        "growth.py",
+        "        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))\n",
+        "        self.z_parity.pop(dangler, 0)\n",
+        (f"{GROWTH}::TestRewriteConsistency::test_primitives_match_statevector_property",),
+    ),
+    Mutant(
+        "cached-target-writable",
+        "growth.py",
+        "    target.amps.flags.writeable = False\n",
+        "",
+        ("tests/test_pipeline.py::test_three_node_target_is_shared_and_read_only",),
+    ),
+    Mutant(
+        "json-without-final-newline",
+        "cli.py",
+        '    yield "\\n"\n',
+        "",
+        (
+            "tests/test_cli.py::TestFormatsAndCodes::test_json_is_the_indented_dump[args0]",
+            "tests/test_cli.py::TestFormatsAndCodes::test_empty_rows",
+        ),
+    ),
+    Mutant(
         "sequences-oracle-against-itself",
         "cli.py",
         "if not np.array_equal(oracle, rules):",

@@ -1,9 +1,10 @@
 """Reference routes that only the tests call.
 
-The program never runs these: the four probe inputs, the heralded pair for
-any input and the per-sequence loop that the one-chain vectorized oracle is
-checked against, the dense sigma_x run kernel, the dense protocol attempt
-and the dense held-pair table that the table is checked against, the
+The program never runs these: outcome probabilities read without
+collapsing, the four probe inputs, the heralded pair for any input and the
+per-sequence loop that the one-chain vectorized oracle is checked against,
+the dense sigma_x run kernel, the dense protocol attempt and the dense
+held-pair table that the table is checked against, the
 Monte-Carlo fail-and-retry route on a held pair, Monte-Carlo cross-checks
 of the closed-form cost model, 1D growth with one draw per attach, target
 states of the pipeline's intermediate and reduced stages, the net-growth
@@ -40,6 +41,18 @@ def probability_of_bit(state: PureState, qubit: int, bit: int) -> float:
     """Z-basis probability of reading ``bit`` on ``qubit``."""
     sl = sv._split(state, qubit)[:, bit].reshape(-1)
     return float(np.vdot(sl, sl).real)
+
+
+def measurement_probabilities(state: PureState, qubit: int, basis: str = "z", xi: float = 0.0):
+    """Outcome probabilities ``(p0, p1)`` of measuring ``qubit``, without
+    collapsing: the norms^2 of the state's projections on the basis states,
+    ``|0>, |1>`` or ``(|0> +/- exp(-i xi)|1>)/sqrt(2)``."""
+    if basis == "z":
+        bras = np.eye(2)
+    else:
+        bras = np.array([[1.0, np.exp(1j * xi)], [1.0, -np.exp(1j * xi)]]) / math.sqrt(2.0)
+    halves = np.einsum("mk,ikj->mij", bras, sv._split(state, qubit)).reshape(2, -1)
+    return tuple(float(np.vdot(h, h).real) for h in halves)
 
 
 def phase_from_interaction(g: float, t: float, hbar: float) -> float:
@@ -166,16 +179,22 @@ def embed_plus_middles(state: PureState, a: int, n_middles: int) -> PureState:
     return PureState(state.num_qubits + n_middles, amps)
 
 
-def dense_retry(state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None):
-    """``pr.held_pair_attempt`` built densely: n fresh ``|+>`` middles after
-    qubit ``a``, the chain entangler along a, the middles and ``b``, then
-    ``measure_x_run`` on the middles.  Returns the bits, the path probability
-    and the kept register, its qubits in their original order."""
+def dense_chain(state: PureState, a: int, b: int, n: int, theta: float) -> PureState:
+    """n fresh ``|+>`` middles after qubit ``a``, entangled along a, the
+    middles and ``b`` (now qubit ``b + n``): the dense protocol chain between
+    two held qubits, before its middles are measured."""
     chain = embed_plus_middles(state, a, n)
     for q in range(a, a + n):
         apply_controlled_phase(chain, q, q + 1, math.pi + theta)
     apply_controlled_phase(chain, a + n, b + n, math.pi + theta)
-    return measure_x_run(chain, a + 1, n, outcomes, rng)
+    return chain
+
+
+def dense_retry(state: PureState, a: int, b: int, n: int, theta: float, outcomes=None, rng=None):
+    """``pr.held_pair_attempt`` built densely: ``measure_x_run`` on the
+    middles of ``dense_chain``.  Returns the bits, the path probability and
+    the kept register, its qubits in their original order."""
+    return measure_x_run(dense_chain(state, a, b, n, theta), a + 1, n, outcomes, rng)
 
 
 def dense_held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:

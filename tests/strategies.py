@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the property tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clusterforge import growth as gr
 from clusterforge import statevector as sv
 
 # the protocol's error angle: success is likeliest at 0 and impossible at pi
@@ -35,3 +37,24 @@ def normalized_ends(draw):
 def normalized_states(draw, min_qubits=1):
     """A random state of ``min_qubits`` to 8 qubits, normalized."""
     return _normalized(draw, draw(st.integers(min_qubits, 8)))
+
+
+@st.composite
+def graphs(draw, max_nodes=10):
+    """A random ``ClusterGraph`` on nodes 0 .. k-1, 2 <= k <= ``max_nodes``:
+    a forest, each node joined to an earlier one or starting a tree, plus
+    up to three extra edges, which may close cycles; and a pending Z
+    (``z_parity``) on any set of nodes."""
+    size = draw(st.integers(2, max_nodes))
+    graph = gr.ClusterGraph()
+    for node in range(size):
+        graph.new_node()
+        parent = draw(st.integers(-1, node - 1))
+        if parent >= 0:
+            graph.add_edge(parent, node)
+    pairs = list(itertools.combinations(range(size), 2))
+    for a, b in draw(st.sets(st.sampled_from(pairs), max_size=3)):
+        graph.add_edge(a, b)
+    for node in draw(st.sets(st.integers(0, size - 1))):
+        graph.flip_parity(node)
+    return graph

@@ -1,5 +1,7 @@
 """Graph rewrites, their statevector counterparts, growth and cost model."""
 
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +24,7 @@ from reference import (
     mc_three_node_protocols,
     net_growth_condition,
 )
-from strategies import outcome_lists
+from strategies import graphs, outcome_lists
 from test_pipeline import selective_layout
 
 P3 = pr.success_probability_closed(3, 0.3)
@@ -420,6 +422,64 @@ class TestRewriteConsistency:
         assert sv.fidelity_up_to_global_phase(got, target) > 1 - 1e-9
         assert set(graph.z_parity) <= set(live)
 
+    @settings(max_examples=40)
+    @given(graph=graphs(), data=st.data())
+    def test_primitives_match_statevector_property(self, graph, data):
+        """``measure_out``, ``hand_over`` and ``y_join`` on a random graph with
+        random pending Zs, each where it applies, against its physical
+        operation on the graph state: a Z measurement; the even-parity
+        projection of dangler and inheritor, then a Hadamard on the dangler
+        (valid when they share no edge and no neighbor); a Y measurement and
+        S^dagger on both neighbors (valid when those are not adjacent).  With
+        the recorded ``z_parity`` applied as Z corrections, the live qubits
+        hold the graph state of the rewritten graph."""
+        size = len(graph.nodes)
+        start = gr.graph_state_target(size, [tuple(e) for e in graph.edges()])
+        for node, bit in graph.z_parity.items():
+            if bit:
+                sv.apply_gate(start, node, "Z")
+        handovers = [
+            (d, i) for d, i in itertools.permutations(range(size), 2)
+            if i not in graph.neighbors(d) and not graph.neighbors(d) & graph.neighbors(i)
+        ]
+        joins = []
+        for v in range(size):
+            if graph.degree(v) == 2:
+                a, b = graph.neighbors(v)
+                if b not in graph.neighbors(a):
+                    joins.append(v)
+        for rewrite in ["measure_out"] + ["hand_over"] * bool(handovers) + ["y_join"] * bool(joins):
+            rewritten, state = copy.deepcopy(graph), start.copy()
+            outcome = data.draw(st.integers(0, 1))
+            if rewrite == "measure_out":
+                node = data.draw(st.integers(0, size - 1))
+                sv.measure(state, node, outcome=outcome)
+                rewritten.measure_out(node, outcome)
+            elif rewrite == "hand_over":
+                dangler, inheritor = data.draw(st.sampled_from(handovers))
+                view = state.amps.reshape([2] * size)
+                for bits in ((0, 1), (1, 0)):
+                    index = [slice(None)] * size
+                    index[dangler], index[inheritor] = bits
+                    view[tuple(index)] = 0.0
+                state.amps /= math.sqrt(state.norm_squared())
+                sv.apply_gate(state, dangler, "H")
+                rewritten.hand_over(dangler, inheritor)
+            else:
+                node = data.draw(st.sampled_from(joins))
+                sv.measure(state, node, basis="xi", xi=-math.pi / 2, outcome=outcome)
+                for q in graph.neighbors(node):
+                    sv.apply_gate(state, q, "RZ", -math.pi / 2)
+                gr.y_join(rewritten, node, outcome=outcome)
+            for node, bit in rewritten.z_parity.items():
+                if bit:
+                    sv.apply_gate(state, node, "Z")
+            live = sorted(rewritten.nodes)
+            got = sv.extract_qubits(state, live)
+            edges = [(live.index(a), live.index(b)) for a, b in map(tuple, rewritten.edges())]
+            target = gr.graph_state_target(len(live), edges)
+            assert sv.fidelity_up_to_global_phase(got, target) > 1 - 1e-9
+
 
 class TestRandomizedFuseConsistency:
     @pytest.mark.parametrize("trial", range(8))
@@ -553,20 +613,53 @@ class TestGrow1D:
             build(np.random.default_rng(1))
 
     @pytest.mark.parametrize(
-        "build, block",
+        "build, cap",
         [
-            pytest.param(lambda rng: gr.grow_1d(200, 0.6, 3, rng), 400, id="1d"),
-            pytest.param(lambda rng: gr.grow_2d(2, 0.6, 3, rng), 128, id="2d"),
+            pytest.param(lambda rng: gr.grow_1d(200, 0.6, 3, rng), 100, id="1d"),
+            pytest.param(lambda rng: gr.grow_2d(2, 0.6, 3, rng), 12, id="2d"),
         ],
     )
-    def test_attempt_cap_is_checked_per_block(self, monkeypatch, build, block):
-        """The cap is read only where a block is drawn: a run that ends
-        inside its first block of outcomes is the uncapped run."""
+    def test_attempt_cap_is_checked_per_block(self, monkeypatch, build, cap):
+        """The cap is read only where a block is drawn: a run past the cap
+        that ends inside its second block of outcomes is the uncapped run."""
         _, uncapped = build(np.random.default_rng(2))
-        assert 0 < uncapped.growth_attempts <= block
-        monkeypatch.setattr(gr, "ATTEMPT_CAP", 0)
+        assert cap < uncapped.growth_attempts <= 2 * cap
+        monkeypatch.setattr(gr, "ATTEMPT_CAP", cap)
         _, capped = build(np.random.default_rng(2))
         assert capped == uncapped
+
+    @pytest.mark.parametrize(
+        "build, cap",
+        [
+            pytest.param(lambda rng: gr.grow_1d(1000, 0.21, 3, rng), 100, id="1d"),
+            pytest.param(lambda rng: gr.grow_2d(3, 0.21, 3, rng), 500, id="2d-block-below-cap"),
+            pytest.param(lambda rng: gr.grow_2d(4, 0.21, 3, rng), 200, id="2d-block-above-cap"),
+        ],
+    )
+    def test_capped_build_takes_at_most_two_caps(self, monkeypatch, build, cap):
+        """A build's blocks hold at most ``ATTEMPT_CAP`` outcomes, so a build
+        that never completes stops after more than the cap and at most twice
+        it, whether its size asks for a smaller block (2D N = 3: 288) or a
+        larger one (1D: 2000 and 2D N = 4: 512, both over twice the cap)."""
+        taken = 0
+        fusion_outcomes = gr._fusion_outcomes
+
+        def counted(rng, p, block):
+            outcomes, rewind = fusion_outcomes(rng, p, block)
+
+            def count():
+                nonlocal taken
+                for outcome in outcomes:
+                    taken += 1
+                    yield outcome
+
+            return count(), rewind
+
+        monkeypatch.setattr(gr, "_fusion_outcomes", counted)
+        monkeypatch.setattr(gr, "ATTEMPT_CAP", cap)
+        with pytest.raises(gr.RetryLimitError, match=r"^growth attempt cap exhausted$"):
+            build(np.random.default_rng(1))
+        assert cap < taken <= 2 * cap
 
     def test_length_decreases_only_after_two_consecutive_failures(self):
         rng = np.random.default_rng(77)

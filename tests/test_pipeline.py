@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
-from reference import draw_x_run, linear_cluster_target, thirteen_qubit_target, x_weights
+from reference import (
+    draw_x_run,
+    linear_cluster_target,
+    probability_of_bit,
+    thirteen_qubit_target,
+    x_weights,
+)
 from strategies import normalized_ends, thetas
 
 
@@ -102,7 +108,7 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
                     # isolated chain: collapse the ends onto an outcome they can
                     # take, which draws nothing, and rebuild the chain fresh
                     for q in (chain[0], chain[-1]):
-                        p0, _ = sv.measurement_probabilities(state, q)
+                        p0 = probability_of_bit(state, q, 0)
                         _, state = sv.measure(state, q, basis="z", outcome=int(p0 <= sv.PROB_TOL))
                     sv.reset_qubits(state, {q: "+" for q in chain})
         if pending:

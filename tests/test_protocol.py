@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     PROBE_INPUTS,
+    dense_chain,
     dense_held_pair_maps,
     dense_retry,
     heralded_pair,
     loop_oracle,
+    measurement_probabilities,
 )
 from strategies import normalized_states, thetas
 
@@ -359,6 +361,26 @@ def test_held_pair_attempt_matches_dense_route_property(state, n, theta, data):
     assert format(drawn, f"0{n}b") == expected_seq
     assert rng.bit_generator.state == dense_rng.bit_generator.state
     np.testing.assert_allclose(got.amps, kept.amps, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40)
+@given(state=normalized_states(min_qubits=2), theta=thetas, data=st.data())
+def test_dead_link_rule_matches_dense_outcome_probability_property(state, theta, data):
+    """The rule both retry loops give a link up by, 2p (P00 + P11) on held
+    qubits a < b of a random register, is the outcome-1 probability of the
+    dense n = 1 chain with a |+> middle between them, the one outcome that
+    heralds.  At theta = 0 a failed attempt leaves it exactly 0."""
+    a = data.draw(st.integers(0, state.num_qubits - 2))
+    b = data.draw(st.integers(a + 1, state.num_qubits - 1))
+    marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
+    rule = pr.held_pair_success_probability(marginals, pr.success_probability_closed(1, theta))
+    _, p1 = measurement_probabilities(dense_chain(state, a, b, 1, theta), a + 1, "xi")
+    assert rule == pytest.approx(p1, rel=0, abs=1e-12)
+
+    if marginals[1] + marginals[2] > 1e-6:  # the failure m = 0 is possible at theta = 0
+        pr.held_pair_attempt(state, a, b, 1, 0.0, outcomes=[0])
+        marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
+        assert pr.held_pair_success_probability(marginals, 0.5) == 0.0
 
 
 class TestConcatenationDerivations:

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import DegenerateInputError, dense_retry, retry_protocol
+from strategies import thetas
 
 PSI = (0.6, 0.8j)
 
@@ -243,6 +246,14 @@ class TestRetryProbabilities:
         p = pr.success_probability_closed(n, theta)
         probs, _ = pr.retry_probabilities(n, theta, 60)
         expect = [p * (1 - 2 * p) ** k for k in range(61)]
+        np.testing.assert_allclose(probs, expect, rtol=1e-9, atol=1e-30)
+
+    @settings(max_examples=40)
+    @given(n=st.sampled_from([1, 3, 5, 7]), theta=thetas, max_failures=st.integers(0, 40))
+    def test_matches_closed_form_property(self, n, theta, max_failures):
+        p = pr.success_probability_closed(n, theta)
+        probs, _ = pr.retry_probabilities(n, theta, max_failures)
+        expect = [p * (1 - 2 * p) ** k for k in range(max_failures + 1)]
         np.testing.assert_allclose(probs, expect, rtol=1e-9, atol=1e-30)
 
     @pytest.mark.parametrize("theta", [0.0, 0.6, 1.0, 2.5])
