@@ -155,8 +155,9 @@ class ClusterGraph:
         """
         for nb in self._adj[dangler]:
             self._adj[nb].discard(dangler)
-            if nb != inheritor:
-                self.add_edge(inheritor, nb)
+            if nb != inheritor:  # the even-parity projection toggles a shared edge
+                self._adj[inheritor] ^= {nb}
+                self._adj[nb] ^= {inheritor}
         self._adj[dangler] = set()
         self.add_edge(inheritor, dangler)
         self.leaf_flags.add(dangler)
@@ -649,6 +650,24 @@ def three_node_target() -> PureState:
     return target
 
 
+@functools.lru_cache(maxsize=2)  # as pr.held_pair_maps: a run reads one theta
+def _chain_tables(theta: float) -> tuple:
+    """Stages 1 and 2 of :func:`run_thirteen_qubit_pipeline` at ``theta``: a
+    fresh chain's outcome weights, the ``sv.walk_outcome`` memo of their
+    conditionals, and per outcome m the read-only cluster pair it leaves, or
+    None where m fails."""
+    maps = pr.held_pair_maps(3, theta)[0]
+    fresh = tuple(pr.branch_probabilities(3, theta).tolist())
+    pairs = [None] * len(fresh)
+    for m in np.flatnonzero(pr.success_mask(3)).tolist():
+        pair = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
+        if m.bit_count() & 1:
+            apply_gate(pair, 1, "Z")
+        pairs[m] = apply_gate(pair, 1, "H").amps
+        pairs[m].flags.writeable = False
+    return fresh, {}, tuple(pairs)
+
+
 def run_thirteen_qubit_pipeline(
     theta: float,
     rng: np.random.Generator,
@@ -660,12 +679,12 @@ def run_thirteen_qubit_pipeline(
     guard qubits, reconnected tip-to-tail through re-initialized middles, and
     fused into the four-qubit growth unit (hub qubit 4, leaf qubit 8).  Chain
     failures rebuild that chain from scratch; fusion failures retry with
-    fresh middles while the exact retry success probability stays above 1e-9
-    and restart the whole register otherwise.  Each simultaneous protocol
-    round costs five time steps.  Returns ``(ends, stats)``: ``ends`` is the
-    4-qubit state of register qubits (0, 4, 8, 12) with all local
-    corrections applied, hub 4 at position 1 and leaf 8, still attached, at
-    position 2; ``stats`` are the run statistics.
+    fresh middles while the exact retry success probability stays at least
+    ``pr.DEAD_LINK_PROBABILITY`` and restart the whole register otherwise.
+    Each simultaneous protocol round costs five time steps.  Returns
+    ``(ends, stats)``: ``ends`` is the 4-qubit state of register qubits (0,
+    4, 8, 12) with all local corrections applied, hub 4 at position 1 and
+    leaf 8, still attached, at position 2; ``stats`` are the run statistics.
 
     Each stage runs on the qubits live in it: stage 1 on the 5-qubit chains
     0-4 and 8-12, stage 3 on the ends (0, 4, 8, 12) alone.  This is exact
@@ -681,20 +700,22 @@ def run_thirteen_qubit_pipeline(
 
     Both stages draw from one per-theta table, ``pr.held_pair_maps(3,
     theta)``, with the draws of measuring the middles one at a time
-    (``sv.draw_outcome``: one ``rng.random()`` per outcome bit, left to
+    (``sv.draw_outcome``'s rule: one uniform per outcome bit, left to
     right).  On a graph state, X-measured middles leave the chain ends with a
     diagonal map per outcome (Hein, Eisert & Briegel, quant-ph/0307130); the
     table holds those maps and their ``|.|^2``.
 
-    * Stage 1: every attempt starts from the same state, ``|+>^5`` entangled
-      at the same theta, since a failed chain keeps nothing (its ends are
-      measured out and it is rebuilt fresh).  That is the held pair
+    * Stages 1-2: every attempt starts from the same state, ``|+>^5``
+      entangled at the same theta, since a failed chain keeps nothing (its
+      ends are measured out and it is rebuilt fresh).  That is the held pair
       ``|+>|+>`` with fresh middles, so the outcome weights are the table's
       ``|.|^2`` rows summed over the pair's four marginals of 1/4
-      (``pr.branch_probabilities``, indexed by m), computed once per run, and
-      a success keeps its map times the pair's amplitude 1/2, rescaled by its
-      weight.  An attempt is three draws, in the same chain-by-chain order;
-      nothing reads a failed chain's end bits, so they are never drawn.
+      (``pr.branch_probabilities``, indexed by m), and a success keeps its
+      map times the pair's amplitude 1/2, rescaled by its weight, which
+      stage 2 turns into a cluster pair (Z on qubit 1 at odd parity, then
+      H).  ``_chain_tables`` holds both per theta.  An attempt is three
+      draws, in the same chain-by-chain order; nothing reads a failed
+      chain's end bits, so they are never drawn.
     * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` on the
       tip-tail pair (tip 4, tail 8) of the ends, which touches them once.
 
@@ -703,9 +724,7 @@ def run_thirteen_qubit_pipeline(
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    success = pr.success_mask(3).tolist()
-    maps = pr.held_pair_maps(3, theta)[0]
-    fresh = pr.branch_probabilities(3, theta).tolist()  # stage 1's outcome weights
+    fresh, p1s, cluster_pairs = _chain_tables(theta)
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
@@ -714,26 +733,17 @@ def run_thirteen_qubit_pipeline(
         stats.protocol_applications += attempts
 
     while True:
-        # stage 1: distill chains A and B into Bell-form end pairs, simultaneously
-        pending = [0, 1]
-        pairs, parities = {}, {}
+        # stages 1-2: distill chains A and B, simultaneously, into cluster pairs
+        pending, pairs = [0, 1], [None, None]
         while pending:
             protocol_round(len(pending))
             for key in list(pending):
-                m, _ = sv.draw_outcome(fresh, rng=rng)
-                if success[m]:
-                    parities[key] = m.bit_count() & 1
-                    pairs[key] = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
+                pairs[key] = cluster_pairs[sv.walk_outcome(fresh, 3, None, rng, p1s)[0]]
+                if pairs[key] is not None:
                     pending.remove(key)
 
-        # stage 2: Bell pairs -> two-qubit cluster states (corrections on tips 4, 12)
-        for key, pair in pairs.items():
-            if parities[key]:
-                apply_gate(pair, 1, "Z")
-            apply_gate(pair, 1, "H")
-
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
-        ends = PureState(4, np.multiply.outer(pairs[0].amps, pairs[1].amps))
+        ends = PureState(4, np.multiply.outer(pairs[0], pairs[1]))
         limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
         attempts, fusion_parity, fused = pr.held_pair_retry(ends, 1, 2, 3, theta, rng, limit)
         stats.time_steps += STEPS_PROTOCOL_ROUND * attempts

@@ -395,15 +395,18 @@ def held_pair_retry(
     cells, rows = (table.tolist() for table in held_pair_maps(n, theta))
     success, p = success_mask(n).tolist(), success_probability_closed(n, theta)
     marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
-    scale, parity = [1.0] * 4, 0
+    s00, s01, s10, s11, parity = 1.0, 1.0, 1.0, 1.0, 0
     for attempts in range(1, limit + 1):
         m, _, weight = _held_pair_draw(rows, marginals, state.amps.size, None, rng)
         parity ^= m.bit_count() & 1
-        marginals = [w * q / weight for w, q in zip(rows[m], marginals)]
-        scale = [s * g / math.sqrt(weight) for s, g in zip(scale, cells[m])]
+        (w00, w01, w10, w11), (g00, g01, g10, g11) = rows[m], cells[m]
+        p00, p01, p10, p11 = marginals
+        marginals = (w00 * p00 / weight, w01 * p01 / weight, w10 * p10 / weight, w11 * p11 / weight)
+        root = math.sqrt(weight)
+        s00, s01, s10, s11 = s00 * g00 / root, s01 * g01 / root, s10 * g10 / root, s11 * g11 / root
         if success[m] or held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
             break
-    sv._split_pair(state, a, b)[...] *= np.array(scale).reshape(1, 2, 1, 2, 1)
+    sv._split_pair(state, a, b)[...] *= np.array([s00, s01, s10, s11]).reshape(1, 2, 1, 2, 1)
     return attempts, parity, success[m]
 
 

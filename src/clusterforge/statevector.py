@@ -30,8 +30,8 @@ every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
 protocol's oracle reads it, on the one |+> chain.  Every outcome is
 drawn by :func:`draw_outcome`, on any list of joint outcome weights: it
 draws the outcome bits left to right against the conditional p0 of each
-prefix (one ``rng.random()`` each), so the protocol runs draw what a
-per-qubit :func:`measure` loop would, and :func:`measure` is
+prefix (one uniform each, all taken in one call), so the protocol runs draw
+what a per-qubit :func:`measure` loop would, and :func:`measure` is
 :func:`draw_outcome` on its two weights.
 The dense sigma_x run kernel and the dense chain that the tests check the
 held-pair table against live in the tests.  One thread touches a state;
@@ -279,30 +279,40 @@ def draw_outcome(
     """Draw one of ``2^count`` joint outcomes bit by bit from their weights.
 
     ``weights[m]`` is the weight of outcome sequence m, its first bit the most
-    significant.  The bits are drawn left to right, one ``rng.random()`` each,
-    against the conditional p0 of the prefix drawn so far, by the rule
-    ``bit = int(u >= p0)``; ``outcomes`` forces them
-    instead (a bit string or a sequence of bits).  A bit of probability at
-    most ``PROB_TOL`` raises :class:`ForcedOutcomeError`.  The caller checks
-    the weights' norm.  Returns the outcome index m and the path probability
-    (the product of the conditional probabilities).
+    significant.  All ``count`` uniforms are drawn up front, by one
+    ``rng.random(count)`` call (the doubles and generator state of ``count``
+    ``rng.random()`` calls); the bits are then read left to right against
+    the conditional p0 of the prefix drawn so far, by the rule
+    ``bit = int(u >= p0)``; ``outcomes`` forces them instead (a bit string
+    or a sequence of bits).  A bit of probability at most ``PROB_TOL``
+    raises :class:`ForcedOutcomeError`; drawn, an event of at most about
+    1e-12 probability, it leaves the generator advanced by ``count``.  The
+    caller checks the weights' norm.  Returns the outcome index m and the
+    path probability (the product of the conditional probabilities).
     """
-    width = len(weights)
-    count = width.bit_length() - 1
+    count = len(weights).bit_length() - 1
     if outcomes is not None:
         outcomes = [int(b) for b in outcomes]
         if len(outcomes) != count or set(outcomes) - {0, 1}:
             raise ValueError(f"forced outcomes must be {count} bits")
     elif rng is None:
         raise ValueError("drawing outcomes needs either forced outcomes or an rng")
-    lo, hi = 0, width
-    path = 1.0
-    for i in range(count):
+    return walk_outcome(weights, count, outcomes, rng, {})
+
+
+def walk_outcome(weights: list, count: int, outcomes, rng, p1s: dict) -> tuple[int, float]:
+    """:func:`draw_outcome`'s walk.  ``p1s`` keeps each prefix's conditional
+    p1, keyed by the midpoint that splits its outcomes, which no other
+    prefix shares: empty, or filled by earlier draws on the same weights."""
+    lo, hi, path = 0, 1 << count, 1.0
+    for i, u in enumerate(rng.random(count).tolist() if outcomes is None else outcomes):
         mid = (lo + hi) >> 1
-        w1 = sum(weights[mid:hi])
-        p1 = w1 / (sum(weights[lo:mid]) + w1)
+        p1 = p1s.get(mid)
+        if p1 is None:
+            w1 = sum(weights[mid:hi])
+            p1 = p1s[mid] = w1 / (sum(weights[lo:mid]) + w1)
         p0 = 1.0 - p1
-        bit = rng.random() >= p0 if outcomes is None else outcomes[i]
+        bit = u >= p0 if outcomes is None else u
         if bit:
             lo, prob = mid, p1
         else:

@@ -86,6 +86,26 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "draw-rule-strict-comparison",
+        "statevector.py",
+        "bit = u >= p0 if outcomes is None else u",
+        "bit = u > p0 if outcomes is None else u",
+        (
+            f"{SV}::TestDrawOutcome::test_uniform_equal_to_p0_draws_one[weights0-1]",
+            f"{SV}::TestDrawOutcome::test_uniform_zero_draws_a_certain_one",
+        ),
+    ),
+    Mutant(
+        "chain-conditionals-p0-p1-swapped",
+        "statevector.py",
+        "            p1 = p1s[mid] = w1 / (sum(weights[lo:mid]) + w1)\n",
+        "            p1 = w1 / (sum(weights[lo:mid]) + w1)\n            p1s[mid] = 1.0 - p1\n",
+        (
+            "tests/test_pipeline.py::test_chain_table_replays_draw_x_run[1.0]",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
+        ),
+    ),
+    Mutant(
         "trim-extra-wave",
         "growth.py",
         "waves = (row.backbone.index(right) - row.backbone.index(left)) // 2",
@@ -143,8 +163,8 @@ MUTANTS = [
     Mutant(
         "retry-marginals-unnormalized",
         "protocol.py",
-        "marginals = [w * q / weight for w, q in zip(rows[m], marginals)]",
-        "marginals = [w * q for w, q in zip(rows[m], marginals)]",
+        "marginals = (w00 * p00 / weight, w01 * p01 / weight, w10 * p10 / weight, w11 * p11 / weight)",
+        "marginals = (w00 * p00, w01 * p01, w10 * p10, w11 * p11)",
         (
             "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
@@ -180,8 +200,8 @@ MUTANTS = [
     Mutant(
         "retry-scale-by-weight",
         "protocol.py",
-        "scale = [s * g / math.sqrt(weight) for s, g in zip(scale, cells[m])]",
-        "scale = [s * g / weight for s, g in zip(scale, cells[m])]",
+        "root = math.sqrt(weight)",
+        "root = weight",
         (
             "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
             "tests/test_pipeline.py::test_pipeline_reaches_growth_unit[0.3]",
@@ -190,11 +210,21 @@ MUTANTS = [
     Mutant(
         "retry-no-register-update",
         "protocol.py",
-        "    sv._split_pair(state, a, b)[...] *= np.array(scale).reshape(1, 2, 1, 2, 1)\n",
+        "    sv._split_pair(state, a, b)[...] *= np.array([s00, s01, s10, s11]).reshape(1, 2, 1, 2, 1)\n",
         "",
         (
             "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
             "tests/test_acceptance.py::test_criterion_07_pipeline",
+        ),
+    ),
+    Mutant(
+        "cluster-pair-table-drops-parity-z",
+        "growth.py",
+        "        if m.bit_count() & 1:\n            apply_gate(pair, 1, \"Z\")\n",
+        "",
+        (
+            "tests/test_pipeline.py::test_cluster_pair_table_is_the_gate_route[0.3]",
+            "tests/test_pipeline.py::test_pipeline_reaches_growth_unit[0.3]",
         ),
     ),
     Mutant(
@@ -229,6 +259,13 @@ MUTANTS = [
         "growth.py",
         "        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))\n",
         "        self.z_parity.pop(dangler, 0)\n",
+        (f"{GROWTH}::TestRewriteConsistency::test_primitives_match_statevector_property",),
+    ),
+    Mutant(
+        "hand-over-keeps-shared-edge",
+        "growth.py",
+        "                self._adj[inheritor] ^= {nb}\n                self._adj[nb] ^= {inheritor}\n",
+        "                self.add_edge(inheritor, nb)\n",
         (f"{GROWTH}::TestRewriteConsistency::test_primitives_match_statevector_property",),
     ),
     Mutant(

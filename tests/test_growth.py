@@ -429,7 +429,8 @@ class TestRewriteConsistency:
         random pending Zs, each where it applies, against its physical
         operation on the graph state: a Z measurement; the even-parity
         projection of dangler and inheritor, then a Hadamard on the dangler
-        (valid when they share no edge and no neighbor); a Y measurement and
+        (valid when they share no edge; a shared neighbor's edges toggle, and
+        at least one drawn pair shares one when any can); a Y measurement and
         S^dagger on both neighbors (valid when those are not adjacent).  With
         the recorded ``z_parity`` applied as Z corrections, the live qubits
         hold the graph state of the rewritten graph."""
@@ -439,24 +440,26 @@ class TestRewriteConsistency:
             if bit:
                 sv.apply_gate(start, node, "Z")
         handovers = [
-            (d, i) for d, i in itertools.permutations(range(size), 2)
-            if i not in graph.neighbors(d) and not graph.neighbors(d) & graph.neighbors(i)
+            (d, i) for d, i in itertools.permutations(range(size), 2) if i not in graph.neighbors(d)
         ]
+        overlaps = [(d, i) for d, i in handovers if graph.neighbors(d) & graph.neighbors(i)]
         joins = []
         for v in range(size):
             if graph.degree(v) == 2:
                 a, b = graph.neighbors(v)
                 if b not in graph.neighbors(a):
                     joins.append(v)
-        for rewrite in ["measure_out"] + ["hand_over"] * bool(handovers) + ["y_join"] * bool(joins):
+        rewrites = ["measure_out"] + ["hand_over"] * bool(handovers) + ["overlap"] * bool(overlaps)
+        for rewrite in rewrites + ["y_join"] * bool(joins):
             rewritten, state = copy.deepcopy(graph), start.copy()
             outcome = data.draw(st.integers(0, 1))
             if rewrite == "measure_out":
                 node = data.draw(st.integers(0, size - 1))
                 sv.measure(state, node, outcome=outcome)
                 rewritten.measure_out(node, outcome)
-            elif rewrite == "hand_over":
-                dangler, inheritor = data.draw(st.sampled_from(handovers))
+            elif rewrite in ("hand_over", "overlap"):
+                pairs = handovers if rewrite == "hand_over" else overlaps
+                dangler, inheritor = data.draw(st.sampled_from(pairs))
                 view = state.amps.reshape([2] * size)
                 for bits in ((0, 1), (1, 0)):
                     index = [slice(None)] * size

@@ -414,18 +414,23 @@ def test_fusion_attempt_absorbs_norm_drift():
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.8])
 def test_chain_table_replays_draw_x_run(theta):
     """Stage 1's weights and kept pairs from the held-pair table replay
-    ``draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain."""
+    ``draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain, and
+    so does its draw on the cached conditionals."""
     maps, map_weights = pr.held_pair_maps(3, theta)
     fresh = (map_weights.sum(axis=1) / 4.0).tolist()
+    table_fresh, p1s, _ = gr._chain_tables(theta)
+    assert list(table_fresh) == fresh
     chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
     branches = sv.x_branches(chain, 1, 3)
     for seed in range(200):
-        fast_rng, ref_rng = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
+        fast_rng, table_rng, ref_rng = (np.random.default_rng([seed, 9]) for _ in range(3))
         for _ in range(4):
-            m, _ = sv.draw_outcome(fresh, rng=fast_rng)
+            m, path = sv.draw_outcome(fresh, rng=fast_rng)
+            assert sv.walk_outcome(fresh, 3, None, table_rng, p1s) == (m, path)
             seq, _, pair = draw_x_run(branches, rng=ref_rng)
             assert format(m, "03b") == seq
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert table_rng.bit_generator.state == ref_rng.bit_generator.state
             kept = maps[m] * (0.5 / math.sqrt(fresh[m]))
             np.testing.assert_allclose(kept, pair.amps, rtol=0, atol=1e-12)
 
@@ -433,12 +438,37 @@ def test_chain_table_replays_draw_x_run(theta):
 def test_stage_caches_are_bounded_and_read_only():
     for theta in np.linspace(0.0, 3.0, 7):
         maps, map_weights = pr.held_pair_maps(3, theta)
-        info = pr.held_pair_maps.cache_info()
-        assert info.maxsize == 2 and info.currsize <= info.maxsize
+        fresh, p1s, cluster_pairs = gr._chain_tables(theta)
+        for seed in range(50):
+            sv.walk_outcome(fresh, 3, None, np.random.default_rng(seed), p1s)
+        for cached in (pr.held_pair_maps, gr._chain_tables):
+            info = cached.cache_info()
+            assert info.maxsize == 2 and info.currsize <= info.maxsize
+        assert len(p1s) <= 7  # one entry per prefix of a 3-bit walk
         np.testing.assert_allclose(map_weights.sum() / 4.0, 1.0, rtol=0, atol=1e-12)
-        for array in (maps, map_weights):
+        kept = [pair for pair in cluster_pairs if pair is not None]
+        assert len(cluster_pairs) == 8 and len(kept) == np.count_nonzero(pr.success_mask(3))
+        for array in (maps, map_weights, *kept):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5, 3.1])
+def test_cluster_pair_table_is_the_gate_route(theta):
+    """Every success m's stage-2 entry is, byte for byte, its kept pair
+    taken through ``sv.apply_gate``: Z on qubit 1 at odd parity, then H."""
+    maps = pr.held_pair_maps(3, theta)[0]
+    fresh = pr.branch_probabilities(3, theta).tolist()
+    cluster_pairs = gr._chain_tables(theta)[2]
+    for m, success in enumerate(pr.success_mask(3).tolist()):
+        if not success:
+            assert cluster_pairs[m] is None
+            continue
+        pair = sv.PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
+        if m.bit_count() & 1:
+            sv.apply_gate(pair, 1, "Z")
+        sv.apply_gate(pair, 1, "H")
+        assert cluster_pairs[m].tobytes() == pair.amps.tobytes(), m
 
 
 def is_dead(ends, n, theta):
@@ -466,8 +496,9 @@ def run_recorded(route, ends, n, theta, seed, limit):
     real = sv.draw_outcome
 
     def recorded(*args):
-        draws.append(real(*args)[0])
-        return real(*args)
+        result = real(*args)
+        draws.append(result[0])
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "draw_outcome", recorded)

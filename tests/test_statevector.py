@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
+    draw_outcome_per_bit,
     embed_plus_middles,
     is_product_across_cut,
     measure_x_run,
@@ -565,6 +566,57 @@ class TestXRunKernel:
             np.testing.assert_allclose(0.5 * maps, branches, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
             pr.held_pair_maps(3, 1.0)[0][0, 0] = 0.0
+
+
+@st.composite
+def outcome_weights(draw):
+    """2^count non-negative weights, count 1-5, some of them zero, not all."""
+    count = draw(st.integers(1, 5))
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1 << count, max_size=1 << count
+    ))
+    return weights if sum(weights) > 0.0 else [*weights[:-1], 1.0]
+
+
+class _Uniforms:
+    """A generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestDrawOutcome:
+    """``sv.draw_outcome``, which takes its uniforms in one call, against the
+    per-bit loop of scalar draws."""
+
+    @settings(max_examples=200)
+    @given(weights=outcome_weights(), seed=st.integers(0, 2**64 - 1))
+    def test_matches_per_bit_loop_property(self, weights, seed):
+        """The same m and path probability, bit for bit, and the same final
+        generator state."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = draw_outcome_per_bit(weights, rng=ref_rng)
+        except sv.ForcedOutcomeError:  # the loop stops drawing at the bit
+            with pytest.raises(sv.ForcedOutcomeError):
+                sv.draw_outcome(weights, rng=rng)
+            return
+        assert sv.draw_outcome(weights, rng=rng) == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("weights, m", [([1.0, 1.0], 1), ([1.0, 3.0, 2.0, 2.0], 3)])
+    def test_uniform_equal_to_p0_draws_one(self, weights, m):
+        """The rule is ``bit = int(u >= p0)``: p0 is 1/2 at every prefix
+        here, and a uniform of exactly 1/2 takes every bit 1."""
+        assert sv.draw_outcome(weights, rng=_Uniforms(0.5))[0] == m
+        assert draw_outcome_per_bit(weights, rng=_Uniforms(0.5))[0] == m
+
+    def test_uniform_zero_draws_a_certain_one(self):
+        """At p0 = 0 even a uniform of exactly 0.0 draws the certain bit 1."""
+        assert sv.draw_outcome([0.0, 1.0], rng=_Uniforms(0.0)) == (1, 1.0)
 
 
 class TestComparisons:
