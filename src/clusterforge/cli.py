@@ -2,10 +2,15 @@
 
 argparse is the only argument path: each subcommand takes just the flags it
 reads or echoes into its ``n``, ``theta``, ``seed`` and ``trials`` columns,
-and ``main`` hands the parsed namespace to the command.  ``pipeline13`` has
-no ``--n`` (its chains have three middles), ``protocol-stats`` reads
-``--theta`` as a comma-separated grid, and ``verify`` takes only ``--seed``,
-``--out`` and ``--corrupt-gate``.
+and ``main`` hands the parsed namespace to the command.  When the first
+argument names a command, ``main`` gives the rest straight to that command's
+parser, so each argument is parsed once, and an argument the command does not
+take is reported by it (``clusterforge pipeline13: error: unrecognized
+arguments: ...``); the top-level parser reads only a missing or unknown
+command and a top-level ``-h``.  ``pipeline13`` has no ``--n`` (its chains
+have three middles), ``protocol-stats`` reads ``--theta`` as a
+comma-separated grid, and ``verify`` takes only ``--seed``, ``--out`` and
+``--corrupt-gate``.
 
 All randomness flows from one ``--seed`` flag; per-trial generators are
 seeded with ``[seed, stream, index]`` entropy tuples, so identical configs
@@ -15,7 +20,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a flag
 argparse rejects, a ``ValueError`` from the library, such as an even n, or
 an ``--out`` path that cannot be opened).
 CSV output is comma-separated with a header row, LF line endings, and floats
-printed at 12 significant digits.  The argument parser is built once per
+printed at 12 significant digits.  Commands hand the writer columns: a list
+of per-row values, or a constant (provenance and per-run values), which is
+formatted once.  The argument parser is built once per
 process, on the first ``main`` call, and reused by every later call.
 """
 
@@ -57,17 +64,18 @@ def _json_pieces(rows: list[dict]) -> Iterator[str]:
     yield "\n"
 
 
-def _emit(rows: list[dict], args: argparse.Namespace) -> Iterable[str]:
-    """Render rows (list of ordered dicts) as CSV text, or as JSON text in pieces."""
+def _emit(columns: dict, args: argparse.Namespace) -> Iterable[str]:
+    """Render columns as CSV text, or as JSON text in pieces.  A list column
+    holds one value per row; any other value is a constant, in every row, and
+    columns without a list are one row."""
+    count = next((len(v) for v in columns.values() if isinstance(v, list)), 1)
     if args.fmt == "json":
-        return _json_pieces(rows)
-    if not rows:
+        values = [v if isinstance(v, list) else itertools.repeat(v, count) for v in columns.values()]
+        return _json_pieces([dict(zip(columns, row)) for row in zip(*values)])
+    if not count:
         return ["\n"]
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
-    return ["\n".join(lines) + "\n"]
+    cells = [list(map(_fmt, v)) if isinstance(v, list) else [_fmt(v)] * count for v in columns.values()]
+    return ["\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"]
 
 
 def _write(pieces: Iterable[str], args: argparse.Namespace):
@@ -95,17 +103,15 @@ def cmd_sequences(args: argparse.Namespace) -> int:
     """Print heralded-success sequences from the oracle and the rule generator."""
     oracle, rules = pr.success_mask(args.n), pr.rule_based_sequences(args.n)
     union = np.flatnonzero(oracle | rules)
-    rows = [
-        {
-            **_provenance(args),
-            "sequence": format(m, f"0{args.n}b"),
-            "hamming_weight": m.bit_count(),
-            "in_oracle": int(o),
-            "in_rules": int(r),
-        }
-        for m, o, r in zip(union.tolist(), oracle[union].tolist(), rules[union].tolist())
-    ]
-    _write(_emit(rows, args), args)
+    spec = f"0{args.n}b"
+    columns = {
+        **_provenance(args),
+        "sequence": [format(m, spec) for m in union.tolist()],
+        "hamming_weight": np.bitwise_count(union).tolist(),
+        "in_oracle": oracle[union].astype(int).tolist(),
+        "in_rules": rules[union].astype(int).tolist(),
+    }
+    _write(_emit(columns, args), args)
     if not np.array_equal(oracle, rules):
         print("MISMATCH: rule-based generator disagrees with the oracle", file=sys.stderr)
         return 1
@@ -115,23 +121,18 @@ def cmd_sequences(args: argparse.Namespace) -> int:
 
 def cmd_protocol_stats(args: argparse.Namespace) -> int:
     """Closed-form vs enumerated success probability over a theta grid."""
-    rows = []
-    worst = 0.0
-    for theta in args.theta:
-        closed = pr.success_probability_closed(args.n, theta)
-        oracle = pr.oracle_success_probability(args.n, theta)
-        asym = pr.success_probability_asymptotic(args.n, theta)
-        worst = max(worst, abs(closed - oracle))
-        rows.append(
-            {
-                **_provenance(args),
-                "theta": theta,
-                "p_closed": closed,
-                "p_oracle": oracle,
-                "p_asymptotic": asym,
-            }
-        )
-    _write(_emit(rows, args), args)
+    thetas = list(args.theta)
+    closed = [pr.success_probability_closed(args.n, theta) for theta in thetas]
+    oracle = [pr.oracle_success_probability(args.n, theta) for theta in thetas]
+    columns = {
+        **_provenance(args),
+        "theta": thetas,
+        "p_closed": closed,
+        "p_oracle": oracle,
+        "p_asymptotic": [pr.success_probability_asymptotic(args.n, theta) for theta in thetas],
+    }
+    _write(_emit(columns, args), args)
+    worst = max(abs(c - o) for c, o in zip(closed, oracle))
     if worst > 1e-10:
         print(f"MISMATCH: closed form vs oracle differ by {worst:.3e}", file=sys.stderr)
         return 1
@@ -141,19 +142,13 @@ def cmd_protocol_stats(args: argparse.Namespace) -> int:
 def cmd_retry(args: argparse.Namespace) -> int:
     """Exact success probabilities after N consecutive failures."""
     probs, total = pr.retry_probabilities(args.n, args.theta, args.max_failures)
-    rows = []
-    running = 0.0
-    for k, prob in enumerate(probs):
-        running += prob
-        rows.append(
-            {
-                **_provenance(args),
-                "failures_before_success": k,
-                "probability": prob,
-                "cumulative": running,
-            }
-        )
-    _write(_emit(rows, args), args)
+    columns = {
+        **_provenance(args),
+        "failures_before_success": list(range(len(probs))),
+        "probability": probs,
+        "cumulative": list(itertools.accumulate(probs)),
+    }
+    _write(_emit(columns, args), args)
     print(f"# cumulative after {args.max_failures} failures: {total:.9f}", file=sys.stderr)
     return 0
 
@@ -196,7 +191,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
             "t1d_per_length_published": _PUBLISHED_T1D,
             "note": "published shorthand differs from the displayed formula; both reported",
         }
-        _write(_emit([row], args), args)
+        _write(_emit(row, args), args)
         return 0
 
     # 2d: a build that cannot complete raises, so every trial completes a grid
@@ -221,31 +216,29 @@ def cmd_grow(args: argparse.Namespace) -> int:
         "t2d_published": _PUBLISHED_T2D,
         "note": "published shorthand differs from the displayed formula; both reported",
     }
-    _write(_emit([row], args), args)
+    _write(_emit(row, args), args)
     return 0
 
 
 def cmd_pipeline13(args: argparse.Namespace) -> int:
     """Run the 13-qubit demonstration pipeline and report fidelities."""
-    rows = []
-    worst = 1.0
+    fids, runs = [], []
     target = gr.three_node_target()
     for i in range(args.trials):
         rng = np.random.default_rng([args.seed, 30, i])
         ends, st = gr.run_thirteen_qubit_pipeline(args.theta, rng, retry_cap=args.retry_cap)
-        fid = sv.fidelity_up_to_global_phase(ends, target)
-        worst = min(worst, fid)
-        rows.append(
-            {
-                **_provenance(args),
-                "trial": i,
-                "fidelity": fid,
-                "protocol_applications": st.protocol_applications,
-                "time_steps": st.time_steps,
-                "restarts": st.restarts,
-            }
-        )
-    _write(_emit(rows, args), args)
+        fids.append(sv.fidelity_up_to_global_phase(ends, target))
+        runs.append(st)
+    columns = {
+        **_provenance(args),
+        "trial": list(range(args.trials)),
+        "fidelity": fids,
+        "protocol_applications": [st.protocol_applications for st in runs],
+        "time_steps": [st.time_steps for st in runs],
+        "restarts": [st.restarts for st in runs],
+    }
+    _write(_emit(columns, args), args)
+    worst = min(1.0, *fids)
     if worst < 1.0 - 1e-9:
         print(f"MISMATCH: worst pipeline fidelity {worst!r}", file=sys.stderr)
         return 1
@@ -422,11 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # negative control: an RZ(1e-3) on every state verify compares by fidelity
     p.add_argument("--corrupt-gate", action="store_true", help=argparse.SUPPRESS)
 
+    parser.commands = sub.choices  # main's table: command name -> its own parser
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in parser.commands:
+        args = parser.commands[argv[0]].parse_args(argv[1:])
+    else:  # a missing or unknown command, or a top-level -h
+        args = parser.parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:

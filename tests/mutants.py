@@ -286,6 +286,36 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "columns-constant-one-row-short",
+        "cli.py",
+        "[_fmt(v)] * count",
+        "[_fmt(v)] * (count - 1)",
+        (
+            "tests/test_cli.py::TestFormatsAndCodes::test_columns_write_the_rows_bytes_property",
+            "tests/test_cli.py::TestSequencesCommand::test_row_counts[5-10]",
+        ),
+    ),
+    Mutant(
+        "columns-list-formatted-by-str",
+        "cli.py",
+        "list(map(_fmt, v))",
+        "list(map(str, v))",
+        (
+            "tests/test_cli.py::TestFormatsAndCodes::test_columns_write_the_rows_bytes_property",
+            "tests/test_golden.py::test_corpus_reproduces",
+        ),
+    ),
+    Mutant(
+        "dispatch-indexes-command-table",
+        "cli.py",
+        "    if argv and argv[0] in parser.commands:\n",
+        "    if argv and not argv[0].startswith(\"-\"):\n",
+        (
+            "tests/test_cli.py::TestDispatch::test_top_level_outcomes[frobnicate]",
+            "tests/test_golden.py::test_corpus_reproduces",
+        ),
+    ),
+    Mutant(
         "sequences-oracle-against-itself",
         "cli.py",
         "if not np.array_equal(oracle, rules):",

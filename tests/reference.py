@@ -9,8 +9,9 @@ held-pair table that the table is checked against, the
 Monte-Carlo fail-and-retry route on a held pair, Monte-Carlo cross-checks
 of the closed-form cost model, 1D growth with one draw per attach, target
 states of the pipeline's intermediate and reduced stages, the net-growth
-threshold, a Schmidt-rank product test and two probes of a graph or a
-state.  Import them as ``from reference import ...``, like the other
+threshold, a Schmidt-rank product test, two probes of a graph or a
+state, and the row-dict writer that the columnar CSV and JSON writer is
+checked against.  Import them as ``from reference import ...``, like the other
 test-side helpers.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+from clusterforge.cli import _fmt, _json_pieces
 from clusterforge.growth import (
     STEPS_PROTOCOL_ROUND,
     ClusterGraph,
@@ -433,3 +435,21 @@ def grow_1d_per_attach(target_length: int, p: float, n: int, rng: np.random.Gene
     stats.physical_qubits_used = row.frontier
     stats.final_length = length
     return graph, stats
+
+
+# ---------------------------------------------------------------------------
+# CLI output, one dict per row
+
+def emit_rows(rows: list, args) -> list:
+    """``cli._emit`` on a list of row dicts, the form every command built
+    before the columnar writer: CSV text with the first row's keys as the
+    header, or the JSON text in pieces."""
+    if args.fmt == "json":
+        return list(_json_pieces(rows))
+    if not rows:
+        return ["\n"]
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[k]) for k in header))
+    return ["\n".join(lines) + "\n"]

@@ -58,3 +58,28 @@ def graphs(draw, max_nodes=10):
     for node in draw(st.sets(st.integers(0, size - 1))):
         graph.flip_parity(node)
     return graph
+
+
+# CSV cells: floats of every magnitude and sign (infinities, nan and -0.0
+# among them), ints and strings
+cells = st.floats() | st.integers() | st.text(max_size=6)
+
+
+@st.composite
+def column_sets(draw):
+    """Columns as ``cli._emit`` takes them, and the row dicts they stand
+    for: one or more columns, each a constant or a list of one value per
+    row, over 0, 1 or many rows.  Without a list column there is one row."""
+    names = draw(st.lists(st.text(max_size=6), min_size=1, max_size=6, unique=True))
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    is_list = draw(st.lists(st.booleans(), min_size=len(names), max_size=len(names)))
+    is_list[0] |= count != 1
+    columns = {
+        name: draw(st.lists(cells, min_size=count, max_size=count)) if listed else draw(cells)
+        for name, listed in zip(names, is_list)
+    }
+    rows = [
+        {name: value[i] if isinstance(value, list) else value for name, value in columns.items()}
+        for i in range(count)
+    ]
+    return columns, rows

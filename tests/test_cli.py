@@ -11,11 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from reference import emit_rows
+from strategies import column_sets
 
 from clusterforge import cli
 from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
+
+TESTS = Path(__file__).resolve().parent
 
 
 def flip_rules_n3(monkeypatch):
@@ -344,8 +349,19 @@ class TestFormatsAndCodes:
 
     def test_empty_rows(self):
         json_args, csv_args = argparse.Namespace(fmt="json"), argparse.Namespace(fmt="csv")
-        assert "".join(cli._emit([], json_args)) == json.dumps([], indent=1) + "\n" == "[]\n"
-        assert "".join(cli._emit([], csv_args)) == "\n"
+        columns = {"n": 3, "sequence": []}  # a constant and a list column of no rows
+        assert "".join(cli._emit(columns, json_args)) == json.dumps([], indent=1) + "\n" == "[]\n"
+        assert "".join(cli._emit(columns, csv_args)) == "\n"
+
+    @settings(max_examples=300)
+    @given(column_sets())
+    def test_columns_write_the_rows_bytes_property(self, columns_and_rows):
+        # the columnar writer prints, in CSV and in JSON, the bytes of the
+        # row-dict writer on the rows the columns stand for
+        columns, rows = columns_and_rows
+        for fmt in ("csv", "json"):
+            args = argparse.Namespace(fmt=fmt)
+            assert "".join(cli._emit(columns, args)) == "".join(emit_rows(rows, args))
 
     def test_csv_uses_lf_and_12_digits(self, tmp_path):
         out_file = tmp_path / "stats.csv"
@@ -474,6 +490,68 @@ class TestParserReuse:
         first = run_cli(["--help"])
         assert first[0] == 0 and "usage: clusterforge" in first[1]
         assert run_cli(["--help"]) == first
+
+
+def _readme_examples() -> list:
+    readme = (TESTS.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("clusterforge ")]
+
+
+def _golden_argvs() -> list:
+    return [entry["argv"] for name in ("golden.json", "golden_full.json")
+            for entry in json.loads((TESTS / name).read_text())["entries"]]
+
+
+def _parse(parse, argv):
+    """The namespace's fields of one parse, or the exit code argparse gave."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestDispatch:
+    """``main`` hands a named command's arguments to that command's parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv in _golden_argvs() + _readme_examples() if argv[0] in cli._build_parser().commands],
+        ids=shlex.join,
+    )
+    def test_command_parser_equals_the_full_parse(self, argv):
+        # the one parse sees every field the two-level parse sets but the
+        # command's name, and rejects what it rejects with the same code
+        parser = cli._build_parser()
+        full = _parse(parser.parse_args, argv)
+        if isinstance(full, dict):
+            assert full.pop("command") == argv[0]
+        assert _parse(parser.commands[argv[0]].parse_args, argv[1:]) == full
+
+    def test_unrecognized_argument_reported_by_the_command(self, capsys):
+        assert run_cli(["pipeline13", "--max-qubits", "13"]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "clusterforge pipeline13: error: unrecognized arguments: --max-qubits 13"
+
+    @pytest.mark.parametrize(
+        "argv, code, parser, err",
+        [
+            (["--help"], 0, None, ""),
+            (["retry", "--help"], 0, "retry", ""),
+            ([], 2, None, "clusterforge: error: the following arguments are required: command"),
+            (["frobnicate"], 2, None, "clusterforge: error: argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["help", "retry-help", "no-arguments", "frobnicate"],
+    )
+    def test_top_level_outcomes(self, argv, code, parser, err, capsys):
+        # help goes to stdout from the parser that owns it; a missing or
+        # unknown command is the top-level parser's error, with exit 2
+        top = cli._build_parser()
+        helped = top.commands[parser] if parser else top
+        assert run_cli(argv) == (code, helped.format_help() if code == 0 else "")
+        error = capsys.readouterr().err
+        assert error.splitlines()[-1].startswith(err) if err else error == ""
 
 
 def test_readme_cli_examples_parse():
