@@ -652,20 +652,27 @@ def three_node_target() -> PureState:
 
 @functools.lru_cache(maxsize=2)  # as pr.held_pair_maps: a run reads one theta
 def _chain_tables(theta: float) -> tuple:
-    """Stages 1 and 2 of :func:`run_thirteen_qubit_pipeline` at ``theta``: a
-    fresh chain's outcome weights, the ``sv.walk_outcome`` memo of their
-    conditionals, and per outcome m the read-only cluster pair it leaves, or
-    None where m fails."""
+    """Stages 1-3 of :func:`run_thirteen_qubit_pipeline` at ``theta``: a fresh
+    chain's outcome weights, the ``sv.walk_outcome`` memo of their
+    conditionals, per outcome m the read-only cluster pair it leaves, or None
+    where m fails, and per pair of success outcomes (chain A's, chain B's)
+    the Born marginals of the fusion's tip-tail pair in their product, read
+    by ``sv.pair_marginals`` on the four ends so that they round as it does."""
     maps = pr.held_pair_maps(3, theta)[0]
     fresh = tuple(pr.branch_probabilities(3, theta).tolist())
     pairs = [None] * len(fresh)
-    for m in np.flatnonzero(pr.success_mask(3)).tolist():
+    successes = np.flatnonzero(pr.success_mask(3)).tolist()
+    for m in successes:
         pair = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
         if m.bit_count() & 1:
             apply_gate(pair, 1, "Z")
         pairs[m] = apply_gate(pair, 1, "H").amps
         pairs[m].flags.writeable = False
-    return fresh, {}, tuple(pairs)
+    fusion_marginals = {}
+    for a, b in itertools.product(successes, repeat=2):
+        ends = PureState(4, np.multiply.outer(pairs[a], pairs[b]))
+        fusion_marginals[a, b] = tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
+    return fresh, {}, tuple(pairs), fusion_marginals
 
 
 def run_thirteen_qubit_pipeline(
@@ -717,14 +724,17 @@ def run_thirteen_qubit_pipeline(
       draws, in the same chain-by-chain order; nothing reads a failed
       chain's end bits, so they are never drawn.
     * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` on the
-      tip-tail pair (tip 4, tail 8) of the ends, which touches them once.
+      four Born marginals of the tip-tail pair (tip 4, tail 8), which
+      ``_chain_tables`` holds per pair of kept outcomes.  Only a successful
+      fusion builds the ends: the two cluster pairs' outer product, whose
+      tip-tail basis states then take the retry's four factors.
 
     The retry cap is checked before every protocol round; stage 3's limit
     is the applications left under it.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    fresh, p1s, cluster_pairs = _chain_tables(theta)
+    fresh, p1s, cluster_pairs, fusion_marginals = _chain_tables(theta)
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
@@ -734,23 +744,25 @@ def run_thirteen_qubit_pipeline(
 
     while True:
         # stages 1-2: distill chains A and B, simultaneously, into cluster pairs
-        pending, pairs = [0, 1], [None, None]
+        pending, kept = [0, 1], [0, 0]
         while pending:
             protocol_round(len(pending))
             for key in list(pending):
-                pairs[key] = cluster_pairs[sv.walk_outcome(fresh, 3, None, rng, p1s)[0]]
-                if pairs[key] is not None:
+                kept[key] = sv.walk_outcome(fresh, 3, None, rng, p1s)[0]
+                if cluster_pairs[kept[key]] is not None:
                     pending.remove(key)
 
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
-        ends = PureState(4, np.multiply.outer(pairs[0], pairs[1]))
         limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
-        attempts, fusion_parity, fused = pr.held_pair_retry(ends, 1, 2, 3, theta, rng, limit)
+        marginals = fusion_marginals[kept[0], kept[1]]
+        attempts, fusion_parity, scales = pr.held_pair_retry(marginals, 3, theta, rng, limit)
         stats.time_steps += STEPS_PROTOCOL_ROUND * attempts
         stats.protocol_applications += attempts
-        if not fused:
+        if scales is None:
             stats.restarts += 1  # a dead link, or the cap, which the next round raises
             continue  # rebuild everything
+        ends = PureState(4, np.multiply.outer(cluster_pairs[kept[0]], cluster_pairs[kept[1]]))
+        sv._split_pair(ends, 1, 2)[...] *= np.array(scales).reshape(1, 2, 1, 2, 1)
 
         # stage 4: local corrections; tail 8 becomes the growth-unit leaf
         if fusion_parity:

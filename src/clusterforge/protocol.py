@@ -26,9 +26,10 @@ held-pair table: each outcome sequence maps the two held qubits diagonally
 (``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
 and ``held_pair_attempt``, the one attempt routine, draws one attempt from
 it in place; the heralded teleport's link calls it.  ``held_pair_retry``
-draws a run of attempts as those calls would, on the pair's four Born
-marginals alone, and rescales the register once, when the run stops: the
-pipeline's fusion retries with it.  ``retry_probabilities`` reads the table;
+draws a run of attempts as those calls would, on four numbers, the pair's
+Born marginals, and returns the four factors that the pair's basis states
+take on a success: the pipeline's fusion retries with it and touches its
+register once.  ``retry_probabilities`` reads the table;
 ``concatenated_ghz`` still retries on its dense register, but gives a link
 up by the retry's own rule, ``held_pair_success_probability``.
 
@@ -378,36 +379,46 @@ def held_pair_success_probability(marginals: list, p: float) -> float:
     return 2.0 * p * (marginals[0] + marginals[3])
 
 
-def held_pair_retry(
-    state: PureState, a: int, b: int, n: int, theta: float, rng, limit: int
-) -> tuple[int, int, bool]:
-    """:func:`held_pair_attempt` until one succeeds, on the pair's four Born marginals.
+@lru_cache(maxsize=2)  # as held_pair_maps
+def _retry_tables(n: int, theta: float) -> tuple[list, list, list, float]:
+    """:func:`held_pair_retry`'s reads at (n, theta): both :func:`held_pair_maps`
+    tables and the success mask as lists, and the success probability p."""
+    cells, rows = (table.tolist() for table in held_pair_maps(n, theta))
+    return cells, rows, success_mask(n).tolist(), success_probability_closed(n, theta)
 
-    The drawn map rescales them as ``P_k <- w[m, k] P_k / weight_m``, and
-    the register takes the product of the drawn maps, each over the square
-    root of its weight, once: on a success, after ``limit`` attempts or on a
-    dead link (:func:`held_pair_success_probability` below
-    ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn outcomes'
-    parity and success.
+
+def held_pair_retry(
+    marginals, n: int, theta: float, rng, limit: int
+) -> tuple[int, int, tuple | None]:
+    """:func:`held_pair_attempt` until one succeeds, on a held pair's four Born
+    marginals ``(P00, P01, P10, P11)`` alone.
+
+    Each attempt norm-checks its weights as a register of 16 amplitudes (the
+    pipeline's four ends), and the drawn map rescales the marginals as ``P_k
+    <- w[m, k] P_k / weight_m``.  The run stops on a success, after
+    ``limit`` attempts or on a dead link (:func:`held_pair_success_probability`
+    below ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn
+    outcomes' parity and, on a success, the four factors the pair's basis
+    states take: the product of the drawn maps, each over the square root of
+    its weight.  A link given up returns None in their place.
     """
     if limit < 1:
         raise RetryLimitError("retry cap exhausted")
-    cells, rows = (table.tolist() for table in held_pair_maps(n, theta))
-    success, p = success_mask(n).tolist(), success_probability_closed(n, theta)
-    marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
+    cells, rows, success, p = _retry_tables(n, theta)
     s00, s01, s10, s11, parity = 1.0, 1.0, 1.0, 1.0, 0
     for attempts in range(1, limit + 1):
-        m, _, weight = _held_pair_draw(rows, marginals, state.amps.size, None, rng)
+        m, _, weight = _held_pair_draw(rows, marginals, 16, None, rng)
         parity ^= m.bit_count() & 1
         (w00, w01, w10, w11), (g00, g01, g10, g11) = rows[m], cells[m]
         p00, p01, p10, p11 = marginals
         marginals = (w00 * p00 / weight, w01 * p01 / weight, w10 * p10 / weight, w11 * p11 / weight)
         root = math.sqrt(weight)
         s00, s01, s10, s11 = s00 * g00 / root, s01 * g01 / root, s10 * g10 / root, s11 * g11 / root
-        if success[m] or held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
+        if success[m]:
+            return attempts, parity, (s00, s01, s10, s11)
+        if held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
             break
-    sv._split_pair(state, a, b)[...] *= np.array([s00, s01, s10, s11]).reshape(1, 2, 1, 2, 1)
-    return attempts, parity, success[m]
+    return attempts, parity, None
 
 
 def retry_probabilities(n: int, theta: float, max_failures: int) -> tuple[list, float]:

@@ -209,12 +209,22 @@ MUTANTS = [
     ),
     Mutant(
         "retry-no-register-update",
-        "protocol.py",
-        "    sv._split_pair(state, a, b)[...] *= np.array([s00, s01, s10, s11]).reshape(1, 2, 1, 2, 1)\n",
+        "growth.py",
+        "        sv._split_pair(ends, 1, 2)[...] *= np.array(scales).reshape(1, 2, 1, 2, 1)\n",
         "",
         (
-            "tests/test_pipeline.py::test_retry_matches_attempt_loop_property",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
             "tests/test_acceptance.py::test_criterion_07_pipeline",
+        ),
+    ),
+    Mutant(
+        "fusion-marginals-pair-swapped",
+        "growth.py",
+        "fusion_marginals[kept[0], kept[1]]",
+        "fusion_marginals[kept[1], kept[0]]",
+        (
+            "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[0.5]",
+            "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[2.5]",
         ),
     ),
     Mutant(
@@ -230,8 +240,8 @@ MUTANTS = [
     Mutant(
         "fusion-charges-one-application",
         "growth.py",
-        "        stats.protocol_applications += attempts\n        if not fused:",
-        "        stats.protocol_applications += 1\n        if not fused:",
+        "        stats.protocol_applications += attempts\n        if scales is None:",
+        "        stats.protocol_applications += 1\n        if scales is None:",
         (
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[0.3-40-20]",
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[2.5-4-300]",
