@@ -626,11 +626,6 @@ def grow_1d(
 # ---------------------------------------------------------------------------
 # Thirteen-qubit demonstration pipeline
 
-# Chain A sits on qubits 0-4 and chain B on 8-12.  The fusion middles 5-7
-# hold the guard bits |100> until stage 3, and a distilled chain's middles
-# hold them from then on.  Stage 3 keeps only the ends (0, 4, 8, 12), whose
-# positions 1 and 2 are the fusion chain's tip and tail.
-
 
 def graph_state_target(num_qubits: int, edges) -> PureState:
     """Canonical graph state: |+> everywhere, a CZ per edge."""
@@ -652,12 +647,11 @@ def three_node_target() -> PureState:
 
 @functools.lru_cache(maxsize=2)  # as pr.held_pair_maps: a run reads one theta
 def _chain_tables(theta: float) -> tuple:
-    """Stages 1-3 of :func:`run_thirteen_qubit_pipeline` at ``theta``: a fresh
-    chain's outcome weights, the ``sv.walk_outcome`` memo of their
-    conditionals, per outcome m the read-only cluster pair it leaves, or None
-    where m fails, and per pair of success outcomes (chain A's, chain B's)
-    the Born marginals of the fusion's tip-tail pair in their product, read
-    by ``sv.pair_marginals`` on the four ends so that they round as it does."""
+    """The tuples :func:`run_thirteen_qubit_pipeline` reads at ``theta``: a
+    fresh chain's outcome weights and their running sums, per outcome m the
+    read-only cluster pair it leaves (None where m fails), and per pair of
+    kept outcomes ``[a][b]`` (chain A's, chain B's) the fusion's tip-tail
+    marginals, read off their product as ``sv.pair_marginals`` rounds them."""
     maps = pr.held_pair_maps(3, theta)[0]
     fresh = tuple(pr.branch_probabilities(3, theta).tolist())
     pairs = [None] * len(fresh)
@@ -668,11 +662,12 @@ def _chain_tables(theta: float) -> tuple:
             apply_gate(pair, 1, "Z")
         pairs[m] = apply_gate(pair, 1, "H").amps
         pairs[m].flags.writeable = False
-    fusion_marginals = {}
+    fusion_marginals = [[None] * len(fresh) for _ in fresh]
     for a, b in itertools.product(successes, repeat=2):
         ends = PureState(4, np.multiply.outer(pairs[a], pairs[b]))
-        fusion_marginals[a, b] = tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
-    return fresh, {}, tuple(pairs), fusion_marginals
+        fusion_marginals[a][b] = tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
+    cumulative = tuple(itertools.accumulate(fresh))
+    return fresh, cumulative, tuple(pairs), tuple(map(tuple, fusion_marginals))
 
 
 def run_thirteen_qubit_pipeline(
@@ -700,41 +695,32 @@ def run_thirteen_qubit_pipeline(
     the live qubits, and a CSX pair picks up its phase only on |10>: a pair
     whose right qubit is a |1> guard never does, the guard pair (|1>, |0>)
     always does, which is only a global phase, and a pair whose left qubit
-    is a |0> guard never does.  So each round acts on the live qubits alone,
-    and the register stays their product with the guards; the ends are
-    therefore the whole result, and the guards and the fusion record on 5-7
+    is a |0> guard never does.  So the guards and the fusion record on 5-7
     are never built.
 
-    Both stages draw from one per-theta table, ``pr.held_pair_maps(3,
-    theta)``, with the draws of measuring the middles one at a time
-    (``sv.draw_outcome``'s rule: one uniform per outcome bit, left to
-    right).  On a graph state, X-measured middles leave the chain ends with a
-    diagonal map per outcome (Hein, Eisert & Briegel, quant-ph/0307130); the
-    table holds those maps and their ``|.|^2``.
+    Every attempt draws one joint sigma_x outcome of its three middles
+    (``sv.draw_index``: one uniform, against the outcomes' running weights)
+    from one per-theta table, ``pr.held_pair_maps(3, theta)``: X-measured
+    middles leave a graph state's chain ends with a diagonal map per outcome
+    (Hein, Eisert & Briegel, quant-ph/0307130).
 
-    * Stages 1-2: every attempt starts from the same state, ``|+>^5``
-      entangled at the same theta, since a failed chain keeps nothing (its
-      ends are measured out and it is rebuilt fresh).  That is the held pair
-      ``|+>|+>`` with fresh middles, so the outcome weights are the table's
-      ``|.|^2`` rows summed over the pair's four marginals of 1/4
-      (``pr.branch_probabilities``, indexed by m), and a success keeps its
-      map times the pair's amplitude 1/2, rescaled by its weight, which
-      stage 2 turns into a cluster pair (Z on qubit 1 at odd parity, then
-      H).  ``_chain_tables`` holds both per theta.  An attempt is three
-      draws, in the same chain-by-chain order; nothing reads a failed
-      chain's end bits, so they are never drawn.
+    * Stages 1-2: a failed chain keeps nothing, so every chain attempt is the
+      held pair ``|+>|+>`` with fresh middles: its weights are
+      ``pr.branch_probabilities``, and a success keeps its map times 1/2,
+      rescaled by its weight, which stage 2 turns into a cluster pair (Z on
+      qubit 1 at odd parity, then H).  A round is one draw per pending
+      chain, chain A first; a failed chain's ends are never drawn.
     * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` on the
-      four Born marginals of the tip-tail pair (tip 4, tail 8), which
-      ``_chain_tables`` holds per pair of kept outcomes.  Only a successful
-      fusion builds the ends: the two cluster pairs' outer product, whose
-      tip-tail basis states then take the retry's four factors.
+      four Born marginals of the tip-tail pair (tip 4, tail 8).  Only a
+      successful fusion builds the ends: the two cluster pairs' outer
+      product, whose tip-tail basis states then take the retry's factors.
 
-    The retry cap is checked before every protocol round; stage 3's limit
-    is the applications left under it.
+    ``_chain_tables`` holds each stage's reads per theta.  The retry cap is
+    checked before every round; stage 3's limit is the applications left.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    fresh, p1s, cluster_pairs, fusion_marginals = _chain_tables(theta)
+    fresh, cumulative, cluster_pairs, fusion_marginals = _chain_tables(theta)
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
@@ -748,13 +734,13 @@ def run_thirteen_qubit_pipeline(
         while pending:
             protocol_round(len(pending))
             for key in list(pending):
-                kept[key] = sv.walk_outcome(fresh, 3, None, rng, p1s)[0]
+                kept[key] = sv.draw_index(fresh, cumulative, rng)[0]
                 if cluster_pairs[kept[key]] is not None:
                     pending.remove(key)
 
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
         limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
-        marginals = fusion_marginals[kept[0], kept[1]]
+        marginals = fusion_marginals[kept[0]][kept[1]]
         attempts, fusion_parity, scales = pr.held_pair_retry(marginals, 3, theta, rng, limit)
         stats.time_steps += STEPS_PROTOCOL_ROUND * attempts
         stats.protocol_applications += attempts

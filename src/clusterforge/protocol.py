@@ -26,12 +26,11 @@ held-pair table: each outcome sequence maps the two held qubits diagonally
 (``held_pair_maps``, a product of 2x2 transfer matrices, one per middle),
 and ``held_pair_attempt``, the one attempt routine, draws one attempt from
 it in place; the heralded teleport's link calls it.  ``held_pair_retry``
-draws a run of attempts as those calls would, on four numbers, the pair's
-Born marginals, and returns the four factors that the pair's basis states
-take on a success: the pipeline's fusion retries with it and touches its
-register once.  ``retry_probabilities`` reads the table;
-``concatenated_ghz`` still retries on its dense register, but gives a link
-up by the retry's own rule, ``held_pair_success_probability``.
+draws a run of attempts as those calls would, on the pair's four Born
+marginals alone, and returns the factors its basis states take on a
+success: the pipeline's fusion retries with it.  ``retry_probabilities``
+reads the table; ``concatenated_ghz`` still retries on its dense register,
+but gives a link up by the retry's own rule, ``held_pair_success_probability``.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -340,14 +339,14 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _held_pair_draw(rows, marginals, size: int, outcomes, rng) -> tuple[int, float, float]:
-    """The one draw rule: ``sv.draw_outcome`` on the weight ``rows`` against
-    the Born marginals, norm-checked as a register of ``size`` amplitudes.
-    Returns m, its path probability and its weight."""
+    """The held pair's draw: ``sv.draw_outcome`` on the weight ``rows``
+    against the Born marginals, norm-checked as a register of ``size``
+    amplitudes.  Returns m, its probability and its weight."""
     p00, p01, p10, p11 = marginals
     weights = [w00 * p00 + w01 * p01 + w10 * p10 + w11 * p11 for w00, w01, w10, w11 in rows]
     sv._check_norm_squared(sum(weights), size)
-    m, path_probability = sv.draw_outcome(weights, outcomes, rng)
-    return m, path_probability, weights[m]
+    m, probability = sv.draw_outcome(weights, outcomes, rng)
+    return m, probability, weights[m]
 
 
 def held_pair_attempt(
@@ -355,12 +354,11 @@ def held_pair_attempt(
 ) -> tuple[int, float]:
     """One protocol attempt through n fresh middles between held qubits ``a < b``, in place.
 
-    The outcome weights are the :func:`held_pair_maps` weights against the
-    pair's Born marginals; the bits are drawn (or forced by ``outcomes``) by
-    ``sv.draw_outcome``, with the draws of measuring the middles one at a
-    time, and the drawn map, rescaled by its own weight, updates every
-    amplitude of the register.  No middle qubit is built.  Returns the
-    outcome index m, its first bit the most significant, and the path
+    The middles' joint sigma_x outcome is drawn (or forced by ``outcomes``)
+    by ``sv.draw_outcome`` on the :func:`held_pair_maps` weights against the
+    pair's Born marginals, and the drawn map, rescaled by its own weight,
+    updates every amplitude of the register; no middle qubit is built.
+    Returns the outcome index m, its first bit the most significant, and its
     probability.  :func:`held_pair_retry` draws a run of them the same way.
     """
     maps, map_weights = held_pair_maps(n, theta)
@@ -380,28 +378,24 @@ def held_pair_success_probability(marginals: list, p: float) -> float:
 
 
 @lru_cache(maxsize=2)  # as held_pair_maps
-def _retry_tables(n: int, theta: float) -> tuple[list, list, list, float]:
-    """:func:`held_pair_retry`'s reads at (n, theta): both :func:`held_pair_maps`
-    tables and the success mask as lists, and the success probability p."""
-    cells, rows = (table.tolist() for table in held_pair_maps(n, theta))
-    return cells, rows, success_mask(n).tolist(), success_probability_closed(n, theta)
+def _retry_tables(n: int, theta: float) -> tuple[tuple, tuple, tuple, float]:
+    """:func:`held_pair_retry`'s reads: both tables and the mask as tuples, and p."""
+    cells, rows = (tuple(map(tuple, table.tolist())) for table in held_pair_maps(n, theta))
+    return cells, rows, tuple(success_mask(n).tolist()), success_probability_closed(n, theta)
 
 
 def held_pair_retry(
     marginals, n: int, theta: float, rng, limit: int
 ) -> tuple[int, int, tuple | None]:
     """:func:`held_pair_attempt` until one succeeds, on a held pair's four Born
-    marginals ``(P00, P01, P10, P11)`` alone.
-
-    Each attempt norm-checks its weights as a register of 16 amplitudes (the
-    pipeline's four ends), and the drawn map rescales the marginals as ``P_k
-    <- w[m, k] P_k / weight_m``.  The run stops on a success, after
-    ``limit`` attempts or on a dead link (:func:`held_pair_success_probability`
-    below ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn
-    outcomes' parity and, on a success, the four factors the pair's basis
-    states take: the product of the drawn maps, each over the square root of
-    its weight.  A link given up returns None in their place.
-    """
+    marginals ``(P00, P01, P10, P11)`` alone, norm-checked as the pipeline's
+    16-amplitude ends.  The drawn map rescales them as ``P_k <- w[m, k] P_k /
+    weight_m``.  The run stops on a success, after ``limit`` attempts or on a
+    dead link (:func:`held_pair_success_probability` below
+    ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn outcomes'
+    parity and, on a success, the four factors the pair's basis states take:
+    the product of the drawn maps, each over the square root of its weight.
+    A link given up returns None in their place."""
     if limit < 1:
         raise RetryLimitError("retry cap exhausted")
     cells, rows, success, p = _retry_tables(n, theta)

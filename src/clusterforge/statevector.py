@@ -28,19 +28,20 @@ check that it holds the state.
 with cached Walsh-Hadamard matrices (one matmul per four qubits), giving
 every outcome branch at once as a ``(2^first, 2^count, rest)`` array; the
 protocol's oracle reads it, on the one |+> chain.  Every outcome is
-drawn by :func:`draw_outcome`, on any list of joint outcome weights: it
-draws the outcome bits left to right against the conditional p0 of each
-prefix (one uniform each, all taken in one call), so the protocol runs draw
-what a per-qubit :func:`measure` loop would, and :func:`measure` is
-:func:`draw_outcome` on its two weights.
-The dense sigma_x run kernel and the dense chain that the tests check the
-held-pair table against live in the tests.  One thread touches a state;
-parallelism belongs to the trial level above this module.
+drawn by one rule, :func:`draw_index`: one uniform u per joint outcome, and
+the first index whose running weight exceeds ``u * total``, so a run of
+middles measured at once takes one uniform, with the per-qubit loop's law.
+:func:`measure` is :func:`draw_outcome` on its two weights.  The dense
+sigma_x run kernel and the dense chain that the tests check the held-pair
+table against live in the tests.  One thread touches a state; parallelism
+belongs to the trial level above this module.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ class NormalizationError(ValueError):
 
 
 class ForcedOutcomeError(ValueError):
-    """A forced measurement outcome has (numerically) zero probability."""
+    """An outcome, forced or drawn, has (numerically) zero probability."""
 
 
 @dataclass
@@ -231,8 +232,7 @@ def measure(
         raise ValueError(f"unknown basis {basis!r}")
     weights = [float(np.vdot(h, h).real) for h in halves]
     _check_norm_squared(weights[0] + weights[1], state.amps.size)
-    forced = None if outcome is None else (outcome,)
-    outcome, prob = draw_outcome(weights, forced, rng)
+    outcome, prob = draw_outcome(weights, None if outcome is None else (outcome,), rng)
 
     np.multiply(halves[outcome], 1.0 / math.sqrt(weights[outcome]), out=v[:, outcome])
     v[:, 1 - outcome] = 0.0
@@ -276,53 +276,39 @@ def x_branches(state: PureState, first: int, count: int) -> np.ndarray:
 def draw_outcome(
     weights: list, outcomes=None, rng: np.random.Generator | None = None
 ) -> tuple[int, float]:
-    """Draw one of ``2^count`` joint outcomes bit by bit from their weights.
+    """:func:`draw_index` on a list of ``2^count`` joint outcome weights.
 
     ``weights[m]`` is the weight of outcome sequence m, its first bit the most
-    significant.  All ``count`` uniforms are drawn up front, by one
-    ``rng.random(count)`` call (the doubles and generator state of ``count``
-    ``rng.random()`` calls); the bits are then read left to right against
-    the conditional p0 of the prefix drawn so far, by the rule
-    ``bit = int(u >= p0)``; ``outcomes`` forces them instead (a bit string
-    or a sequence of bits).  A bit of probability at most ``PROB_TOL``
-    raises :class:`ForcedOutcomeError`; drawn, an event of at most about
-    1e-12 probability, it leaves the generator advanced by ``count``.  The
-    caller checks the weights' norm.  Returns the outcome index m and the
-    path probability (the product of the conditional probabilities).
+    significant; ``outcomes`` forces the bits (a bit string or a sequence of
+    bits).  The caller checks the weights' norm.
     """
     count = len(weights).bit_length() - 1
+    m = None
     if outcomes is not None:
-        outcomes = [int(b) for b in outcomes]
-        if len(outcomes) != count or set(outcomes) - {0, 1}:
+        bits = [int(b) for b in outcomes]
+        if len(bits) != count or set(bits) - {0, 1}:
             raise ValueError(f"forced outcomes must be {count} bits")
+        m = functools.reduce(lambda index, bit: 2 * index + bit, bits, 0)
     elif rng is None:
         raise ValueError("drawing outcomes needs either forced outcomes or an rng")
-    return walk_outcome(weights, count, outcomes, rng, {})
+    return draw_index(weights, list(itertools.accumulate(weights)), rng, m)
 
 
-def walk_outcome(weights: list, count: int, outcomes, rng, p1s: dict) -> tuple[int, float]:
-    """:func:`draw_outcome`'s walk.  ``p1s`` keeps each prefix's conditional
-    p1, keyed by the midpoint that splits its outcomes, which no other
-    prefix shares: empty, or filled by earlier draws on the same weights."""
-    lo, hi, path = 0, 1 << count, 1.0
-    for i, u in enumerate(rng.random(count).tolist() if outcomes is None else outcomes):
-        mid = (lo + hi) >> 1
-        p1 = p1s.get(mid)
-        if p1 is None:
-            w1 = sum(weights[mid:hi])
-            p1 = p1s[mid] = w1 / (sum(weights[lo:mid]) + w1)
-        p0 = 1.0 - p1
-        bit = u >= p0 if outcomes is None else u
-        if bit:
-            lo, prob = mid, p1
-        else:
-            hi, prob = mid, p0
-        if prob <= PROB_TOL:
-            raise ForcedOutcomeError(
-                f"outcome {int(bit)} at position {i} of the run has probability {prob:.3e}"
-            )
-        path *= prob
-    return lo, path
+def draw_index(weights, cumulative, rng, m: int | None = None) -> tuple[int, float]:
+    """The one draw rule, on ``weights`` and their left-fold running sums
+    ``cumulative``: m is the first index whose running sum exceeds ``u *
+    total`` for one ``rng.random()`` u, so no zero weight is drawn; ``m``
+    forces it instead.  Returns m and its probability ``weights[m] / total``;
+    at most ``PROB_TOL``, forced or drawn, it raises :class:`ForcedOutcomeError`."""
+    total = cumulative[-1]
+    if m is None:
+        m = bisect.bisect_right(cumulative, rng.random() * total)
+        if m == len(cumulative):  # only a subnormal total rounds u * total up to itself
+            m = bisect.bisect_left(cumulative, total)
+    prob = weights[m] / total
+    if prob <= PROB_TOL:
+        raise ForcedOutcomeError(f"outcome {m} has probability {prob:.3e}")
+    return m, prob
 
 
 def fidelity_up_to_global_phase(a: PureState, b: PureState) -> float:

@@ -88,18 +88,28 @@ MUTANTS = [
     Mutant(
         "draw-rule-strict-comparison",
         "statevector.py",
-        "bit = u >= p0 if outcomes is None else u",
-        "bit = u > p0 if outcomes is None else u",
+        "if prob <= PROB_TOL:",
+        "if prob < PROB_TOL:",
         (
-            f"{SV}::TestDrawOutcome::test_uniform_equal_to_p0_draws_one[weights0-1]",
-            f"{SV}::TestDrawOutcome::test_uniform_zero_draws_a_certain_one",
+            f"{SV}::TestDrawOutcome::test_outcome_at_the_tolerance_raises[1e-12-forced]",
+            f"{SV}::TestDrawOutcome::test_outcome_at_the_tolerance_raises[1e-12-drawn]",
+        ),
+    ),
+    Mutant(
+        "draw-bisect-left",
+        "statevector.py",
+        "m = bisect.bisect_right(cumulative, rng.random() * total)",
+        "m = bisect.bisect_left(cumulative, rng.random() * total)",
+        (
+            f"{SV}::TestDrawOutcome::test_boundary_uniform_skips_zero_weights[weights0-0.0-1]",
+            f"{SV}::TestDrawOutcome::test_boundary_uniform_skips_zero_weights[weights1-0.5-3]",
         ),
     ),
     Mutant(
         "chain-conditionals-p0-p1-swapped",
-        "statevector.py",
-        "            p1 = p1s[mid] = w1 / (sum(weights[lo:mid]) + w1)\n",
-        "            p1 = w1 / (sum(weights[lo:mid]) + w1)\n            p1s[mid] = 1.0 - p1\n",
+        "growth.py",
+        "cumulative = tuple(itertools.accumulate(fresh))",
+        "cumulative = tuple(itertools.accumulate(reversed(fresh)))",
         (
             "tests/test_pipeline.py::test_chain_table_replays_draw_x_run[1.0]",
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
@@ -220,8 +230,8 @@ MUTANTS = [
     Mutant(
         "fusion-marginals-pair-swapped",
         "growth.py",
-        "fusion_marginals[kept[0], kept[1]]",
-        "fusion_marginals[kept[1], kept[0]]",
+        "fusion_marginals[kept[0]][kept[1]]",
+        "fusion_marginals[kept[1]][kept[0]]",
         (
             "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[0.5]",
             "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[2.5]",
@@ -244,7 +254,7 @@ MUTANTS = [
         "        stats.protocol_applications += 1\n        if scales is None:",
         (
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[0.3-40-20]",
-            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[2.5-4-300]",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[2.5-4-500]",
         ),
     ),
     Mutant(

@@ -1,8 +1,7 @@
 """Reference routes that only the tests call.
 
 The program never runs these: outcome probabilities read without
-collapsing, the outcome draw with one ``rng.random()`` per bit, the four
-probe inputs, the heralded pair for any input and the
+collapsing, the four probe inputs, the heralded pair for any input and the
 per-sequence loop that the one-chain vectorized oracle is checked against,
 the dense sigma_x run kernel, the dense protocol attempt and the dense
 held-pair table that the table is checked against, the
@@ -56,39 +55,6 @@ def measurement_probabilities(state: PureState, qubit: int, basis: str = "z", xi
         bras = np.array([[1.0, np.exp(1j * xi)], [1.0, -np.exp(1j * xi)]]) / math.sqrt(2.0)
     halves = np.einsum("mk,ikj->mij", bras, sv._split(state, qubit)).reshape(2, -1)
     return tuple(float(np.vdot(h, h).real) for h in halves)
-
-
-def draw_outcome_per_bit(weights: list, outcomes=None, rng=None) -> tuple[int, float]:
-    """``sv.draw_outcome`` as a loop of scalar draws: each bit takes its own
-    ``rng.random()`` and compares it with the conditional p0 of the prefix
-    drawn so far, ``bit = int(u >= p0)``, so a bit of probability at most
-    ``sv.PROB_TOL`` raises after i + 1 draws, not all of them."""
-    width = len(weights)
-    count = width.bit_length() - 1
-    if outcomes is not None:
-        outcomes = [int(b) for b in outcomes]
-        if len(outcomes) != count or set(outcomes) - {0, 1}:
-            raise ValueError(f"forced outcomes must be {count} bits")
-    elif rng is None:
-        raise ValueError("drawing outcomes needs either forced outcomes or an rng")
-    lo, hi = 0, width
-    path = 1.0
-    for i in range(count):
-        mid = (lo + hi) >> 1
-        w1 = sum(weights[mid:hi])
-        p1 = w1 / (sum(weights[lo:mid]) + w1)
-        p0 = 1.0 - p1
-        bit = rng.random() >= p0 if outcomes is None else outcomes[i]
-        if bit:
-            lo, prob = mid, p1
-        else:
-            hi, prob = mid, p0
-        if prob <= sv.PROB_TOL:
-            raise sv.ForcedOutcomeError(
-                f"outcome {int(bit)} at position {i} of the run has probability {prob:.3e}"
-            )
-        path *= prob
-    return lo, path
 
 
 def phase_from_interaction(g: float, t: float, hbar: float) -> float:

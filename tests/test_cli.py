@@ -242,13 +242,13 @@ class TestPipelineCommand:
         [
             (
                 ["--theta", "1.0", "--trials", "4", "--seed", "1"],
-                "3,1,1,4,0,1,105,465,3\n3,1,1,4,1,1,9,40,0\n"
-                "3,1,1,4,2,1,14,60,0\n3,1,1,4,3,1,102,455,3\n",
+                "3,1,1,4,0,1,10,45,0\n3,1,1,4,1,1,6,25,0\n"
+                "3,1,1,4,2,1,11,40,0\n3,1,1,4,3,1,9,30,0\n",
             ),
             (
                 ["--theta", "2.5", "--trials", "4", "--seed", "1"],
-                "3,2.5,1,4,0,1,681,3275,0\n3,2.5,1,4,1,1,2495,12045,1\n"
-                "3,2.5,1,4,2,1,1350,4760,0\n3,2.5,1,4,3,1,1166,3730,0\n",
+                "3,2.5,1,4,0,1,3695,17155,1\n3,2.5,1,4,1,1,418,2085,0\n"
+                "3,2.5,1,4,2,1,809,3650,0\n3,2.5,1,4,3,1,172,715,0\n",
             ),
         ],
     )

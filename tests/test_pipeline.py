@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import itertools
 import math
 import time
 
@@ -70,12 +71,15 @@ def selective_layout(total_qubits: int, chain_starts, n: int, first_input=None) 
 
 
 def measure_chain_middles(state, chain, rng):
-    """Per-qubit route: measure a chain's middles in sigma_x one at a time."""
-    bits = []
-    for q in chain[1:-1]:
-        rec, state = sv.measure(state, q, basis="xi", xi=0.0, rng=rng)
-        bits.append(str(rec.outcome))
-    return "".join(bits), state
+    """Dense route: draw a chain's middles' joint sigma_x outcome by
+    ``sv.draw_outcome`` on the register's own weights, then collapse the
+    middles one at a time with forced ``sv.measure`` calls."""
+    middles = chain[1:-1]
+    weights = x_weights(sv.x_branches(state, middles[0], len(middles)))
+    seq = format(sv.draw_outcome(weights, rng=rng)[0], f"0{len(middles)}b")
+    for q, bit in zip(middles, seq):
+        _, state = sv.measure(state, q, basis="xi", xi=0.0, outcome=int(bit))
+    return seq, state
 
 
 def _dense_fusion_success_probability(state, theta):
@@ -323,7 +327,7 @@ def _run_route(route, theta, seed, retry_cap):
     return result, rng.bit_generator.state
 
 
-@pytest.mark.parametrize("theta, seeds, retry_cap", [(0.3, 40, 20), (1.0, 40, 40), (2.5, 4, 300)])
+@pytest.mark.parametrize("theta, seeds, retry_cap", [(0.3, 40, 20), (1.0, 40, 40), (2.5, 4, 500)])
 def test_sub_registers_match_dense_reference(theta, seeds, retry_cap):
     """The 5-qubit chains and the 7-qubit block replay the dense 13-qubit run.
 
@@ -438,10 +442,10 @@ def test_fusion_attempt_absorbs_norm_drift():
 def test_chain_table_replays_draw_x_run(theta):
     """Stage 1's weights and kept pairs from the held-pair table replay
     ``draw_x_run`` on the branches of a fresh entangled ``|+>^5`` chain, and
-    so does its draw on the cached conditionals."""
+    so does its draw on the cached running sums."""
     maps, map_weights = pr.held_pair_maps(3, theta)
     fresh = (map_weights.sum(axis=1) / 4.0).tolist()
-    table_fresh, p1s, _, _ = gr._chain_tables(theta)
+    table_fresh, cumulative, _, _ = gr._chain_tables(theta)
     assert list(table_fresh) == fresh
     chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
     branches = sv.x_branches(chain, 1, 3)
@@ -449,7 +453,7 @@ def test_chain_table_replays_draw_x_run(theta):
         fast_rng, table_rng, ref_rng = (np.random.default_rng([seed, 9]) for _ in range(3))
         for _ in range(4):
             m, path = sv.draw_outcome(fresh, rng=fast_rng)
-            assert sv.walk_outcome(fresh, 3, None, table_rng, p1s) == (m, path)
+            assert sv.draw_index(table_fresh, cumulative, table_rng) == (m, path)
             seq, _, pair = draw_x_run(branches, rng=ref_rng)
             assert format(m, "03b") == seq
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -461,19 +465,19 @@ def test_chain_table_replays_draw_x_run(theta):
 def test_stage_caches_are_bounded_and_read_only():
     for theta in np.linspace(0.0, 3.0, 7):
         maps, map_weights = pr.held_pair_maps(3, theta)
-        fresh, p1s, cluster_pairs, _ = gr._chain_tables(theta)
-        for seed in range(50):
-            sv.walk_outcome(fresh, 3, None, np.random.default_rng(seed), p1s)
+        fresh, cumulative, cluster_pairs, fusion_marginals = gr._chain_tables(theta)
         for cached in (pr.held_pair_maps, gr._chain_tables):
             info = cached.cache_info()
             assert info.maxsize == 2 and info.currsize <= info.maxsize
-        assert len(p1s) <= 7  # one entry per prefix of a 3-bit walk
+        assert cumulative == tuple(itertools.accumulate(fresh))
         np.testing.assert_allclose(map_weights.sum() / 4.0, 1.0, rtol=0, atol=1e-12)
         kept = [pair for pair in cluster_pairs if pair is not None]
         assert len(cluster_pairs) == 8 and len(kept) == np.count_nonzero(pr.success_mask(3))
         for array in (maps, map_weights, *kept):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        for table in (fresh, cumulative, cluster_pairs, fusion_marginals, *fusion_marginals):
+            assert isinstance(table, tuple)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5, 3.1])
@@ -595,12 +599,13 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
     ends built from them, in the order (chain A, chain B).  At these angles
     the table is not symmetric in the two pairs."""
     _, _, cluster_pairs, fusion_marginals = gr._chain_tables(theta)
-    assert any(v != fusion_marginals[b, a] for (a, b), v in fusion_marginals.items())
+    successes = np.flatnonzero(pr.success_mask(3)).tolist()
+    assert any(fusion_marginals[a][b] != fusion_marginals[b][a] for a in successes for b in successes)
     events, retrying = [], []
-    real_walk, real_retry = sv.walk_outcome, pr.held_pair_retry
+    real_draw, real_retry = sv.draw_index, pr.held_pair_retry
 
-    def walk(*args):
-        result = real_walk(*args)
+    def draw(*args):
+        result = real_draw(*args)
         if not retrying:  # a stage-1 draw, not one of the retry's own
             events.append(("draw", result[0]))
         return result
@@ -613,7 +618,7 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
         finally:
             retrying.clear()
 
-    monkeypatch.setattr(sv, "walk_outcome", walk)
+    monkeypatch.setattr(sv, "draw_index", draw)
     monkeypatch.setattr(pr, "held_pair_retry", retry)
     mixed = 0
     for seed in range(40):
@@ -635,6 +640,6 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
             assert not pending and not queue
             ends = sv.PureState(4, np.multiply.outer(cluster_pairs[kept[0]], cluster_pairs[kept[1]]))
             assert value == tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
-            mixed += value != fusion_marginals[kept[1], kept[0]]
+            mixed += value != fusion_marginals[kept[1]][kept[0]]
             pending = [0, 1]
     assert mixed > 0

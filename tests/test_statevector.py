@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
-    draw_outcome_per_bit,
     embed_plus_middles,
     is_product_across_cut,
     measure_x_run,
@@ -442,6 +441,21 @@ def per_qubit_x_run(state, first, count, outcomes=None, rng=None):
     return "".join(bits), path, sv.extract_qubits(state, rest)
 
 
+def joint_per_qubit_x_run(state, first, count, rng):
+    """The per-qubit loop's law in one joint draw: ``sv.draw_outcome`` on the
+    loop's own forced-path probabilities (0 where a forced bit is
+    impossible), then the loop forced along the drawn outcome."""
+    sequences = [format(m, f"0{count}b") for m in range(1 << count)]
+    paths = []
+    for seq in sequences:
+        try:
+            paths.append(per_qubit_x_run(state.copy(), first, count, seq)[1])
+        except sv.ForcedOutcomeError:
+            paths.append(0.0)
+    m, _ = sv.draw_outcome(paths, rng=rng)
+    return per_qubit_x_run(state.copy(), first, count, sequences[m])
+
+
 def every_run(num_qubits):
     """Every (first, count) with count 1-4 that leaves a qubit unmeasured."""
     return [
@@ -453,7 +467,9 @@ def every_run(num_qubits):
 
 
 class TestXRunKernel:
-    """One kernel call against the per-qubit measure loop it replaces."""
+    """One kernel call against the per-qubit measure loop it replaces: forced,
+    outcome by outcome, and drawn, against one joint draw on the loop's
+    forced-path probabilities."""
 
     @pytest.mark.parametrize("n", range(5, 10))
     def test_sampled_draws_match_per_qubit_loop(self, n):
@@ -465,7 +481,7 @@ class TestXRunKernel:
                 seq, path, kept = measure_x_run(state, first, count, rng=rng)
                 assert np.array_equal(state.amps, before)  # the input is not touched
                 ref_rng = np.random.default_rng([n, first, count, seed])
-                ref_seq, ref_path, ref_kept = per_qubit_x_run(state, first, count, rng=ref_rng)
+                ref_seq, ref_path, ref_kept = joint_per_qubit_x_run(state, first, count, ref_rng)
                 assert seq == ref_seq, (first, count, seed)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
@@ -475,14 +491,14 @@ class TestXRunKernel:
     @given(state=normalized_states(min_qubits=2), data=st.data())
     def test_draw_outcome_matches_per_qubit_loop_property(self, state, data):
         """``sv.draw_outcome`` on the ``x_weights`` of a random run draws the
-        bits a per-qubit ``measure`` loop draws, and leaves the generator
-        where the loop leaves it."""
+        bits that one joint draw on a per-qubit ``measure`` loop's forced-path
+        probabilities draws, and leaves the generator where that draw leaves it."""
         count = data.draw(st.integers(1, state.num_qubits - 1))
         first = data.draw(st.integers(0, state.num_qubits - count))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         m, path = sv.draw_outcome(x_weights(sv.x_branches(state, first, count)), rng=rng)
-        ref_seq, ref_path, _ = per_qubit_x_run(state.copy(), first, count, rng=ref_rng)
+        ref_seq, ref_path, _ = joint_per_qubit_x_run(state, first, count, ref_rng)
         assert format(m, f"0{count}b") == ref_seq
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert path == pytest.approx(ref_path, rel=0, abs=1e-12)
@@ -588,35 +604,92 @@ class _Uniforms:
         return self.u if size is None else np.full(size, self.u)
 
 
+def outcome_index(weights, u):
+    """numpy's reading of the draw rule: the first index whose running sum
+    exceeds ``u`` times the total, or the last positive weight's, where a
+    subnormal total takes ``u * total`` up to itself."""
+    m = int(np.searchsorted(np.cumsum(weights), u * sum(weights), side="right"))
+    return m if m < len(weights) else int(np.flatnonzero(weights)[-1])
+
+
 class TestDrawOutcome:
-    """``sv.draw_outcome``, which takes its uniforms in one call, against the
-    per-bit loop of scalar draws."""
+    """``sv.draw_outcome``: one uniform per joint outcome, against the running
+    sums of the weights."""
 
     @settings(max_examples=200)
     @given(weights=outcome_weights(), seed=st.integers(0, 2**64 - 1))
-    def test_matches_per_bit_loop_property(self, weights, seed):
-        """The same m and path probability, bit for bit, and the same final
-        generator state."""
+    def test_matches_searchsorted_property(self, weights, seed):
+        """The index numpy's ``searchsorted`` finds for the same uniform, its
+        probability ``weights[m] / total``, and one ``random()`` taken."""
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            expected = draw_outcome_per_bit(weights, rng=ref_rng)
-        except sv.ForcedOutcomeError:  # the loop stops drawing at the bit
+        m = outcome_index(weights, ref_rng.random())
+        if weights[m] / sum(weights) <= sv.PROB_TOL:  # drawn, it raises
             with pytest.raises(sv.ForcedOutcomeError):
                 sv.draw_outcome(weights, rng=rng)
-            return
-        assert sv.draw_outcome(weights, rng=rng) == expected
+        else:
+            assert sv.draw_outcome(weights, rng=rng) == (m, weights[m] / sum(weights))
+            assert weights[m] > 0.0
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("weights, m", [([1.0, 1.0], 1), ([1.0, 3.0, 2.0, 2.0], 3)])
-    def test_uniform_equal_to_p0_draws_one(self, weights, m):
-        """The rule is ``bit = int(u >= p0)``: p0 is 1/2 at every prefix
-        here, and a uniform of exactly 1/2 takes every bit 1."""
-        assert sv.draw_outcome(weights, rng=_Uniforms(0.5))[0] == m
-        assert draw_outcome_per_bit(weights, rng=_Uniforms(0.5))[0] == m
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_one_uniform_per_draw(self, count):
+        """However many bits an outcome has, each draw takes one ``random()``."""
+        weights = np.random.default_rng(count).random(1 << count).tolist()
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(10):
+            m, _ = sv.draw_outcome(weights, rng=rng)
+            assert m == outcome_index(weights, ref_rng.random())
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "weights, u, m",
+        [
+            ([0.0, 1.0, 0.0, 1.0], 0.0, 1),
+            ([0.0, 1.0, 0.0, 1.0], 0.5, 3),
+            ([1.0, 0.0, 0.0, 1.0], 0.5, 3),
+            ([0.0, 0.0, 1.0, 0.0], 0.0, 2),
+            ([1.0, 1.0, 0.0, 0.0], 1.0 - 2.0**-53, 1),
+            ([0.0, 5e-324], 0.75, 1),  # u * total rounds up to the subnormal total
+            ([0.0, 5e-324, 0.0, 0.0], 0.75, 1),
+        ],
+    )
+    def test_boundary_uniform_skips_zero_weights(self, weights, u, m):
+        """A uniform whose ``u * total`` equals a running sum, ``u = 0.0``,
+        the largest uniform below 1 and a subnormal total never draw a zero
+        weight: the rule takes the first running sum that exceeds ``u *
+        total``."""
+        assert sv.draw_outcome(weights, rng=_Uniforms(u)) == (m, weights[m] / sum(weights))
+        assert outcome_index(weights, u) == m
 
     def test_uniform_zero_draws_a_certain_one(self):
         """At p0 = 0 even a uniform of exactly 0.0 draws the certain bit 1."""
         assert sv.draw_outcome([0.0, 1.0], rng=_Uniforms(0.0)) == (1, 1.0)
+
+    @pytest.mark.parametrize("outcomes", ["10", (1, 0), [True, False]])
+    def test_forced_bits(self, outcomes):
+        """Forced bits, first bit the most significant, draw nothing."""
+        assert sv.draw_outcome([1.0, 2.0, 4.0, 1.0], outcomes) == (2, 0.5)
+
+    @pytest.mark.parametrize("outcomes", ["1", "101", "12", (0, 2)])
+    def test_malformed_forced_bits_rejected(self, outcomes):
+        with pytest.raises(ValueError):
+            sv.draw_outcome([1.0, 2.0, 4.0, 1.0], outcomes)
+
+    @pytest.mark.parametrize("forced", [True, False], ids=["forced", "drawn"])
+    @pytest.mark.parametrize("weight", [0.0, sv.PROB_TOL])
+    def test_outcome_at_the_tolerance_raises(self, forced, weight):
+        """An outcome of probability at most ``PROB_TOL`` raises, forced or
+        drawn (u = 0.0 draws outcome 0 of any positive weight)."""
+        weights = [weight, 0.0, 0.0, 1.0 - weight]
+        assert sum(weights) == 1.0  # so outcome 0's probability is its weight
+        if not weight and not forced:  # a zero weight is never drawn
+            assert sv.draw_outcome(weights, rng=_Uniforms(0.0))[0] == 3
+            return
+        with pytest.raises(sv.ForcedOutcomeError):
+            if forced:
+                sv.draw_outcome(weights, "00")
+            else:
+                sv.draw_outcome(weights, rng=_Uniforms(0.0))
 
 
 class TestComparisons:
