@@ -18,7 +18,7 @@ reproduce byte-identical output files under any execution order.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a flag
 argparse rejects, a ``ValueError`` from the library, such as an even n, or
-an ``--out`` path that cannot be opened).
+an ``--out`` path that cannot be opened, found before the command computes).
 CSV output is comma-separated with a header row, LF line endings, and floats
 printed at 12 significant digits.  Commands hand the writer columns: a list
 of per-row values, or a constant (provenance and per-run values), which is
@@ -34,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -78,14 +79,23 @@ def _emit(columns: dict, args: argparse.Namespace) -> Iterable[str]:
     return ["\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"]
 
 
-def _write(pieces: Iterable[str], args: argparse.Namespace):
-    """Write the pieces of one output to ``--out``, if given, and to stdout.
-    An ``--out`` path that cannot be opened is an invalid argument."""
+def _check_out(path: str | None):
+    """Raise ``ValueError`` unless ``--out`` opens, writing nothing: a command
+    that raises later leaves an existing file as it was and makes none."""
+    if not path:
+        return
+    existed = os.path.lexists(path)
     try:
-        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext()
+        open(path, "a").close()
     except OSError as exc:
         raise ValueError(f"cannot open --out: {exc}") from None
-    with out as fh:
+    if not existed:
+        os.remove(path)
+
+
+def _write(pieces: Iterable[str], args: argparse.Namespace):
+    """Write the pieces of one output to ``--out``, if given, and to stdout."""
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
         for piece in pieces:
             if fh is not None:
                 fh.write(piece)
@@ -427,6 +437,7 @@ def main(argv=None) -> int:
     else:  # a missing or unknown command, or a top-level -h
         args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -336,6 +336,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "out-checked-after-the-run",
+        "cli.py",
+        "        _check_out(args.out)\n",
+        "",
+        (
+            "tests/test_cli.py::TestFormatsAndCodes::test_unopenable_out_fails_before_the_run",
+            "tests/test_cli.py::TestFormatsAndCodes::test_unopenable_out_exits_2[csv]",
+        ),
+    ),
+    Mutant(
         "sequences-oracle-against-itself",
         "cli.py",
         "if not np.array_equal(oracle, rules):",

@@ -426,6 +426,36 @@ class TestFormatsAndCodes:
         assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
         assert not out.parent.exists()
 
+    def test_unopenable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        """The path is checked before the command computes: the pipeline is
+        never called, and the exit code and error line are as before."""
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran before --out was checked")
+
+        monkeypatch.setattr(gr, "run_thirteen_qubit_pipeline", must_not_run)
+        out = tmp_path / "missing" / "p.csv"
+        assert run_cli(["pipeline13", "--trials", "3", "--out", str(out)]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot open --out: [Errno 2] No such file or directory: '{out}'"]
+        assert not out.parent.exists()
+
+    def test_raising_run_leaves_out_as_it_was(self, tmp_path, monkeypatch):
+        """A command that raises after the check leaves an existing ``--out``
+        file untouched and makes no new one."""
+
+        def capped(*args, **kwargs):
+            raise pr.RetryLimitError("pipeline retry cap exhausted")
+
+        monkeypatch.setattr(gr, "run_thirteen_qubit_pipeline", capped)
+        existing, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"kept,bytes\r\n1,2\n")
+        for out in (existing, new):
+            with pytest.raises(pr.RetryLimitError):
+                cli.main(["pipeline13", "--trials", "1", "--out", str(out)])
+        assert existing.read_bytes() == b"kept,bytes\r\n1,2\n"
+        assert sorted(tmp_path.iterdir()) == [existing]
+
     def test_reproducible_outputs(self, tmp_path):
         files = []
         for i in (1, 2):
