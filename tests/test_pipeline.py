@@ -222,13 +222,6 @@ def retry_on_register(state, a, b, n, theta, rng, limit):
     return attempts, parity, scales is not None
 
 
-def fail_on_register(state, n, theta, rng):
-    """The failed attempt of a one-attempt retry, replayed on the register:
-    ``pr.held_pair_attempt`` on the tip-tail pair, drawing from ``rng``, a
-    copy of the generator as it was before the retry."""
-    pr.held_pair_attempt(state, 1, 2, n, theta, rng=rng)
-
-
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
 def test_pipeline_fast_probability(theta, monkeypatch):
     """The dead-link probability matches re-running the chain.
@@ -250,10 +243,10 @@ def test_pipeline_fast_probability(theta, monkeypatch):
     for _ in range(24):
         ends = random_ends(rng)
         for _ in range(6):
-            replay = copy.deepcopy(rng)
+            replay = copy.deepcopy(rng)  # the generator as the retry found it
             if retry_on_register(ends, 1, 2, 3, theta, rng, 1)[2]:
                 break
-            fail_on_register(ends, 3, theta, replay)
+            pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=replay)  # its failure, on the register
             deviations.append(abs(seen[-1] - fusion_success_probability_reference(ends, theta)))
     assert len(deviations) >= 20
     assert max(deviations) < 1e-12
@@ -466,7 +459,8 @@ def test_stage_caches_are_bounded_and_read_only():
     for theta in np.linspace(0.0, 3.0, 7):
         maps, map_weights = pr.held_pair_maps(3, theta)
         fresh, cumulative, cluster_pairs, fusion_marginals = gr._chain_tables(theta)
-        for cached in (pr.held_pair_maps, gr._chain_tables):
+        pr._retry_tables(3, theta)
+        for cached in (pr.held_pair_maps, pr._retry_tables, gr._chain_tables):
             info = cached.cache_info()
             assert info.maxsize == 2 and info.currsize <= info.maxsize
         assert cumulative == tuple(itertools.accumulate(fresh))
@@ -476,7 +470,8 @@ def test_stage_caches_are_bounded_and_read_only():
         for array in (maps, map_weights, *kept):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        for table in (fresh, cumulative, cluster_pairs, fusion_marginals, *fusion_marginals):
+        for table in (fresh, cumulative, cluster_pairs, fusion_marginals, *fusion_marginals,
+                      *pr._retry_tables(3, theta)[:3]):
             assert isinstance(table, tuple)
 
 
@@ -580,7 +575,7 @@ def test_retry_in_single_attempts_replays_one_call():
                 replay = copy.deepcopy(parts_rng)
                 _, bit, fused = retry_on_register(parts, 1, 2, 3, theta, parts_rng, 1)
                 if not fused:
-                    fail_on_register(parts, 3, theta, replay)
+                    pr.held_pair_attempt(parts, 1, 2, 3, theta, rng=replay)
                 attempts, parity = attempts + 1, parity ^ bit
             assert (attempts, parity, fused) == result, seed
             assert parts_rng.bit_generator.state == whole_rng.bit_generator.state
