@@ -41,14 +41,18 @@ the rewrites as follows (Hein, Eisert & Briegel, quant-ph/0307130):
 Cluster length is the node count of the longest simple path whose interior
 vertices are not flagged leaves.  It is defined here on forests only, where
 it is the largest tree diameter, so the four-qubit growth unit (a degree-3
-hub with three degree-1 arms) has length 3, not 4.  1D growth reads it off
-the row: the backbone plus a live spare leaf on either end, so the CLI grows
-1D rows without a graph; a ``ClusterGraph`` a caller attaches is a witness,
-and only then is this diameter checked.  A finished 2D build is the verified
-N x N lattice and reports N * N, its snake path.
+hub with three degree-1 arms) has length 3, not 4.  A finished 2D build is
+the verified N x N lattice and reports N * N, its snake path.
 
-Both builders move a row's end through one step, ``_row_attach``, which
-charges nothing, and take their fusion outcomes from one stream,
+A 1D row is a Markov chain on spare flags, one per backbone node below the
+end, which never holds a spare.  A success pushes 1, 1 (the old end and the
+new hub); a failure clears a flagged top, pops an unflagged one, and on an
+empty stack empties the row, which the next step restarts from [0, 1].  The
+length is len(flags) + 1 + flags[0].  ``grow_1d`` walks the flags without a
+graph; a witness ``ClusterGraph`` mirrors each step through ``_row_attach``,
+the graph step ``grow_2d`` moves its rows with, and must agree with the walk.
+
+Both builders take their fusion outcomes from one stream,
 ``_fusion_outcomes``: blocks of uniforms, rewound after the build to one
 uniform per outcome taken.  A unit's preparation cost never changes the
 row, so each build then charges all its units in one batched draw.
@@ -383,34 +387,36 @@ def time_steps_2d(N: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 # Row machinery shared by 1D and 2D growth
 
+def _frontier(n: int, peak: int) -> int:
+    """High-water mark of lattice sites a row spans: truncated territory is
+    re-used, so this is the span of its longest backbone, ``peak`` nodes."""
+    return (3 * n + 4) + ((peak - 3) // 2) * (4 * n + 4)
+
+
 @dataclass
 class _Row:
+    """A row on a graph; ``backbone[i] in spares`` below its end are its 1D flags."""
     backbone: list    # node ids in chain order
     spares: dict      # backbone node id -> flagged leaf hanging on it
     n: int = 3           # middle qubits per protocol chain, sets the site count
     protected: int = 0   # backbone prefix length that must survive
     peak: int = 3        # high-water mark of the backbone length
-    issued: int = 0      # node ids the row has numbered while no graph is attached
 
     @property
     def frontier(self) -> int:
-        """High-water mark of lattice sites this row spans.
-
-        The sites a backbone spans grow with its length, and truncated
-        territory is re-used, so this is the span of the longest backbone."""
-        return (3 * self.n + 4) + ((self.peak - 3) // 2) * (4 * self.n + 4)
+        return _frontier(self.n, self.peak)
 
 
-def _fresh_unit_row(graph: ClusterGraph | None, n: int = 3) -> _Row:
-    u, c, w, lf = range(4) if graph is None else three_node(graph)
-    return _Row(backbone=[u, c, w], spares={c: lf}, n=n, issued=4)
+def _fresh_unit_row(graph: ClusterGraph, n: int = 3) -> _Row:
+    u, c, w, lf = three_node(graph)
+    return _Row(backbone=[u, c, w], spares={c: lf}, n=n)
 
 
 def _row_length(row: _Row) -> int:
     """Cluster length of a 1D row: its backbone plus a spare on its start.
 
     The row end never holds a spare (``_row_attach`` keeps it so), so only
-    the start can add a leaf to the longest path.
+    the start can add a leaf to the longest path: len(flags) + 1 + flags[0].
     """
     if not row.backbone:
         return 0
@@ -471,8 +477,8 @@ def _fusion_outcomes(rng: np.random.Generator, p: float, block: int):
     return itertools.chain.from_iterable(blocks()), rewind
 
 
-def _row_attach(graph: ClusterGraph | None, row: _Row, outcomes) -> bool | None:
-    """Fuse a fresh growth unit onto the row's end: the one step that moves it.
+def _row_attach(graph: ClusterGraph, row: _Row, outcomes) -> bool | None:
+    """Fuse a fresh growth unit onto the end of a row on ``graph``.
 
     The fusion outcome is the next bool of ``outcomes``; it is returned.  An
     emptied row instead restarts, in place, from the fresh unit, takes no
@@ -480,10 +486,10 @@ def _row_attach(graph: ClusterGraph | None, row: _Row, outcomes) -> bool | None:
     charge the unit, the attempt or the restart.  The row end never holds a
     spare.  A failure builds no unit (its remnant would not be recycled) and
     measures out the end qubit; the end is then re-derived by promoting the
-    spare leaf of the new end node when one exists.  An attach on a
-    protected end raises ``RetryLimitError``: a failure run has eaten the
-    row back to lattice structure it must keep.  Only an attached graph is
-    rewritten; with ``graph=None`` the row numbers the unit's nodes itself.
+    spare leaf of the new end node when one exists.  This is the flag walk
+    of ``grow_1d`` on node ids.  An attach on a protected end raises
+    ``RetryLimitError``: a failure run has eaten the row back to lattice
+    structure it must keep.
     """
     backbone = row.backbone
     if backbone:
@@ -491,28 +497,20 @@ def _row_attach(graph: ClusterGraph | None, row: _Row, outcomes) -> bool | None:
         if len(backbone) <= row.protected:
             raise RetryLimitError("growth failure run reached protected lattice structure")
         if not success:
-            end = backbone.pop()
+            graph.measure_out(backbone.pop())
             promoted = row.spares.pop(backbone[-1], None) if backbone else None
             if promoted is not None:
                 backbone.append(promoted)
-            if graph is not None:
-                graph.measure_out(end)
-                graph.leaf_flags.discard(promoted)  # None when no spare was promoted
+                graph.leaf_flags.discard(promoted)
             return False
 
-    if graph is None:
-        u = row.issued
-        row.issued = u + 4
-        c, w, lf = u + 1, u + 2, u + 3
-    else:
-        u, c, w, lf = three_node(graph)
+    u, c, w, lf = three_node(graph)
     if not backbone:  # an emptied row restarts from the fresh unit
         backbone += u, c, w
         row.spares[c] = lf
         return None
     end = backbone[-1]
-    if graph is not None:
-        fuse(graph, end, u, True)
+    fuse(graph, end, u, True)
     row.spares[end] = u
     row.spares[c] = lf
     backbone += c, w
@@ -568,9 +566,11 @@ def grow_1d(
     closed-form model (preparation rounds and growth attempts).  ``p`` is
     the fusion success probability and ``n`` the middle-qubit count, which
     sets the qubits a unit spans; a ``p`` at which a row cannot grow raises
-    ``NoGrowthError`` before any draw.  Only a caller that passes an empty
-    ``ClusterGraph`` gets a graph: the row also grows on it, as a witness
-    whose diameter is checked against the row length.  Returns (graph, stats).
+    ``NoGrowthError`` before any draw.  The row is its stack of spare flags,
+    walked in this loop; a caller that passes an empty ``ClusterGraph`` gets
+    a witness row on it that mirrors each step through ``_row_attach``, and
+    an ``AssertionError`` where the witness's outcome, length, peak or final
+    diameter differs from the walk's.  Returns (graph, stats).
 
     Every outcome taken from ``_fusion_outcomes`` is a growth attempt.
     After the loop the stream is rewound to one uniform per attempt, and the
@@ -584,8 +584,9 @@ def grow_1d(
     if target_length < 3:
         raise ValueError("target_length must be >= 3")
 
-    row = _fresh_unit_row(graph, n)
-    length = _row_length(row)
+    row = None if graph is None else _fresh_unit_row(graph, n)
+    flags = [0, 1]  # the fresh unit's; None once a failure empties the row
+    length = peak = 3
     # one or two blocks at theta = 0.3, n = 3
     outcomes, rewind = _fusion_outcomes(rng, p, 2 * target_length)
     restarts = pairs = 0
@@ -598,8 +599,22 @@ def grow_1d(
     may_open = True  # at the start, or right after a success or a restart
     while length < target_length:
         before = length
-        success = _row_attach(graph, row, outcomes)
-        length = _row_length(row)
+        if flags is None:  # an emptied row restarts from the fresh unit
+            flags, success = [0, 1], None
+        elif success := next(outcomes):
+            flags += 1, 1
+            if len(flags) >= peak:
+                peak = len(flags) + 1
+        elif not flags:
+            flags = None
+        elif flags[-1]:
+            flags[-1] = 0
+        else:
+            flags.pop()
+        length = len(flags) + 1 + flags[0] if flags else 0 if flags is None else 1
+        if row is not None and (_row_attach(graph, row, iter([success])) is not success
+                                or (_row_length(row), row.peak) != (length, peak)):
+            raise AssertionError("the witness row left the flag walk")
         if success is None:  # a restart, which may open a pair as a success does
             restarts += 1
             success = True
@@ -613,7 +628,7 @@ def grow_1d(
     attempts = rewind()  # every outcome taken is a growth attempt
     stats = GrowthStats(
         protocol_applications=attempts, time_steps=STEPS_PROTOCOL_ROUND * attempts,
-        final_length=length, physical_qubits_used=row.frontier, growth_attempts=attempts,
+        final_length=length, physical_qubits_used=_frontier(n, peak), growth_attempts=attempts,
         paired_gain_sum=gain_sum, paired_gain_pairs=pairs, restarts=restarts,
     )
     _build_three_node_unit(stats, p, rng, units=1 + attempts + restarts)

@@ -130,14 +130,34 @@ MUTANTS = [
         "growth.py",
         "row.peak = len(backbone)",
         "pass",
-        (f"{GROWTH}::TestRowInvariant::test_graph_free_row_matches_witness_property",),
+        (f"{GROWTH}::TestRowInvariant::test_flag_walk_matches_witness_property",),
     ),
     Mutant(
         "attach-no-spare-promotion",
         "growth.py",
         "                backbone.append(promoted)\n",
         "                pass\n",
-        (f"{GROWTH}::TestRowInvariant::test_graph_free_row_matches_witness_property",),
+        (f"{GROWTH}::TestRowInvariant::test_flag_walk_matches_witness_property",),
+    ),
+    Mutant(
+        "flag-walk-pops-flagged-top",
+        "growth.py",
+        "            flags[-1] = 0\n",
+        "            flags.pop()\n",
+        (
+            f"{GROWTH}::TestRowInvariant::test_flag_walk_matches_witness_property",
+            f"{GROWTH}::TestGrow1D::test_matches_draw_per_attach_reference[200-0.21-3-seeds1]",
+        ),
+    ),
+    Mutant(
+        "flag-walk-length-without-start-flag",
+        "growth.py",
+        "length = len(flags) + 1 + flags[0] if flags",
+        "length = len(flags) + 1 if flags",
+        (
+            f"{GROWTH}::TestRowInvariant::test_flag_walk_matches_witness_property",
+            f"{GROWTH}::TestGrow1D::test_graph_free_matches_witness[200-0.21-3-seeds1]",
+        ),
     ),
     Mutant(
         "rewind-whole-last-block",

@@ -27,7 +27,7 @@ from reference import (
 from strategies import graphs, outcome_lists
 from test_pipeline import selective_layout
 
-P3 = pr.success_probability_closed(3, 0.3)
+P1, P3, P5 = (pr.success_probability_closed(n, 0.3) for n in (1, 3, 5))
 
 
 def path_graph(k):
@@ -772,23 +772,28 @@ class TestGrow1D:
         assert restarts > 0
 
     @pytest.mark.parametrize(
-        "target_length, p, seeds",
+        "target_length, p, n, seeds",
         [
-            (200, P3, range(20)),
-            (200, 0.21, range(3)),  # rows empty and restart; about nine blocks
-            (200, 1.0, range(2)),
-            (3, P3, range(2)),  # the seed unit reaches the target: no draw
-            (2000, P3, range(2)),  # about 4,300 attempts: two blocks of 4,000
-            (8, P3, range(20)),  # a gain pair opens only from length 3 or less
+            (200, P3, 3, range(20)),
+            (200, 0.21, 3, range(3)),  # rows empty and restart; about nine blocks
+            (200, 1.0, 3, range(2)),
+            (3, P3, 3, range(2)),  # the seed unit reaches the target: no draw
+            (2000, P3, 3, range(2)),  # about 4,300 attempts: two blocks of 4,000
+            (8, P3, 3, range(20)),  # a gain pair opens only from length 3 or less
+            # the frontier depends on n
+            (200, P1, 1, range(5)),
+            (200, 0.21, 1, range(3)),
+            (200, P5, 5, range(5)),
+            (200, 0.21, 5, range(3)),
         ],
     )
-    def test_matches_draw_per_attach_reference(self, target_length, p, seeds):
+    def test_matches_draw_per_attach_reference(self, target_length, p, n, seeds):
         # outcomes drawn in blocks, then rewound, leave the stats, the graph
         # and the generator exactly where one draw per attach leaves them
         for seed in seeds:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            graph, stats = gr.grow_1d(target_length, p, 3, rng, graph=gr.ClusterGraph())
-            ref_graph, ref_stats = grow_1d_per_attach(target_length, p, 3, ref_rng)
+            graph, stats = gr.grow_1d(target_length, p, n, rng, graph=gr.ClusterGraph())
+            ref_graph, ref_stats = grow_1d_per_attach(target_length, p, n, ref_rng)
             assert stats == ref_stats
             assert graph.nodes == ref_graph.nodes
             assert graph.edges() == ref_graph.edges()
@@ -799,23 +804,27 @@ class TestGrow1D:
                 assert stats.growth_attempts == 0
 
     @pytest.mark.parametrize(
-        "target_length, p, seeds",
+        "target_length, p, n, seeds",
         [
-            (200, P3, range(20)),
-            (200, 0.21, range(3)),  # rows empty and restart
-            (200, 1.0, range(2)),
-            (8, P3, range(5)),
-            (2000, P3, range(2)),
+            (200, P3, 3, range(20)),
+            (200, 0.21, 3, range(3)),  # rows empty and restart
+            (200, 1.0, 3, range(2)),
+            (8, P3, 3, range(5)),
+            (2000, P3, 3, range(2)),
+            (200, P1, 1, range(5)),
+            (200, 0.21, 1, range(3)),
+            (200, P5, 5, range(5)),
+            (200, 0.21, 5, range(3)),
         ],
     )
-    def test_graph_free_matches_witness(self, target_length, p, seeds):
+    def test_graph_free_matches_witness(self, target_length, p, n, seeds):
         # the row grown without a graph gives the stats and stream position of
         # the same row grown on a witness graph, whose diameter is its length
         for seed in seeds:
             rng, witness_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            none, stats = gr.grow_1d(target_length, p, 3, rng)
+            none, stats = gr.grow_1d(target_length, p, n, rng)
             graph, witness_stats = gr.grow_1d(
-                target_length, p, 3, witness_rng, graph=gr.ClusterGraph()
+                target_length, p, n, witness_rng, graph=gr.ClusterGraph()
             )
             assert none is None
             assert stats == witness_stats
@@ -830,6 +839,7 @@ class TestGrow1D:
 
         monkeypatch.setattr(gr.ClusterGraph, "new_node", refuse)
         monkeypatch.setattr(gr.ClusterGraph, "measure_out", refuse)
+        monkeypatch.setattr(gr, "_row_attach", refuse)
         _, stats = gr.grow_1d(200, P3, 3, np.random.default_rng(3))
         assert stats.final_length >= 200
         argv = ["grow", "--mode", "1d", "--target-length", "200", "--trials", "2"]
@@ -839,7 +849,8 @@ class TestGrow1D:
 
     def test_one_unit_charged_per_attach(self, monkeypatch):
         # the batched charge after the loop covers the seed unit and every
-        # attach; each unit cycle and growth attempt is one five-step round
+        # attach; each unit cycle and growth attempt is one five-step round.
+        # A witness build mirrors every step of the flag walk with one attach
         attach = gr._row_attach
         calls = []
 
@@ -850,7 +861,7 @@ class TestGrow1D:
         monkeypatch.setattr(gr, "_row_attach", counting_attach)
         for i in range(20):
             calls.clear()
-            _, stats = gr.grow_1d(200, P3, 3, np.random.default_rng([23, i]))
+            _, stats = gr.grow_1d(200, P3, 3, np.random.default_rng([23, i]), gr.ClusterGraph())
             assert stats.three_nodes_built == 1 + len(calls)
             assert stats.time_steps == gr.STEPS_PROTOCOL_ROUND * (
                 stats.prep_rounds + stats.pair_fusion_attempts + stats.growth_attempts
@@ -904,33 +915,47 @@ class TestRowInvariant:
     @settings(max_examples=50)
     @given(outcomes=outcome_lists, n=st.sampled_from([1, 3, 5]))
     @example(outcomes=[False] * 5 + [True] * 3, n=3)  # empties the row: a restart
-    def test_graph_free_row_matches_witness_property(self, outcomes, n):
-        """The same outcomes move a graph-free row and a row on a witness
-        graph alike, step by step.  The row length is the witness's
-        diameter, and the frontier is the running max of the lattice sites
-        the backbone spans after each success."""
-        graph = gr.ClusterGraph()
-        free, witness = gr._fresh_unit_row(None, n), gr._fresh_unit_row(graph, n)
-        frontier = 3 * n + 4
+    def test_flag_walk_matches_witness_property(self, outcomes, n):
+        """``grow_1d``'s flag walk, fed ``outcomes`` and then successes up to
+        its target, and the witness row that mirrors it, step by step.
+        ``grow_1d`` checks each step's success, length and peak against the
+        witness; here the witness's success is the outcome fed, its length
+        is its graph's diameter, its peak is its longest backbone, and its
+        frontier is the running max of the lattice sites the backbone spans
+        after each success.  The walk's final length and frontier match."""
+        target = 2 * len(outcomes) + 5  # past any length the outcomes reach
+        stream = [*outcomes, *[True] * target]
+        fed, expected = iter(stream), iter(stream)
+        steps = []
+        frontier, peak = 3 * n + 4, 3
+        attach = gr._row_attach
 
-        def check():
-            assert free.backbone == witness.backbone
-            assert free.spares == witness.spares
-            assert free.peak == witness.peak
-            assert gr._row_length(free) == graph.longest_segment_length()
-            assert free.frontier == witness.frontier == frontier
+        def fusion_outcomes(rng, p, block):
+            return fed, lambda: sum(step is not None for step in steps)
 
-        for outcome in outcomes:
-            if not free.backbone:
-                assert gr._row_attach(None, free, None) is None
-                assert gr._row_attach(graph, witness, None) is None
-                check()
-            assert gr._row_attach(None, free, iter([outcome])) is outcome
-            assert gr._row_attach(graph, witness, iter([outcome])) is outcome
-            if outcome:
-                extent = (3 * n + 4) + ((len(free.backbone) - 3) // 2) * (4 * n + 4)
+        def checked_attach(graph, row, step_outcomes):
+            nonlocal frontier, peak
+            restart = not row.backbone
+            success = attach(graph, row, step_outcomes)
+            assert success is None if restart else success is next(expected)
+            assert gr._row_length(row) == graph.longest_segment_length()
+            peak = max(peak, len(row.backbone))
+            assert row.peak == peak
+            if success:
+                extent = (3 * n + 4) + ((len(row.backbone) - 3) // 2) * (4 * n + 4)
                 frontier = max(frontier, extent)
-            check()
+            assert row.frontier == frontier
+            steps.append(success)
+            return success
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gr, "_fusion_outcomes", fusion_outcomes)
+            mp.setattr(gr, "_row_attach", checked_attach)
+            graph, stats = gr.grow_1d(target, 0.5, n, np.random.default_rng(0), gr.ClusterGraph())
+        assert stats.growth_attempts >= len(outcomes)  # every outcome was fed
+        assert stats.restarts == steps.count(None)
+        assert stats.final_length == graph.longest_segment_length() >= target
+        assert stats.physical_qubits_used == frontier
 
     @pytest.mark.parametrize("success", [True, False])
     def test_attach_on_protected_end_raises(self, success):
