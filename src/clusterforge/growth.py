@@ -585,7 +585,7 @@ def grow_1d(
         raise ValueError("target_length must be >= 3")
 
     row = None if graph is None else _fresh_unit_row(graph, n)
-    flags = [0, 1]  # the fresh unit's; None once a failure empties the row
+    flags = [0, 1]  # the fresh unit's; [] for a lone end, None for an emptied row
     length = peak = 3
     # one or two blocks at theta = 0.3, n = 3
     outcomes, rewind = _fusion_outcomes(rng, p, 2 * target_length)
