@@ -9,7 +9,6 @@ Run from the repository root::
 
     python tests/seed_audit.py                         # K = 20, the files in FILES
     python tests/seed_audit.py --k 50 tests/test_growth.py
-    python tests/seed_audit.py --json audit.json       # every seeded test's runs
 
 It runs outside the test suite, as ``mutants.py`` does, and edits no test
 and no tolerance.  Tests that pin bytes or generator states, or rest on
@@ -128,7 +127,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*", default=list(FILES))
     parser.add_argument("--k", type=int, default=20, help="offsets 1..K (default 20)")
-    parser.add_argument("--json", metavar="PATH", help="write every seeded test's runs here")
     args = parser.parse_args(argv)
     if args.k < 1:
         parser.error("--k must be >= 1")
@@ -159,8 +157,6 @@ def main(argv=None) -> int:
     perfect = sum(_rate(node_runs) == 1.0 for node_runs in runs.values())
     print(f"{len(runs)} seeded tests over {args.k} offsets in {took:.0f} s: "
           f"{perfect} passed every offset, {low} below {FLOOR:.0%}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     return 1 if low else 0
 
 
