@@ -47,6 +47,7 @@ from . import statevector as sv
 
 _PUBLISHED_T1D = "23*l_C"     # published shorthand for the 1D time cost
 _PUBLISHED_T2D = "65*N+10"    # published shorthand for the 2D time cost
+_VERIFY_RETRY_CAP = 100_000  # theta = 2.5 runs pass it about once in 1e27 (tail e-fold ~1,600)
 
 
 def _fmt(value) -> str:
@@ -195,7 +196,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
             "length_gain_formula": gain,
             "length_gain_mc": gain_mc,
             "protocols_per_length_formula": (s_b + 1.0) / gain,
-            "protocols_per_length_mc": (s_b_mc + 1.0) / gain_mc,
+            "protocols_per_length_mc": (s_b_mc + 1.0) / gain_mc if gain_mc else math.inf,
             "protocols_per_length_raw": apps / sum(st.final_length for st in runs),
             "t1d_per_length_formula": gr.time_steps_1d(1.0, p),
             "t1d_per_length_published": _PUBLISHED_T1D,
@@ -342,7 +343,8 @@ def verify(args: argparse.Namespace) -> int:
     check("ghz_concatenation", fid > 1.0 - 1e-10, f"fidelity {fid:.12f}")
 
     for theta in (0.0, 0.3, 1.0, 2.5):
-        ends, _ = gr.run_thirteen_qubit_pipeline(theta, np.random.default_rng([args.seed, 2, int(theta * 10)]))
+        rng = np.random.default_rng([args.seed, 2, int(theta * 10)])
+        ends, _ = gr.run_thirteen_qubit_pipeline(theta, rng, _VERIFY_RETRY_CAP)
         fid = fidelity(ends, gr.three_node_target())
         check(f"pipeline_theta_{theta}", fid > 1.0 - 1e-9, f"fidelity {fid:.12f}")
 

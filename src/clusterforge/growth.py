@@ -685,6 +685,60 @@ def _chain_tables(theta: float) -> tuple:
     return fresh, cumulative, tuple(pairs), tuple(map(tuple, fusion_marginals))
 
 
+def _retry_walk(rows, p: float, cost: float) -> tuple[float, float, float, float]:
+    """Stage 3 under the rule s * ``cost`` < 1.  Its failure rows are (x, y, y, x):
+    class 0 (outcome 000) and class 1 (the rest, summed) fail with ``rows[c]``, x
+    in sector X (P00 + P11 = 1; 2p succeeds) and y in Y, weight 1/2 each.  The rule
+    keeps j class-1 failures up to a rising line J(t) in the attempt t, and j's
+    distribution moves from one rise to the next.  Returns the expected attempts,
+    the chance of giving up and the range [low, high) of log(2pC - 1) with its cuts."""
+    rho = np.array(rows)[:, :, None]  # rho[class][sector]
+    (x0, y0), (x1, y1) = rows  # x0 > 0 and y1 > 0; y0 and x1 are 0 at theta = 0
+    gain, loss = math.log(x0 / max(y0, 1e-300)), math.log(max(x1, 1e-300) / y1)
+    odds, width = math.log(2.0 * p * cost - 1.0), gain - loss
+    last = math.floor(odds / width)  # J(0) >= 0, as 2pC >= 4
+    low, high, t, rise, attempts, tables = last * width, (last + 1) * width, 0, 0, np.zeros(2), {}
+    mass = 0.5 * np.eye(1, last + 1)[[0, 0]]
+    while mass.sum() > 1e-16:  # the rest is left out
+        if t + 1 == rise:  # the next failure lands under the raised line
+            mass, last = np.hstack([mass, np.zeros((2, 1))]), last + 1
+        rise = math.ceil(((last + 1) * width - odds) / gain)  # J(rise) = last + 1
+        low = max(low, (last + 1) * width - rise * gain)
+        high = min(high, (last + 1) * width - (rise - 1) * gain)
+        steps = min(rise - t - 1, 4096)  # failures that all land under J = last
+        if steps not in tables:  # j's spread over them, cut below 1e-30, and attempts at j or less
+            spread, visits = np.eye(2, steps + 1)[[0, 0]], np.zeros((2, steps + 1))
+            for _ in range(steps):
+                visits += spread
+                spread = rho[0] * spread + np.hstack([np.zeros((2, 1)), rho[1] * spread[:, :-1]])
+            kept = 1 + np.flatnonzero(spread.max(0) > 1e-30).max()
+            tables[steps] = spread[:, :kept], visits.cumsum(1)
+        spread, visited = tables[steps]
+        attempts += (mass * visited[:, np.minimum(np.arange(last, -1, -1), steps)]).sum(axis=1)
+        mass = np.array([np.convolve(m, s)[: last + 1] for m, s in zip(mass, spread)])
+        t += steps
+    return float(attempts.sum()), float(1.0 - 2.0 * p * attempts[0] - mass.sum()), low, high
+
+
+@functools.lru_cache(maxsize=2)  # as _chain_tables
+def _restart_cost(theta: float) -> float:
+    """C(theta), a run's expected protocol applications when its fusion gives up where
+    s * C < 1: the fixed point of C = (2/p + E3) / (1 - P_g), E3 and P_g from the walk,
+    which starts where every fusion does, at marginals (1/4, 1/4, 1/4, 1/4)."""
+    p = pr.success_probability_closed(3, theta)
+    w = pr.held_pair_maps(3, theta)[1][~pr.success_mask(3)]  # the failure rows
+    if not (np.abs(w - w[:, ::-1]).max() <= 1e-15 >= np.abs(w[1:] - w[1]).max()
+            and w[0, 0] > w[0, 1] and w[1, 0] <= w[1, 1]):
+        raise AssertionError("stage 3's failure rows are not two classes of the form (x, y, y, x)")
+    rows, cost = (w[0, :2], w[1:, :2].sum(axis=0)), 6.0 / p  # a guess
+    for _ in range(100):
+        attempts, given_up, low, high = _retry_walk(rows, p, cost)
+        cost = (2.0 / p + attempts) / (1.0 - given_up)
+        if low <= math.log(2.0 * p * cost - 1.0) < high:  # the walk's own rule: a fixed point
+            return cost
+    raise AssertionError("the restart cost found no fixed point")
+
+
 def run_thirteen_qubit_pipeline(
     theta: float,
     rng: np.random.Generator,
@@ -696,8 +750,8 @@ def run_thirteen_qubit_pipeline(
     guard qubits, reconnected tip-to-tail through re-initialized middles, and
     fused into the four-qubit growth unit (hub qubit 4, leaf qubit 8).  Chain
     failures rebuild that chain from scratch; fusion failures retry with
-    fresh middles while the exact retry success probability stays at least
-    ``pr.DEAD_LINK_PROBABILITY`` and restart the whole register otherwise.
+    fresh middles until a restart of the whole register is worth more: s * C
+    < 1, s the next success chance and C = :func:`_restart_cost` (theta).
     Each simultaneous protocol round costs five time steps.  Returns
     ``(ends, stats)``: ``ends`` is the 4-qubit state of register qubits (0,
     4, 8, 12) with all local corrections applied, hub 4 at position 1 and
@@ -755,12 +809,12 @@ def run_thirteen_qubit_pipeline(
 
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
         limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
-        marginals = fusion_marginals[kept[0]][kept[1]]
-        attempts, fusion_parity, scales = pr.held_pair_retry(marginals, 3, theta, rng, limit)
+        marginals, cost = fusion_marginals[kept[0]][kept[1]], _restart_cost(theta)  # C once a theta
+        attempts, fusion_parity, scales = pr.held_pair_retry(marginals, 3, theta, rng, limit, cost)
         stats.time_steps += STEPS_PROTOCOL_ROUND * attempts
         stats.protocol_applications += attempts
         if scales is None:
-            stats.restarts += 1  # a dead link, or the cap, which the next round raises
+            stats.restarts += 1  # a link given up, or the cap, which the next round raises
             continue  # rebuild everything
         ends = PureState(4, np.multiply.outer(cluster_pairs[kept[0]], cluster_pairs[kept[1]]))
         sv._split_pair(ends, 1, 2)[...] *= np.array(scales).reshape(1, 2, 1, 2, 1)

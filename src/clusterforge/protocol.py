@@ -29,8 +29,9 @@ it in place; the heralded teleport's link calls it.  ``held_pair_retry``
 draws a run of attempts as those calls would, on the pair's four Born
 marginals alone, and returns the factors its basis states take on a
 success: the pipeline's fusion retries with it.  ``retry_probabilities``
-reads the table; ``concatenated_ghz`` still retries on its dense register,
-but gives a link up by the retry's own rule, ``held_pair_success_probability``.
+reads the table.  A retry gives a link up where s * C < 1, s its next success
+chance and C the caller's restart cost; ``concatenated_ghz``, retrying on its
+dense register, takes C = 1 / ``DEAD_LINK_PROBABILITY``.
 
 All randomness flows through numpy Generators supplied by the caller, so
 runs are pure functions of their outcome sources; nothing here shares
@@ -322,14 +323,17 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     columns is a basis pair's outcome distribution and sums to 1.
     """
     _check_odd_n(n)
-    phase = -np.exp(1j * theta)  # exactly -1 at theta = 0, so no roundoff leaks into failures
+    # a success map, ~cos(theta/2)^((n+1)/2), is a sum of O(1) terms: where they
+    # cancel to three digits or fewer, the product runs in extended precision
+    wide = abs(math.cos(theta / 2.0)) ** ((n + 1) / 2) < 1e-3
+    phase = -np.exp(1j * (np.longdouble(theta) if wide else theta))  # exactly -1 at theta = 0
     bond = np.array([[1.0, 1.0], [phase, 1.0]])
     # rows b, columns 2 m_j + b': S_1 negates the bond's row 1
     step = np.array([[1.0, 1.0, 1.0, 1.0], [phase, 1.0, -phase, -1.0]]) / 2.0
     partial = bond[:, None]  # [a, m, b], m over the middles so far
     for _ in range(n):
         partial = (partial.reshape(-1, 2) @ step).reshape(2, -1, 2)
-    maps = partial.transpose(1, 0, 2).reshape(-1, 4)
+    maps = partial.transpose(1, 0, 2).reshape(-1, 4).astype(complex)
     weights = np.abs(maps) ** 2
     for total in weights.sum(axis=0).tolist():
         sv._check_norm_squared(total, 1 << n)
@@ -368,7 +372,7 @@ def held_pair_attempt(
     return m, path
 
 
-DEAD_LINK_PROBABILITY = 1e-9  # both retry loops give a link up below this success chance
+DEAD_LINK_PROBABILITY = 1e-9  # a GHZ link is given up below this success chance
 
 
 def held_pair_success_probability(marginals: list, p: float) -> float:
@@ -385,17 +389,17 @@ def _retry_tables(n: int, theta: float) -> tuple[tuple, tuple, tuple, float]:
 
 
 def held_pair_retry(
-    marginals, n: int, theta: float, rng, limit: int
+    marginals, n: int, theta: float, rng, limit: int, restart_cost: float
 ) -> tuple[int, int, tuple | None]:
     """:func:`held_pair_attempt` until one succeeds, on a held pair's four Born
     marginals ``(P00, P01, P10, P11)`` alone, norm-checked as the pipeline's
     16-amplitude ends.  The drawn map rescales them as ``P_k <- w[m, k] P_k /
-    weight_m``.  The run stops on a success, after ``limit`` attempts or on a
-    dead link (:func:`held_pair_success_probability` below
-    ``DEAD_LINK_PROBABILITY``).  Returns the attempts, the drawn outcomes'
-    parity and, on a success, the four factors the pair's basis states take:
-    the product of the drawn maps, each over the square root of its weight.
-    A link given up returns None in their place."""
+    weight_m``.  The run stops on a success, after ``limit`` attempts or where
+    a restart is worth more: s * C < 1, s the link's next success chance
+    (:func:`held_pair_success_probability`), C ``restart_cost``.  Returns the
+    attempts, the drawn outcomes' parity and, on a success, the four factors
+    the pair's basis states take: the product of the drawn maps, each over the
+    square root of its weight.  A link given up returns None in their place."""
     if limit < 1:
         raise RetryLimitError("retry cap exhausted")
     cells, rows, success, p = _retry_tables(n, theta)
@@ -410,7 +414,7 @@ def held_pair_retry(
         s00, s01, s10, s11 = s00 * g00 / root, s01 * g01 / root, s10 * g10 / root, s11 * g11 / root
         if success[m]:
             return attempts, parity, (s00, s01, s10, s11)
-        if held_pair_success_probability(marginals, p) < DEAD_LINK_PROBABILITY:
+        if held_pair_success_probability(marginals, p) * restart_cost < 1.0:
             break
     return attempts, parity, None
 
@@ -467,8 +471,8 @@ def concatenated_ghz(N: int, theta: float, rng: np.random.Generator) -> GhzRun:
     The register holds 4N-3 qubits; every odd qubit is a protocol middle.
     Failures are retried by re-initializing the middle and re-entangling,
     which never disturbs the amplitude ratio of the qubits already linked.
-    A link dead by :func:`held_pair_retry`'s rule, on the marginals of its
-    held qubits, rebuilds the whole register from scratch.  An n = 1 link
+    A link given up by :func:`held_pair_retry`'s rule on its held qubits, at
+    C = 1 / ``DEAD_LINK_PROBABILITY``, rebuilds the whole register.  An n = 1 link
     heralds only on m = 1, so each linked qubit takes one Z byproduct,
     corrected in the returned state.  More than ``GHZ_RETRY_CAP`` protocol
     attempts raise ``RetryLimitError``.

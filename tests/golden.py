@@ -95,6 +95,8 @@ def corpus() -> list:
         *_seeded("grow", "--mode", "1d", "--trials", "10", "--target-length", "300",
                  "--theta", "0.8"),
         *_seeded("grow", "--mode", "1d", "--trials", "20", "--n", "1", "--theta", "1.0"),
+        # every gain pair of the run nets 0: the paired estimates read 0 and inf
+        ["grow", "--mode", "1d", "--target-length", "8", "--trials", "1", "--seed", "22"],
         # p ~ 0.210, close to the growth threshold: about 85 row restarts
         *_seeded("grow", "--mode", "1d", "--theta", "1.05", "--target-length", "200",
                  "--trials", "5"),
@@ -104,6 +106,8 @@ def corpus() -> list:
         *_seeded("pipeline13", "--trials", "5", seeds=(1, 2, 3)),
         *_seeded("pipeline13", "--trials", "1", "--theta", "2.5"),
         *_seeded("verify", seeds=(1, 2, 12345)),
+        # theta = 2.5 pipeline runs past 10,000 applications, under the old and the new give-up rule
+        *_seeded("verify", seeds=(18, 595)),
         ["verify", "--corrupt-gate", "--seed", "11"],
         # --out files
         ["sequences", "--n", "7", "--out", OUT],

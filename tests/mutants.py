@@ -222,9 +222,36 @@ MUTANTS = [
         "protocol.py",
         "DEAD_LINK_PROBABILITY = 1e-9",
         "DEAD_LINK_PROBABILITY = 1e-3",
+        ("tests/test_pipeline.py::test_restart_cost_values",),
+    ),
+    Mutant(
+        "restart-cost-without-stage-one",
+        "growth.py",
+        "cost = (2.0 / p + attempts) / (1.0 - given_up)",
+        "cost = attempts / (1.0 - given_up)",
         (
-            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[0.3-40-20]",
-            "tests/test_pipeline.py::test_retry_in_single_attempts_replays_one_call",
+            "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[1.0]",
+            "tests/test_pipeline.py::test_restart_cost_values",
+        ),
+    ),
+    Mutant(
+        "walk-gives-up-below-two",
+        "growth.py",
+        "odds, width = math.log(2.0 * p * cost - 1.0), gain - loss",
+        "odds, width = math.log(p * cost - 1.0), gain - loss",
+        (
+            "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[0.3]",
+            "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[2.0]",
+        ),
+    ),
+    Mutant(
+        "retry-gives-up-below-two",
+        "protocol.py",
+        "if held_pair_success_probability(marginals, p) * restart_cost < 1.0:",
+        "if held_pair_success_probability(marginals, p) * restart_cost < 2.0:",
+        (
+            "tests/test_pipeline.py::test_retry_gives_up_where_a_restart_is_worth_more[0.3]",
+            "tests/test_pipeline.py::test_retry_gives_up_where_a_restart_is_worth_more[2.5]",
         ),
     ),
     Mutant(

@@ -9,9 +9,10 @@ Monte-Carlo fail-and-retry route on a held pair, Monte-Carlo cross-checks
 of the closed-form cost model, 1D growth with one draw per attach, target
 states of the pipeline's intermediate and reduced stages, the net-growth
 threshold, a Schmidt-rank product test, two probes of a graph or a
-state, and the row-dict writer that the columnar CSV and JSON writer is
-checked against.  Import them as ``from reference import ...``, like the other
-test-side helpers.
+state, stage 3's retry law by a dict walk on its marginals, and the
+row-dict writer that the columnar CSV and JSON writer is checked against.
+Import them as ``from reference import ...``, like the other test-side
+helpers.
 """
 
 import math
@@ -251,6 +252,36 @@ def retry_protocol(
     pair = end_pair.copy()
     m, path_probability = pr.held_pair_attempt(pair, 0, 1, n, theta, outcomes, rng)
     return m, path_probability, pair
+
+
+def retry_walk_reference(theta: float, cost: float, floor: float = 1e-16) -> tuple[float, float]:
+    """Stage 3 of the pipeline under the rule s * ``cost`` < 1, by a walk on
+    its four marginals with every outcome row applied on its own: no failure
+    classes are assumed or merged, and states meet only where their
+    marginals agree to 14 decimals.  It starts from (1/4, 1/4, 1/4, 1/4) and
+    drops states below ``floor``.  Returns the expected attempts and the
+    chance of giving up."""
+    weights = pr.held_pair_maps(3, theta)[1].tolist()
+    success = pr.success_mask(3).tolist()
+    p = pr.success_probability_closed(3, theta)
+    states = {None: ((0.25, 0.25, 0.25, 0.25), 1.0)}
+    attempts = given_up = 0.0
+    while states:
+        following = {}
+        for marginals, mass in states.values():
+            attempts += mass
+            for row, succeeds in zip(weights, success):
+                weight = sum(w * m for w, m in zip(row, marginals))
+                if succeeds or not weight:
+                    continue
+                after = tuple(w * m / weight for w, m in zip(row, marginals))
+                if pr.held_pair_success_probability(after, p) * cost < 1.0:
+                    given_up += mass * weight
+                    continue
+                key = tuple(round(m, 14) for m in after)
+                following[key] = (after, following.get(key, (None, 0.0))[1] + mass * weight)
+        states = {key: state for key, state in following.items() if state[1] > floor}
+    return attempts, given_up
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ("tests/test_growth.py", "tests/test_cli.py")
+FILES = ("tests/test_growth.py", "tests/test_cli.py", "tests/test_pipeline.py")
 FLOOR = 0.99
 OFFSET_VAR, OUT_VAR = "SEED_AUDIT_OFFSET", "SEED_AUDIT_OUT"
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import shlex
@@ -164,6 +165,20 @@ class TestGrowCommand:
         record = dict(zip(header.split(","), row.split(",")))
         assert np.isfinite(float(record["length_gain_mc"]))
 
+    def test_1d_zero_paired_gain_reports(self):
+        # every gain pair of this run nets 0: the paired gain reads 0 and
+        # the protocols per length inf, which the JSON form writes as Infinity
+        args = ["grow", "--mode", "1d", "--target-length", "8", "--trials", "1", "--seed", "22"]
+        code, out = run_cli(args)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        record = dict(zip(header.split(","), row.split(",")))
+        assert (record["length_gain_mc"], record["protocols_per_length_mc"]) == ("0", "inf")
+        code, out = run_cli([*args, "--format", "json"])
+        assert code == 0
+        [record] = json.loads(out)
+        assert record["length_gain_mc"] == 0 and record["protocols_per_length_mc"] == math.inf
+
     def test_1d_deterministic_limit(self):
         code, out = run_cli(
             ["grow", "--mode", "1d", "--trials", "5", "--target-length", "21",
@@ -247,7 +262,7 @@ class TestPipelineCommand:
             ),
             (
                 ["--theta", "2.5", "--trials", "4", "--seed", "1"],
-                "3,2.5,1,4,0,1,3695,17155,1\n3,2.5,1,4,1,1,418,2085,0\n"
+                "3,2.5,1,4,0,1,1392,6345,1\n3,2.5,1,4,1,1,418,2085,0\n"
                 "3,2.5,1,4,2,1,809,3650,0\n3,2.5,1,4,3,1,172,715,0\n",
             ),
         ],
@@ -264,6 +279,15 @@ class TestPipelineCommand:
 class TestVerifyCommand:
     def test_passes_clean(self, tmp_path):
         code, out = run_cli(["verify", "--seed", "7", "--out", str(tmp_path / "v.txt")])
+        assert code == 0
+        assert "PASS overall" in out
+
+    @pytest.mark.parametrize("seed", ["18", "595"])
+    def test_long_pipeline_check_still_reports(self, seed):
+        # the theta = 2.5 pipeline run of seed 18 passed 10,000 applications,
+        # the pipeline's default cap, under the 1e-9 give-up key, and seed
+        # 595's takes 10,708 under s * C < 1; verify's own cap lets both finish
+        code, out = run_cli(["verify", "--seed", seed])
         assert code == 0
         assert "PASS overall" in out
 

@@ -18,6 +18,7 @@ from reference import (
     draw_x_run,
     linear_cluster_target,
     probability_of_bit,
+    retry_walk_reference,
     thirteen_qubit_target,
     x_weights,
 )
@@ -139,9 +140,9 @@ def dense_pipeline_reference(theta, rng, retry_cap=10_000):
             if seq in pr.enumerate_success_sequences(3):
                 fused = True
                 break
-            if _dense_fusion_success_probability(state, theta) < 1e-9:
+            if _dense_fusion_success_probability(state, theta) * gr._restart_cost(theta) < 1.0:
                 stats.restarts += 1
-                break  # dead end: rebuild everything
+                break  # a restart is cheaper: rebuild everything
         if not fused:
             if stats.protocol_applications >= retry_cap:
                 raise gr.RetryLimitError("pipeline retry cap exhausted")
@@ -211,12 +212,12 @@ def fusion_success_probability_reference(ends, theta):
     return total
 
 
-def retry_on_register(state, a, b, n, theta, rng, limit):
+def retry_on_register(state, a, b, n, theta, rng, limit, cost):
     """``pr.held_pair_retry`` on the Born marginals of the held pair ``a < b``
-    of a register, whose basis states take its four factors on a success.
-    Returns the attempts, the parity and success."""
+    of a register, at restart cost ``cost``, whose basis states take its four
+    factors on a success.  Returns the attempts, the parity and success."""
     marginals = sv.pair_marginals(state, a, b).reshape(4).tolist()
-    attempts, parity, scales = pr.held_pair_retry(marginals, n, theta, rng, limit)
+    attempts, parity, scales = pr.held_pair_retry(marginals, n, theta, rng, limit, cost)
     if scales is not None:
         sv._split_pair(state, a, b)[...] *= np.array(scales).reshape(1, 2, 1, 2, 1)
     return attempts, parity, scales is not None
@@ -224,7 +225,7 @@ def retry_on_register(state, a, b, n, theta, rng, limit):
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
 def test_pipeline_fast_probability(theta, monkeypatch):
-    """The dead-link probability matches re-running the chain.
+    """The give-up rule's success probability matches re-running the chain.
 
     ``held_pair_retry`` evaluates it on its tracked marginals after every
     failed attempt.  Run one attempt at a time (``limit=1``), each failure
@@ -244,7 +245,7 @@ def test_pipeline_fast_probability(theta, monkeypatch):
         ends = random_ends(rng)
         for _ in range(6):
             replay = copy.deepcopy(rng)  # the generator as the retry found it
-            if retry_on_register(ends, 1, 2, 3, theta, rng, 1)[2]:
+            if retry_on_register(ends, 1, 2, 3, theta, rng, 1, gr._restart_cost(theta))[2]:
                 break
             pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=replay)  # its failure, on the register
             deviations.append(abs(seen[-1] - fusion_success_probability_reference(ends, theta)))
@@ -417,7 +418,7 @@ def test_fusion_attempt_checks_the_norm():
         with pytest.raises(sv.NormalizationError):
             pr.held_pair_attempt(ends, 1, 2, 3, 1.0, rng=np.random.default_rng(1))
         with pytest.raises(sv.NormalizationError):
-            retry_on_register(ends, 1, 2, 3, 1.0, np.random.default_rng(1), 5)
+            retry_on_register(ends, 1, 2, 3, 1.0, np.random.default_rng(1), 5, 25.0)
         np.testing.assert_array_equal(ends.amps, before)
 
 
@@ -493,25 +494,27 @@ def test_cluster_pair_table_is_the_gate_route(theta):
         assert cluster_pairs[m].tobytes() == pair.amps.tobytes(), m
 
 
-def is_dead(ends, n, theta):
+def gives_up(ends, n, theta, cost):
+    """The retry rule on a register's held pair (1, 2): one more attempt is
+    worth less than a restart that costs ``cost``, s * C < 1."""
     marginals = sv.pair_marginals(ends, 1, 2).reshape(4)
-    return pr.held_pair_success_probability(marginals, pr.success_probability_closed(n, theta)) < 1e-9
+    return pr.held_pair_success_probability(marginals, pr.success_probability_closed(n, theta)) * cost < 1.0
 
 
-def attempt_loop(ends, a, b, n, theta, rng, limit):
+def attempt_loop(ends, a, b, n, theta, rng, limit, cost):
     """``held_pair_retry`` as a loop of ``held_pair_attempt`` calls, each
-    updating the register and each dead-link check reading it."""
+    updating the register and each give-up check reading it."""
     success = pr.success_mask(n)
     parity = 0
     for attempts in range(1, limit + 1):
         m, _ = pr.held_pair_attempt(ends, a, b, n, theta, rng=rng)
         parity ^= m.bit_count() & 1
-        if success[m] or is_dead(ends, n, theta):
+        if success[m] or gives_up(ends, n, theta, cost):
             break
     return attempts, parity, bool(success[m])
 
 
-def run_recorded(route, ends, n, theta, seed, limit):
+def run_recorded(route, ends, n, theta, seed, limit, cost):
     """One route on a copy of ``ends``: its result, the drawn outcomes,
     the generator's state after it and the register it leaves."""
     state, rng, draws = ends.copy(), np.random.default_rng(seed), []
@@ -524,7 +527,7 @@ def run_recorded(route, ends, n, theta, seed, limit):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sv, "draw_outcome", recorded)
-        result = route(state, 1, 2, n, theta, rng, limit)
+        result = route(state, 1, 2, n, theta, rng, limit, cost)
     return result, draws, rng.bit_generator.state, state
 
 
@@ -535,13 +538,15 @@ def run_recorded(route, ends, n, theta, seed, limit):
     n=st.sampled_from([1, 3, 5]),
     limit=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
+    cost=st.floats(1.0, 1e6),
 )
-def test_retry_matches_attempt_loop_property(ends, theta, n, limit, seed):
+def test_retry_matches_attempt_loop_property(ends, theta, n, limit, seed, cost):
     """The retry on four marginals replays a loop of single attempts: the
     same outcomes and parity, the same draws and, on a success, the same
     final register.  A link given up leaves no register to compare."""
-    fast, fast_draws, fast_rng, fast_state = run_recorded(retry_on_register, ends, n, theta, seed, limit)
-    slow, slow_draws, slow_rng, slow_state = run_recorded(attempt_loop, ends, n, theta, seed, limit)
+    args = ends, n, theta, seed, limit, cost
+    fast, fast_draws, fast_rng, fast_state = run_recorded(retry_on_register, *args)
+    slow, slow_draws, slow_rng, slow_state = run_recorded(attempt_loop, *args)
     assert fast == slow
     assert fast_draws == slow_draws and len(fast_draws) == fast[0]
     assert fast_rng == slow_rng
@@ -565,15 +570,16 @@ def test_retry_in_single_attempts_replays_one_call():
     k = 12
     stops = set()
     for theta, make_ends in ((0.3, random_ends), (2.5, random_ends), (0.3, dying_ends)):
+        cost = gr._restart_cost(theta)
         for seed in range(10):
             ends = make_ends(np.random.default_rng([seed, 4]))
             whole, whole_rng = ends.copy(), np.random.default_rng(seed)
-            result = retry_on_register(whole, 1, 2, 3, theta, whole_rng, k)
+            result = retry_on_register(whole, 1, 2, 3, theta, whole_rng, k, cost)
             parts, parts_rng = ends.copy(), np.random.default_rng(seed)
             attempts, parity, fused = 0, 0, False
-            while attempts < k and not fused and not (attempts and is_dead(parts, 3, theta)):
+            while attempts < k and not fused and not (attempts and gives_up(parts, 3, theta, cost)):
                 replay = copy.deepcopy(parts_rng)
-                _, bit, fused = retry_on_register(parts, 1, 2, 3, theta, parts_rng, 1)
+                _, bit, fused = retry_on_register(parts, 1, 2, 3, theta, parts_rng, 1, cost)
                 if not fused:
                     pr.held_pair_attempt(parts, 1, 2, 3, theta, rng=replay)
                 attempts, parity = attempts + 1, parity ^ bit
@@ -581,10 +587,29 @@ def test_retry_in_single_attempts_replays_one_call():
             assert parts_rng.bit_generator.state == whole_rng.bit_generator.state
             if fused:
                 np.testing.assert_allclose(parts.amps, whole.amps, rtol=0, atol=1e-12)
-            stops.add("success" if fused else "limit" if attempts == k else "dead link")
-    assert stops == {"success", "limit", "dead link"}
+            stops.add("success" if fused else "limit" if attempts == k else "given up")
+    assert stops == {"success", "limit", "given up"}
     with pytest.raises(pr.RetryLimitError):  # a limit of 0 leaves no attempt
-        pr.held_pair_retry([0.25] * 4, 3, 1.0, np.random.default_rng(1), 0)
+        pr.held_pair_retry([0.25] * 4, 3, 1.0, np.random.default_rng(1), 0, 25.0)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
+def test_retry_gives_up_where_a_restart_is_worth_more(theta):
+    """After a failed first attempt the retry goes on where s * C = 1.5 and
+    gives up where s * C = 0.5, s the pair's next success chance."""
+    p, judged = pr.success_probability_closed(3, theta), 0
+    for seed in range(20):
+        ends = random_ends(np.random.default_rng([seed, 5]))
+        marginals = sv.pair_marginals(ends, 1, 2).reshape(4).tolist()
+        m, _ = pr.held_pair_attempt(ends, 1, 2, 3, theta, rng=np.random.default_rng(seed))
+        if pr.success_mask(3)[m]:
+            continue
+        s = pr.held_pair_success_probability(sv.pair_marginals(ends, 1, 2).reshape(4), p)
+        for worth, attempts in ((1.5, 2), (0.5, 1)):
+            result = pr.held_pair_retry(marginals, 3, theta, np.random.default_rng(seed), 2, worth / s)
+            assert result[0] == attempts, (seed, worth)
+        judged += 1
+    assert judged >= 5
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.5, 2.5])
@@ -638,3 +663,122 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
             mixed += value != fusion_marginals[kept[1]][kept[0]]
             pending = [0, 1]
     assert mixed > 0
+
+
+# ---------------------------------------------------------------------------
+# The give-up rule s * C < 1 and its restart cost C(theta)
+
+def walk_rows(theta):
+    """The walk's rows as ``_restart_cost`` reads them: outcome 000's (x, y)
+    and the other four failures' summed (x, y)."""
+    failures = pr.held_pair_maps(3, theta)[1][~pr.success_mask(3)]
+    return failures[0, :2], failures[1:, :2].sum(axis=0)
+
+
+def exact_law(theta):
+    """A run's mean protocol applications, time steps and restarts from the
+    dict walk at the program's C: stage 1 takes 2 / p applications in
+    ``expected_pair_prep_attempts`` rounds, stage 3 one round per attempt, and
+    a run repeats both until stage 3 succeeds, with chance 1 - P_g."""
+    p = pr.success_probability_closed(3, theta)
+    attempts, given_up = retry_walk_reference(theta, gr._restart_cost(theta))
+    rounds = gr.expected_pair_prep_attempts(p) + attempts
+    return {
+        "protocol_applications": (2.0 / p + attempts) / (1.0 - given_up),
+        "time_steps": gr.STEPS_PROTOCOL_ROUND * rounds / (1.0 - given_up),
+        "restarts": given_up / (1.0 - given_up),
+    }
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5, 3.0])
+def test_fusion_starts_at_uniform_marginals(theta):
+    """The walk behind C starts where every fusion does: each entry of the
+    fusion-marginal table is (1/4, 1/4, 1/4, 1/4) to 12 digits."""
+    starts = [m for row in gr._chain_tables(theta)[3] for m in row if m is not None]
+    np.testing.assert_allclose(starts, 0.25, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0])
+def test_restart_cost_matches_dict_walk(theta):
+    """C(theta) is the fixed point of the dict walk, which applies all five
+    failure rows on their own: at the program's C the walk's cost is C."""
+    cost = gr._restart_cost(theta)
+    assert exact_law(theta)["protocol_applications"] == pytest.approx(cost, rel=1e-9, abs=0)
+
+
+def test_restart_cost_values():
+    """The costs the rule was sized by: 13 exactly at theta = 0, where a
+    failure either leaves a perfect pair (000) or a dead one, and 13.875,
+    24.368 and 1,653.2 applications at theta = 0.3, 1.0 and 2.5, against
+    18.82, 40.38 and 3,210.5 when only a 1e-9 success chance gives a link up."""
+    assert gr._restart_cost(0.0) == pytest.approx(13.0, rel=1e-15)
+    for theta, new, old in ((0.3, 13.875, 18.82), (1.0, 24.368, 40.38), (2.5, 1653.2, 3210.5)):
+        p = pr.success_probability_closed(3, theta)
+        attempts, given_up, _, _ = gr._retry_walk(walk_rows(theta), p, 1.0 / pr.DEAD_LINK_PROBABILITY)
+        assert gr._restart_cost(theta) == pytest.approx(new, abs=1e-3 if theta < 2 else 0.1)
+        assert (2.0 / p + attempts) / (1.0 - given_up) == pytest.approx(old, abs=1e-2 if theta < 2 else 0.1)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+def test_pipeline_means_match_exact_law(theta):
+    """Seeded Monte-Carlo means of the three cost columns lie within four
+    standard errors of the exact law."""
+    runs = [run(theta, [seed, 51])[1] for seed in range(3000)]
+    for column, exact in exact_law(theta).items():
+        values = np.array([getattr(stats, column) for stats in runs], dtype=float)
+        error = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - exact) < 4.0 * error, (column, values.mean(), error, exact)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.0])
+def test_one_step_rule_near_best_threshold(theta):
+    """No fixed give-up threshold s < tau beats the rule's C by 0.5%: a
+    threshold tau is the rule at restart cost 1 / tau, scanned over a factor
+    of ten around C."""
+    p = pr.success_probability_closed(3, theta)
+    cost = gr._restart_cost(theta)
+    best = min(
+        (2.0 / p + attempts) / (1.0 - given_up)
+        for scale in np.geomspace(0.3, 3.0, 61)
+        for attempts, given_up, _, _ in [gr._retry_walk(walk_rows(theta), p, cost * scale)]
+    )
+    assert best <= cost <= 1.005 * best
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5])
+def test_fidelity_at_verify_thetas(theta):
+    """Runs under the rule still end in the growth unit, at every theta that
+    ``verify`` checks and under its cap."""
+    for seed in range(10):
+        state, _ = run(theta, [seed, 52], retry_cap=100_000)
+        assert sv.fidelity_up_to_global_phase(state, gr.three_node_target()) >= 1 - 1e-9, seed
+
+
+def test_restart_cost_is_cheap_and_bounded():
+    """C(theta) takes at most 2 ms at theta = 1.0, the benchmark's angle,
+    and 0.1 s at theta = 2.5; it is finite at theta = 3.0, where a run takes
+    about 6.6e5 applications."""
+    for theta, budget in ((1.0, 0.002), (2.5, 0.1)):
+        gr._chain_tables(theta)
+        took = []
+        for _ in range(5):
+            gr._restart_cost.cache_clear()
+            start = time.perf_counter()
+            gr._restart_cost(theta)
+            took.append(time.perf_counter() - start)
+        assert min(took) <= budget, (theta, took)
+    cost = gr._restart_cost(3.0)
+    assert math.isfinite(cost) and 6e5 < cost < 7e5
+
+
+def test_restart_cost_is_solved_lazily():
+    """A run solves C at its first stage-3 retry and caches it; a run that
+    never reaches stage 3 never solves it."""
+    gr._restart_cost.cache_clear()
+    with pytest.raises(gr.RetryLimitError):
+        run(3.1, seed=2, retry_cap=5)
+    assert gr._restart_cost.cache_info().currsize == 0
+    run(1.0, seed=3)
+    run(1.0, seed=4)
+    info = gr._restart_cost.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (2, 1, 1) and info.hits >= 1
