@@ -10,39 +10,25 @@ Two levels of description are used and cross-validated:
 
 Graph rewrite semantics (verified against the statevector in the tests).
 Every rewrite is built from two ``ClusterGraph`` primitives: ``measure_out``
-(a Z measurement: the node and its edges go, and outcome 1 leaves a Z
-byproduct on each former neighbor) and ``hand_over`` (the inheritor takes
-every edge of the dangler, which stays behind as a flagged leaf on it).
+(a Z measurement: the node and its edges go) and ``hand_over`` (the
+inheritor takes every edge of the dangler, which stays behind as a leaf on
+it).  Each is the outcome-0 rewrite, the one every build runs; the tests'
+framed reference carries the Pauli frame of the other outcomes.
 
 * fuse success: the tail always dangles; it hands its edges over to the tip.
-  A Z byproduct of parity q (the outcome weight summed over every attempt of
-  the link) lands on the tip.
 * fuse failure: tip and tail are both measured out.
 * sigma_x shortening: the measured interior qubit goes; its non-kept
   neighbor hands its far edges over to the kept one and dangles from it.
-  Outcome 1 leaves a Z on the new leaf and on its former far neighbors.
 * Z removal: a degree-1 qubit is measured out.
 * Y join: a degree-2 qubit is measured in the Y basis.  Its two neighbors
   become adjacent (local complementation, then deletion) and each takes an
-  S^dagger correction; outcome 1 also leaves a Z on both.
+  S^dagger correction.
 
-``z_parity`` is the Pauli frame: applied as Z corrections, it turns the
-physical state into the graph state of the graph.  A pending Z moves with
-the rewrites as follows (Hein, Eisert & Briegel, quant-ph/0307130):
-
-* it commutes with Z measurements and with the diagonal entangling gates of
-  a fusion, so it stays put, and one on a measured-out node goes with it;
-* on an X- or Y-measured qubit it flips the outcome, so sigma_x shortening
-  and the Y join charge ``outcome ^ parity(node)``;
-* a dangler takes a Hadamard, which turns its Z into an X, and on a leaf X
-  equals a Z on the one neighbor (the leaf's stabilizer is X_leaf Z_nb), so
-  ``hand_over`` moves the dangler's parity onto the inheritor.
-
-Cluster length is the node count of the longest simple path whose interior
-vertices are not flagged leaves.  It is defined here on forests only, where
-it is the largest tree diameter, so the four-qubit growth unit (a degree-3
-hub with three degree-1 arms) has length 3, not 4.  A finished 2D build is
-the verified N x N lattice and reports N * N, its snake path.
+Cluster length is the node count of the longest simple path.  It is defined
+here on forests only, where it is the largest tree diameter and its ends are
+degree-1 nodes, so the four-qubit growth unit (a degree-3 hub with three
+degree-1 arms) has length 3, not 4.  A finished 2D build is the verified
+N x N lattice and reports N * N, its snake path.
 
 A 1D row is a Markov chain on spare flags, one per backbone node below the
 end, which never holds a spare.  A success pushes 1, 1 (the old end and the
@@ -95,20 +81,16 @@ ATTEMPT_CAP = 500_000
 # Abstract graph state
 
 class ClusterGraph:
-    """Abstract graph-state bookkeeping: adjacency, roles, byproduct bits."""
+    """Abstract graph-state bookkeeping: the adjacency of the cluster."""
 
     def __init__(self):
         self._adj: dict[int, set[int]] = {}
-        self.leaf_flags: set[int] = set()
-        self.z_parity: dict[int, int] = {}
         self._next = 0
 
-    def new_node(self, leaf: bool = False) -> int:
+    def new_node(self) -> int:
         node = self._next
         self._next += 1
         self._adj[node] = set()
-        if leaf:
-            self.leaf_flags.add(node)
         return node
 
     @property
@@ -134,29 +116,13 @@ class ClusterGraph:
         self._adj[a].add(b)
         self._adj[b].add(a)
 
-    def flip_parity(self, node: int, bit: int = 1):
-        if bit % 2:
-            self.z_parity[node] = self.z_parity.get(node, 0) ^ 1
-
-    def measure_out(self, node: int, outcome: int = 0):
-        """Measure ``node`` in the Z basis: drop it and its edges.
-
-        Outcome 1 leaves a Z byproduct on every former neighbor.  A pending Z
-        on the node itself commutes with the measurement and leaves with it.
-        """
+    def measure_out(self, node: int):
+        """Measure ``node`` in the Z basis: drop it and its edges."""
         for nb in self._adj.pop(node):
             self._adj[nb].discard(node)
-            self.flip_parity(nb, outcome)
-        self.leaf_flags.discard(node)
-        self.z_parity.pop(node, None)
 
     def hand_over(self, dangler: int, inheritor: int):
-        """Give ``inheritor`` every edge of ``dangler``, which stays as its leaf.
-
-        The dangler takes a Hadamard, turning its pending Z into an X; on a
-        leaf that X equals a Z on its one neighbor, so the inheritor takes
-        the dangler's parity.
-        """
+        """Give ``inheritor`` every edge of ``dangler``, which stays as its leaf."""
         for nb in self._adj[dangler]:
             self._adj[nb].discard(dangler)
             if nb != inheritor:  # the even-parity projection toggles a shared edge
@@ -164,18 +130,15 @@ class ClusterGraph:
                 self._adj[nb] ^= {inheritor}
         self._adj[dangler] = set()
         self.add_edge(inheritor, dangler)
-        self.leaf_flags.add(dangler)
-        self.leaf_flags.discard(inheritor)
-        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))
 
     def longest_segment_length(self) -> int:
-        """Node count of the longest path with non-leaf interior vertices.
+        """Node count of the longest simple path.
 
-        Flagged leaves have degree 1 and therefore only ever sit at path
-        ends, so on a forest this is the largest tree diameter (double BFS;
-        the first sweep also finds the component and counts its edges).  A
-        graph with a cycle raises ValueError: its longest path is a
-        Hamiltonian-path search, exponential in the graph size.
+        On a forest, where a longest path ends at degree-1 nodes, this is
+        the largest tree diameter (double BFS; the first sweep also finds
+        the component and counts its edges).  A graph with a cycle raises
+        ValueError: its longest path is a Hamiltonian-path search,
+        exponential in the graph size.
         """
         best = 0
         seen: set[int] = set()
@@ -214,56 +177,45 @@ class ClusterGraph:
 
 
 def three_node(graph: ClusterGraph) -> tuple[int, int, int, int]:
-    """Append a fresh growth unit: arms u, w on hub c plus a flagged leaf.
+    """Append a fresh growth unit: arms u, w on hub c plus a spare leaf.
 
     Returns (u, c, w, leaf); the unit has length 3 and one spare leaf.
     """
     u = graph.new_node()
     c = graph.new_node()
     w = graph.new_node()
-    lf = graph.new_node(leaf=True)
+    lf = graph.new_node()
     graph.add_edge(u, c)
     graph.add_edge(c, w)
     graph.add_edge(c, lf)
     return u, c, w, lf
 
 
-def fuse(
-    graph: ClusterGraph,
-    tip: int,
-    tail: int,
-    success: bool,
-    parity: int = 0,
-    z_outcomes: tuple[int, int] = (0, 0),
-) -> ClusterGraph:
+def fuse(graph: ClusterGraph, tip: int, tail: int, success: bool) -> ClusterGraph:
     """Apply the fusion rewrite for one protocol attempt between tip and tail.
 
     The tail must be a leaf (degree 1); the tip may have any degree.  On
-    success the tail hands its edges over to the tip and dangles from it;
-    ``parity`` is the accumulated outcome weight, recorded as a Z byproduct
-    on the tip.  On failure both qubits are measured out with the given Z
-    outcomes, charging byproducts to their former neighbors.
+    success the tail hands its edges over to the tip and dangles from it.
+    On failure both qubits are measured out.
     """
     if graph.degree(tail) != 1:
         raise ValueError("tail is not a leaf")
     if tip == tail:
         raise ValueError("tip and tail must differ")
-    if not success:
-        for node, out in zip((tip, tail), z_outcomes):
-            graph.measure_out(node, out)
-        return graph
-    graph.hand_over(tail, tip)
-    graph.flip_parity(tip, parity)
+    if success:
+        graph.hand_over(tail, tip)
+    else:
+        graph.measure_out(tip)
+        graph.measure_out(tail)
     return graph
 
 
-def x_measure_shorten(graph: ClusterGraph, node: int, keep: int, outcome: int = 0) -> ClusterGraph:
+def x_measure_shorten(graph: ClusterGraph, node: int, keep: int) -> ClusterGraph:
     """Measure an interior chain qubit in the sigma_x basis.
 
     Removes two qubits of horizontal length: ``node`` disappears and the
     non-kept neighbor turns into a fresh leaf dangling from the kept one,
-    handing its far edges over.  ``outcome`` charges Z byproducts to the new
-    leaf and its former far neighbors; a pending Z on ``node`` flips it.
+    handing its far edges over.
     """
     nbs = graph.neighbors(node)
     if len(nbs) != 2:
@@ -271,28 +223,23 @@ def x_measure_shorten(graph: ClusterGraph, node: int, keep: int, outcome: int = 
     if keep not in nbs:
         raise ValueError("keep must be one of the node's neighbors")
     (special,) = nbs - {keep}
-    outcome ^= graph.z_parity.get(node, 0)
     graph.measure_out(node)
-    far = graph.neighbors(special)
     graph.hand_over(special, keep)
-    for v in far | {special}:
-        graph.flip_parity(v, outcome)
     return graph
 
 
-def z_remove_leaf(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGraph:
+def z_remove_leaf(graph: ClusterGraph, node: int) -> ClusterGraph:
     """Disentangle a degree-1 qubit with a sigma_z measurement."""
     if graph.degree(node) != 1:
         raise ValueError("node is not a leaf")
-    graph.measure_out(node, outcome)
+    graph.measure_out(node)
     return graph
 
 
-def y_join(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGraph:
+def y_join(graph: ClusterGraph, node: int) -> ClusterGraph:
     """Measure a degree-2 qubit in the Y basis, joining its two neighbors.
 
-    The S^dagger each neighbor takes is applied at once; ``outcome``, flipped
-    by a pending Z on ``node``, charges a Z byproduct to both neighbors.
+    The S^dagger each neighbor takes is applied at once.
     """
     nbs = graph.neighbors(node)
     if len(nbs) != 2:
@@ -300,7 +247,7 @@ def y_join(graph: ClusterGraph, node: int, outcome: int = 0) -> ClusterGraph:
     a, b = nbs
     if b in graph.neighbors(a):
         raise ValueError("the node's neighbors are already adjacent")
-    graph.measure_out(node, outcome ^ graph.z_parity.get(node, 0))
+    graph.measure_out(node)
     graph.add_edge(a, b)
     return graph
 
@@ -397,7 +344,7 @@ def _frontier(n: int, peak: int) -> int:
 class _Row:
     """A row on a graph; ``backbone[i] in spares`` below its end are its 1D flags."""
     backbone: list    # node ids in chain order
-    spares: dict      # backbone node id -> flagged leaf hanging on it
+    spares: dict      # backbone node id -> spare leaf hanging on it
     n: int = 3           # middle qubits per protocol chain, sets the site count
     protected: int = 0   # backbone prefix length that must survive
     peak: int = 3        # high-water mark of the backbone length
@@ -501,7 +448,6 @@ def _row_attach(graph: ClusterGraph, row: _Row, outcomes) -> bool | None:
             promoted = row.spares.pop(backbone[-1], None) if backbone else None
             if promoted is not None:
                 backbone.append(promoted)
-                graph.leaf_flags.discard(promoted)
             return False
 
     u, c, w, lf = three_node(graph)

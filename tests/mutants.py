@@ -322,11 +322,14 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "hand-over-drops-parity",
+        "x-shorten-keeps-far-edges",
         "growth.py",
-        "        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))\n",
-        "        self.z_parity.pop(dangler, 0)\n",
-        (f"{GROWTH}::TestRewriteConsistency::test_primitives_match_statevector_property",),
+        "    graph.hand_over(special, keep)\n",
+        "    graph.add_edge(special, keep)\n",
+        (
+            f"{GROWTH}::TestRewriteConsistency::test_shorten_interior[0]",
+            f"{GROWTH}::TestRewriteConsistency::test_shorten_interior[1]",
+        ),
     ),
     Mutant(
         "hand-over-keeps-shared-edge",

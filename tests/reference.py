@@ -9,8 +9,9 @@ Monte-Carlo fail-and-retry route on a held pair, Monte-Carlo cross-checks
 of the closed-form cost model, 1D growth with one draw per attach, target
 states of the pipeline's intermediate and reduced stages, the net-growth
 threshold, a Schmidt-rank product test, two probes of a graph or a
-state, stage 3's retry law by a dict walk on its marginals, and the
-row-dict writer that the columnar CSV and JSON writer is checked against.
+state, stage 3's retry law by a dict walk on its marginals, the
+row-dict writer that the columnar CSV and JSON writer is checked against,
+and the Pauli frame of the graph rewrites at every outcome.
 Import them as ``from reference import ...``, like the other test-side
 helpers.
 """
@@ -33,6 +34,9 @@ from clusterforge.growth import (
     _row_length,
     fuse,
     graph_state_target,
+    x_measure_shorten,
+    y_join,
+    z_remove_leaf,
 )
 from clusterforge.statevector import PureState, apply_controlled_phase, apply_gate
 
@@ -288,9 +292,6 @@ def retry_walk_reference(theta: float, cost: float, floor: float = 1e-16) -> tup
 # Graph probes and targets
 
 def check_invariants(graph: ClusterGraph):
-    for node in graph.leaf_flags:
-        if graph.degree(node) != 1:
-            raise AssertionError(f"flagged leaf {node} has degree {graph.degree(node)}")
     for a, nbs in graph._adj.items():
         if a in nbs:
             raise AssertionError("self edge")
@@ -308,6 +309,90 @@ def thirteen_qubit_target() -> PureState:
 
 def linear_cluster_target(k: int) -> PureState:
     return graph_state_target(k, [(q, q + 1) for q in range(k - 1)])
+
+
+# ---------------------------------------------------------------------------
+# The Pauli frame of the graph rewrites
+
+class FramedGraph(ClusterGraph):
+    """A ``ClusterGraph`` with its Pauli frame, for rewrites at any outcome.
+
+    The program's rewrites are the outcome-0 ones.  Here ``measure_out``
+    takes an outcome, and the framed ``fuse``, ``x_measure_shorten``,
+    ``z_remove_leaf`` and ``y_join`` take outcomes and fusion parities; each
+    runs the program's rewrite for the edge change and adds the byproducts.
+
+    ``z_parity`` is the Pauli frame: applied as Z corrections, it turns the
+    physical state into the graph state of the graph.  Outcome 1 of a Z
+    measurement leaves a Z byproduct on each former neighbor; a fusion's Z
+    byproduct of parity q (the outcome weight summed over every attempt of
+    the link) lands on the tip; sigma_x shortening's outcome 1 leaves a Z on
+    the new leaf and on its former far neighbors; the Y join's outcome 1
+    leaves a Z on both neighbors.  A pending Z moves with the rewrites as
+    follows (Hein, Eisert & Briegel, quant-ph/0307130):
+
+    * it commutes with Z measurements and with the diagonal entangling gates of
+      a fusion, so it stays put, and one on a measured-out node goes with it;
+    * on an X- or Y-measured qubit it flips the outcome, so sigma_x shortening
+      and the Y join charge ``outcome ^ parity(node)``;
+    * a dangler takes a Hadamard, which turns its Z into an X, and on a leaf X
+      equals a Z on the one neighbor (the leaf's stabilizer is X_leaf Z_nb), so
+      ``hand_over`` moves the dangler's parity onto the inheritor.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.z_parity: dict[int, int] = {}
+
+    def flip_parity(self, node: int, bit: int = 1):
+        if bit % 2:
+            self.z_parity[node] = self.z_parity.get(node, 0) ^ 1
+
+    def _charge(self, nodes, bit: int):
+        for node in nodes:
+            self.flip_parity(node, bit)
+
+    def measure_out(self, node: int, outcome: int = 0):
+        self._charge(self._adj[node], outcome)
+        super().measure_out(node)
+        self.z_parity.pop(node, None)
+
+    def hand_over(self, dangler: int, inheritor: int):
+        super().hand_over(dangler, inheritor)
+        self.flip_parity(inheritor, self.z_parity.pop(dangler, 0))
+
+    def fuse(self, tip: int, tail: int, success: bool, parity: int = 0, z_outcomes=(0, 0)):
+        """``fuse``: on success the tip takes ``parity``; on failure tip and
+        tail are measured out with the given Z outcomes, in that order."""
+        before = [(self.neighbors(node), out) for node, out in zip((tip, tail), z_outcomes)]
+        fuse(self, tip, tail, success)
+        if success:
+            self.flip_parity(tip, parity)
+        else:
+            for nbs, out in before:
+                self._charge(nbs & self.nodes, out)
+
+    def x_measure_shorten(self, node: int, keep: int, outcome: int = 0):
+        """``x_measure_shorten``: the outcome, flipped by a pending Z on
+        ``node``, charges the new leaf and its former far neighbors."""
+        outcome ^= self.z_parity.get(node, 0)
+        specials = self.neighbors(node) - {keep}
+        charged = set().union(specials, *map(self.neighbors, specials)) - {node}
+        x_measure_shorten(self, node, keep)
+        self._charge(charged, outcome)
+
+    def z_remove_leaf(self, node: int, outcome: int = 0):
+        nbs = self.neighbors(node)
+        z_remove_leaf(self, node)
+        self._charge(nbs, outcome)
+
+    def y_join(self, node: int, outcome: int = 0):
+        """``y_join``: the outcome, flipped by a pending Z on ``node``,
+        charges both neighbors."""
+        outcome ^= self.z_parity.get(node, 0)
+        nbs = self.neighbors(node)
+        y_join(self, node)
+        self._charge(nbs, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ from clusterforge import cli
 COMMANDS = {
     "verify": ["verify"],
     "grow": ["grow", "--mode", "1d", "--target-length", "8", "--trials", "1"],
+    "grow2d": ["grow", "--mode", "2d", "--size", "3", "--trials", "1"],
+    "retry": ["retry", "--n", "3", "--max-failures", "5", "--trials", "1"],
+    "pipeline13": ["pipeline13", "--trials", "1"],
+    "pipeline13-theta2.5": ["pipeline13", "--theta", "2.5", "--trials", "1"],
 }
 
 

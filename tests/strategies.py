@@ -8,8 +8,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clusterforge import growth as gr
 from clusterforge import statevector as sv
+from reference import FramedGraph
 
 # the protocol's error angle: success is likeliest at 0 and impossible at pi
 thetas = st.floats(0.0, math.pi)
@@ -41,12 +41,12 @@ def normalized_states(draw, min_qubits=1):
 
 @st.composite
 def graphs(draw, max_nodes=10):
-    """A random ``ClusterGraph`` on nodes 0 .. k-1, 2 <= k <= ``max_nodes``:
+    """A random ``FramedGraph`` on nodes 0 .. k-1, 2 <= k <= ``max_nodes``:
     a forest, each node joined to an earlier one or starting a tree, plus
-    up to three extra edges, which may close cycles; and a pending Z
-    (``z_parity``) on any set of nodes."""
+    up to three extra edges, which may close cycles; and a pending Z in its
+    Pauli frame (``z_parity``) on any set of nodes."""
     size = draw(st.integers(2, max_nodes))
-    graph = gr.ClusterGraph()
+    graph = FramedGraph()
     for node in range(size):
         graph.new_node()
         parent = draw(st.integers(-1, node - 1))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from clusterforge import cli
@@ -14,6 +14,7 @@ from clusterforge import growth as gr
 from clusterforge import protocol as pr
 from clusterforge import statevector as sv
 from reference import (
+    FramedGraph,
     check_invariants,
     grow_1d_per_attach,
     is_product_across_cut,
@@ -30,8 +31,8 @@ from test_pipeline import selective_layout
 P1, P3, P5 = (pr.success_probability_closed(n, 0.3) for n in (1, 3, 5))
 
 
-def path_graph(k):
-    graph = gr.ClusterGraph()
+def path_graph(k, graph_type=gr.ClusterGraph):
+    graph = graph_type()
     nodes = [graph.new_node() for _ in range(k)]
     for a, b in zip(nodes, nodes[1:]):
         graph.add_edge(a, b)
@@ -44,12 +45,6 @@ class TestClusterGraph:
         gr.three_node(graph)
         assert graph.longest_segment_length() == 3
         assert len(graph.nodes) == 4
-
-    def test_leaf_invariant_checked(self):
-        graph, nodes = path_graph(3)
-        graph.leaf_flags.add(nodes[1])  # interior node wrongly flagged
-        with pytest.raises(AssertionError):
-            check_invariants(graph)
 
     def test_cycle_rejected(self):
         # longest paths are only searched on forests; a cycle would need an
@@ -113,7 +108,6 @@ class TestFuseRewrite:
         # tail's old edge moved onto the tip; tail dangles
         assert graph.neighbors(other[0]) == {nodes[1]}
         assert other[1] in graph.neighbors(nodes[1])
-        assert other[0] in graph.leaf_flags
         check_invariants(graph)
 
     def test_vertical_link_between_leaves(self):
@@ -122,7 +116,7 @@ class TestFuseRewrite:
         row_b_graph = [graph.new_node() for _ in range(3)]
         for a, b in zip(row_b_graph, row_b_graph[1:]):
             graph.add_edge(a, b)
-        leaf = graph.new_node(leaf=True)
+        leaf = graph.new_node()
         graph.add_edge(row_b_graph[1], leaf)
         gr.fuse(graph, row_a[1], leaf, success=True)
         assert row_b_graph[1] in graph.neighbors(row_a[1])  # direct link
@@ -141,7 +135,7 @@ class TestShortenRewrite:
         graph, nodes = path_graph(5)
         gr.x_measure_shorten(graph, nodes[2], keep=nodes[1])
         assert graph.longest_segment_length() == 3
-        assert nodes[3] in graph.leaf_flags
+        assert graph.neighbors(nodes[3]) == {nodes[1]}
         check_invariants(graph)
 
     def test_twice_shortens_by_four(self):
@@ -156,7 +150,7 @@ class TestShortenRewrite:
         graph, nodes = path_graph(3)
         gr.x_measure_shorten(graph, nodes[1], keep=nodes[0])
         assert set(graph.nodes) == {nodes[0], nodes[2]}
-        assert nodes[2] in graph.leaf_flags
+        assert graph.neighbors(nodes[2]) == {nodes[0]}
         assert graph.degree(nodes[0]) == 1
 
     def test_non_interior_rejected(self):
@@ -167,9 +161,9 @@ class TestShortenRewrite:
 
 class TestZRemoval:
     def test_unit_becomes_linear_cluster(self):
-        graph = gr.ClusterGraph()
+        graph = FramedGraph()
         u, c, w, lf = gr.three_node(graph)
-        gr.z_remove_leaf(graph, lf, outcome=1)
+        graph.z_remove_leaf(lf, outcome=1)
         assert graph.longest_segment_length() == 3
         assert graph.z_parity.get(c) == 1
         assert graph.edges() == {frozenset((u, c)), frozenset((c, w))}
@@ -216,6 +210,15 @@ def fuse_physical(graph_edges_a, graph_edges_b, qubits_a, qubits_b, tip, tail,
     return state, rec.outcome, tip_q, tail_q
 
 
+def labelled_graph(graph_type, size, edges):
+    graph = graph_type()
+    for _ in range(size):
+        graph.new_node()
+    for a, b in edges:
+        graph.add_edge(a, b)
+    return graph
+
+
 # rewrite -> (edges of the graph it acts on, its outcomes); fuse failure
 # measures tip and tail, so its outcome is the pair of their Z outcomes
 FRAME_REWRITES = {
@@ -234,26 +237,23 @@ FRAME_CASES = [
 
 
 def frame_case(rewrite, pending, outcome, theta=0.3):
-    """Run one rewrite physically and on the graph, with a pending Z byproduct.
+    """Run one rewrite physically and on a ``FramedGraph``, with a pending Z
+    byproduct.
 
     A Z on node ``pending`` (if any) is applied to the register and recorded
-    in ``z_parity`` before the rewrite.  Fusions run the real three-middle
-    protocol between tip 1 and tail 2 (success sequences 101 and 010 give
-    parity 0 and 1; 000 fails); x_shorten measures node 2 keeping node 1;
-    z_remove measures leaf 3; y_join measures node 2 in the Y basis and
-    applies S^dagger, RZ(-pi/2), to nodes 1 and 3.  The recorded ``z_parity``
-    is then applied as the Z corrections.  Returns the corrected state of the
-    live nodes and the rewritten graph.
+    in ``z_parity`` before the framed rewrite.  Fusions run the real
+    three-middle protocol between tip 1 and tail 2 (success sequences 101 and
+    010 give parity 0 and 1; 000 fails); x_shorten measures node 2 keeping
+    node 1; z_remove measures leaf 3; y_join measures node 2 in the Y basis
+    and applies S^dagger, RZ(-pi/2), to nodes 1 and 3.  The recorded
+    ``z_parity`` is then applied as the Z corrections.  Returns the corrected
+    state of the live nodes and the rewritten graph.
     """
     edges, _ = FRAME_REWRITES[rewrite]
     size = 1 + max(map(max, edges))
     fusion = rewrite.startswith("fuse")
     qubit = [0, 1, 5, 6, 7] if fusion else list(range(size))  # middles 2..4
-    graph = gr.ClusterGraph()
-    for _ in range(size):
-        graph.new_node()
-    for a, b in edges:
-        graph.add_edge(a, b)
+    graph = labelled_graph(FramedGraph, size, edges)
     state = gr.graph_state_target(qubit[-1] + 1, [(qubit[a], qubit[b]) for a, b in edges])
     if pending is not None:
         sv.apply_gate(state, qubit[pending], "Z")
@@ -270,29 +270,58 @@ def frame_case(rewrite, pending, outcome, theta=0.3):
             _, state = sv.measure(state, q, basis="xi", xi=0.0, outcome=int(bit))
         if success:
             sv.apply_gate(state, qubit[tail], "H")  # the tail dangles
-            gr.fuse(graph, tip, tail, True, parity=seq.count("1"))
+            graph.fuse(tip, tail, True, parity=seq.count("1"))
         else:
             for node, bit in zip((tip, tail), outcome):
                 _, state = sv.measure(state, qubit[node], basis="z", outcome=bit)
-            gr.fuse(graph, tip, tail, False, z_outcomes=outcome)
+            graph.fuse(tip, tail, False, z_outcomes=outcome)
     elif rewrite == "x_shorten":
         _, state = sv.measure(state, 2, basis="xi", xi=0.0, outcome=outcome)
         sv.apply_gate(state, 3, "H")  # the special neighbor dangles
-        gr.x_measure_shorten(graph, 2, keep=1, outcome=outcome)
+        graph.x_measure_shorten(2, keep=1, outcome=outcome)
     elif rewrite == "y_join":
         _, state = sv.measure(state, 2, basis="xi", xi=-math.pi / 2, outcome=outcome)
         for q in (1, 3):
             sv.apply_gate(state, q, "RZ", -math.pi / 2)
-        gr.y_join(graph, 2, outcome=outcome)
+        graph.y_join(2, outcome=outcome)
     else:
         _, state = sv.measure(state, 3, basis="z", outcome=outcome)
-        gr.z_remove_leaf(graph, 3, outcome=outcome)
+        graph.z_remove_leaf(3, outcome=outcome)
 
     for node, bit in graph.z_parity.items():
         if bit:
             sv.apply_gate(state, qubit[node], "Z")
     live = sorted(graph.nodes)
     return sv.extract_qubits(state, [qubit[v] for v in live]), graph
+
+
+# rewrite -> (nodes it acts on, the program's rewrite, the framed one at
+# outcome 0 and parity 0)
+OUTCOME_ZERO_REWRITES = {
+    "measure_out": (1, gr.ClusterGraph.measure_out, lambda g, v: g.measure_out(v, 0)),
+    "hand_over": (2, gr.ClusterGraph.hand_over, FramedGraph.hand_over),
+    "fuse_success": (
+        2, lambda g, a, b: gr.fuse(g, a, b, True), lambda g, a, b: g.fuse(a, b, True, 0)
+    ),
+    "fuse_failure": (
+        2, lambda g, a, b: gr.fuse(g, a, b, False), lambda g, a, b: g.fuse(a, b, False, 0, (0, 0))
+    ),
+    "x_measure_shorten": (
+        2, gr.x_measure_shorten, lambda g, v, keep: g.x_measure_shorten(v, keep, 0)
+    ),
+    "z_remove_leaf": (1, gr.z_remove_leaf, lambda g, v: g.z_remove_leaf(v, 0)),
+    "y_join": (1, gr.y_join, lambda g, v: g.y_join(v, 0)),
+}
+
+
+# A derandomized property is seeded by a digest of its source, so an edit to
+# test_primitives_match_statevector_property redraws its examples.  This is
+# the seed of its source before its rewrites moved to FramedGraph: it still
+# draws the 40 examples it drew on ClusterGraph.
+PRIMITIVES_SEED = int(
+    "9381d4f940dccc0396b54a3a39757a046ea26a41fa43a6df"
+    "0b9a060c848d19143b7590d936592168e39b12e53b2a9f6", 16
+)
 
 
 class TestRewriteConsistency:
@@ -307,11 +336,11 @@ class TestRewriteConsistency:
         sv.apply_gate(state, tail_q, "H")
         got = sv.extract_qubits(state, [0, 1, 3, 4])
 
-        graph = gr.ClusterGraph()
+        graph = FramedGraph()
         ids = [graph.new_node() for _ in range(4)]
         graph.add_edge(ids[0], ids[1])
         graph.add_edge(ids[2], ids[3])
-        gr.fuse(graph, ids[1], ids[2], success=True, parity=1)
+        graph.fuse(ids[1], ids[2], success=True, parity=1)
         # rebuild the canonical state of the rewritten graph on (0,1,2,3)
         edges = [(ids.index(a), ids.index(b)) for a, b in map(tuple, graph.edges())]
         target = gr.graph_state_target(4, edges)
@@ -348,8 +377,8 @@ class TestRewriteConsistency:
             sv.apply_gate(state, 4, "Z")  # former far neighbor of the special
         got = sv.extract_qubits(state, [0, 1, 3, 4])
 
-        graph, nodes = path_graph(5)
-        gr.x_measure_shorten(graph, nodes[2], keep=nodes[1], outcome=outcome)
+        graph, nodes = path_graph(5, FramedGraph)
+        graph.x_measure_shorten(nodes[2], keep=nodes[1], outcome=outcome)
         assert graph.longest_segment_length() == 3
         edges = sorted(tuple(sorted(e)) for e in graph.edges())
         # expected rewire: 3 dangles on 1, far edge (3,4) moved to (1,4)
@@ -381,8 +410,8 @@ class TestRewriteConsistency:
                 sv.apply_gate(state, q, "Z")
         got = sv.extract_qubits(state, [0, 1, 3, 4])
 
-        graph, nodes = path_graph(5)
-        gr.y_join(graph, nodes[2], outcome=outcome)
+        graph, nodes = path_graph(5, FramedGraph)
+        graph.y_join(nodes[2], outcome=outcome)
         edges = sorted(tuple(sorted(e)) for e in graph.edges())
         assert edges == [(0, 1), (1, 3), (3, 4)]
         assert graph.z_parity == ({1: 1, 3: 1} if outcome else {})
@@ -422,12 +451,39 @@ class TestRewriteConsistency:
         assert sv.fidelity_up_to_global_phase(got, target) > 1 - 1e-9
         assert set(graph.z_parity) <= set(live)
 
+    def test_framed_at_outcome_zero_equals_src(self):
+        """On every labelled graph of at most 4 nodes, at every node or
+        ordered node pair, each framed rewrite at outcome 0 and parity 0
+        leaves the nodes and edges of the program's rewrite and an empty
+        frame, or raises the same ``ValueError`` where it does not apply."""
+        applied = dict.fromkeys(OUTCOME_ZERO_REWRITES, 0)
+        for size in range(1, 5):
+            pairs = list(itertools.combinations(range(size), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+                for name, (arity, rewrite, framed) in OUTCOME_ZERO_REWRITES.items():
+                    for args in itertools.permutations(range(size), arity):
+                        results = []
+                        for graph_type, call in ((gr.ClusterGraph, rewrite), (FramedGraph, framed)):
+                            graph = labelled_graph(graph_type, size, edges)
+                            try:
+                                call(graph, *args)
+                            except ValueError as exc:
+                                results.append(str(exc))
+                            else:
+                                results.append((set(graph.nodes), graph.edges()))
+                        assert results[0] == results[1], (name, edges, args)
+                        assert graph.z_parity == {}  # the framed graph's
+                        applied[name] += not isinstance(results[0], str)
+        assert min(applied.values()) > 0, applied
+
+    @seed(PRIMITIVES_SEED)
     @settings(max_examples=40)
     @given(graph=graphs(), data=st.data())
     def test_primitives_match_statevector_property(self, graph, data):
-        """``measure_out``, ``hand_over`` and ``y_join`` on a random graph with
-        random pending Zs, each where it applies, against its physical
-        operation on the graph state: a Z measurement; the even-parity
+        """The framed ``measure_out``, ``hand_over`` and ``y_join`` on a random
+        ``FramedGraph`` with random pending Zs, each where it applies, against
+        its physical operation on the graph state: a Z measurement; the even-parity
         projection of dangler and inheritor, then a Hadamard on the dangler
         (valid when they share no edge; a shared neighbor's edges toggle, and
         at least one drawn pair shares one when any can); a Y measurement and
@@ -473,7 +529,7 @@ class TestRewriteConsistency:
                 sv.measure(state, node, basis="xi", xi=-math.pi / 2, outcome=outcome)
                 for q in graph.neighbors(node):
                     sv.apply_gate(state, q, "RZ", -math.pi / 2)
-                gr.y_join(rewritten, node, outcome=outcome)
+                rewritten.y_join(node, outcome=outcome)
             for node, bit in rewritten.z_parity.items():
                 if bit:
                     sv.apply_gate(state, node, "Z")
@@ -530,13 +586,13 @@ class TestRandomizedFuseConsistency:
         got = sv.extract_qubits(state, keep)
 
         # abstract rewrite on the same shapes
-        graph = gr.ClusterGraph()
+        graph = FramedGraph()
         ids = [graph.new_node() for _ in range(size_a + size_b)]
         for a, b in edges_a:
             graph.add_edge(ids[a], ids[b])
         for a, b in edges_b:
             graph.add_edge(ids[size_a + a], ids[size_a + b])
-        gr.fuse(graph, ids[tip], ids[size_a + tail], True, parity=q_weight)
+        graph.fuse(ids[tip], ids[size_a + tail], True, parity=q_weight)
         target_edges = [
             (ids.index(a), ids.index(b)) for a, b in map(tuple, graph.edges())
         ]
@@ -571,9 +627,9 @@ class TestSquareClusterEndToEnd:
         assert sv.fidelity_up_to_global_phase(got, target) > 1 - 1e-9
 
         # the same moves on the abstract graph end in the same 4-cycle
-        graph, nodes = path_graph(5)
-        gr.fuse(graph, nodes[0], nodes[4], success=True, parity=1)
-        gr.z_remove_leaf(graph, nodes[4])
+        graph, nodes = path_graph(5, FramedGraph)
+        graph.fuse(nodes[0], nodes[4], success=True, parity=1)
+        graph.z_remove_leaf(nodes[4])
         assert graph.edges() == {
             frozenset((nodes[0], nodes[1])),
             frozenset((nodes[1], nodes[2])),
@@ -686,45 +742,48 @@ class TestGrow1D:
         """Long-run growth rate of the real process vs the paired average.
 
         The end-anchored pair average reproduces the closed-form gain
-        exactly, but the unconditional per-attempt gain is lower: short
-        failure runs cost exactly floor(k/2) length units (spares buffer
-        every other loss), while runs of five or more cost extra because a
-        success landing on a promoted end leaves a spare-less node below the
-        attach point.  A two-state alternation argument therefore gives only
-        an upper bound 2p - (1-p)^2/(2-p); both bounds are pinned here so
-        the distinction from the closed form stays visible.
+        exactly, but the unconditional per-attempt gain is lower.  Spares
+        buffer every other loss while a failure run meets only set flags:
+        from a flag stack whose top j flags are set, and which holds more
+        than j, a run of k <= 2j failures costs exactly floor(k/2) length
+        units.  Longer runs cost extra because a success landing on a
+        promoted end leaves a spare-less node below the attach point.  A
+        two-state alternation argument therefore gives only an upper bound
+        2p - (1-p)^2/(2-p); both bounds are pinned here so the distinction
+        from the closed form stays visible.
         """
         p = P3
         rng = np.random.default_rng(404)
         graph = gr.ClusterGraph()
         row = gr._fresh_unit_row(graph)
-        adj = graph._adj  # membership without copying the node set
         attempts = 150_000
 
-        def length():
-            ends = int(row.spares.get(row.backbone[0]) in adj)
-            ends += int(row.spares.get(row.backbone[-1]) in adj)
-            return len(row.backbone) + ends
+        def flag_stack_top():
+            # (j, size): the set flags on top of the stack of flags, one per
+            # backbone node below the end
+            below = itertools.islice(reversed(row.backbone), 1, None)
+            j = sum(1 for _ in itertools.takewhile(row.spares.__contains__, below))
+            return j, len(row.backbone) - 1
 
-        run_costs: dict[int, set] = {}
-        start = prev = length()
-        fail_run, cost = 0, 0
+        checked: dict[int, int] = {}  # run length -> runs checked
+        start = prev = gr._row_length(row)
+        top, fail_run, cost = flag_stack_top(), 0, 0
         for _ in range(attempts):
-            success = bool(rng.random() < p)
-            gr._row_attach(graph, row, iter([success]))
-            cur = length()
-            if success:
-                if fail_run:
-                    run_costs.setdefault(fail_run, set()).add(cost)
-                fail_run, cost = 0, 0
-            else:
+            success = gr._row_attach(graph, row, iter([bool(rng.random() < p)]))
+            cur = gr._row_length(row)
+            if success is False:
                 fail_run += 1
                 cost += prev - cur
+            else:  # a success ends the run; a restart ends one that emptied the row
+                (j, size), k = top, fail_run
+                if success and k and size > j and k <= 2 * j:
+                    assert cost == k // 2, f"run of {k} failures from {j} set flags: cost {cost}"
+                    checked[k] = checked.get(k, 0) + 1
+                top, fail_run, cost = flag_stack_top(), 0, 0
             prev = cur
 
-        for k in (1, 2, 3, 4):
-            assert run_costs[k] == {k // 2}, f"run of {k} failures: {run_costs[k]}"
-        raw_gain = (length() - start) / attempts
+        assert {1, 2, 3, 4} <= checked.keys()
+        raw_gain = (gr._row_length(row) - start) / attempts
         upper = 2 * p - (1 - p) ** 2 / (2 - p)
         paired = gr.expected_length_gain(p)
         assert 0.9 * upper < raw_gain < upper
@@ -797,8 +856,6 @@ class TestGrow1D:
             assert stats == ref_stats
             assert graph.nodes == ref_graph.nodes
             assert graph.edges() == ref_graph.edges()
-            assert graph.leaf_flags == ref_graph.leaf_flags
-            assert graph.z_parity == ref_graph.z_parity
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if target_length == 3:
                 assert stats.growth_attempts == 0
@@ -874,7 +931,7 @@ class TestRowInvariant:
 
     The row end holds no spare, before an attach as well as after it (a 2D
     link measures out only leaves, so it never cuts a row back to a node
-    that carries one), and every recorded spare is a live flagged leaf on
+    that carries one), and every recorded spare is a live leaf on
     its backbone node, so spares need no liveness check.  A 1D graph holds
     nothing else: its nodes are the backbone and the spares.
     """
@@ -893,7 +950,7 @@ class TestRowInvariant:
             if row.backbone:
                 assert row.backbone[-1] not in row.spares
             for node, spare in row.spares.items():
-                assert spare in graph.nodes and spare in graph.leaf_flags
+                assert spare in graph.nodes
                 assert graph.neighbors(spare) == {node}
             if one_row:
                 assert set(graph.nodes) == {*row.backbone, *row.spares.values()}
