@@ -606,51 +606,42 @@ def three_node_target() -> PureState:
     return target
 
 
-@functools.lru_cache(maxsize=2)  # as pr.held_pair_maps: a run reads one theta
+FUSION_START = (0.25, 0.25, 0.25, 0.25)  # tip-tail marginals of any two cluster pairs
+
+
+@functools.lru_cache(maxsize=2)  # a run reads one theta
 def _chain_tables(theta: float) -> tuple:
     """The tuples :func:`run_thirteen_qubit_pipeline` reads at ``theta``: a
-    fresh chain's outcome weights and their running sums, per outcome m the
-    read-only cluster pair it leaves (None where m fails), and per pair of
-    kept outcomes ``[a][b]`` (chain A's, chain B's) the fusion's tip-tail
-    marginals, read off their product as ``sv.pair_marginals`` rounds them."""
-    maps = pr.held_pair_maps(3, theta)[0]
-    fresh = tuple(pr.branch_probabilities(3, theta).tolist())
+    fresh chain's outcome weights and their running sums, and per outcome m
+    the read-only cluster pair it leaves (None where m fails)."""
+    maps, weights = pr.held_pair_maps(3, theta)
+    fresh = tuple((weights.sum(axis=1) / 4.0).tolist())
     pairs = [None] * len(fresh)
-    successes = np.flatnonzero(pr.success_mask(3)).tolist()
-    for m in successes:
+    for m in np.flatnonzero(pr.success_mask(3)).tolist():
         pair = PureState(2, maps[m] * (0.5 / math.sqrt(fresh[m])))
         if m.bit_count() & 1:
             apply_gate(pair, 1, "Z")
         pairs[m] = apply_gate(pair, 1, "H").amps
         pairs[m].flags.writeable = False
-    fusion_marginals = [[None] * len(fresh) for _ in fresh]
-    for a, b in itertools.product(successes, repeat=2):
-        ends = PureState(4, np.multiply.outer(pairs[a], pairs[b]))
-        fusion_marginals[a][b] = tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
-    cumulative = tuple(itertools.accumulate(fresh))
-    return fresh, cumulative, tuple(pairs), tuple(map(tuple, fusion_marginals))
+    return fresh, tuple(itertools.accumulate(fresh)), tuple(pairs)
 
 
-def _retry_walk(rows, p: float, cost: float) -> tuple[float, float, float, float]:
-    """Stage 3 under the rule s * ``cost`` < 1.  Its failure rows are (x, y, y, x):
-    class 0 (outcome 000) and class 1 (the rest, summed) fail with ``rows[c]``, x
-    in sector X (P00 + P11 = 1; 2p succeeds) and y in Y, weight 1/2 each.  The rule
-    keeps j class-1 failures up to a rising line J(t) in the attempt t, and j's
-    distribution moves from one rise to the next.  Returns the expected attempts,
-    the chance of giving up and the range [low, high) of log(2pC - 1) with its cuts."""
+def _retry_walk(rows, p: float, cost: float) -> tuple[float, float]:
+    """Stage 3 from ``FUSION_START`` under the rule s * ``cost`` < 1.  Its failure rows are
+    (x, y, y, x): class 0 (outcome 000) and class 1 (the rest, summed) fail with ``rows[c]``,
+    x in sector X (P00 + P11 = 1; 2p succeeds) and y in Y, weight 1/2 each.  The rule keeps
+    j class-1 failures up to a rising line J(t) in the attempt t, and j's distribution moves
+    from one rise to the next.  Returns the expected attempts and the chance of giving up."""
     rho = np.array(rows)[:, :, None]  # rho[class][sector]
     (x0, y0), (x1, y1) = rows  # x0 > 0 and y1 > 0; y0 and x1 are 0 at theta = 0
     gain, loss = math.log(x0 / max(y0, 1e-300)), math.log(max(x1, 1e-300) / y1)
     odds, width = math.log(2.0 * p * cost - 1.0), gain - loss
     last = math.floor(odds / width)  # J(0) >= 0, as 2pC >= 4
-    low, high, t, rise, attempts, tables = last * width, (last + 1) * width, 0, 0, np.zeros(2), {}
-    mass = 0.5 * np.eye(1, last + 1)[[0, 0]]
+    t, rise, attempts, tables, mass = 0, 0, np.zeros(2), {}, 0.5 * np.eye(1, last + 1)[[0, 0]]
     while mass.sum() > 1e-16:  # the rest is left out
         if t + 1 == rise:  # the next failure lands under the raised line
             mass, last = np.hstack([mass, np.zeros((2, 1))]), last + 1
         rise = math.ceil(((last + 1) * width - odds) / gain)  # J(rise) = last + 1
-        low = max(low, (last + 1) * width - rise * gain)
-        high = min(high, (last + 1) * width - (rise - 1) * gain)
         steps = min(rise - t - 1, 4096)  # failures that all land under J = last
         if steps not in tables:  # j's spread over them, cut below 1e-30, and attempts at j or less
             spread, visits = np.eye(2, steps + 1)[[0, 0]], np.zeros((2, steps + 1))
@@ -663,25 +654,25 @@ def _retry_walk(rows, p: float, cost: float) -> tuple[float, float, float, float
         attempts += (mass * visited[:, np.minimum(np.arange(last, -1, -1), steps)]).sum(axis=1)
         mass = np.array([np.convolve(m, s)[: last + 1] for m, s in zip(mass, spread)])
         t += steps
-    return float(attempts.sum()), float(1.0 - 2.0 * p * attempts[0] - mass.sum()), low, high
+    return float(attempts.sum()), float(1.0 - 2.0 * p * attempts[0] - mass.sum())
 
 
 @functools.lru_cache(maxsize=2)  # as _chain_tables
 def _restart_cost(theta: float) -> float:
     """C(theta), a run's expected protocol applications when its fusion gives up where
     s * C < 1: the fixed point of C = (2/p + E3) / (1 - P_g), E3 and P_g from the walk,
-    which starts where every fusion does, at marginals (1/4, 1/4, 1/4, 1/4)."""
+    reached when two walks in a row agree, as the walk reads C only where its rule cuts."""
     p = pr.success_probability_closed(3, theta)
     w = pr.held_pair_maps(3, theta)[1][~pr.success_mask(3)]  # the failure rows
     if not (np.abs(w - w[:, ::-1]).max() <= 1e-15 >= np.abs(w[1:] - w[1]).max()
             and w[0, 0] > w[0, 1] and w[1, 0] <= w[1, 1]):
         raise AssertionError("stage 3's failure rows are not two classes of the form (x, y, y, x)")
-    rows, cost = (w[0, :2], w[1:, :2].sum(axis=0)), 6.0 / p  # a guess
+    rows, cost, last = (w[0, :2], w[1:, :2].sum(axis=0)), 6.0 / p, None  # a guess
     for _ in range(100):
-        attempts, given_up, low, high = _retry_walk(rows, p, cost)
-        cost = (2.0 / p + attempts) / (1.0 - given_up)
-        if low <= math.log(2.0 * p * cost - 1.0) < high:  # the walk's own rule: a fixed point
+        attempts, given_up = walk = _retry_walk(rows, p, cost)
+        if walk == last:
             return cost
+        cost, last = (2.0 / p + attempts) / (1.0 - given_up), walk
     raise AssertionError("the restart cost found no fixed point")
 
 
@@ -725,17 +716,17 @@ def run_thirteen_qubit_pipeline(
       rescaled by its weight, which stage 2 turns into a cluster pair (Z on
       qubit 1 at odd parity, then H).  A round is one draw per pending
       chain, chain A first; a failed chain's ends are never drawn.
-    * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` on the
-      four Born marginals of the tip-tail pair (tip 4, tail 8).  Only a
-      successful fusion builds the ends: the two cluster pairs' outer
+    * Stage 3: the fusion's retries are one ``pr.held_pair_retry`` from
+      ``FUSION_START``, any two cluster pairs' tip-tail Born marginals.
+      Only a successful fusion builds the ends: the two cluster pairs' outer
       product, whose tip-tail basis states then take the retry's factors.
 
-    ``_chain_tables`` holds each stage's reads per theta.  The retry cap is
+    ``_chain_tables`` holds stage 1-2's reads per theta.  The retry cap is
     checked before every round; stage 3's limit is the applications left.
     """
     stats = GrowthStats()
     stats.physical_qubits_used = 13
-    fresh, cumulative, cluster_pairs, fusion_marginals = _chain_tables(theta)
+    fresh, cumulative, cluster_pairs = _chain_tables(theta)
 
     def protocol_round(attempts: int):
         if stats.protocol_applications >= retry_cap:
@@ -755,8 +746,8 @@ def run_thirteen_qubit_pipeline(
 
         # stage 3: fuse tip 4 to tail 8 through fresh middles 5-7, one round per attempt
         limit = retry_cap - stats.protocol_applications  # below 1 raises RetryLimitError
-        marginals, cost = fusion_marginals[kept[0]][kept[1]], _restart_cost(theta)  # C once a theta
-        attempts, fusion_parity, scales = pr.held_pair_retry(marginals, 3, theta, rng, limit, cost)
+        attempts, fusion_parity, scales = pr.held_pair_retry(
+            FUSION_START, 3, theta, rng, limit, _restart_cost(theta))  # C solved once a theta
         stats.time_steps += STEPS_PROTOCOL_ROUND * attempts
         stats.protocol_applications += attempts
         if scales is None:

@@ -301,9 +301,8 @@ def stochastic_teleport(
 # ---------------------------------------------------------------------------
 # Fail and retry
 
-@lru_cache(maxsize=2)  # a run reads one (n, theta); at most two table pairs stay alive
 def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only diagonal maps of the outcome sequences on a held end pair.
+    """Diagonal maps of the outcome sequences on a held end pair, built per call.
 
     Re-running the protocol between two held qubits maps their joint
     amplitudes elementwise: outcome sequence m scales basis state ``2a + b``
@@ -337,8 +336,6 @@ def held_pair_maps(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     weights = np.abs(maps) ** 2
     for total in weights.sum(axis=0).tolist():
         sv._check_norm_squared(total, 1 << n)
-    for table in (maps, weights):
-        table.flags.writeable = False
     return maps, weights
 
 
@@ -381,7 +378,7 @@ def held_pair_success_probability(marginals: list, p: float) -> float:
     return 2.0 * p * (marginals[0] + marginals[3])
 
 
-@lru_cache(maxsize=2)  # as held_pair_maps
+@lru_cache(maxsize=2)  # a run reads one (n, theta)
 def _retry_tables(n: int, theta: float) -> tuple[tuple, tuple, tuple, float]:
     """:func:`held_pair_retry`'s reads: both tables and the mask as tuples, and p."""
     cells, rows = (tuple(map(tuple, table.tolist())) for table in held_pair_maps(n, theta))

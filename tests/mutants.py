@@ -108,8 +108,8 @@ MUTANTS = [
     Mutant(
         "chain-conditionals-p0-p1-swapped",
         "growth.py",
-        "cumulative = tuple(itertools.accumulate(fresh))",
-        "cumulative = tuple(itertools.accumulate(reversed(fresh)))",
+        "tuple(itertools.accumulate(fresh))",
+        "tuple(itertools.accumulate(reversed(fresh)))",
         (
             "tests/test_pipeline.py::test_chain_table_replays_draw_x_run[1.0]",
             "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
@@ -227,8 +227,8 @@ MUTANTS = [
     Mutant(
         "restart-cost-without-stage-one",
         "growth.py",
-        "cost = (2.0 / p + attempts) / (1.0 - given_up)",
-        "cost = attempts / (1.0 - given_up)",
+        "cost, last = (2.0 / p + attempts) / (1.0 - given_up), walk",
+        "cost, last = attempts / (1.0 - given_up), walk",
         (
             "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[1.0]",
             "tests/test_pipeline.py::test_restart_cost_values",
@@ -275,13 +275,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "fusion-marginals-pair-swapped",
+        "restart-cost-second-iterate",
         "growth.py",
-        "fusion_marginals[kept[0]][kept[1]]",
-        "fusion_marginals[kept[1]][kept[0]]",
+        "if walk == last:",
+        "if last is not None:",
         (
-            "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[0.5]",
-            "tests/test_pipeline.py::test_fusion_starts_from_the_product_registers_marginals[2.5]",
+            "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[1.0]",
+            "tests/test_pipeline.py::test_restart_cost_matches_dict_walk[2.0]",
+        ),
+    ),
+    Mutant(
+        "fusion-start-skewed",
+        "growth.py",
+        "FUSION_START = (0.25, 0.25, 0.25, 0.25)",
+        "FUSION_START = (0.3, 0.2, 0.2, 0.3)",
+        (
+            "tests/test_pipeline.py::test_fusion_starts_at_uniform_marginals[1.0]",
+            "tests/test_pipeline.py::test_sub_registers_match_dense_reference[1.0-40-40]",
         ),
     ),
     Mutant(

@@ -292,9 +292,13 @@ def retry_walk_reference(theta: float, cost: float, floor: float = 1e-16) -> tup
 # Graph probes and targets
 
 def check_invariants(graph: ClusterGraph):
+    """Every edge is listed at both of its ends, and no node lists itself."""
     for a, nbs in graph._adj.items():
         if a in nbs:
             raise AssertionError("self edge")
+        for b in nbs:
+            if a not in graph._adj.get(b, ()):
+                raise AssertionError(f"edge {a}-{b} is listed only at {a}")
 
 
 def thirteen_qubit_target() -> PureState:

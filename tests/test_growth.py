@@ -90,6 +90,13 @@ class TestClusterGraph:
         with pytest.raises(ValueError):
             graph.add_edge(nodes[0], nodes[0])
 
+    def test_invariants_catch_a_one_sided_edge(self):
+        graph, nodes = path_graph(3)
+        check_invariants(graph)
+        graph._adj[nodes[0]].add(nodes[2])  # an edge that only node 0 lists
+        with pytest.raises(AssertionError, match="listed only at"):
+            check_invariants(graph)
+
 
 class TestFuseRewrite:
     def test_failure_on_two_pairs(self):

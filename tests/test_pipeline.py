@@ -439,7 +439,7 @@ def test_chain_table_replays_draw_x_run(theta):
     so does its draw on the cached running sums."""
     maps, map_weights = pr.held_pair_maps(3, theta)
     fresh = (map_weights.sum(axis=1) / 4.0).tolist()
-    table_fresh, cumulative, _, _ = gr._chain_tables(theta)
+    table_fresh, cumulative, _ = gr._chain_tables(theta)
     assert list(table_fresh) == fresh
     chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
     branches = sv.x_branches(chain, 1, 3)
@@ -457,22 +457,22 @@ def test_chain_table_replays_draw_x_run(theta):
 
 
 def test_stage_caches_are_bounded_and_read_only():
+    """The per-theta stage caches hold at most two angles, as tuples and
+    read-only pairs."""
     for theta in np.linspace(0.0, 3.0, 7):
-        maps, map_weights = pr.held_pair_maps(3, theta)
-        fresh, cumulative, cluster_pairs, fusion_marginals = gr._chain_tables(theta)
+        fresh, cumulative, cluster_pairs = gr._chain_tables(theta)
         pr._retry_tables(3, theta)
-        for cached in (pr.held_pair_maps, pr._retry_tables, gr._chain_tables):
+        for cached in (pr._retry_tables, gr._chain_tables):
             info = cached.cache_info()
             assert info.maxsize == 2 and info.currsize <= info.maxsize
         assert cumulative == tuple(itertools.accumulate(fresh))
-        np.testing.assert_allclose(map_weights.sum() / 4.0, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cumulative[-1], 1.0, rtol=0, atol=1e-12)
         kept = [pair for pair in cluster_pairs if pair is not None]
         assert len(cluster_pairs) == 8 and len(kept) == np.count_nonzero(pr.success_mask(3))
-        for array in (maps, map_weights, *kept):
+        for array in kept:
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        for table in (fresh, cumulative, cluster_pairs, fusion_marginals, *fusion_marginals,
-                      *pr._retry_tables(3, theta)[:3]):
+        for table in (fresh, cumulative, cluster_pairs, *pr._retry_tables(3, theta)[:3]):
             assert isinstance(table, tuple)
 
 
@@ -614,13 +614,11 @@ def test_retry_gives_up_where_a_restart_is_worth_more(theta):
 
 @pytest.mark.parametrize("theta", [0.5, 1.5, 2.5])
 def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
-    """Stage 3's retry starts from the table marginals of the two kept
-    cluster pairs, bit for bit those ``sv.pair_marginals`` reads on the four
-    ends built from them, in the order (chain A, chain B).  At these angles
-    the table is not symmetric in the two pairs."""
-    _, _, cluster_pairs, fusion_marginals = gr._chain_tables(theta)
-    successes = np.flatnonzero(pr.success_mask(3)).tolist()
-    assert any(fusion_marginals[a][b] != fusion_marginals[b][a] for a in successes for b in successes)
+    """Stage 3's retry starts from ``FUSION_START`` once both chains have
+    kept a pair, and ``sv.pair_marginals`` reads the four ends built from
+    the two kept cluster pairs, in the order (chain A, chain B), within
+    1e-15 of it."""
+    cluster_pairs = gr._chain_tables(theta)[2]
     events, retrying = [], []
     real_draw, real_retry = sv.draw_index, pr.held_pair_retry
 
@@ -640,7 +638,7 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
 
     monkeypatch.setattr(sv, "draw_index", draw)
     monkeypatch.setattr(pr, "held_pair_retry", retry)
-    mixed = 0
+    retries = 0
     for seed in range(40):
         events.clear()
         with contextlib.suppress(gr.RetryLimitError):
@@ -658,11 +656,12 @@ def test_fusion_starts_from_the_product_registers_marginals(theta, monkeypatch):
                     pending.remove(key)
                 continue
             assert not pending and not queue
+            assert value is gr.FUSION_START
             ends = sv.PureState(4, np.multiply.outer(cluster_pairs[kept[0]], cluster_pairs[kept[1]]))
-            assert value == tuple(sv.pair_marginals(ends, 1, 2).reshape(4).tolist())
-            mixed += value != fusion_marginals[kept[1]][kept[0]]
+            np.testing.assert_allclose(sv.pair_marginals(ends, 1, 2).reshape(4), value, rtol=0, atol=1e-15)
+            retries += 1
             pending = [0, 1]
-    assert mixed > 0
+    assert retries > 0
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +691,14 @@ def exact_law(theta):
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5, 3.0])
 def test_fusion_starts_at_uniform_marginals(theta):
-    """The walk behind C starts where every fusion does: each entry of the
-    fusion-marginal table is (1/4, 1/4, 1/4, 1/4) to 12 digits."""
-    starts = [m for row in gr._chain_tables(theta)[3] for m in row if m is not None]
-    np.testing.assert_allclose(starts, 0.25, rtol=0, atol=1e-12)
+    """The walk behind C starts where every fusion does: the tip-tail
+    marginals of every product of two kept cluster pairs lie within 1e-15 of
+    ``FUSION_START``, (1/4, 1/4, 1/4, 1/4)."""
+    kept = [pair for pair in gr._chain_tables(theta)[2] if pair is not None]
+    for a, b in itertools.product(kept, repeat=2):
+        ends = sv.PureState(4, np.multiply.outer(a, b))
+        marginals = sv.pair_marginals(ends, 1, 2).reshape(4)
+        np.testing.assert_allclose(marginals, gr.FUSION_START, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.0])
@@ -714,7 +717,7 @@ def test_restart_cost_values():
     assert gr._restart_cost(0.0) == pytest.approx(13.0, rel=1e-15)
     for theta, new, old in ((0.3, 13.875, 18.82), (1.0, 24.368, 40.38), (2.5, 1653.2, 3210.5)):
         p = pr.success_probability_closed(3, theta)
-        attempts, given_up, _, _ = gr._retry_walk(walk_rows(theta), p, 1.0 / pr.DEAD_LINK_PROBABILITY)
+        attempts, given_up = gr._retry_walk(walk_rows(theta), p, 1.0 / pr.DEAD_LINK_PROBABILITY)
         assert gr._restart_cost(theta) == pytest.approx(new, abs=1e-3 if theta < 2 else 0.1)
         assert (2.0 / p + attempts) / (1.0 - given_up) == pytest.approx(old, abs=1e-2 if theta < 2 else 0.1)
 
@@ -740,7 +743,7 @@ def test_one_step_rule_near_best_threshold(theta):
     best = min(
         (2.0 / p + attempts) / (1.0 - given_up)
         for scale in np.geomspace(0.3, 3.0, 61)
-        for attempts, given_up, _, _ in [gr._retry_walk(walk_rows(theta), p, cost * scale)]
+        for attempts, given_up in [gr._retry_walk(walk_rows(theta), p, cost * scale)]
     )
     assert best <= cost <= 1.005 * best
 

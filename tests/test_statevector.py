@@ -575,13 +575,14 @@ class TestXRunKernel:
         # are the x_branches of a fresh chain
         for theta in np.linspace(0.0, 3.0, 7):
             maps, _ = pr.held_pair_maps(3, theta)
-            info = pr.held_pair_maps.cache_info()
-            assert info.maxsize == 2 and info.currsize <= info.maxsize
             chain = pr.entangle_chain(sv.init_register(["+"] * 5), theta)
             branches = sv.x_branches(chain, 1, 3).transpose(1, 0, 2).reshape(8, 4)
             np.testing.assert_allclose(0.5 * maps, branches, rtol=0, atol=1e-15)
-        with pytest.raises(ValueError):
-            pr.held_pair_maps(3, 1.0)[0][0, 0] = 0.0
+        # no table is retained, so none needs a bound: each call builds its
+        # own, and a reader that writes to its copy reaches no other reader
+        assert not hasattr(pr.held_pair_maps, "cache_info")
+        pr.held_pair_maps(3, 1.0)[0][0, 0] = 0.0
+        assert pr.held_pair_maps(3, 1.0)[0][0, 0] != 0.0
 
 
 @st.composite
